@@ -137,22 +137,23 @@ def singulant(z: complex, z_star: complex, model: ModelSpec,
     return 2j * action_between(z_star, z, model, path=path, order=order, seed=seed)
 
 
-def _quartic_midpoint_seed(a: complex) -> tuple[complex, complex, complex]:
-    """Branch seed at the midpoint of the z_C -> z_A segment.
+def _quartic_end_action(a: complex, end: str, order: int = DEFAULT_ORDER) -> complex:
+    """-integral from z_C to the turning point named end ("z_a" or "z_b").
 
-    The overall sign of the quartic integrand is fixed at a = 0 by the
-    requirement Im(U + iV) > 0 (i.e. V(0) = +0.874..., not its negative) and
-    carried to other couplings by walking the coupling in small steps so the
-    midpoint sample never jumps branch.  Returns (z_c, z_a, seed value).
+    Straight segment, branch seeded at its midpoint.  The overall sign of
+    the integrand is fixed at a = 0 by the requirement Im(U + iV) > 0 (i.e.
+    V(0) = +0.874..., not its negative) and carried to other couplings by
+    walking the coupling in small steps so the midpoint sample never jumps
+    branch.
     """
     a = complex(a)
     steps = max(1, int(abs(a) / 0.2) + 1)
     seed = None
-    roots = None
     for k in range(steps + 1):
         ak = a * (k / steps)
         roots = quartic_turning_points(ak)
-        mid = 0.5 * (roots.z_c + roots.z_a)
+        z_c, z_e = roots.z_c, getattr(roots, end)
+        mid = 0.5 * (z_c + z_e)
         model = ModelSpec.quartic(ak)
         s = model.q(mid) ** 0.5
         if seed is None:
@@ -162,7 +163,12 @@ def _quartic_midpoint_seed(a: complex) -> tuple[complex, complex, complex]:
             seed = -s
         else:
             seed = s
-    return roots.z_c, roots.z_a, seed
+    to_e, _, _ = sqrt_path_integral(model.q, [mid, z_e], order=order,
+                                    seed=seed, singular_end=True)
+    to_c, _, _ = sqrt_path_integral(model.q, [mid, z_c], order=order,
+                                    seed=seed, singular_end=True)
+    # integral_{z_C}^{z_e} = integral_{mid}^{z_e} - integral_{mid}^{z_C}
+    return -(to_e - to_c)
 
 
 def quartic_action(a: complex, order: int = DEFAULT_ORDER) -> complex:
@@ -173,15 +179,7 @@ def quartic_action(a: complex, order: int = DEFAULT_ORDER) -> complex:
     from V(0) ~ 0.874 through zero at the critical coupling.  Accepts
     complex a (analytic continuation) for continuation past branch merges.
     """
-    model = ModelSpec.quartic(a)
-    z_c, z_a, seed = _quartic_midpoint_seed(a)
-    mid = 0.5 * (z_c + z_a)
-    to_a, _, _ = sqrt_path_integral(model.q, [mid, z_a], order=order,
-                                    seed=seed, singular_end=True)
-    to_c, _, _ = sqrt_path_integral(model.q, [mid, z_c], order=order,
-                                    seed=seed, singular_end=True)
-    # integral_{z_C}^{z_A} = integral_{mid}^{z_A} - integral_{mid}^{z_C}
-    return -(to_a - to_c)
+    return _quartic_end_action(a, "z_a", order)
 
 
 @lru_cache(maxsize=1)

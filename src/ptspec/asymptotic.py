@@ -22,7 +22,8 @@ import math
 from dataclasses import dataclass
 
 from .action import (action_scale, action_to_turning_points, quartic_action,
-                     quartic_critical_a, action_between, ContourPath)
+                     quartic_critical_a, action_between, ContourPath,
+                     _quartic_end_action)
 from .geometry import ModelSpec, turning_points
 from .special import principal_power, recip_gamma
 
@@ -255,9 +256,8 @@ def solve_condition(n: int, p: float, condition: str = "full",
             eps, res = _newton_complex(f, complex(seed) * (1.0 + 0.05j))
     else:
         eps, res = _newton_complex(f, complex(seed))
-    method = "wkb" if condition == "wkb" else "full"
     return EigRecord(n=n, param=p, eps=eps, E=eps_to_E(eps, p),
-                     method=method, residual=res)
+                     method=condition, residual=res)
 
 
 def count_real_roots(p: float, e_max: float, n_cap: int | None = None) -> list[float]:
@@ -360,12 +360,12 @@ def trace_branch(n: int, p_start: float, p_end: float, dp: float,
                     state = "complex"
                     eps_prev = complex(x, 0.02 * x)
                     records.append(EigRecord(n, p_next, complex(x), eps_to_E(x, p_next),
-                                             condition_method(condition), res))
+                                             condition, res))
                 else:
                     eps_prev = complex(x)
                     records.append(EigRecord(n, p_next, eps_prev,
                                              eps_to_E(eps_prev, p_next),
-                                             condition_method(condition), res))
+                                             condition, res))
             else:
                 z, res = _newton_complex(
                     lambda e: _scaled_condition(e, p_next, condition), eps_prev)
@@ -373,10 +373,10 @@ def trace_branch(n: int, p_start: float, p_end: float, dp: float,
                     z = z.conjugate()
                 eps_prev = z
                 records.append(EigRecord(n, p_next, z, eps_to_E(z, p_next),
-                                         condition_method(condition), res))
+                                         condition, res))
                 zc = z.conjugate()
                 records.append(EigRecord(n + 1, p_next, zc, eps_to_E(zc, p_next),
-                                         condition_method(condition), res))
+                                         condition, res))
         except SolveError:
             if step > dp / 2 ** 10:
                 step *= 0.5
@@ -391,10 +391,6 @@ def trace_branch(n: int, p_start: float, p_end: float, dp: float,
         step = min(dp, step * 2.0)
     records.sort(key=lambda r: r.param)
     return records
-
-
-def condition_method(condition: str) -> str:
-    return "wkb" if condition == "wkb" else "full"
 
 
 def lowest_branch_path(deltas: list[float]) -> list[EigRecord]:
@@ -487,48 +483,13 @@ def quartic_condition(eps: complex, A: float) -> complex:
             return cmath.cos(2.0 * u / e) + 0.5 * math.exp(-big)
         return cmath.cos(2.0 * u / e) * math.exp(big) + 0.5
     w_a = quartic_action(a)            # -phi(z_A)
-    w_b = -w_a.conjugate() if abs(complex(a).imag) < 1e-14 else _quartic_action_b(a)
+    w_b = (-w_a.conjugate() if abs(complex(a).imag) < 1e-14
+           else _quartic_end_action(a, "z_b"))
     t1 = 2j * w_a / eps                # 2i phi(z_A)/eps with phi_A = -w_a
     t2 = 2j * w_b / eps
     terms = (cmath.exp(-t1), cmath.exp(-t2), 1.0 + 0j)
     scale = max(abs(t) for t in terms)
     return sum(terms) / scale
-
-
-def _quartic_action_b(a: complex) -> complex:
-    """-integral z_C -> z_B, continued from -conj(quartic_action) at real a."""
-    from .geometry import quartic_turning_points
-    from ._quadrature import sqrt_path_integral
-    a = complex(a)
-    steps = max(1, int(abs(a) / 0.2) + 1)
-    seed = None
-    for k in range(steps + 1):
-        ak = a * (k / steps)
-        roots = quartic_turning_points(ak)
-        mid = 0.5 * (roots.z_c + roots.z_b)
-        model = ModelSpec.quartic(ak)
-        s = model.q(mid) ** 0.5
-        if seed is None:
-            anchor = -quartic_action(0.0).conjugate()
-            to_b, _, _ = sqrt_path_integral(model.q, [mid, roots.z_b], order=40,
-                                            seed=s, singular_end=True)
-            to_c, _, _ = sqrt_path_integral(model.q, [mid, roots.z_c], order=40,
-                                            seed=s, singular_end=True)
-            if abs(-(to_b - to_c) - anchor) > abs((to_b - to_c) - anchor):
-                s = -s
-            seed = s
-        elif abs(s - seed) > abs(s + seed):
-            seed = -s
-        else:
-            seed = s
-    model = ModelSpec.quartic(a)
-    roots = quartic_turning_points(a)
-    mid = 0.5 * (roots.z_c + roots.z_b)
-    to_b, _, _ = sqrt_path_integral(model.q, [mid, roots.z_b], order=40,
-                                    seed=seed, singular_end=True)
-    to_c, _, _ = sqrt_path_integral(model.q, [mid, roots.z_c], order=40,
-                                    seed=seed, singular_end=True)
-    return -(to_b - to_c)
 
 
 def _fold_seed(f, x: float, g: float) -> complex:

@@ -4,7 +4,9 @@ The eigenproblems live on contours in the complex z-plane.  This module
 knows where the decay wedges are, where the WKB approximation breaks
 (turning points), where the branch cut of (i z)^p runs, and how to follow
 the curves Im chi = 0 (Stokes lines) and Re chi = 0 (the classical matching
-path) away from their source singularities.
+path) away from their source singularities.  One predictor-corrector traces
+both; it differs between them only in the part of chi it holds at zero, the
+orientation of the first step and where it stops.
 """
 
 import cmath
@@ -113,13 +115,6 @@ class ModelSpec:
             return lambda z: 1.0 + cexp(p * clog(1j * z))
         ia = 1j * self.a
         return lambda z: 1.0 - z * (z * z * z + ia)
-
-    def scale_exponent(self) -> float:
-        """E = eps**(-scale_exponent) for this family."""
-        if self.family == "power":
-            p = self.p
-            return 2.0 * p / (p + 2.0)
-        return 4.0 / 3.0
 
 
 def wedge_angles(p: float) -> tuple[float, float, float]:
@@ -238,14 +233,13 @@ class StokesTrace:
         return [c.real for c in self.chi]
 
 
-def _cut_frame(z: complex, model: ModelSpec) -> complex:
-    """Rotate so the branch cut maps onto the positive imaginary axis."""
-    return z * cmath.exp(1j * (math.pi / 2 - model.branch_cut_dir))
+def _cut_frame(model: ModelSpec) -> complex:
+    """Rotation that maps the branch cut onto the positive imaginary axis."""
+    return cmath.exp(1j * (math.pi / 2 - model.branch_cut_dir))
 
 
-def _segment_hits_cut(z0: complex, z1: complex, model: ModelSpec) -> bool:
-    w0 = _cut_frame(z0, model)
-    w1 = _cut_frame(z1, model)
+def _ray_hit(w0: complex, w1: complex) -> bool:
+    """True iff the segment w0 -> w1, in the cut frame, meets the cut ray."""
     x0, x1 = w0.real, w1.real
     if x0 == 0.0 and w0.imag > 0.0:
         return True
@@ -264,9 +258,9 @@ def path_crosses_cut(path, model: ModelSpec) -> bool:
     nodes = getattr(path, "nodes", None)
     if nodes is None:
         nodes = getattr(path, "points", path)
-    nodes = [complex(z) for z in nodes]
-    return any(_segment_hits_cut(nodes[i], nodes[i + 1], model)
-               for i in range(len(nodes) - 1))
+    frame = _cut_frame(model)
+    ws = [complex(z) * frame for z in nodes]
+    return any(map(_ray_hit, ws, ws[1:]))
 
 
 def _chi_from_origin(origin: complex, model: ModelSpec, z: complex,
@@ -358,52 +352,77 @@ def _advance(q, z: complex, chi: complex, tracker: SqrtTracker, dz: complex):
     return z_new, chi_new
 
 
-def trace_stokes_line(origin: complex, model: ModelSpec, seed_direction: float,
-                      max_arclen: float, escape_radius: float = 8.0,
-                      h_cap: float = 0.01, imag_tol: float = 1e-10,
-                      max_points: int = 500_000) -> StokesTrace:
-    """Follow Im chi = 0, Re chi >= 0 from a singularity.
+def _trace(model: ModelSpec, origin: complex, theta: float, hold_imag: bool,
+           target: complex | None, max_arclen: float, escape_radius: float,
+           h_cap: float, tol: float, max_points: int) -> StokesTrace:
+    """Follow Im chi = 0 (hold_imag) or Re chi = 0 away from origin.
 
-    Predictor dz = h / chi'(z) keeps the chi increment real positive;
-    a transverse Newton corrector restores |Im chi| <= imag_tol after each
-    step.  The step h = min(h_cap, 0.1 |chi'/chi''|) shrinks automatically
-    near turning points.  Stops on |z| > escape_radius, on the arclength
-    budget, on hitting the branch-cut ray (the crossing step is kept so
-    cut tests see it), or on running into another singularity.
+    The predictor moves chi by h (Stokes line, chi oriented so Re chi >= 0)
+    or by +-i h (matching path, sign chosen so the first step points along
+    theta); a transverse Newton corrector then restores the held part of
+    chi to within tol.  With a target the trace stops "target" near it,
+    otherwise "singularity" at a zero of q, including one the next step
+    would overshoot.  A step that crosses the cut ends the trace "cut": the
+    step is kept if its chord crosses, dropped if only a corrector leg went
+    across and back (chi after it would be on the other sheet).
     """
     q = model.q_callable()
     dq = model.dq
     r0 = 1e-3
-    z = origin + r0 * cmath.exp(1j * seed_direction)
+    z = origin + r0 * cmath.exp(1j * theta)
     chi, last = _chi_from_origin(origin, model, z)
-    if chi.real < 0.0:
-        chi, last = -chi, -last
+    if hold_imag:
+        if chi.real < 0.0:
+            chi, last = -chi, -last
+        turn = 1.0
+    else:
+        sq = SqrtTracker(last).take(q(z))
+        turn = -1j if (1j / (2j * sq) * cmath.exp(-1j * theta)).real < 0.0 else 1j
+    frame = _cut_frame(model) if model.has_branch_cut else None
     tracker = SqrtTracker(last)
     trace = StokesTrace(origin=origin, points=[z], chi=[chi])
     arclen = r0
     for _ in range(max_points):
         qv = q(z)
-        if abs(qv) < _TP_NEIGHBOURHOOD:
-            trace.terminated = "singularity"
+        if target is None:
+            if abs(qv) < _TP_NEIGHBOURHOOD:
+                trace.terminated = "singularity"
+                return trace
+        elif abs(qv) < 1e-5 or abs(z - target) < 0.02:
+            trace.terminated = "target"
             return trace
         sq = tracker.take(qv)
         chi_p = 2j * sq
-        curv = abs(dq(z)) / (2.0 * abs(qv))
+        dqv = dq(z)
+        curv = abs(dqv) / (2.0 * abs(qv))
         h = h_cap if curv == 0.0 else min(h_cap, 0.1 / curv)
+        dz = turn * h / chi_p
+        # Longer than half the Newton distance |q/q'| and heading for that
+        # zero of q: the step would run through a turning point.
+        if curv * abs(dz) > 0.25 and (dz * (qv / dqv).conjugate()).real < 0.0:
+            trace.terminated = "singularity"
+            return trace
         step_tracker = SqrtTracker(tracker.last)
-        z_new, chi_new = _advance(q, z, chi, step_tracker, h / chi_p)
-        ok = False
+        z_new, chi_new = _advance(q, z, chi, step_tracker, dz)
+        legs = [z, z_new]
         for _ in range(8):
-            if abs(chi_new.imag) <= imag_tol:
-                ok = True
+            off = chi_new.imag if hold_imag else chi_new.real
+            if abs(off) <= tol:
                 break
             sq_new = step_tracker.take(q(z_new))
-            dz_c = -1j * chi_new.imag / (2j * sq_new)
+            dz_c = (-1j * off if hold_imag else -off) / (2j * sq_new)
             z_new, chi_new = _advance(q, z_new, chi_new, step_tracker, dz_c)
-        if not ok:
+            legs.append(z_new)
+        else:
             raise TraceError(f"corrector stalled near z = {z_new:.6g}")
+        hit_cut = False
+        if frame is not None:
+            ws = [u * frame for u in legs]
+            hit_cut = _ray_hit(ws[0], ws[-1])
+            if not hit_cut and any(map(_ray_hit, ws, ws[1:])):
+                trace.terminated = "cut"
+                return trace
         tracker.last = step_tracker.last
-        hit_cut = model.has_branch_cut and _segment_hits_cut(z, z_new, model)
         arclen += abs(z_new - z)
         z, chi = z_new, chi_new
         trace.points.append(z)
@@ -418,6 +437,23 @@ def trace_stokes_line(origin: complex, model: ModelSpec, seed_direction: float,
             trace.terminated = "arclen"
             return trace
     raise TraceError("step budget exhausted")
+
+
+def trace_stokes_line(origin: complex, model: ModelSpec, seed_direction: float,
+                      max_arclen: float, escape_radius: float = 8.0,
+                      h_cap: float = 0.01, imag_tol: float = 1e-10,
+                      max_points: int = 500_000) -> StokesTrace:
+    """Follow Im chi = 0, Re chi >= 0 from a singularity.
+
+    Predictor dz = h / chi'(z) keeps the chi increment real positive;
+    a transverse Newton corrector restores |Im chi| <= imag_tol after each
+    step.  The step h = min(h_cap, 0.1 |chi'/chi''|) shrinks automatically
+    near turning points.  Stops on |z| > escape_radius, on the arclength
+    budget, on hitting the branch-cut ray (the crossing step is kept so
+    cut tests see it), or on running into another singularity.
+    """
+    return _trace(model, origin, seed_direction, True, None, max_arclen,
+                  escape_radius, h_cap, imag_tol, max_points)
 
 
 def trace_matching_path(model: ModelSpec, max_arclen: float = 12.0,
@@ -439,53 +475,5 @@ def trace_matching_path(model: ModelSpec, max_arclen: float = 12.0,
     if not cands:
         raise TraceError("no matching-path direction found at z_A")
     theta = min(cands, key=lambda t: abs(cmath.exp(1j * t) - cmath.exp(1j * heading)))
-    q = model.q_callable()
-    r0 = 1e-3
-    z = z_a + r0 * cmath.exp(1j * theta)
-    chi, last = _chi_from_origin(z_a, model, z)
-    tracker = SqrtTracker(last)
-    # chi is (nearly) purely imaginary here; step so dz points along theta.
-    sq = tracker.take(q(z))
-    sigma = 1.0
-    if (1j / (2j * sq) * cmath.exp(-1j * theta)).real < 0.0:
-        sigma = -1.0
-    trace = StokesTrace(origin=z_a, points=[z], chi=[chi])
-    arclen = r0
-    h_cap = 0.01
-    for _ in range(max_points):
-        qv = q(z)
-        if abs(qv) < 1e-5 or abs(z - z_b) < 0.02:
-            trace.terminated = "target"
-            return trace
-        sq = tracker.take(qv)
-        chi_p = 2j * sq
-        curv = abs(model.dq(z)) / (2.0 * abs(qv))
-        h = h_cap if curv == 0.0 else min(h_cap, 0.1 / curv)
-        step_tracker = SqrtTracker(tracker.last)
-        z_new, chi_new = _advance(q, z, chi, step_tracker, sigma * 1j * h / chi_p)
-        ok = False
-        for _ in range(8):
-            if abs(chi_new.real) <= re_tol:
-                ok = True
-                break
-            sq_new = step_tracker.take(q(z_new))
-            dz_c = -chi_new.real / (2j * sq_new)
-            z_new, chi_new = _advance(q, z_new, chi_new, step_tracker, dz_c)
-        if not ok:
-            raise TraceError(f"matching-path corrector stalled near z = {z_new:.6g}")
-        tracker.last = step_tracker.last
-        hit_cut = model.has_branch_cut and _segment_hits_cut(z, z_new, model)
-        arclen += abs(z_new - z)
-        z, chi = z_new, chi_new
-        trace.points.append(z)
-        trace.chi.append(chi)
-        if hit_cut:
-            trace.terminated = "cut"
-            return trace
-        if abs(z) > 8.0:
-            trace.terminated = "escape"
-            return trace
-        if arclen > max_arclen:
-            trace.terminated = "arclen"
-            return trace
-    raise TraceError("step budget exhausted")
+    return _trace(model, z_a, theta, False, z_b, max_arclen, 8.0, 0.01, re_tol,
+                  max_points)

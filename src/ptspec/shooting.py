@@ -187,6 +187,12 @@ def _point_segment_distance(w: complex, z0: complex, z1: complex) -> float:
     return abs(w - (z0 + t * d))
 
 
+def _E_to_eps(E: complex, model: ModelSpec) -> complex:
+    """eps = E**(-(p+2)/(2p)) for the power law, E**(-3/4) for the quartic."""
+    exponent = -(model.p + 2.0) / (2.0 * model.p) if model.family == "power" else -0.75
+    return principal_power(E, exponent)
+
+
 def _contour(model: ModelSpec, eps: complex, cfg: ShootConfig) -> tuple[complex, complex, complex]:
     """Ray endpoints and a match point keeping clear of turning points."""
     if model.family == "power":
@@ -223,8 +229,7 @@ def mismatch(E: complex, model: ModelSpec, cfg: ShootConfig | None = None) -> co
     """
     cfg = cfg or ShootConfig()
     E = complex(E)
-    exponent = -(model.p + 2.0) / (2.0 * model.p) if model.family == "power" else -0.75
-    eps = principal_power(E, exponent)
+    eps = _E_to_eps(E, model)
     scaled = _scaled_model(model, eps)
     z_l, z_r, z_mid = _contour(scaled, eps, cfg)
     left = integrate_ray(wkb_init(z_l, eps, scaled), (z_l, z_mid), eps, scaled, cfg)
@@ -307,8 +312,7 @@ def _muller_step(pts) -> complex:
 
 
 def _record(E: complex, w: complex, model: ModelSpec) -> EigRecord:
-    exponent = -(model.p + 2.0) / (2.0 * model.p) if model.family == "power" else -0.75
-    eps = principal_power(E, exponent)
+    eps = _E_to_eps(E, model)
     param = model.p if model.family == "power" else model.a
     return EigRecord(n=_mode_index(eps, model), param=float(param.real if isinstance(param, complex) else param),
                      eps=eps, E=E, method="numeric", residual=abs(w))

@@ -1,23 +1,21 @@
 """Scalar special functions and branch-aware complex elementary operations.
 
 Everything downstream (actions, eigenvalue conditions, Stokes tracing) runs
-on these four primitives: a real Gamma function, its total reciprocal, the
-principal complex power, and a square root whose sign is carried
-continuously along a contour instead of being re-derived per point.
+on these three primitives: a real Gamma function, its total reciprocal and
+the principal complex power.  The square root whose sign is carried along a
+contour is the quadrature engine's SqrtTracker; its ambiguity error and
+tolerance live here.
 """
 
 import cmath
 import math
-from dataclasses import dataclass
 
 __all__ = [
     "BranchAmbiguityError",
-    "BranchState",
     "GammaPoleError",
     "gamma_real",
     "principal_power",
     "recip_gamma",
-    "tracked_sqrt",
 ]
 
 
@@ -95,25 +93,3 @@ def principal_power(w: complex, p: float) -> complex:
         raise ValueError("principal_power undefined at w = 0 with p <= 0")
     return cmath.exp(p * cmath.log(w))
 
-
-@dataclass
-class BranchState:
-    """Last square-root sample along a contour; fixes the sign of the next."""
-
-    last_value: complex
-
-
-def tracked_sqrt(w: complex, state: BranchState) -> tuple[complex, BranchState]:
-    """Square root of w with the sign nearest state.last_value.
-
-    Returns (value, new state).  Raises BranchAmbiguityError when |w| is at
-    the noise floor: a quadrature node has landed on a turning point and the
-    caller should perturb the path instead of guessing a sign.
-    """
-    if abs(w) < BRANCH_AMBIGUITY_TOL:
-        raise BranchAmbiguityError(f"square-root sample at |w| = {abs(w):.3e}")
-    s = cmath.sqrt(w)
-    last = state.last_value
-    if abs(s - last) > abs(s + last):
-        s = -s
-    return s, BranchState(s)

@@ -6,7 +6,8 @@ import pytest
 
 from ptspec.action import (ContourPath, action_between, action_scale,
                            action_to_turning_points, quartic_action,
-                           quartic_critical_a, singulant)
+                           quartic_critical_a, singulant,
+                           _quartic_end_action)
 from ptspec.geometry import ModelSpec, turning_points
 
 PI = math.pi
@@ -135,6 +136,14 @@ def test_quartic_v_monotone():
     a_vals = [0.0, 0.25, 0.5, 0.75, 1.0, 1.25, 1.5]
     v_vals = [quartic_action(a).imag for a in a_vals]
     assert all(v2 < v1 for v1, v2 in zip(v_vals, v_vals[1:]))
+
+
+def test_quartic_z_b_action_mirrors_z_a_at_real_coupling():
+    # z_B = -conj(z_A) for real a, so the coupling walk to z_B must land on
+    # the mirror image of the z_A action: -conj(U + iV).
+    for a in (0.0, 0.3, 0.9, 1.2, 1.7, 2.5, 3.3, 4.0):
+        w_b = _quartic_end_action(a, "z_b")
+        assert abs(w_b + quartic_action(a).conjugate()) <= 1e-14, a
 
 
 def test_quartic_critical_coupling():

@@ -1,6 +1,7 @@
 import cmath
 import math
 
+from ptspec._quadrature import sqrt_path_integral
 from ptspec.geometry import (ModelSpec, TraceError, path_crosses_cut,
                              quartic_turning_points, seed_directions,
                              trace_matching_path, trace_stokes_line,
@@ -173,18 +174,45 @@ def test_quartic_stokes_lines_cross_real_axis():
 
 
 def test_quartic_traces_pass_the_power_law_cut_ray():
-    # The quartic potential is entire: its equal-phase lines cross the
-    # positive imaginary axis freely instead of stopping at a cut.
+    # The quartic potential is entire: no line stops at a cut.  From z_C
+    # two lines escape and the third climbs the imaginary axis, where
+    # Im chi = 0 holds only up to z_D; it must stop there, not run through.
     model = ModelSpec.quartic(1.0)
     roots = quartic_turning_points(1.0)
-    crossings = 0
+    ends = []
     for d in seed_directions(roots.z_c, model):
         trace = trace_stokes_line(roots.z_c, model, d, max_arclen=15.0)
-        assert trace.terminated == "escape"
-        crossings += any(
-            z1.real * z2.real < 0 and 0.5 * (z1.imag + z2.imag) > 0
-            for z1, z2 in zip(trace.points, trace.points[1:]))
-    assert crossings >= 1
+        assert trace.terminated != "cut"
+        ends.append((trace.terminated, trace.points[-1]))
+    assert sorted(t for t, _ in ends) == ["escape", "escape", "singularity"]
+    stop = next(z for t, z in ends if t == "singularity")
+    assert abs(stop - roots.z_d) < 1e-2
+
+
+def test_stokes_lines_keep_chi_on_the_principal_sheet_up_to_the_cut():
+    # At p = 1.5 the lines from z_A and z_B run into the cut; every point
+    # before it must carry Im chi = 0 when chi is re-integrated along the
+    # traced points, i.e. no corrector leg may detour across the cut.
+    model = ModelSpec.power_law(1.5)
+    cut_lines = 0
+    for origin in turning_points(1.5):
+        for d in seed_directions(origin, model):
+            trace = trace_stokes_line(origin, model, d, max_arclen=25.0)
+            if trace.terminated != "cut":
+                continue
+            cut_lines += 1
+            pts = trace.points
+            chi, _, last = sqrt_path_integral(model.q, [origin, pts[0]],
+                                              singular_start=True)
+            chi *= 2j
+            for z0, z1 in zip(pts, pts[1:]):
+                if path_crosses_cut([z0, z1], model):
+                    break
+                val, _, last = sqrt_path_integral(model.q, [z0, z1], order=8,
+                                                  seed=last)
+                chi += 2j * val
+                assert abs(chi.imag) <= 1e-7, (origin, z1, chi)
+    assert cut_lines == 2
 
 
 def test_matching_path_cut_crossing_iff_broken():

@@ -3,9 +3,9 @@ import math
 
 import pytest
 
-from ptspec.special import (BranchAmbiguityError, BranchState, GammaPoleError,
-                            gamma_real, principal_power, recip_gamma,
-                            tracked_sqrt)
+from ptspec._quadrature import SqrtTracker
+from ptspec.special import (BranchAmbiguityError, GammaPoleError, gamma_real,
+                            principal_power, recip_gamma)
 
 
 def test_gamma_known_values():
@@ -83,29 +83,29 @@ def test_principal_power_zero():
 
 
 def test_tracked_sqrt_continuity():
-    val, state = tracked_sqrt(4.0, BranchState(2.0 + 0j))
-    assert val == 2.0
-    val, state = tracked_sqrt(4.0, BranchState(-2.1 + 0j))
-    assert val == -2.0
-    assert state.last_value == -2.0
+    tracker = SqrtTracker(2.0 + 0j)
+    assert tracker.take(4.0) == 2.0
+    tracker = SqrtTracker(-2.1 + 0j)
+    assert tracker.take(4.0) == -2.0
+    assert tracker.last == -2.0
 
 
 def test_tracked_sqrt_square_roundtrip():
-    state = BranchState(1.0 + 0j)
+    tracker = SqrtTracker(1.0 + 0j)
     for k in range(50):
         w = cmath.exp(0.3j * k) * (1.0 + 0.1 * k)
-        val, state = tracked_sqrt(w, state)
+        val = tracker.take(w)
         assert abs(val * val - w) <= 1e-13 * abs(w)
 
 
 def test_tracked_sqrt_monodromy():
     # One loop around the simple zero of w at the origin flips the branch.
-    state = BranchState(1.0 + 0j)
+    tracker = SqrtTracker(1.0 + 0j)
     first = None
     val = None
     for k in range(201):
         w = cmath.exp(2j * math.pi * k / 200)
-        val, state = tracked_sqrt(w, state)
+        val = tracker.take(w)
         if first is None:
             first = val
     assert abs(val + first) < 1e-12
@@ -113,4 +113,4 @@ def test_tracked_sqrt_monodromy():
 
 def test_tracked_sqrt_ambiguity():
     with pytest.raises(BranchAmbiguityError):
-        tracked_sqrt(1e-16 + 0j, BranchState(1.0 + 0j))
+        SqrtTracker(1.0 + 0j).take(1e-16 + 0j)
