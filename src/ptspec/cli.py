@@ -307,6 +307,10 @@ def cmd_eigen(args) -> int:
         except shooting.ShootingError as exc:
             sys.stderr.write(f"error: {exc}\n")
             return FAILURE_EXIT
+        if rec.n != args.n:
+            sys.stderr.write(f"error: shooting from the n = {args.n} seed converged "
+                             f"to the n = {rec.n} eigenvalue E = {rec.E.real:.10g}\n")
+            return FAILURE_EXIT
     else:
         try:
             rec = asymptotic.solve_condition(args.n, args.p, args.method)

@@ -5,8 +5,9 @@ in (f, g) with g = eps f' (which keeps both components O(1) in the
 semiclassical regime) from far out in each decay wedge inward to a common
 match point.  The initial state is the decaying WKB solution; any error in
 it excites the inward-decaying partner, which is suppressed exponentially
-by the time the rays meet.  An eigenvalue is a zero of the normalized
-Wronskian of the two rays.
+by the time the rays meet.  The ray length is chosen per eps so that this
+suppression is just complete (see _ray_length), capped at ShootConfig.r_max.
+An eigenvalue is a zero of the normalized Wronskian of the two rays.
 
 For the quartic family the coupling stored on the model is the physical
 one; each evaluation at eigenvalue E rescales it to a = A * E^(-3/4) so
@@ -51,9 +52,11 @@ class ShootState:
 class ShootConfig:
     """Contour and integrator settings.
 
-    r_max is the ray length, z_mid the match point (shifted automatically
-    if a ray would pass within `standoff` of a turning point), rtol/atol
-    the local error targets of the embedded Runge-Kutta pair.
+    r_max is the longest ray allowed (each ray's length is chosen per eps
+    from the decay the WKB start needs), z_mid the match point (shifted
+    automatically if a ray would pass within `standoff` of a turning
+    point), rtol/atol the local error targets of the embedded Runge-Kutta
+    pair.
     """
 
     r_max: float = 7.0
@@ -63,6 +66,11 @@ class ShootConfig:
     standoff: float = 0.05
     max_steps: int = 2_000_000
 
+
+# Inward decay, in e-folds, that a ray must give the partner solution the
+# WKB start excites before it reaches the match point: exp(-40) ~ 4e-18 is
+# below double precision, so a longer ray changes W only by rounding.
+_DECAY_EFOLDS = 40.0
 
 # Cash-Karp 5(4) embedded pair.
 _CK_A = (
@@ -193,18 +201,35 @@ def _E_to_eps(E: complex, model: ModelSpec) -> complex:
     return principal_power(E, exponent)
 
 
+def _ray_length(k: float, r_tp: float, eps: complex, r_max: float) -> float:
+    """Radius where the WKB start has bought _DECAY_EFOLDS of inward decay.
+
+    Past the outermost turning point (radius r_tp) the action along a wedge
+    centre grows like S = (2/k)(r^(k/2) - r_tp^(k/2)), with k = p + 2 for
+    the power law and 6 for the quartic; the start's error decays inward
+    like exp(-2S/|eps|).  The ray is at most r_max long and at least 2 r_tp:
+    a start closer to the turning points gives a wrong W even when the
+    estimate promises enough decay (p = 3, E = 40: r = 1.8 moves W from
+    -0.092 to -7.7e-5).
+    """
+    r = (r_tp ** (k / 2) + _DECAY_EFOLDS * k * abs(eps) / 4) ** (2 / k)
+    return min(r_max, max(2 * r_tp, r))
+
+
 def _contour(model: ModelSpec, eps: complex, cfg: ShootConfig) -> tuple[complex, complex, complex]:
     """Ray endpoints and a match point keeping clear of turning points."""
     if model.family == "power":
         th_l, th_r, _ = wedge_angles(model.p)
-        z_l = cfg.r_max * cmath.exp(1j * th_l)
-        z_r = cfg.r_max * cmath.exp(1j * th_r)
+        r = _ray_length(model.p + 2.0, 1.0, eps, cfg.r_max)
+        z_l = r * cmath.exp(1j * th_l)
+        z_r = r * cmath.exp(1j * th_r)
         tps = turning_points(model.p)
         z_mid = cfg.z_mid
     else:
-        z_l = complex(-cfg.r_max)
-        z_r = complex(cfg.r_max)
         tps = quartic_turning_points(model.a).all
+        r = _ray_length(6.0, max(abs(tp) for tp in tps), eps, cfg.r_max)
+        z_l = complex(-r)
+        z_r = complex(r)
         z_mid = 0j
     for _ in range(8):
         clear_of_tps = all(
@@ -300,6 +325,8 @@ def find_eigen(seed_E: complex, model: ModelSpec, cfg: ShootConfig | None = None
 
 def _muller_step(pts) -> complex:
     (x0, f0), (x1, f1), (x2, f2) = pts
+    if x0 == x1 or x1 == x2 or x0 == x2:
+        raise ShootingError("Muller step on coincident iterates")
     q = (x2 - x1) / (x1 - x0)
     a = q * f2 - q * (1 + q) * f1 + q * q * f0
     b = (2 * q + 1) * f2 - (1 + q) ** 2 * f1 + q * q * f0

@@ -105,6 +105,18 @@ def test_quartic_ladder_continues_past_folded_pair(tmp_path):
     assert any(abs(e - 7.6527) < 1e-3 for e in re_e)
 
 
+def test_eigen_numeric_rejects_a_neighbouring_mode(capsys):
+    # at p = 3.05 the n = 0 seed converges to the n = 1 eigenvalue 4.18729
+    assert main(["eigen", "--p", "3.05", "--n", "0", "--method", "numeric"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "n = 0" in captured.err and "n = 1" in captured.err
+    assert main(["eigen", "--p", "3", "--n", "0", "--method", "numeric"]) == 0
+    fields = capsys.readouterr().out.strip().splitlines()[1].split(",")
+    assert fields[1] == "0"
+    assert abs(float(fields[3]) - 1.1562670720) < 1e-9
+
+
 def test_verify_exits_zero(capsys):
     assert main(["verify"]) == 0
     txt = capsys.readouterr().out

@@ -2,10 +2,13 @@ import cmath
 import math
 
 import numpy as np
+import pytest
 from ptspec.asymptotic import broken_complex_roots, eps_to_E, solve_condition
 from ptspec.geometry import ModelSpec, wedge_angles
-from ptspec.shooting import (ShootConfig, ShootState, find_eigen,
-                             integrate_ray, mismatch, scan_spectrum, wkb_init)
+from ptspec.shooting import (ShootConfig, ShootingError, ShootState,
+                             _contour, _E_to_eps, _muller_step, _scaled_model,
+                             find_eigen, integrate_ray, mismatch, scan_spectrum,
+                             wkb_init)
 
 PI = math.pi
 
@@ -123,11 +126,56 @@ def test_match_point_independence():
     assert abs(e1 - e2) < 1e-8
 
 
-def test_ray_length_independence():
-    model = ModelSpec.power_law(2.0)
-    e1 = find_eigen(3.01, model, ShootConfig(r_max=7.0), tol=5e-12).E
-    e2 = find_eigen(3.01, model, ShootConfig(r_max=9.0), tol=5e-12).E
-    assert abs(e1 - e2) < 1e-8
+def test_ray_length_follows_eps():
+    # rays end where the start's error has decayed, shorter than r_max once
+    # E is large, yet eps f'/f at the match point is that of a ray from r_max
+    cases = [(ModelSpec.power_law(p), ShootConfig()) for p in (1.5, 2.5, 3.0)]
+    cases += [(ModelSpec.quartic(a), ShootConfig(r_max=5.0)) for a in (0.75, 2.0)]
+    for model, cfg in cases:
+        for E in (1.0, 10.0, 40.0):
+            eps = _E_to_eps(complex(E), model)
+            scaled = _scaled_model(model, eps)
+            z_l, z_r, z_mid = _contour(scaled, eps, cfg)
+            if E >= 10.0:
+                assert max(abs(z_l), abs(z_r)) < cfg.r_max
+            for z in (z_l, z_r):
+                far = z * cfg.r_max / abs(z)
+                near = integrate_ray(wkb_init(z, eps, scaled), (z, z_mid), eps, scaled, cfg)
+                full = integrate_ray(wkb_init(far, eps, scaled), (far, z_mid), eps, scaled, cfg)
+                want = full.df / full.f
+                assert abs(near.df / near.f - want) <= 1e-9 * abs(want)
+
+
+def test_mismatch_work_nearly_flat_in_E(monkeypatch):
+    # rays from r_max = 7 took 87,144 q evaluations at E = 10 and 3.2 times
+    # as many at E = 40; E = 40 sits on the 2 r_tp ray-length floor
+    count = [0]
+    plain = ModelSpec.q_callable
+
+    def counting(self):
+        inner = plain(self)
+
+        def q(z):
+            count[0] += 1
+            return inner(z)
+        return q
+
+    monkeypatch.setattr(ModelSpec, "q_callable", counting)
+    model = ModelSpec.power_law(3.0)
+    mismatch(10.0, model)
+    at_10 = count[0]
+    count[0] = 0
+    mismatch(40.0, model)
+    assert at_10 <= 15_000
+    assert count[0] <= 2.25 * at_10
+
+
+def test_muller_step_rejects_coincident_iterates():
+    for pts in ([(1.0, 0.5), (1.0, 0.5), (2.0, 0.1)],
+                [(1.0, 0.5), (2.0, 0.1), (2.0, 0.1)],
+                [(2.0, 0.1), (1.0, 0.5), (2.0, 0.2)]):
+        with pytest.raises(ShootingError):
+            _muller_step(pts)
 
 
 def test_pt_reality_unbroken():
