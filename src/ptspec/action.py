@@ -97,7 +97,7 @@ def action_between(z0: complex, z1: complex, model: ModelSpec,
         if seed is None:
             seed = 1.0 + 0j
     val, _, _ = sqrt_path_integral(
-        model.q, nodes, order=n, seed=seed,
+        model.q_callable(), nodes, order=n, seed=seed,
         singular_start=abs(model.q(nodes[0])) < _ENDPOINT_SINGULAR_TOL,
         singular_end=abs(model.q(nodes[-1])) < _ENDPOINT_SINGULAR_TOL,
     )
@@ -163,9 +163,10 @@ def _quartic_end_action(a: complex, end: str, order: int = DEFAULT_ORDER) -> com
             seed = -s
         else:
             seed = s
-    to_e, _, _ = sqrt_path_integral(model.q, [mid, z_e], order=order,
+    q = model.q_callable()
+    to_e, _, _ = sqrt_path_integral(q, [mid, z_e], order=order,
                                     seed=seed, singular_end=True)
-    to_c, _, _ = sqrt_path_integral(model.q, [mid, z_c], order=order,
+    to_c, _, _ = sqrt_path_integral(q, [mid, z_c], order=order,
                                     seed=seed, singular_end=True)
     # integral_{z_C}^{z_e} = integral_{mid}^{z_e} - integral_{mid}^{z_C}
     return -(to_e - to_c)

@@ -229,9 +229,63 @@ def _newton_complex(f, z0: complex, tol: float = 1e-12, max_iter: int = 200) -> 
     raise SolveError("complex Newton did not converge")
 
 
+def _fold_seed(f, x: float, g: float) -> complex:
+    """Complex root of the quadratic model of real f about a minimum of |f| at x.
+
+    f(x + d) ~ g + f''(x) d^2 / 2 vanishes at d = +- i sqrt(2 |g / f''|) when
+    g and f'' share a sign, as they do where two real roots have merged.
+    """
+    h = 1e-3 * x
+    d2 = (f(x + h) - 2.0 * g + f(x - h)) / (h * h)
+    if d2 == 0 or not math.isfinite(d2):
+        return complex(x, 0.05 * x)
+    return complex(x, math.sqrt(2.0 * abs(g / d2)))
+
+
+def _seeded_root(f, seed: complex, max_halvings: int | None = None) -> tuple[complex, float]:
+    """Root of the scaled condition f near seed, and |f| there.
+
+    A complex seed goes straight to complex Newton.  A real seed tries the
+    real axis first (a descent on |f| if max_halvings is given); where that
+    fails the root has left the axis, and complex Newton starts from the
+    fold model at the stall point, else from seed (1 + 0.05i).
+    """
+    seed = complex(seed)
+    if abs(seed.imag) >= 1e-14:
+        return _newton_complex(f, seed)
+    f_real = lambda e: f(e).real
+    try:
+        x, res = _newton_real(f_real, seed.real, max_halvings=max_halvings)
+        return complex(x), res
+    except _RealStall as stall:
+        start = _fold_seed(f_real, stall.x, stall.g)
+    except SolveError:
+        start = seed * (1.0 + 0.05j)
+    return _newton_complex(f, start)
+
+
+def _power_phase(p: float) -> float:
+    """eps times the cosine argument of the power-law conditions, 2 R sin(pi/p)."""
+    return 2.0 * action_scale(p) * math.sin(math.pi / p)
+
+
+def _quartic_phase(a: complex) -> float:
+    """eps times the quartic cosine argument, 2 U(|a|), with |a| capped at 4."""
+    return 2.0 * quartic_action(min(abs(a), 4.0)).real
+
+
 def cosine_seed(n: int, p: float) -> float:
     """Leading-order root: 2 R sin(pi/p)/eps = (n + 1/2) pi."""
-    return 2.0 * action_scale(p) * math.sin(math.pi / p) / ((n + 0.5) * math.pi)
+    return _power_phase(p) / ((n + 0.5) * math.pi)
+
+
+def _mode_index(eps: complex, model: ModelSpec) -> int:
+    """Ladder index n: the seed rule 2U/|eps| = (n + 1/2) pi solved for n."""
+    if model.family == "power":
+        y = _power_phase(model.p) / abs(eps)
+    else:
+        y = _quartic_phase(model.a * eps) / abs(eps)
+    return max(0, round(y / math.pi - 0.5))
 
 
 def solve_condition(n: int, p: float, condition: str = "full",
@@ -244,18 +298,9 @@ def solve_condition(n: int, p: float, condition: str = "full",
     """
     if condition not in ("wkb", "full"):
         raise ValueError("condition must be 'wkb' or 'full'")
-    f = lambda e: _scaled_condition(e, p, condition)
     if seed is None:
         seed = cosine_seed(n, p)
-    eps: complex
-    if abs(complex(seed).imag) < 1e-14:
-        try:
-            x, res = _newton_real(lambda e: f(e).real, complex(seed).real)
-            eps = complex(x)
-        except SolveError:
-            eps, res = _newton_complex(f, complex(seed) * (1.0 + 0.05j))
-    else:
-        eps, res = _newton_complex(f, complex(seed))
+    eps, res = _seeded_root(lambda e: _scaled_condition(e, p, condition), seed)
     return EigRecord(n=n, param=p, eps=eps, E=eps_to_E(eps, p),
                      method=condition, residual=res)
 
@@ -289,21 +334,14 @@ def count_real_roots(p: float, e_max: float, n_cap: int | None = None) -> list[f
 def broken_complex_roots(p: float, n_max: int = 60, max_roots: int = 4) -> list[complex]:
     """Complex eps roots of the corrected condition from merged ladder seeds.
 
-    Walks the ladder seeds upward; indices whose real root has merged away
-    are polished with complex Newton instead.  Stops after max_roots
-    distinct roots (normalised to the upper half plane).
+    Walks the ladder seeds upward and keeps the solve_condition roots that
+    lie off the real axis (indices whose real root has merged away).  Stops
+    after max_roots distinct roots (normalised to the upper half plane).
     """
     roots: list[complex] = []
     for n in range(n_max + 1):
-        seed = cosine_seed(n, p)
         try:
-            _newton_real(lambda e: _scaled_condition(e, p, "full").real, seed)
-            continue  # still real, nothing broken here
-        except SolveError:
-            pass
-        try:
-            z, _ = _newton_complex(lambda e: _scaled_condition(e, p, "full"),
-                                   seed * (1.0 + 0.05j))
+            z = solve_condition(n, p, "full").eps
         except SolveError:
             continue
         if abs(z.imag) < 1e-10 * abs(z):
@@ -393,25 +431,25 @@ def trace_branch(n: int, p_start: float, p_end: float, dp: float,
     return records
 
 
-def lowest_branch_path(deltas: list[float]) -> list[EigRecord]:
-    """Ground-branch roots of the corrected condition at p = 1 + delta.
+def lowest_branch_path(deltas: list[float], n: int = 0) -> list[EigRecord]:
+    """Real roots of branch n of the corrected condition at p = 1 + delta.
 
-    deltas must decrease; continuation is seeded from the previous root so
-    the branch can be followed far beyond where the cosine-rule seed
-    overflows.  Stops early if the root search fails.
+    deltas must decrease.  The first root is seeded from the cosine rule,
+    each later one from the previous root, so the branch can be followed
+    far beyond where the cosine-rule seed overflows.  Stops at the first
+    delta where the root search fails or the root has left the real axis.
     """
     records: list[EigRecord] = []
-    eps_prev: float | None = None
+    seed: float | None = None
     for d in deltas:
-        p = 1.0 + d
-        seed = cosine_seed(0, p) if eps_prev is None else eps_prev
         try:
-            x, res = _newton_real(
-                lambda e: _scaled_condition(e, p, "full").real, seed)
+            rec = solve_condition(n, 1.0 + d, "full", seed=seed)
         except SolveError:
             break
-        eps_prev = x
-        records.append(EigRecord(0, p, complex(x), eps_to_E(x, p), "full", res))
+        if abs(rec.eps.imag) > 1e-10 * abs(rec.eps):
+            break
+        seed = rec.eps.real
+        records.append(rec)
     return records
 
 
@@ -492,24 +530,12 @@ def quartic_condition(eps: complex, A: float) -> complex:
     return sum(terms) / scale
 
 
-def _fold_seed(f, x: float, g: float) -> complex:
-    """Complex root of the quadratic model of real f about a minimum of |f| at x.
-
-    f(x + d) ~ g + f''(x) d^2 / 2 vanishes at d = +- i sqrt(2 |g / f''|) when
-    g and f'' share a sign, as they do where two real roots have merged.
-    """
-    h = 1e-3 * x
-    d2 = (f(x + h) - 2.0 * g + f(x - h)) / (h * h)
-    if d2 == 0 or not math.isfinite(d2):
-        return complex(x, 0.05 * x)
-    return complex(x, math.sqrt(2.0 * abs(g / d2)))
-
-
 def solve_quartic(n: int, A: float, seed: complex | None = None) -> EigRecord:
     """Root of the quartic condition for mode n at physical coupling A.
 
-    The real search is a Newton descent on |f|, seeded from the half-integer
-    rule 2U/eps = (n + 1/2) pi unless a seed is given.  At a fold, where
+    Unless a seed is given, the seed is iterated from the half-integer rule
+    2U(A eps)/eps = (n + 1/2) pi, the rule _mode_index inverts.  The real
+    search is a Newton descent on |f| (see _seeded_root).  At a fold, where
     the root has merged with its neighbour and left the real axis, the
     search stalls at the local minimum of |f| between the two vanished
     roots instead of jumping to a root of another mode; complex Newton then
@@ -517,20 +543,10 @@ def solve_quartic(n: int, A: float, seed: complex | None = None) -> EigRecord:
     holds one member of the conjugate pair.
     """
     if seed is None:
-        u0 = quartic_action(0.0).real
-        e = 2.0 * u0 / ((n + 0.5) * math.pi)
-        for _ in range(6):
-            e = 2.0 * quartic_action(min(A * e, 4.0)).real / ((n + 0.5) * math.pi)
-        seed = e
-    f = lambda e: quartic_condition(e, A)
-    f_real = lambda e: f(e).real
-    try:
-        x, res = _newton_real(f_real, complex(seed).real, max_halvings=4)
-        eps = complex(x)
-    except _RealStall as stall:
-        eps, res = _newton_complex(f, _fold_seed(f_real, stall.x, stall.g))
-    except SolveError:
-        eps, res = _newton_complex(f, complex(seed) * (1.0 + 0.05j))
+        seed = 0.0  # the first pass is the rule at a = 0
+        for _ in range(7):
+            seed = _quartic_phase(A * seed) / ((n + 0.5) * math.pi)
+    eps, res = _seeded_root(lambda e: quartic_condition(e, A), seed, max_halvings=4)
     return EigRecord(n=n, param=A, eps=eps, E=principal_power(eps, -4.0 / 3.0),
                      method="full", residual=res)
 

@@ -198,23 +198,7 @@ def cmd_p1_scaling(args) -> int:
         deltas.append(d)
         d *= 0.85
     for branch in range(args.branches):
-        if branch == 0:
-            recs = asymptotic.lowest_branch_path(deltas)
-        else:
-            recs = []
-            eps_prev = None
-            for dd in deltas:
-                p = 1.0 + dd
-                seed = eps_prev if eps_prev is not None else asymptotic.cosine_seed(branch, p)
-                try:
-                    rec = asymptotic.solve_condition(branch, p, "full", seed=seed)
-                except asymptotic.SolveError:
-                    break
-                if abs(rec.eps.imag) > 1e-10 * abs(rec.eps):
-                    break
-                eps_prev = rec.eps.real
-                recs.append(rec)
-        for rec in recs:
+        for rec in asymptotic.lowest_branch_path(deltas, branch):
             dd = rec.param - 1.0
             e = rec.E.real
             rows.append({

@@ -86,13 +86,9 @@ class ModelSpec:
 
     def q(self, z: complex) -> complex:
         """Eikonal right-hand side: (phi')^2 = q(z)."""
-        if self.family == "power":
-            p = self.p
-            if p == int(p):
-                return 1.0 + (1j * z) ** int(p)
-            return 1.0 + principal_power(1j * z, p)
-        a = self.a
-        return 1.0 - z * (z * z * z + 1j * a)
+        if z == 0 and self.has_branch_cut:
+            return 1.0 + 0j  # (i z)^p -> 0; log(0) would raise
+        return self._q_closure()(z)
 
     def dq(self, z: complex) -> complex:
         """d q / d z."""
@@ -103,8 +99,8 @@ class ModelSpec:
             return 1j * p * principal_power(1j * z, p - 1.0)
         return -(4.0 * z * z * z + 1j * self.a)
 
-    def q_callable(self):
-        """Specialised q(z) closure for hot loops."""
+    def _q_closure(self):
+        """Specialised q(z) closure for hot loops: the one formula for q."""
         if self.family == "power":
             p = self.p
             if p == int(p):
@@ -115,6 +111,9 @@ class ModelSpec:
             return lambda z: 1.0 + cexp(p * clog(1j * z))
         ia = 1j * self.a
         return lambda z: 1.0 - z * (z * z * z + ia)
+
+    # q bypasses q_callable, so a counter wrapped around both sees each q(z) once.
+    q_callable = _q_closure
 
 
 def wedge_angles(p: float) -> tuple[float, float, float]:
@@ -223,10 +222,12 @@ class StokesTrace:
     points: list[complex] = field(default_factory=list)
     chi: list[complex] = field(default_factory=list)
     terminated: str = ""
+    hold_imag: bool = True  # Im chi held at zero (Stokes line), else Re chi
 
     @property
     def residuals(self) -> list[float]:
-        return [abs(c.imag) for c in self.chi]
+        """|Im chi| along a Stokes line, |Re chi| along the matching path."""
+        return [abs(c.imag if self.hold_imag else c.real) for c in self.chi]
 
     @property
     def re_chi(self) -> list[float]:
@@ -276,11 +277,11 @@ def _chi_from_origin(origin: complex, model: ModelSpec, z: complex,
         direction = seg / abs(seg)
         head = powerlaw_origin_piece(model.p, direction, delta)
         val, _, last = sqrt_path_integral(
-            model.q, [delta * direction, z], order=order, seed=1.0 + 0j)
+            model.q_callable(), [delta * direction, z], order=order, seed=1.0 + 0j)
         return 2j * (head + val), last
     singular = abs(model.q(origin)) < 1e-8
     val, _, last = sqrt_path_integral(
-        model.q, [origin, z], order=order, singular_start=singular)
+        model.q_callable(), [origin, z], order=order, singular_start=singular)
     return 2j * val, last
 
 
@@ -380,7 +381,7 @@ def _trace(model: ModelSpec, origin: complex, theta: float, hold_imag: bool,
         turn = -1j if (1j / (2j * sq) * cmath.exp(-1j * theta)).real < 0.0 else 1j
     frame = _cut_frame(model) if model.has_branch_cut else None
     tracker = SqrtTracker(last)
-    trace = StokesTrace(origin=origin, points=[z], chi=[chi])
+    trace = StokesTrace(origin=origin, points=[z], chi=[chi], hold_imag=hold_imag)
     arclen = r0
     for _ in range(max_points):
         qv = q(z)
@@ -465,7 +466,8 @@ def trace_matching_path(model: ModelSpec, max_arclen: float = 12.0,
     contour along which the classical turning-point matching is performed.
     For p > 2 it reaches the z_B neighbourhood below the origin; for
     1 < p < 2 it runs into the branch cut instead (the crossing step is
-    included).  chi values are recorded; residuals are |Re chi| here.
+    included).  chi values are recorded; the trace holds Re chi at zero, so
+    its residuals are |Re chi|.
     """
     if model.family != "power":
         raise ValueError("matching path is defined for the power-law family")

@@ -18,7 +18,7 @@ import cmath
 import math
 from dataclasses import dataclass
 
-from .asymptotic import EigRecord, broken_complex_roots, eps_to_E
+from .asymptotic import EigRecord, _mode_index, broken_complex_roots, eps_to_E
 from .geometry import (ModelSpec, path_crosses_cut, quartic_turning_points,
                        turning_points, wedge_angles)
 from .special import principal_power
@@ -265,16 +265,6 @@ def mismatch(E: complex, model: ModelSpec, cfg: ShootConfig | None = None) -> co
     if norm == 0:
         raise ShootingError("both solutions vanished at the match point")
     return (cross1 - cross2) / norm
-
-
-def _mode_index(eps: complex, model: ModelSpec) -> int:
-    """Ladder index estimate from the leading quantisation rule."""
-    from .action import action_scale, quartic_action
-    if model.family == "power":
-        y = 2.0 * action_scale(model.p) * math.sin(math.pi / model.p) / abs(eps)
-    else:
-        y = 2.0 * quartic_action(min(abs(model.a * eps), 4.0)).real / abs(eps)
-    return max(0, round(y / math.pi - 0.5))
 
 
 def find_eigen(seed_E: complex, model: ModelSpec, cfg: ShootConfig | None = None,

@@ -2,11 +2,12 @@ import cmath
 import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ptspec.action import (action_between, action_scale,
                            action_to_turning_points, quartic_action,
                            quartic_critical_a)
-from ptspec.asymptotic import (SolveError, broken_complex_roots,
+from ptspec.asymptotic import (SolveError, _mode_index, broken_complex_roots,
                                corrected_condition, count_real_roots,
                                cosine_seed, delta_estimate, E_to_eps, eps_to_E,
                                lowest_branch_path, quartic_closeoff,
@@ -170,6 +171,34 @@ def test_lowest_branch_persists():
     assert all(b > a for a, b in zip(es, es[1:]))
 
 
+def test_branch_walk_follows_each_member_of_a_merging_pair():
+    # Below p = 2 the excited branches merge in pairs (1, 2), (3, 4), (5, 6)
+    # and leave the real axis: as delta falls the lower member (odd n) rises
+    # and the upper member (even n) falls.  p = 1.66 .. 1.58 ends before the
+    # pair (3, 4) merges and after the pair (5, 6) has.
+    deltas = [0.66 - 0.01 * k for k in range(9)]
+    for n in range(1, 6):
+        recs = lowest_branch_path(deltas, n)
+        assert recs
+        assert all(r.n == n and r.eps.imag == 0 and r.residual <= 1e-12 for r in recs)
+        es = [r.E.real for r in recs]
+        if n % 2:
+            assert all(b > a for a, b in zip(es, es[1:]))
+        else:
+            assert all(b < a for a, b in zip(es, es[1:]))
+    # the walk stops where its root has left the axis
+    recs = lowest_branch_path(deltas, 5)
+    assert len(recs) == 2
+    nxt = solve_condition(5, 1.0 + deltas[2], "full", seed=recs[-1].eps.real)
+    assert abs(nxt.eps.imag) > 1e-3 * abs(nxt.eps)
+
+
+@settings(deadline=None)
+@given(p=st.floats(1.05, 6.0), n=st.integers(0, 60))
+def test_mode_index_inverts_cosine_seed(p, n):
+    assert _mode_index(cosine_seed(n, p), ModelSpec.power_law(p)) == n
+
+
 def test_singularity_table():
     for p in (1.5, 2.5):
         table = singularity_table(p)
@@ -250,6 +279,15 @@ def test_quartic_unseeded_ground_root_below_first_mode():
     for k in range(16):
         seed = solve_quartic(0, round(0.5 + 0.1 * k, 10), seed=seed).eps.real
     assert abs(solve_quartic(0, 2.0).eps.real - seed) < 1e-9
+
+
+def test_quartic_roots_carry_their_mode_label():
+    for a in (0.0, 0.5, 1.0, 2.0):
+        model = ModelSpec.quartic(a)
+        for n in range(8):
+            rec = solve_quartic(n, a)
+            assert rec.eps.imag == 0
+            assert _mode_index(rec.eps, model) == n
 
 
 def test_quartic_condition_complex_conjugate_symmetry():

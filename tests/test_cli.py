@@ -1,15 +1,21 @@
 import json
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
+import ptspec
 from ptspec.cli import main
 
 CMD = [sys.executable, "-m", "ptspec"]
+# The child process imports the same ptspec as this one.
+ENV = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [
+    str(Path(ptspec.__file__).parent.parent), os.environ.get("PYTHONPATH")])))
 
 
 def run_cli(*args):
-    return subprocess.run(CMD + list(args), capture_output=True, text=True)
+    return subprocess.run(CMD + list(args), capture_output=True, text=True, env=ENV)
 
 
 def test_usage_errors_exit_64():

@@ -227,3 +227,11 @@ def test_matching_path_cut_crossing_iff_broken():
         assert trace.terminated == "target"
         assert not path_crosses_cut(trace.points, model)
         assert max(abs(c.real) for c in trace.chi) <= 1e-8
+
+
+def test_matching_path_residuals_are_re_chi():
+    # The matching path holds Re chi at zero; Im chi grows along it.
+    for p in (1.5, 3.0):
+        trace = trace_matching_path(ModelSpec.power_law(p))
+        assert max(trace.residuals) <= 1e-8
+        assert max(abs(c.imag) for c in trace.chi) > 0.5
