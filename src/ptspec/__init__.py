@@ -16,8 +16,8 @@ from .asymptotic import (EigRecord, SingularityData, SolveError,
                          count_real_roots, delta_estimate, E_to_eps, eps_to_E,
                          lowest_branch_path, quartic_closeoff,
                          quartic_condition, singularity_table, solve_condition,
-                         solve_quartic, switched_terms, trace_branch,
-                         wkb_condition, wkb_eigenvalue)
+                         solve_quartic, switched_terms, wkb_condition,
+                         wkb_eigenvalue)
 from .geometry import (ModelSpec, QuarticRoots, StokesTrace, TraceError,
                        path_crosses_cut, quartic_turning_points,
                        seed_directions, trace_matching_path, trace_stokes_line,

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from ._quadrature import powerlaw_origin_piece, sqrt_path_integral
-from .geometry import ModelSpec, path_crosses_cut, quartic_turning_points
+from .geometry import ModelSpec, _quartic_walk, path_crosses_cut
 from .special import gamma_real
 
 __all__ = [
@@ -137,21 +137,18 @@ def singulant(z: complex, z_star: complex, model: ModelSpec,
     return 2j * action_between(z_star, z, model, path=path, order=order, seed=seed)
 
 
-def _quartic_end_action(a: complex, end: str, order: int = DEFAULT_ORDER) -> complex:
+def _quartic_end_action(a: complex, end: str) -> complex:
     """-integral from z_C to the turning point named end ("z_a" or "z_b").
 
     Straight segment, branch seeded at its midpoint.  The overall sign of
     the integrand is fixed at a = 0 by the requirement Im(U + iV) > 0 (i.e.
-    V(0) = +0.874..., not its negative) and carried to other couplings by
-    walking the coupling in small steps so the midpoint sample never jumps
-    branch.
+    V(0) = +0.874..., not its negative) and carried to other couplings
+    along the coupling walk that also labels the turning points
+    (geometry._quartic_walk), whose steps are small enough that the
+    midpoint sample never jumps branch.
     """
-    a = complex(a)
-    steps = max(1, int(abs(a) / 0.2) + 1)
     seed = None
-    for k in range(steps + 1):
-        ak = a * (k / steps)
-        roots = quartic_turning_points(ak)
+    for ak, roots in _quartic_walk(a):
         z_c, z_e = roots.z_c, getattr(roots, end)
         mid = 0.5 * (z_c + z_e)
         model = ModelSpec.quartic(ak)
@@ -164,15 +161,15 @@ def _quartic_end_action(a: complex, end: str, order: int = DEFAULT_ORDER) -> com
         else:
             seed = s
     q = model.q_callable()
-    to_e, _, _ = sqrt_path_integral(q, [mid, z_e], order=order,
+    to_e, _, _ = sqrt_path_integral(q, [mid, z_e], order=DEFAULT_ORDER,
                                     seed=seed, singular_end=True)
-    to_c, _, _ = sqrt_path_integral(q, [mid, z_c], order=order,
+    to_c, _, _ = sqrt_path_integral(q, [mid, z_c], order=DEFAULT_ORDER,
                                     seed=seed, singular_end=True)
     # integral_{z_C}^{z_e} = integral_{mid}^{z_e} - integral_{mid}^{z_C}
     return -(to_e - to_c)
 
 
-def quartic_action(a: complex, order: int = DEFAULT_ORDER) -> complex:
+def quartic_action(a: complex) -> complex:
     """U(a) + i V(a) = -integral from z_C to z_A of sqrt(1 - t^4 - i a t).
 
     Straight segment between the two turning points, both endpoints handled
@@ -180,11 +177,11 @@ def quartic_action(a: complex, order: int = DEFAULT_ORDER) -> complex:
     from V(0) ~ 0.874 through zero at the critical coupling.  Accepts
     complex a (analytic continuation) for continuation past branch merges.
     """
-    return _quartic_end_action(a, "z_a", order)
+    return _quartic_end_action(a, "z_a")
 
 
 @lru_cache(maxsize=1)
-def quartic_critical_a(tol: float = 1e-10) -> float:
+def quartic_critical_a() -> float:
     """Coupling a* where V(a) crosses zero (bisection on [1.0, 1.4]).
 
     Above a* the dominant exponential of the quartic eigenvalue condition
@@ -199,7 +196,7 @@ def quartic_critical_a(tol: float = 1e-10) -> float:
     while hi - lo > 1e-13:
         mid = 0.5 * (lo + hi)
         v = quartic_action(mid).imag
-        if abs(v) <= tol:
+        if abs(v) <= 1e-10:
             return mid
         if v > 0.0:
             lo = mid

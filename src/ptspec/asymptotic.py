@@ -13,8 +13,9 @@ eigenvalues, and the corrected condition carrying the branch-point term
 which stays meaningful for 1 < p < 2 where the extra term takes over and
 the real spectrum terminates.  The quartic oscillator gets the analogous
 three-exponential condition 2 exp(2V/eps) cos(2U/eps) + 1 = 0.  Solvers
-work on an overflow-safe rescaling of these conditions and continue roots
-in the family parameter, following merged pairs into the complex plane.
+work on an overflow-safe rescaling of these conditions; lowest_branch_path
+continues a real branch in p, and broken_complex_roots collects the
+conjugate pairs that merged branches leave in the complex plane.
 """
 
 import cmath
@@ -43,7 +44,6 @@ __all__ = [
     "solve_condition",
     "solve_quartic",
     "switched_terms",
-    "trace_branch",
     "broken_complex_roots",
     "wkb_condition",
     "wkb_eigenvalue",
@@ -353,82 +353,6 @@ def broken_complex_roots(p: float, n_max: int = 60, max_roots: int = 4) -> list[
         if len(roots) >= max_roots:
             break
     return roots
-
-
-def trace_branch(n: int, p_start: float, p_end: float, dp: float,
-                 condition: str = "full") -> list[EigRecord]:
-    """Continue branch n in p, following a merged pair into the complex plane.
-
-    Natural-parameter continuation seeded by the previous root.  When the
-    real root collides with a neighbouring ladder root (within 1e-6) or the
-    real search fails even after halving the step ten times, continuation
-    switches to complex eps and each subsequent step emits the root and its
-    conjugate.  Records are ordered by increasing p.
-    """
-    if dp <= 0:
-        raise ValueError("dp must be positive")
-    direction = -1.0 if p_end < p_start else 1.0
-    records: list[EigRecord] = []
-    rec = solve_condition(n, p_start, condition)
-    records.append(rec)
-    eps_prev: complex = rec.eps
-    state = "real"
-    p = p_start
-    step = dp
-    while (p_end - p) * direction > 1e-12:
-        p_next = p + direction * min(step, abs(p_end - p))
-        try:
-            if state == "real":
-                x, res = _newton_real(
-                    lambda e: _scaled_condition(e, p_next, condition).real,
-                    eps_prev.real)
-                collided = False
-                for m in (n - 1, n + 1):
-                    if m < 0:
-                        continue
-                    try:
-                        xm, _ = _newton_real(
-                            lambda e: _scaled_condition(e, p_next, condition).real,
-                            cosine_seed(m, p_next))
-                    except SolveError:
-                        continue
-                    if abs(xm - x) < 1e-6:
-                        collided = True
-                if collided:
-                    state = "complex"
-                    eps_prev = complex(x, 0.02 * x)
-                    records.append(EigRecord(n, p_next, complex(x), eps_to_E(x, p_next),
-                                             condition, res))
-                else:
-                    eps_prev = complex(x)
-                    records.append(EigRecord(n, p_next, eps_prev,
-                                             eps_to_E(eps_prev, p_next),
-                                             condition, res))
-            else:
-                z, res = _newton_complex(
-                    lambda e: _scaled_condition(e, p_next, condition), eps_prev)
-                if z.imag < 0:
-                    z = z.conjugate()
-                eps_prev = z
-                records.append(EigRecord(n, p_next, z, eps_to_E(z, p_next),
-                                         condition, res))
-                zc = z.conjugate()
-                records.append(EigRecord(n + 1, p_next, zc, eps_to_E(zc, p_next),
-                                         condition, res))
-        except SolveError:
-            if step > dp / 2 ** 10:
-                step *= 0.5
-                continue
-            if state == "real":
-                state = "complex"
-                eps_prev = eps_prev * (1.0 + 0.05j)
-                step = dp
-                continue
-            break
-        p = p_next
-        step = min(dp, step * 2.0)
-    records.sort(key=lambda r: r.param)
-    return records
 
 
 def lowest_branch_path(deltas: list[float], n: int = 0) -> list[EigRecord]:

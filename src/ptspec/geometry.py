@@ -6,12 +6,15 @@ knows where the decay wedges are, where the WKB approximation breaks
 the curves Im chi = 0 (Stokes lines) and Re chi = 0 (the classical matching
 path) away from their source singularities.  One predictor-corrector traces
 both; it differs between them only in the part of chi it holds at zero, the
-orientation of the first step and where it stops.
+orientation of the first step and where it stops.  The quartic's four
+turning points and their labels come from one coupling walk from a = 0,
+which the quartic action walks too.
 """
 
 import cmath
 import math
 from dataclasses import dataclass, field
+from itertools import combinations
 
 from ._quadrature import SqrtTracker, powerlaw_origin_piece, sqrt_path_integral
 from .special import principal_power
@@ -152,66 +155,52 @@ class QuarticRoots:
         return (self.z_a, self.z_b, self.z_c, self.z_d)
 
 
-def _durand_kerner(coeffs: list[complex], starts: list[complex],
-                   residual_tol: float = 1e-12, max_iter: int = 200) -> list[complex]:
-    """Simultaneous roots of the monic polynomial with given coefficients.
+def _quartic_walk(a: complex):
+    """Labelled turning points along the straight coupling walk from 0 to a.
 
-    coeffs are [c_{n-1}, ..., c_0] for z^n + c_{n-1} z^{n-1} + ... + c_0.
+    Yields (a_k, QuarticRoots) for a_k = a k / steps, k = 0..steps, with
+    steps = int(|a| / 0.2) + 1.  The walk starts from the a = 0 roots
+    (1, -1, -i, i) and Newton-polishes each root of z^4 + i a_k z - 1 from
+    its value at the previous step, so every label is carried by continuity.
+    Two roots meet only at |a| = 4 * 3^(-3/4) with arg a = +-pi/4, +-3pi/4,
+    so along real a the labels are the sorted ones of QuarticRoots.  A step
+    on which two roots meet raises TraceError: continuity cannot tell their
+    labels apart there.
     """
-    n = len(coeffs)
-
-    def poly(z: complex) -> complex:
-        v = 1.0 + 0j
-        for c in coeffs:
-            v = v * z + c
-        return v
-
-    roots = list(starts)
-    for _ in range(max_iter):
-        moved = 0.0
-        for i in range(n):
-            denom = 1.0 + 0j
-            for j in range(n):
-                if j != i:
-                    denom *= roots[i] - roots[j]
-            delta = poly(roots[i]) / denom
-            roots[i] -= delta
-            moved = max(moved, abs(delta))
-        if moved < 1e-14:
-            break
-    if any(abs(poly(r)) > residual_tol for r in roots):
-        raise TraceError("Durand-Kerner failed to reach residual tolerance")
-    return roots
+    a = complex(a)
+    steps = max(1, int(abs(a) / 0.2) + 1)
+    roots = (1 + 0j, -1 + 0j, -1j, 1j)
+    for k in range(steps + 1):
+        ak = a * (k / steps)
+        ia = 1j * ak
+        polished = []
+        for z in roots:
+            for _ in range(50):
+                dz = (z * (z * z * z + ia) - 1.0) / (4.0 * z * z * z + ia)
+                z -= dz
+                if abs(dz) < 1e-14:
+                    break
+            if abs(z * (z * z * z + ia) - 1.0) > 1e-12:
+                raise TraceError(f"turning point polish failed at a = {ak:.6g}")
+            polished.append(z)
+        if min(abs(u - v) for u, v in combinations(polished, 2)) < 1e-6:
+            raise TraceError(f"two turning points meet near a = {ak:.6g}")
+        roots = tuple(polished)
+        yield ak, QuarticRoots(*roots)
 
 
 def quartic_turning_points(a: complex) -> QuarticRoots:
-    """Labeled roots of z^4 + i a z - 1 = 0 (Durand-Kerner).
+    """Labelled roots of z^4 + i a z - 1 = 0, carried from a = 0.
 
     For real a >= 0 two roots sit on the imaginary axis: z_c below, z_d
     above; the other two share an imaginary part, z_a to the right of the
-    axis and z_b to the left.  For complex a the labels are carried by
-    continuity from the nearest real coupling.
+    axis and z_b to the left.  Every label is carried by continuity along
+    the straight coupling walk from 0 to a (_quartic_walk), the one walk
+    the quartic action also takes.
     """
-    starts = [1.3 * cmath.exp(1j * (2.0 * math.pi * k / 4.0 + 0.4)) for k in range(4)]
-    roots = _durand_kerner([0j, 0j, 1j * a, -1.0 + 0j], starts)
-    if isinstance(a, complex) and abs(a.imag) > 1e-12:
-        ref = quartic_turning_points(a.real if a.real >= 0 else 0.0)
-        return _match_labels(roots, ref)
-    axis = sorted((r for r in roots if abs(r.real) < 1e-10), key=lambda r: r.imag)
-    if len(axis) != 2:
-        raise TraceError(f"expected 2 imaginary-axis roots, found {len(axis)}")
-    rest = sorted((r for r in roots if abs(r.real) >= 1e-10), key=lambda r: r.real)
-    return QuarticRoots(z_a=rest[1], z_b=rest[0], z_c=axis[0], z_d=axis[1])
-
-
-def _match_labels(roots: list[complex], ref: QuarticRoots) -> QuarticRoots:
-    taken: list[complex] = []
-    out = {}
-    for name, anchor in zip(("z_a", "z_b", "z_c", "z_d"), ref.all):
-        best = min((r for r in roots if r not in taken), key=lambda r: abs(r - anchor))
-        taken.append(best)
-        out[name] = best
-    return QuarticRoots(**out)
+    for _, roots in _quartic_walk(a):
+        pass
+    return roots
 
 
 @dataclass

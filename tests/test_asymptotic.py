@@ -13,7 +13,7 @@ from ptspec.asymptotic import (SolveError, _mode_index, broken_complex_roots,
                                lowest_branch_path, quartic_closeoff,
                                quartic_condition, singularity_table,
                                solve_condition, solve_quartic, switched_terms,
-                               trace_branch, wkb_condition, wkb_eigenvalue)
+                               wkb_condition, wkb_eigenvalue)
 from ptspec.geometry import ModelSpec
 from ptspec.special import recip_gamma
 
@@ -103,28 +103,6 @@ def test_eps_scaling_roundtrip():
 def test_record_scaling_invariant():
     rec = solve_condition(3, 2.6, "full")
     assert abs(rec.E - eps_to_E(rec.eps, 2.6)) < 1e-10 * abs(rec.E)
-
-
-def test_trace_branch_merge_to_conjugate_pair():
-    recs = trace_branch(1, 1.6, 1.3, 0.02)
-    real_ps = sorted({r.param for r in recs if abs(r.E.imag) < 1e-9})
-    cplx = [r for r in recs if abs(r.E.imag) >= 1e-9]
-    assert real_ps and cplx
-    assert min(real_ps) > 1.3  # merged before reaching the endpoint
-    by_p = {}
-    for r in cplx:
-        by_p.setdefault(round(r.param, 9), []).append(r.E)
-    for es in by_p.values():
-        assert len(es) == 2
-        assert abs(es[0] - es[1].conjugate()) <= 1e-9 * max(1.0, abs(es[0]))
-
-
-def test_trace_branch_upward_direction():
-    recs = trace_branch(0, 2.0, 2.2, 0.05)
-    ps = [r.param for r in recs]
-    assert ps == sorted(ps)
-    assert abs(ps[0] - 2.0) < 1e-12 and abs(ps[-1] - 2.2) < 1e-12
-    assert all(abs(r.E.imag) < 1e-10 for r in recs)
 
 
 def test_count_real_roots_frozen_regression():

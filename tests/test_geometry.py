@@ -1,6 +1,10 @@
 import cmath
 import math
 
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
 from ptspec._quadrature import sqrt_path_integral
 from ptspec.geometry import (ModelSpec, TraceError, path_crosses_cut,
                              quartic_turning_points, seed_directions,
@@ -60,7 +64,7 @@ def test_quartic_roots_a0():
 
 
 def test_quartic_roots_properties():
-    for a in (0.0, 0.5, 1.0, 1.5, 2.5):
+    for a in (0.0, 0.5, 1.0, 1.5, 2.5, 5.0, 10.0):
         roots = quartic_turning_points(a)
         for r in roots.all:
             assert abs(r ** 4 + 1j * a * r - 1.0) <= 1e-12
@@ -71,6 +75,32 @@ def test_quartic_roots_properties():
         # closed under z -> -conj(z)
         for r in roots.all:
             assert min(abs(-r.conjugate() - s) for s in roots.all) < 1e-10
+
+
+@settings(deadline=None)
+@given(A=st.floats(0.0, 6.0), x=st.floats(0.05, 1.5), t=st.floats(-0.1, 0.1))
+def test_quartic_walk_labels_match_nearest_real_coupling(A, x, t):
+    """The walk's roots are numpy's, each labelled like its nearest root at Re a."""
+    a = A * complex(x, x * t)
+    roots = quartic_turning_points(a)
+    ref = np.roots([1.0, 0.0, 0.0, 1j * a, -1.0])
+    for r in roots.all:
+        assert np.min(np.abs(ref - r)) <= 1e-12
+    assert min(abs(u - v) for i, u in enumerate(roots.all)
+               for v in roots.all[i + 1:]) > 1e-3
+    at_real = quartic_turning_points(a.real)
+    for r, anchor in zip(roots.all, at_real.all):
+        assert r == min(roots.all, key=lambda s: abs(s - anchor))
+
+
+def test_quartic_walk_stops_where_turning_points_meet():
+    # A double root of z^4 + i a z - 1 sits at |a| = 4 * 3^(-3/4), arg a = pi/4;
+    # a walk through it cannot tell the two labels apart.
+    a_branch = 4 * 3 ** -0.75 * cmath.exp(1j * PI / 4)
+    assert len(set(quartic_turning_points(0.9 * a_branch).all)) == 4
+    for scale in (1.0, 1.1):
+        with pytest.raises(TraceError, match="meet"):
+            quartic_turning_points(scale * a_branch)
 
 
 def test_path_crosses_cut_basics():
