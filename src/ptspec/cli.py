@@ -135,7 +135,7 @@ def cmd_stokes(args) -> int:
         sys.stderr.write("error: give exactly one of --p / --A\n")
         return USAGE_EXIT
     rows = []
-    failures = 0
+    traced = 0
 
     def add_trace(kind, origin, trace):
         for z, chi in zip(trace.points, trace.chi):
@@ -170,17 +170,17 @@ def cmd_stokes(args) -> int:
             dirs = geometry.seed_directions(origin, model)
         except Exception as exc:
             sys.stderr.write(f"warning: seeding failed at {name}: {exc}\n")
-            failures += 1
             continue
         for k, th in enumerate(dirs):
             try:
                 trace = geometry.trace_stokes_line(origin, model, th, max_arclen=25.0)
             except geometry.TraceError as exc:
                 sys.stderr.write(f"warning: trace {name}/{k} failed: {exc}\n")
-                failures += 1
                 continue
             add_trace(f"stokes_{name}_{k}", origin, trace)
-    if not rows:
+            traced += 1
+    if not traced:  # wedge rows alone are no dataset
+        sys.stderr.write("error: no Stokes line was traced\n")
         return FAILURE_EXIT
     _emit(rows, ["origin_re", "origin_im", "z_re", "z_im", "rechi", "imchi", "kind"],
           args, {"command": "stokes", "p": args.p, "A": args.A})

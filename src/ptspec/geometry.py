@@ -350,11 +350,15 @@ def _trace(model: ModelSpec, origin: complex, theta: float, hold_imag: bool,
     The predictor moves chi by h (Stokes line, chi oriented so Re chi >= 0)
     or by +-i h (matching path, sign chosen so the first step points along
     theta); a transverse Newton corrector then restores the held part of
-    chi to within tol.  With a target the trace stops "target" near it,
-    otherwise "singularity" at a zero of q, including one the next step
-    would overshoot.  A step that crosses the cut ends the trace "cut": the
-    step is kept if its chord crosses, dropped if only a corrector leg went
-    across and back (chi after it would be on the other sheet).
+    chi to within tol.  The step is relative, h = min(h_cap max(1, |chi|),
+    0.1 |chi'/chi''|): away from the turning points |chi| grows by at most
+    a fraction h_cap per step, so a line takes O(log |chi|) points, not
+    O(|chi|), to reach the escape radius.  With a target the trace stops
+    "target" near it, otherwise "singularity" at a zero of q, including one
+    the next step would overshoot.  A step that crosses the cut ends the
+    trace "cut": the step is kept if its chord crosses, dropped if only a
+    corrector leg went across and back (chi after it would be on the other
+    sheet).
     """
     q = model.q_callable()
     dq = model.dq
@@ -385,7 +389,9 @@ def _trace(model: ModelSpec, origin: complex, theta: float, hold_imag: bool,
         chi_p = 2j * sq
         dqv = dq(z)
         curv = abs(dqv) / (2.0 * abs(qv))
-        h = h_cap if curv == 0.0 else min(h_cap, 0.1 / curv)
+        h = h_cap * max(1.0, abs(chi))
+        if curv != 0.0:
+            h = min(h, 0.1 / curv)
         dz = turn * h / chi_p
         # Longer than half the Newton distance |q/q'| and heading for that
         # zero of q: the step would run through a turning point.
@@ -437,10 +443,12 @@ def trace_stokes_line(origin: complex, model: ModelSpec, seed_direction: float,
 
     Predictor dz = h / chi'(z) keeps the chi increment real positive;
     a transverse Newton corrector restores |Im chi| <= imag_tol after each
-    step.  The step h = min(h_cap, 0.1 |chi'/chi''|) shrinks automatically
-    near turning points.  Stops on |z| > escape_radius, on the arclength
-    budget, on hitting the branch-cut ray (the crossing step is kept so
-    cut tests see it), or on running into another singularity.
+    step.  The step h = min(h_cap max(1, |chi|), 0.1 |chi'/chi''|) is at
+    most 1% (the default h_cap) of max(1, |chi|), so the point count grows
+    with log |chi|, and it shrinks automatically near turning points.
+    Stops on |z| > escape_radius, on the arclength budget, on hitting the
+    branch-cut ray (the crossing step is kept so cut tests see it), or on
+    running into another singularity.
     """
     return _trace(model, origin, seed_direction, True, None, max_arclen,
                   escape_radius, h_cap, imag_tol, max_points)

@@ -6,6 +6,7 @@ import sys
 from pathlib import Path
 
 import ptspec
+from ptspec import geometry
 from ptspec.cli import main
 
 CMD = [sys.executable, "-m", "ptspec"]
@@ -135,3 +136,15 @@ def test_total_failure_exit_2(tmp_path):
                  "--emax", "0.1", "--method", "wkb",
                  "--out", str(tmp_path / "x.csv")])
     assert code == 2
+
+
+def test_stokes_exits_2_when_no_line_is_traced(monkeypatch, capsys):
+    # the wedge-annotation rows alone are not a Stokes dataset
+    def fail(*args, **kwargs):
+        raise geometry.TraceError("corrector stalled")
+
+    monkeypatch.setattr(geometry, "trace_stokes_line", fail)
+    assert main(["stokes", "--p", "1.3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "warning: trace z_A/0 failed" in captured.err

@@ -265,3 +265,33 @@ def test_matching_path_residuals_are_re_chi():
         trace = trace_matching_path(ModelSpec.power_law(p))
         assert max(trace.residuals) <= 1e-8
         assert max(abs(c.imag) for c in trace.chi) > 0.5
+
+
+def test_stokes_line_points_grow_with_log_chi():
+    # |chi| reaches ~340 by |z| = 8 at A = 1; a step relative to |chi| keeps
+    # each line to ~1.5k points, where a fixed chi step took ~34k.
+    model = ModelSpec.quartic(1.0)
+    escaping = []
+    for origin in quartic_turning_points(1.0).all:
+        for d in seed_directions(origin, model):
+            trace = trace_stokes_line(origin, model, d, max_arclen=25.0)
+            assert len(trace.points) <= 2000, (origin, d, len(trace.points))
+            if trace.terminated == "escape":
+                escaping.append(trace)
+    assert escaping
+    # The longer steps keep chi right: re-integrate one escaping line point
+    # to point and compare with the chi the tracer reports.
+    trace = escaping[0]
+    pts = trace.points
+    chi, _, last = sqrt_path_integral(model.q, [trace.origin, pts[0]],
+                                      singular_start=True)
+    chi *= 2j
+    if chi.real < 0.0:  # the tracer orients chi so that Re chi >= 0
+        chi, last = -chi, -last
+    for z0, z1, reported in zip(pts, pts[1:], trace.chi[1:]):
+        val, _, last = sqrt_path_integral(model.q, [z0, z1], order=8, seed=last)
+        chi += 2j * val
+        bound = 1e-8 * max(1.0, abs(chi))
+        assert abs(chi - reported) <= bound, (z1, chi, reported)
+        assert abs(chi.imag) <= bound, (z1, chi)
+    assert abs(pts[-1]) > 8.0
