@@ -69,6 +69,16 @@ def _parse_range(text: str) -> tuple[float, float]:
     return lo, hi
 
 
+def _tolerance(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid tolerance {text!r}")
+    if not (math.isfinite(value) and value >= 0):
+        raise argparse.ArgumentTypeError("tolerance must be finite and >= 0")
+    return value
+
+
 def _grid(lo: float, hi: float, step: float) -> list[float]:
     n = int(round((hi - lo) / step))
     vals = [lo + k * step for k in range(n + 1)]
@@ -210,6 +220,7 @@ def cmd_p1_scaling(args) -> int:
                 "predicted_scaled": 8.0 * e ** 1.5 / math.pi,
             })
     if not rows:
+        sys.stderr.write("error: no branch row with p - 1 in [--floor, 0.5]\n")
         return FAILURE_EXIT
     rows.sort(key=lambda r: (r["branch"], -r["delta"]))
     _emit(rows, ["branch", "p", "delta", "E", "loglog_delta", "delta_exp_scaled",
@@ -252,6 +263,7 @@ def cmd_quartic(args) -> int:
                                    if a_phys > 0 else 0.0)
                 rows.append(row)
     if not rows:
+        sys.stderr.write("error: no eigenvalue at or below --emax\n")
         return FAILURE_EXIT
     rows.sort(key=lambda r: (r["param"], r["method"], r["n"]))
     _emit(rows, ["param", "n", "method", "re_E", "im_E", "residual", "closeoff"],
@@ -315,7 +327,7 @@ def build_parser() -> _Parser:
     def common(sp):
         sp.add_argument("--format", choices=("csv", "json"), default="csv")
         sp.add_argument("--out", default=None, help="output path (default stdout)")
-        sp.add_argument("--rtol", type=float, default=1e-10,
+        sp.add_argument("--rtol", type=_tolerance, default=1e-10,
                         help="shooting integrator relative tolerance")
 
     sp = sub.add_parser("bifurcation", help="eigenvalue branches over a p-range")

@@ -148,3 +148,22 @@ def test_stokes_exits_2_when_no_line_is_traced(monkeypatch, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "warning: trace z_A/0 failed" in captured.err
+
+
+def test_invalid_rtol_is_a_usage_error():
+    # a negative scale passes every step's error test and a nan one none,
+    # so either would print a wrong eigenvalue or spend the step budget
+    for bad in ("-1", "nan"):
+        proc = run_cli("eigen", "--p", "3", "--n", "2", "--method", "numeric",
+                       "--rtol", bad)
+        assert proc.returncode == 64
+        assert proc.stdout == ""
+
+
+def test_empty_datasets_say_why(capsys):
+    for args in (["p1-scaling", "--floor", "0.6"],
+                 ["quartic", "--range", "0:1", "--emax", "0.5"]):
+        assert main(args) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")

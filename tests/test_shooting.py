@@ -5,10 +5,10 @@ import numpy as np
 import pytest
 from ptspec.asymptotic import broken_complex_roots, eps_to_E, solve_condition
 from ptspec.geometry import ModelSpec, wedge_angles
-from ptspec.shooting import (ShootConfig, ShootingError, ShootState,
-                             _contour, _E_to_eps, _muller_step, _scaled_model,
-                             find_eigen, integrate_ray, mismatch, scan_spectrum,
-                             wkb_init)
+from ptspec.shooting import (_DP_A, _DP_B, _DP_C, _DP_E3, _DP_E5, ShootConfig,
+                             ShootingError, ShootState, _contour, _E_to_eps,
+                             _muller_step, _scaled_model, find_eigen,
+                             integrate_ray, mismatch, scan_spectrum, wkb_init)
 
 PI = math.pi
 
@@ -97,6 +97,51 @@ def test_integrate_ray_tolerance_convergence():
     assert abs(outs[0] - outs[1]) < 1e-8 * abs(outs[0])
 
 
+def test_shoot_config_rejects_invalid_tolerances():
+    for kwargs in ({"rtol": -1.0}, {"rtol": math.nan}, {"atol": -1e-12},
+                   {"atol": math.inf}, {"rtol": 0.0, "atol": 0.0}):
+        with pytest.raises(ValueError):
+            ShootConfig(**kwargs)
+    assert ShootConfig(rtol=0.0).atol > 0
+
+
+def test_dop853_tableau():
+    # a mistyped coefficient would only show as slower steps or lost digits
+    assert len(_DP_A) == len(_DP_C) == len(_DP_B) == 12
+    for row, c in zip(_DP_A, _DP_C):
+        assert abs(math.fsum(row) - c) <= 1e-14
+    for k in range(8):
+        moment = math.fsum(b * c ** k for b, c in zip(_DP_B, _DP_C))
+        assert abs(moment - 1.0 / (k + 1)) <= 1e-14
+    for weights in (_DP_E5, _DP_E3):
+        assert len(weights) == 12
+        assert abs(math.fsum(weights)) <= 1e-15
+
+
+def _match_ratios(model, cfg, E):
+    eps = _E_to_eps(complex(E), model)
+    scaled = _scaled_model(model, eps)
+    z_l, z_r, z_mid = _contour(scaled, eps, cfg)
+    out = []
+    for z in (z_l, z_r):
+        end = integrate_ray(wkb_init(z, eps, scaled), (z, z_mid), eps, scaled, cfg)
+        out.append(end.df / end.f)
+    return out
+
+
+def test_integrate_ray_matches_tight_tolerance():
+    # eps f'/f at the match point, default tolerances against rtol = 1e-13
+    cases = [(ModelSpec.power_law(p), 7.0) for p in (1.5, 2.0, 2.5, 3.0)]
+    cases += [(ModelSpec.quartic(a), 5.0) for a in (0.75, 2.0)]
+    for model, r_max in cases:
+        tight = ShootConfig(r_max=r_max, rtol=1e-13, atol=1e-15)
+        for E in (1.0, 10.0, 40.0):
+            got = _match_ratios(model, ShootConfig(r_max=r_max), E)
+            want = _match_ratios(model, tight, E)
+            for g, w in zip(got, want):
+                assert abs(g - w) <= 1e-9 * abs(w)
+
+
 def test_mismatch_harmonic_anchor():
     model = ModelSpec.power_law(2.0)
     assert abs(mismatch(3.0, model)) <= 1e-8
@@ -147,8 +192,9 @@ def test_ray_length_follows_eps():
 
 
 def test_mismatch_work_nearly_flat_in_E(monkeypatch):
-    # rays from r_max = 7 took 87,144 q evaluations at E = 10 and 3.2 times
-    # as many at E = 40; E = 40 sits on the 2 r_tp ray-length floor
+    # the 8th-order pair takes 1,674 q evaluations at E = 10 (Cash-Karp 5(4)
+    # took 6,168; rays from r_max = 7, 87,144); E = 40 sits on the 2 r_tp
+    # ray-length floor and may cost at most 2.25 times as much
     count = [0]
     plain = ModelSpec.q_callable
 
@@ -166,7 +212,7 @@ def test_mismatch_work_nearly_flat_in_E(monkeypatch):
     at_10 = count[0]
     count[0] = 0
     mismatch(40.0, model)
-    assert at_10 <= 15_000
+    assert at_10 <= 2_500
     assert count[0] <= 2.25 * at_10
 
 
