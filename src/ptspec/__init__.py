@@ -11,11 +11,10 @@ lines that decide which exponentially small terms switch on.
 from .action import (ContourPath, action_between, action_scale,
                      action_to_turning_points, quartic_action,
                      quartic_critical_a, singulant)
-from .asymptotic import (EigRecord, SingularityData, SolveError,
-                         broken_complex_roots, corrected_condition,
-                         count_real_roots, delta_estimate, E_to_eps, eps_to_E,
-                         lowest_branch_path, quartic_closeoff,
-                         quartic_condition, singularity_table, solve_condition,
+from .asymptotic import (EigRecord, SolveError, broken_complex_roots,
+                         corrected_condition, count_real_roots, delta_estimate,
+                         E_to_eps, eps_to_E, lowest_branch_path,
+                         quartic_closeoff, quartic_condition, solve_condition,
                          solve_quartic, switched_terms, wkb_condition,
                          wkb_eigenvalue)
 from .geometry import (ModelSpec, QuarticRoots, StokesTrace, TraceError,

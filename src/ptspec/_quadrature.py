@@ -77,20 +77,6 @@ def _plain_points(a: float, b: float, order: int):
     return [(mid + half * xk, half * wk) for xk, wk in zip(x, w)]
 
 
-def _sqrt_end_points(a: float, order: int):
-    """Points/weights for [a, 1] with u = 1 - v**2, traversed toward u = 1."""
-    x, w = _gauss_nodes(order)
-    vmax = (1.0 - a) ** 0.5
-    half = 0.5 * vmax
-    pts = []
-    for xk, wk in zip(x, w):
-        v = half * (xk + 1.0)
-        pts.append((1.0 - v * v, 2.0 * v * half * wk))
-    # Gauss nodes ascend in v, i.e. descend in u; flip so u ascends.
-    pts.reverse()
-    return pts
-
-
 def _sqrt_start_points(b: float, order: int):
     """Points/weights for [0, b] with u = v**2, traversed away from u = 0."""
     x, w = _gauss_nodes(order)
@@ -101,6 +87,12 @@ def _sqrt_start_points(b: float, order: int):
         v = half * (xk + 1.0)
         pts.append((v * v, 2.0 * v * half * wk))
     return pts
+
+
+def _sqrt_end_points(a: float, order: int):
+    """Points/weights for [a, 1] with u = 1 - v**2, traversed toward u = 1:
+    the mirror image of _sqrt_start_points(1 - a)."""
+    return [(1.0 - u, w) for u, w in reversed(_sqrt_start_points(1.0 - a, order))]
 
 
 def sqrt_path_integral(

@@ -34,10 +34,9 @@ _ENDPOINT_SINGULAR_TOL = 1e-9
 
 @dataclass
 class ContourPath:
-    """Ordered polyline of complex nodes with a per-segment Gauss order."""
+    """Ordered polyline of complex nodes, optionally allowed across the cut."""
 
     nodes: list[complex]
-    order: int = DEFAULT_ORDER
     allow_cut: bool = False
 
     def __post_init__(self):
@@ -48,10 +47,6 @@ class ContourPath:
             if self.nodes[i] == self.nodes[i + 1]:
                 raise ValueError("consecutive contour nodes coincide")
 
-    @classmethod
-    def straight(cls, z0: complex, z1: complex, order: int = DEFAULT_ORDER) -> "ContourPath":
-        return cls(nodes=[z0, z1], order=order)
-
 
 def _check_cut(path: ContourPath, model: ModelSpec) -> None:
     if path.allow_cut or not model.has_branch_cut:
@@ -61,11 +56,12 @@ def _check_cut(path: ContourPath, model: ModelSpec) -> None:
 
 
 def action_between(z0: complex, z1: complex, model: ModelSpec,
-                   path: ContourPath | None = None, order: int | None = None,
+                   path: ContourPath | None = None, order: int = DEFAULT_ORDER,
                    seed: complex | None = None) -> complex:
     """phi(z1) - phi(z0): integral of sqrt(q) from z0 to z1 along the path.
 
-    The default path is the straight segment.  The branch seed defaults to
+    The default path is the straight segment; order is the Gauss order per
+    segment.  The branch seed defaults to
     the principal square root at the first quadrature node, which equals +1
     when the path starts at the origin for the power-law family.  Endpoints
     where q vanishes are detected and integrated through the square-root
@@ -75,15 +71,14 @@ def action_between(z0: complex, z1: complex, model: ModelSpec,
     if z0 == z1:
         return 0j
     if path is None:
-        path = ContourPath.straight(z0, z1)
+        path = ContourPath([z0, z1])
     if path.nodes[0] != z0 or path.nodes[-1] != z1:
         raise ValueError("path must run from z0 to z1")
     _check_cut(path, model)
-    n = order or path.order
     fractional_origin = model.has_branch_cut
     if fractional_origin and z1 == 0:
-        rev = ContourPath(list(reversed(path.nodes)), order=n, allow_cut=path.allow_cut)
-        return -action_between(z1, z0, model, path=rev, order=n, seed=seed)
+        rev = ContourPath(list(reversed(path.nodes)), allow_cut=path.allow_cut)
+        return -action_between(z1, z0, model, path=rev, order=order, seed=seed)
     nodes = list(path.nodes)
     head = 0j
     if fractional_origin and z0 == 0:
@@ -97,7 +92,7 @@ def action_between(z0: complex, z1: complex, model: ModelSpec,
         if seed is None:
             seed = 1.0 + 0j
     val, _, _ = sqrt_path_integral(
-        model.q_callable(), nodes, order=n, seed=seed,
+        model.q_callable(), nodes, order=order, seed=seed,
         singular_start=abs(model.q(nodes[0])) < _ENDPOINT_SINGULAR_TOL,
         singular_end=abs(model.q(nodes[-1])) < _ENDPOINT_SINGULAR_TOL,
     )
@@ -126,7 +121,7 @@ def action_to_turning_points(p: float) -> tuple[complex, complex]:
 
 
 def singulant(z: complex, z_star: complex, model: ModelSpec,
-              path: ContourPath | None = None, order: int | None = None,
+              path: ContourPath | None = None, order: int = DEFAULT_ORDER,
               seed: complex | None = None) -> complex:
     """chi(z) = 2i [phi(z) - phi(z_star)], zero at z_star by construction.
 

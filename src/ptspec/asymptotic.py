@@ -25,12 +25,11 @@ from dataclasses import dataclass
 from .action import (action_scale, action_to_turning_points, quartic_action,
                      quartic_critical_a, action_between, ContourPath,
                      _quartic_end_action)
-from .geometry import ModelSpec, turning_points
-from .special import principal_power, recip_gamma
+from .geometry import ModelSpec
+from .special import gamma_real, principal_power, recip_gamma
 
 __all__ = [
     "EigRecord",
-    "SingularityData",
     "SolveError",
     "corrected_condition",
     "count_real_roots",
@@ -40,7 +39,6 @@ __all__ = [
     "lowest_branch_path",
     "quartic_closeoff",
     "quartic_condition",
-    "singularity_table",
     "solve_condition",
     "solve_quartic",
     "switched_terms",
@@ -72,16 +70,6 @@ class EigRecord:
     residual: float
 
 
-@dataclass(frozen=True)
-class SingularityData:
-    """Late-term data attached to one singularity of the WKB prefactor."""
-
-    location: complex
-    gamma: float
-    lam: float
-    chi_base: complex  # action at the singularity, base point z = 0
-
-
 def eps_to_E(eps: complex, p: float) -> complex:
     """E = eps**(-2p/(p+2)) on the principal branch."""
     return principal_power(eps, -2.0 * p / (p + 2.0))
@@ -103,7 +91,6 @@ def wkb_eigenvalue(n: int, p: float) -> float:
         raise ValueError("mode index must be >= 0")
     if p == 1.0:
         raise ValueError("closed-form eigenvalue has a pole at p = 1")
-    from .special import gamma_real
     rp = 1.0 / p
     base = (math.sqrt(math.pi) * (n + 0.5) * gamma_real(1.5 + rp)
             / (gamma_real(1.0 + rp) * math.sin(math.pi / p)))
@@ -173,23 +160,22 @@ def _descend(f, x: float, g: float, step: float, max_halvings: int) -> tuple[flo
     raise _RealStall(x, g)
 
 
-def _newton_real(f, x0: float, tol: float = 1e-12, max_iter: int = 100,
-                 max_halvings: int | None = None) -> tuple[float, float]:
+def _newton_real(f, x0: float, max_halvings: int | None = None) -> tuple[float, float]:
     """Newton on the positive real axis with a central-difference slope.
 
-    Every step is taken as it comes (capped at half of x) unless
-    max_halvings is given; then the search is a descent on |f|, halving
-    each step at most that many times until it lowers |f|, and raising
-    _RealStall where it cannot.
+    Runs until |f| <= 1e-12, for at most 100 iterations.  Every step is
+    taken as it comes (capped at half of x) unless max_halvings is given;
+    then the search is a descent on |f|, halving each step at most that
+    many times until it lowers |f|, and raising _RealStall where it cannot.
     """
     x, g = x0, None
-    for _ in range(max_iter):
+    for _ in range(100):
         if g is None:
             try:
                 g = f(x)
             except (OverflowError, ValueError):
                 raise SolveError("condition overflowed during real Newton")
-        if abs(g) <= tol:
+        if abs(g) <= 1e-12:
             return x, abs(g)
         h = 1e-7 * abs(x)
         dg = (f(x + h) - f(x - h)) / (2.0 * h)
@@ -207,14 +193,15 @@ def _newton_real(f, x0: float, tol: float = 1e-12, max_iter: int = 100,
     raise SolveError("real Newton did not converge")
 
 
-def _newton_complex(f, z0: complex, tol: float = 1e-12, max_iter: int = 200) -> tuple[complex, float]:
+def _newton_complex(f, z0: complex) -> tuple[complex, float]:
+    """Complex Newton to |f| <= 1e-12 in at most 200 iterations."""
     z = z0
-    for _ in range(max_iter):
+    for _ in range(200):
         try:
             g = f(z)
         except (OverflowError, ValueError):
             raise SolveError("condition overflowed during complex Newton")
-        if abs(g) <= tol:
+        if abs(g) <= 1e-12:
             return z, abs(g)
         h = 1e-7 * max(abs(z), 1e-12)
         dg = (f(z + h) - f(z - h)) / (2.0 * h)
@@ -305,7 +292,7 @@ def solve_condition(n: int, p: float, condition: str = "full",
                      method=condition, residual=res)
 
 
-def count_real_roots(p: float, e_max: float, n_cap: int | None = None) -> list[float]:
+def count_real_roots(p: float, e_max: float) -> list[float]:
     """Real eigenvalues E <= e_max of the corrected condition, deduplicated.
 
     Seeds every ladder index whose classical eigenvalue could fall below
@@ -313,10 +300,9 @@ def count_real_roots(p: float, e_max: float, n_cap: int | None = None) -> list[f
     high seeds fail or wander off-axis and are dropped, so the returned
     list is finite and shrinks as p decreases.
     """
-    if n_cap is None:
-        n_cap = 3
-        while wkb_eigenvalue(n_cap, p) < 1.6 * e_max + 10 and n_cap < 400:
-            n_cap += 1
+    n_cap = 3
+    while wkb_eigenvalue(n_cap, p) < 1.6 * e_max + 10 and n_cap < 400:
+        n_cap += 1
     eps_found: list[float] = []
     for n in range(n_cap + 1):
         try:
@@ -331,15 +317,16 @@ def count_real_roots(p: float, e_max: float, n_cap: int | None = None) -> list[f
     return [e for e in energies if e <= e_max * (1.0 + 1e-12)]
 
 
-def broken_complex_roots(p: float, n_max: int = 60, max_roots: int = 4) -> list[complex]:
+def broken_complex_roots(p: float, max_roots: int = 4) -> list[complex]:
     """Complex eps roots of the corrected condition from merged ladder seeds.
 
-    Walks the ladder seeds upward and keeps the solve_condition roots that
-    lie off the real axis (indices whose real root has merged away).  Stops
-    after max_roots distinct roots (normalised to the upper half plane).
+    Walks the ladder seeds n = 0..60 upward and keeps the solve_condition
+    roots that lie off the real axis (indices whose real root has merged
+    away).  Stops after max_roots distinct roots (normalised to the upper
+    half plane).
     """
     roots: list[complex] = []
-    for n in range(n_max + 1):
+    for n in range(61):
         try:
             z = solve_condition(n, p, "full").eps
         except SolveError:
@@ -387,19 +374,6 @@ def delta_estimate(E: float) -> float:
         raise ValueError("E must be positive")
     s = E ** 1.5
     return 8.0 * s / math.pi * math.exp(-4.0 * s / 3.0)
-
-
-def singularity_table(p: float) -> list[SingularityData]:
-    """(gamma, Lambda, chi base) for the three active singularities."""
-    phi_a, phi_b = action_to_turning_points(p)
-    z_a, z_b = turning_points(p)
-    lam0 = -recip_gamma(-p) / 2.0 ** (p + 2.0)
-    inv_two_pi = 1.0 / (2.0 * math.pi)
-    return [
-        SingularityData(z_a, 0.0, inv_two_pi, phi_a),
-        SingularityData(z_b, 0.0, inv_two_pi, phi_b),
-        SingularityData(0j, -p, lam0, 0j),
-    ]
 
 
 def switched_terms(z: complex, eps: complex, p: float) -> complex:

@@ -64,19 +64,30 @@ def _parse_range(text: str) -> tuple[float, float]:
         lo, hi = float(lo), float(hi)
     except ValueError:
         raise argparse.ArgumentTypeError("range must look like LO:HI")
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise argparse.ArgumentTypeError("range ends must be finite")
     if not lo < hi:
         raise argparse.ArgumentTypeError("range must be ordered LO < HI")
     return lo, hi
 
 
-def _tolerance(text: str) -> float:
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid tolerance {text!r}")
-    if not (math.isfinite(value) and value >= 0):
-        raise argparse.ArgumentTypeError("tolerance must be finite and >= 0")
-    return value
+def _bounded(kind, what: str, lo: float, strict: bool):
+    """argparse type: a finite kind(text) above lo (strict) or at least lo."""
+    need = ("finite and " if kind is float else "") + (">" if strict else ">=")
+
+    def parse(text: str):
+        try:
+            value = kind(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid {what} {text!r}")
+        if not (math.isfinite(value) and (value > lo if strict else value >= lo)):
+            raise argparse.ArgumentTypeError(f"{what} must be {need} {lo:g}")
+        return value
+
+    return parse
+
+
+_tolerance = _bounded(float, "tolerance", 0, strict=False)
 
 
 def _grid(lo: float, hi: float, step: float) -> list[float]:
@@ -198,9 +209,6 @@ def cmd_stokes(args) -> int:
 
 
 def cmd_p1_scaling(args) -> int:
-    if args.floor <= 0:
-        sys.stderr.write("error: --floor must be positive\n")
-        return USAGE_EXIT
     rows = []
     deltas = []
     d = 0.5
@@ -332,29 +340,31 @@ def build_parser() -> _Parser:
 
     sp = sub.add_parser("bifurcation", help="eigenvalue branches over a p-range")
     sp.add_argument("--range", type=_parse_range, required=True, metavar="PMIN:PMAX")
-    sp.add_argument("--step", type=float, default=0.05)
-    sp.add_argument("--emax", type=float, default=30.0)
+    sp.add_argument("--step", type=_bounded(float, "step", 0, strict=True), default=0.05)
+    sp.add_argument("--emax", type=_bounded(float, "emax", 0, strict=True), default=30.0)
     sp.add_argument("--method", default="wkb,full",
                     help="comma list from wkb,full,numeric")
     common(sp)
     sp.set_defaults(func=cmd_bifurcation)
 
     sp = sub.add_parser("stokes", help="Stokes line traces")
-    sp.add_argument("--p", type=float, default=None)
-    sp.add_argument("--A", type=float, default=None)
+    sp.add_argument("--p", type=_bounded(float, "p", 1, strict=False), default=None)
+    sp.add_argument("--A", type=_bounded(float, "A", 0, strict=False), default=None)
     common(sp)
     sp.set_defaults(func=cmd_stokes)
 
     sp = sub.add_parser("p1-scaling", help="branches approaching p = 1")
-    sp.add_argument("--branches", type=int, default=6)
-    sp.add_argument("--floor", type=float, default=1e-3)
+    sp.add_argument("--branches", type=_bounded(int, "branches", 1, strict=False),
+                    default=6)
+    sp.add_argument("--floor", type=_bounded(float, "floor", 0, strict=True),
+                    default=1e-3)
     common(sp)
     sp.set_defaults(func=cmd_p1_scaling)
 
     sp = sub.add_parser("quartic", help="quartic oscillator branches")
     sp.add_argument("--range", type=_parse_range, required=True, metavar="AMIN:AMAX")
-    sp.add_argument("--step", type=float, default=0.5)
-    sp.add_argument("--emax", type=float, default=20.0)
+    sp.add_argument("--step", type=_bounded(float, "step", 0, strict=True), default=0.5)
+    sp.add_argument("--emax", type=_bounded(float, "emax", 0, strict=True), default=20.0)
     sp.add_argument("--numeric", action="store_true",
                     help="include shooting eigenvalues (slow)")
     common(sp)
@@ -365,8 +375,8 @@ def build_parser() -> _Parser:
     sp.set_defaults(func=cmd_verify)
 
     sp = sub.add_parser("eigen", help="single (p, n) eigenvalue")
-    sp.add_argument("--p", type=float, required=True)
-    sp.add_argument("--n", type=int, required=True)
+    sp.add_argument("--p", type=_bounded(float, "p", 1, strict=True), required=True)
+    sp.add_argument("--n", type=_bounded(int, "n", 0, strict=False), required=True)
     sp.add_argument("--method", choices=("wkb", "full", "numeric"), default="full")
     common(sp)
     sp.set_defaults(func=cmd_eigen)

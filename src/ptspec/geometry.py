@@ -35,6 +35,14 @@ __all__ = [
 
 #: |q| below this counts as "at a turning point" for tracer termination.
 _TP_NEIGHBOURHOOD = 1e-6
+#: Largest tracer step as a fraction of max(1, |chi|).
+_H_CAP = 0.01
+#: The tracer's corrector holds the chosen part of chi within this of zero.
+_HOLD_TOL = 1e-10
+#: A Stokes line ends "escape" once |z| exceeds this radius.
+_ESCAPE_RADIUS = 8.0
+#: Tracer step budget; running out raises TraceError.
+_MAX_POINTS = 500_000
 
 
 class TraceError(RuntimeError):
@@ -43,20 +51,18 @@ class TraceError(RuntimeError):
 
 @dataclass(frozen=True)
 class ModelSpec:
-    """Which oscillator family, plus the branch-cut convention.
+    """Which oscillator family.
 
     family "power" is the eigenproblem -eps^2 f'' - (i z)^p f = f with real
     exponent p >= 1; family "quartic" is -eps^2 f'' + (z^4 + i a z) f = f
     with scaled coupling a (shooting interprets the coupling as the physical
     one and rescales per eigenvalue, see shooting module docs).  The branch
-    cut of (i z)^p runs along the ray at angle branch_cut_dir (default
-    vertically upwards).
+    cut of (i z)^p is fixed on the positive imaginary axis.
     """
 
     family: str
     p: float | None = None
     a: complex | None = None
-    branch_cut_dir: float = math.pi / 2
 
     def __post_init__(self):
         if self.family == "power":
@@ -218,18 +224,9 @@ class StokesTrace:
         """|Im chi| along a Stokes line, |Re chi| along the matching path."""
         return [abs(c.imag if self.hold_imag else c.real) for c in self.chi]
 
-    @property
-    def re_chi(self) -> list[float]:
-        return [c.real for c in self.chi]
-
-
-def _cut_frame(model: ModelSpec) -> complex:
-    """Rotation that maps the branch cut onto the positive imaginary axis."""
-    return cmath.exp(1j * (math.pi / 2 - model.branch_cut_dir))
-
 
 def _ray_hit(w0: complex, w1: complex) -> bool:
-    """True iff the segment w0 -> w1, in the cut frame, meets the cut ray."""
+    """True iff the segment w0 -> w1 meets the cut, the positive imaginary axis."""
     x0, x1 = w0.real, w1.real
     if x0 == 0.0 and w0.imag > 0.0:
         return True
@@ -248,9 +245,8 @@ def path_crosses_cut(path, model: ModelSpec) -> bool:
     nodes = getattr(path, "nodes", None)
     if nodes is None:
         nodes = getattr(path, "points", path)
-    frame = _cut_frame(model)
-    ws = [complex(z) * frame for z in nodes]
-    return any(map(_ray_hit, ws, ws[1:]))
+    zs = [complex(z) for z in nodes]
+    return any(map(_ray_hit, zs, zs[1:]))
 
 
 def _chi_from_origin(origin: complex, model: ModelSpec, z: complex,
@@ -285,11 +281,11 @@ def _gauss3_chi(q, z0: complex, z1: complex, tracker: SqrtTracker) -> complex:
     return 2j * acc * d
 
 
-def seed_directions(origin: complex, model: ModelSpec, radius: float = 1e-3,
-                    samples: int = 720, kind: str = "stokes") -> list[float]:
+def seed_directions(origin: complex, model: ModelSpec,
+                    kind: str = "stokes") -> list[float]:
     """Angles at which equal-phase lines leave a singularity.
 
-    Samples chi on a circle of the given radius around the origin,
+    Samples chi at 720 points on a circle of radius 1e-3 around the origin,
     continuing the square-root branch along the arc, and returns the angles
     where Im chi changes sign with Re chi > 0 (kind "stokes"), or where
     Re chi changes sign (kind "anti", the classical matching directions).
@@ -297,17 +293,17 @@ def seed_directions(origin: complex, model: ModelSpec, radius: float = 1e-3,
     branch point z = 0 is sampled on the principal sheet only.
     """
     q = model.q_callable()
+    radius, n = 1e-3, 720
     at_branch_point = abs(origin) < 1e-12 and model.has_branch_cut
     if at_branch_point:
-        margin = 2.0 * math.pi / samples
-        theta0 = model.branch_cut_dir + margin
+        margin = 2.0 * math.pi / n
+        theta0 = math.pi / 2 + margin
         span = 2.0 * math.pi - 2.0 * margin
     else:
         theta0 = 0.0
         # Two loops: chi ~ (z - z*)^{3/2} at a turning point, so the tracked
         # branch only closes up after 4 pi.
         span = 4.0 * math.pi if abs(model.q(origin)) < 1e-8 else 2.0 * math.pi
-    n = samples
     thetas = [theta0 + span * k / n for k in range(n + 1)]
     z_prev = origin + radius * cmath.exp(1j * thetas[0])
     chi, last = _chi_from_origin(origin, model, z_prev)
@@ -343,17 +339,16 @@ def _advance(q, z: complex, chi: complex, tracker: SqrtTracker, dz: complex):
 
 
 def _trace(model: ModelSpec, origin: complex, theta: float, hold_imag: bool,
-           target: complex | None, max_arclen: float, escape_radius: float,
-           h_cap: float, tol: float, max_points: int) -> StokesTrace:
+           target: complex | None, max_arclen: float) -> StokesTrace:
     """Follow Im chi = 0 (hold_imag) or Re chi = 0 away from origin.
 
     The predictor moves chi by h (Stokes line, chi oriented so Re chi >= 0)
     or by +-i h (matching path, sign chosen so the first step points along
     theta); a transverse Newton corrector then restores the held part of
-    chi to within tol.  The step is relative, h = min(h_cap max(1, |chi|),
-    0.1 |chi'/chi''|): away from the turning points |chi| grows by at most
-    a fraction h_cap per step, so a line takes O(log |chi|) points, not
-    O(|chi|), to reach the escape radius.  With a target the trace stops
+    chi to within _HOLD_TOL.  The step is relative, h = min(_H_CAP max(1,
+    |chi|), 0.1 |chi'/chi''|): away from the turning points |chi| grows by
+    at most a fraction _H_CAP per step, so a line takes O(log |chi|) points,
+    not O(|chi|), to reach _ESCAPE_RADIUS.  With a target the trace stops
     "target" near it, otherwise "singularity" at a zero of q, including one
     the next step would overshoot.  A step that crosses the cut ends the
     trace "cut": the step is kept if its chord crosses, dropped if only a
@@ -372,11 +367,11 @@ def _trace(model: ModelSpec, origin: complex, theta: float, hold_imag: bool,
     else:
         sq = SqrtTracker(last).take(q(z))
         turn = -1j if (1j / (2j * sq) * cmath.exp(-1j * theta)).real < 0.0 else 1j
-    frame = _cut_frame(model) if model.has_branch_cut else None
+    has_cut = model.has_branch_cut
     tracker = SqrtTracker(last)
     trace = StokesTrace(origin=origin, points=[z], chi=[chi], hold_imag=hold_imag)
     arclen = r0
-    for _ in range(max_points):
+    for _ in range(_MAX_POINTS):
         qv = q(z)
         if target is None:
             if abs(qv) < _TP_NEIGHBOURHOOD:
@@ -389,7 +384,7 @@ def _trace(model: ModelSpec, origin: complex, theta: float, hold_imag: bool,
         chi_p = 2j * sq
         dqv = dq(z)
         curv = abs(dqv) / (2.0 * abs(qv))
-        h = h_cap * max(1.0, abs(chi))
+        h = _H_CAP * max(1.0, abs(chi))
         if curv != 0.0:
             h = min(h, 0.1 / curv)
         dz = turn * h / chi_p
@@ -403,7 +398,7 @@ def _trace(model: ModelSpec, origin: complex, theta: float, hold_imag: bool,
         legs = [z, z_new]
         for _ in range(8):
             off = chi_new.imag if hold_imag else chi_new.real
-            if abs(off) <= tol:
+            if abs(off) <= _HOLD_TOL:
                 break
             sq_new = step_tracker.take(q(z_new))
             dz_c = (-1j * off if hold_imag else -off) / (2j * sq_new)
@@ -412,10 +407,9 @@ def _trace(model: ModelSpec, origin: complex, theta: float, hold_imag: bool,
         else:
             raise TraceError(f"corrector stalled near z = {z_new:.6g}")
         hit_cut = False
-        if frame is not None:
-            ws = [u * frame for u in legs]
-            hit_cut = _ray_hit(ws[0], ws[-1])
-            if not hit_cut and any(map(_ray_hit, ws, ws[1:])):
+        if has_cut:
+            hit_cut = _ray_hit(legs[0], legs[-1])
+            if not hit_cut and any(map(_ray_hit, legs, legs[1:])):
                 trace.terminated = "cut"
                 return trace
         tracker.last = step_tracker.last
@@ -426,7 +420,7 @@ def _trace(model: ModelSpec, origin: complex, theta: float, hold_imag: bool,
         if hit_cut:
             trace.terminated = "cut"
             return trace
-        if abs(z) > escape_radius:
+        if abs(z) > _ESCAPE_RADIUS:
             trace.terminated = "escape"
             return trace
         if arclen > max_arclen:
@@ -436,35 +430,30 @@ def _trace(model: ModelSpec, origin: complex, theta: float, hold_imag: bool,
 
 
 def trace_stokes_line(origin: complex, model: ModelSpec, seed_direction: float,
-                      max_arclen: float, escape_radius: float = 8.0,
-                      h_cap: float = 0.01, imag_tol: float = 1e-10,
-                      max_points: int = 500_000) -> StokesTrace:
+                      max_arclen: float) -> StokesTrace:
     """Follow Im chi = 0, Re chi >= 0 from a singularity.
 
     Predictor dz = h / chi'(z) keeps the chi increment real positive;
-    a transverse Newton corrector restores |Im chi| <= imag_tol after each
-    step.  The step h = min(h_cap max(1, |chi|), 0.1 |chi'/chi''|) is at
-    most 1% (the default h_cap) of max(1, |chi|), so the point count grows
-    with log |chi|, and it shrinks automatically near turning points.
-    Stops on |z| > escape_radius, on the arclength budget, on hitting the
-    branch-cut ray (the crossing step is kept so cut tests see it), or on
-    running into another singularity.
+    a transverse Newton corrector restores |Im chi| <= 1e-10 after each
+    step.  The step h = min(0.01 max(1, |chi|), 0.1 |chi'/chi''|) is at
+    most 1% of max(1, |chi|), so the point count grows with log |chi|, and
+    it shrinks automatically near turning points.  Stops on |z| > 8, on the
+    arclength budget, on hitting the branch-cut ray (the crossing step is
+    kept so cut tests see it), or on running into another singularity;
+    raises TraceError after 500,000 steps.
     """
-    return _trace(model, origin, seed_direction, True, None, max_arclen,
-                  escape_radius, h_cap, imag_tol, max_points)
+    return _trace(model, origin, seed_direction, True, None, max_arclen)
 
 
-def trace_matching_path(model: ModelSpec, max_arclen: float = 12.0,
-                        re_tol: float = 1e-10,
-                        max_points: int = 500_000) -> StokesTrace:
+def trace_matching_path(model: ModelSpec) -> StokesTrace:
     """The path from z_A toward z_B on which the action stays real.
 
     This is the curve Re chi_A = 0 leaving z_A in the direction of z_B: the
     contour along which the classical turning-point matching is performed.
     For p > 2 it reaches the z_B neighbourhood below the origin; for
     1 < p < 2 it runs into the branch cut instead (the crossing step is
-    included).  chi values are recorded; the trace holds Re chi at zero, so
-    its residuals are |Re chi|.
+    included).  The arclength budget is 12.  chi values are recorded; the
+    trace holds Re chi at zero, so its residuals are |Re chi|.
     """
     if model.family != "power":
         raise ValueError("matching path is defined for the power-law family")
@@ -474,5 +463,4 @@ def trace_matching_path(model: ModelSpec, max_arclen: float = 12.0,
     if not cands:
         raise TraceError("no matching-path direction found at z_A")
     theta = min(cands, key=lambda t: abs(cmath.exp(1j * t) - cmath.exp(1j * heading)))
-    return _trace(model, z_a, theta, False, z_b, max_arclen, 8.0, 0.01, re_tol,
-                  max_points)
+    return _trace(model, z_a, theta, False, z_b, 12.0)

@@ -58,17 +58,16 @@ class ShootConfig:
 
     r_max is the longest ray allowed (each ray's length is chosen per eps
     from the decay the WKB start needs), z_mid the match point (shifted
-    automatically if a ray would pass within `standoff` of a turning
-    point), rtol/atol the local error targets of the embedded Runge-Kutta
-    pair (finite, >= 0 and not both 0).
+    automatically if a ray would pass within 0.05 of a turning point),
+    rtol/atol the local error targets of the embedded Runge-Kutta pair
+    (finite, >= 0 and not both 0).  A ray that takes more than 2,000,000
+    steps raises ShootingError.
     """
 
     r_max: float = 7.0
     z_mid: complex = -0.5j
     rtol: float = 1e-10
     atol: float = 1e-12
-    standoff: float = 0.05
-    max_steps: int = 2_000_000
 
     def __post_init__(self):
         tols = (self.rtol, self.atol)
@@ -76,6 +75,11 @@ class ShootConfig:
             raise ValueError(f"rtol and atol must be finite, >= 0 and not both 0, "
                              f"got rtol={self.rtol}, atol={self.atol}")
 
+
+# Closest a ray may pass to a turning point before the match point moves.
+_STANDOFF = 0.05
+# Step budget of one ray.
+_MAX_STEPS = 2_000_000
 
 # Inward decay, in e-folds, that a ray must give the partner solution the
 # WKB start excites before it reaches the match point: exp(-40) ~ 4e-18 is
@@ -211,7 +215,7 @@ def integrate_ray(start: ShootState, seg: tuple[complex, complex], eps: complex,
     rtol, atol = cfg.rtol, cfg.atol
     steps = 0
     while t < 1.0:
-        if steps > cfg.max_steps:
+        if steps > _MAX_STEPS:
             raise ShootingError("step budget exhausted")
         if h > 1.0 - t:
             h = 1.0 - t
@@ -342,7 +346,7 @@ def _contour(model: ModelSpec, eps: complex, cfg: ShootConfig) -> tuple[complex,
         z_mid = 0j
     for _ in range(8):
         clear_of_tps = all(
-            _point_segment_distance(tp, z_end, z_mid) >= cfg.standoff
+            _point_segment_distance(tp, z_end, z_mid) >= _STANDOFF
             for tp in tps for z_end in (z_l, z_r))
         clear_of_cut = not (model.has_branch_cut and (
             path_crosses_cut([z_l, z_mid], model)
@@ -377,9 +381,9 @@ def mismatch(E: complex, model: ModelSpec, cfg: ShootConfig | None = None) -> co
 
 
 def find_eigen(seed_E: complex, model: ModelSpec, cfg: ShootConfig | None = None,
-               tol: float = 1e-9, max_iter: int = 60) -> EigRecord:
-    """Refine a seed to |W| <= tol: one Newton step, then secant, with a
-    Muller fallback when the secant stalls.
+               tol: float = 1e-9) -> EigRecord:
+    """Refine a seed to |W| <= tol: one Newton step, then at most 60 secant
+    steps, with a Muller fallback when the secant stalls.
     """
     cfg = cfg or ShootConfig()
     e0 = complex(seed_E)
@@ -395,7 +399,7 @@ def find_eigen(seed_E: complex, model: ModelSpec, cfg: ShootConfig | None = None
     history = [(e0, w0)]
     prev_best = abs(w0)
     stall = 0
-    for _ in range(max_iter):
+    for _ in range(60):
         w1 = mismatch(e1, model, cfg)
         if abs(w1) <= tol:
             return _record(e1, w1, model)
@@ -445,7 +449,7 @@ def _record(E: complex, w: complex, model: ModelSpec) -> EigRecord:
 
 
 def scan_spectrum(model: ModelSpec, E_max: float, cfg: ShootConfig | None = None,
-                  step: float | None = None, complex_seeds: bool = True) -> list[EigRecord]:
+                  step: float = 0.35, complex_seeds: bool = True) -> list[EigRecord]:
     """All eigenvalues with Re E in (0, E_max].
 
     Scans |W| on a real-E grid fine enough to separate harmonic-scale
@@ -455,8 +459,6 @@ def scan_spectrum(model: ModelSpec, E_max: float, cfg: ShootConfig | None = None
     and indexed by position.
     """
     cfg = cfg or ShootConfig()
-    if step is None:
-        step = 0.35
     grid = []
     e = step
     while e <= E_max + 1e-12:

@@ -11,11 +11,10 @@ from ptspec.asymptotic import (SolveError, _mode_index, broken_complex_roots,
                                corrected_condition, count_real_roots,
                                cosine_seed, delta_estimate, E_to_eps, eps_to_E,
                                lowest_branch_path, quartic_closeoff,
-                               quartic_condition, singularity_table,
-                               solve_condition, solve_quartic, switched_terms,
-                               wkb_condition, wkb_eigenvalue)
+                               quartic_condition, solve_condition,
+                               solve_quartic, switched_terms, wkb_condition,
+                               wkb_eigenvalue)
 from ptspec.geometry import ModelSpec
-from ptspec.special import recip_gamma
 
 PI = math.pi
 
@@ -175,17 +174,6 @@ def test_branch_walk_follows_each_member_of_a_merging_pair():
 @given(p=st.floats(1.05, 6.0), n=st.integers(0, 60))
 def test_mode_index_inverts_cosine_seed(p, n):
     assert _mode_index(cosine_seed(n, p), ModelSpec.power_law(p)) == n
-
-
-def test_singularity_table():
-    for p in (1.5, 2.5):
-        table = singularity_table(p)
-        assert abs(table[0].lam - 1.0 / (2 * PI)) < 1e-14
-        assert table[0].gamma == 0.0
-        assert table[2].gamma == -p
-        want = -recip_gamma(-p) / 2.0 ** (p + 2.0)
-        assert abs(table[2].lam - want) < 1e-14
-    assert singularity_table(3.0)[2].lam == 0.0
 
 
 def test_switched_terms_factorisation():

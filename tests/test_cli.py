@@ -5,6 +5,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import ptspec
 from ptspec import geometry
 from ptspec.cli import main
@@ -167,3 +169,35 @@ def test_empty_datasets_say_why(capsys):
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: ")
+
+
+@pytest.mark.parametrize("argv", [
+    # each printed a wrong row with exit 0: a negative mode index, the
+    # closed form's pole at p = 1, a p below the model's range
+    ["eigen", "--p", "3", "--n", "-1"],
+    ["eigen", "--p", "1", "--n", "0"],
+    ["eigen", "--p", "0.5", "--n", "1"],
+    # each exited 2 with a message from deep inside the computation
+    *[[cmd, "--range", rng, "--step", step]
+      for cmd, rng in (("bifurcation", "1.5:2"), ("quartic", "0:1"))
+      for step in ("0", "-0.5", "nan")],
+    ["bifurcation", "--range", "1.5:2", "--emax", "nan"],
+    ["quartic", "--range", "0:1", "--emax", "nan"],
+    ["stokes", "--p", "0.5"],
+    ["stokes", "--A", "-1"],
+    ["p1-scaling", "--branches", "-1"],
+    # the same class: an infinite range end or a nan floor exited 2
+    ["bifurcation", "--range", "1.5:inf"],
+    ["quartic", "--range", "0:inf"],
+    ["p1-scaling", "--floor", "nan"],
+])
+def test_out_of_range_arguments_are_usage_errors(argv, capsys):
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    assert code == 64
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    errors = [line for line in captured.err.splitlines() if line.startswith("error: ")]
+    assert errors and errors[0] != "error: "

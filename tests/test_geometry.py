@@ -165,7 +165,7 @@ def test_trace_invariants_and_escape_p3():
             trace = trace_stokes_line(origin, model, d, max_arclen=25.0)
             assert trace.terminated == "escape"
             assert max(trace.residuals) <= 1e-8
-            re = trace.re_chi
+            re = [c.real for c in trace.chi]
             assert all(re[i] >= -1e-10 for i in range(len(re)))
             assert all(re[i + 1] >= re[i] - 1e-12 for i in range(len(re) - 1))
             escape_angles.append(cmath.phase(trace.points[-1]))
