@@ -8,9 +8,8 @@ shooting along complex contours.  The geometry module traces the Stokes
 lines that decide which exponentially small terms switch on.
 """
 
-from .action import (ContourPath, action_between, action_scale,
-                     action_to_turning_points, quartic_action,
-                     quartic_critical_a, singulant)
+from .action import (action_between, action_scale, action_to_turning_points,
+                     quartic_action, quartic_critical_a, singulant)
 from .asymptotic import (EigRecord, SolveError, broken_complex_roots,
                          corrected_condition, count_real_roots, delta_estimate,
                          E_to_eps, eps_to_E, lowest_branch_path,

@@ -9,7 +9,6 @@ from the quadrature engine automatically.
 """
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 from ._quadrature import powerlaw_origin_piece, sqrt_path_integral
@@ -17,7 +16,6 @@ from .geometry import ModelSpec, _quartic_walk, path_crosses_cut
 from .special import gamma_real
 
 __all__ = [
-    "ContourPath",
     "action_between",
     "action_scale",
     "action_to_turning_points",
@@ -32,54 +30,30 @@ DEFAULT_ORDER = 40
 _ENDPOINT_SINGULAR_TOL = 1e-9
 
 
-@dataclass
-class ContourPath:
-    """Ordered polyline of complex nodes, optionally allowed across the cut."""
-
-    nodes: list[complex]
-    allow_cut: bool = False
-
-    def __post_init__(self):
-        self.nodes = [complex(z) for z in self.nodes]
-        if len(self.nodes) < 2:
-            raise ValueError("a contour needs at least two nodes")
-        for i in range(len(self.nodes) - 1):
-            if self.nodes[i] == self.nodes[i + 1]:
-                raise ValueError("consecutive contour nodes coincide")
-
-
-def _check_cut(path: ContourPath, model: ModelSpec) -> None:
-    if path.allow_cut or not model.has_branch_cut:
-        return
-    if path_crosses_cut(path, model):
-        raise ValueError("contour crosses the branch cut; flag allow_cut to override")
-
-
 def action_between(z0: complex, z1: complex, model: ModelSpec,
-                   path: ContourPath | None = None, order: int = DEFAULT_ORDER,
+                   via=(), order: int = DEFAULT_ORDER,
                    seed: complex | None = None) -> complex:
-    """phi(z1) - phi(z0): integral of sqrt(q) from z0 to z1 along the path.
+    """phi(z1) - phi(z0): integral of sqrt(q) from z0 to z1 along a polyline.
 
-    The default path is the straight segment; order is the Gauss order per
-    segment.  The branch seed defaults to
-    the principal square root at the first quadrature node, which equals +1
-    when the path starts at the origin for the power-law family.  Endpoints
-    where q vanishes are detected and integrated through the square-root
-    substitution; interior nodes must stay clear of turning points.
+    The polyline runs z0, then the interior nodes via (none: the straight
+    segment), then z1; order is the Gauss order per segment.  A polyline
+    that meets the branch cut raises ValueError.  The branch seed defaults
+    to the principal square root at the first quadrature node, which equals
+    +1 when the path starts at the origin for the power-law family.
+    Endpoints where q vanishes are detected and integrated through the
+    square-root substitution; interior nodes must stay clear of turning
+    points.
     """
     z0, z1 = complex(z0), complex(z1)
     if z0 == z1:
         return 0j
-    if path is None:
-        path = ContourPath([z0, z1])
-    if path.nodes[0] != z0 or path.nodes[-1] != z1:
-        raise ValueError("path must run from z0 to z1")
-    _check_cut(path, model)
+    nodes = [z0, *map(complex, via), z1]
+    if path_crosses_cut(nodes, model):
+        raise ValueError("contour crosses the branch cut")
     fractional_origin = model.has_branch_cut
     if fractional_origin and z1 == 0:
-        rev = ContourPath(list(reversed(path.nodes)), allow_cut=path.allow_cut)
-        return -action_between(z1, z0, model, path=rev, order=order, seed=seed)
-    nodes = list(path.nodes)
+        return -action_between(z1, z0, model, via=nodes[-2:0:-1], order=order,
+                               seed=seed)
     head = 0j
     if fractional_origin and z0 == 0:
         # Peel off a sliver at the origin: the (i t)^p kink there defeats
@@ -121,15 +95,17 @@ def action_to_turning_points(p: float) -> tuple[complex, complex]:
 
 
 def singulant(z: complex, z_star: complex, model: ModelSpec,
-              path: ContourPath | None = None, order: int = DEFAULT_ORDER,
+              via=(), order: int = DEFAULT_ORDER,
               seed: complex | None = None) -> complex:
     """chi(z) = 2i [phi(z) - phi(z_star)], zero at z_star by construction.
 
-    The square root is two-valued, so chi is defined up to overall sign;
-    the seed picks the branch (the Stokes-relevant one has Re chi >= 0
-    along the line).
+    The integral runs from z_star through the interior nodes via to z, as
+    in action_between; a polyline that meets the branch cut raises
+    ValueError.  The square root is two-valued, so chi is defined up to
+    overall sign; the seed picks the branch (the Stokes-relevant one has
+    Re chi >= 0 along the line).
     """
-    return 2j * action_between(z_star, z, model, path=path, order=order, seed=seed)
+    return 2j * action_between(z_star, z, model, via=via, order=order, seed=seed)
 
 
 def _quartic_end_action(a: complex, end: str) -> complex:

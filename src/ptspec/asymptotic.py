@@ -23,7 +23,7 @@ import math
 from dataclasses import dataclass
 
 from .action import (action_scale, action_to_turning_points, quartic_action,
-                     quartic_critical_a, action_between, ContourPath,
+                     quartic_critical_a, action_between,
                      _quartic_end_action)
 from .geometry import ModelSpec
 from .special import gamma_real, principal_power, recip_gamma
@@ -388,8 +388,7 @@ def switched_terms(z: complex, eps: complex, p: float) -> complex:
     try:
         phi_z = action_between(0, z, model)
     except ValueError:
-        dogleg = ContourPath([0, -0.5j, z])
-        phi_z = action_between(0, z, model, path=dogleg)
+        phi_z = action_between(0, z, model, via=[-0.5j])
     phi_a, phi_b = action_to_turning_points(p)
     lam0 = -recip_gamma(-p) / 2.0 ** (p + 2.0)
     chi_a = 2j * (phi_z - phi_a)

@@ -189,7 +189,7 @@ def cmd_stokes(args) -> int:
     for name, origin in origins:
         try:
             dirs = geometry.seed_directions(origin, model)
-        except Exception as exc:
+        except (geometry.TraceError, ValueError) as exc:
             sys.stderr.write(f"warning: seeding failed at {name}: {exc}\n")
             continue
         for k, th in enumerate(dirs):
@@ -332,9 +332,11 @@ def build_parser() -> _Parser:
                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(sp):
+    def dataset(sp):
         sp.add_argument("--format", choices=("csv", "json"), default="csv")
         sp.add_argument("--out", default=None, help="output path (default stdout)")
+
+    def shooting_tolerance(sp):
         sp.add_argument("--rtol", type=_tolerance, default=1e-10,
                         help="shooting integrator relative tolerance")
 
@@ -344,13 +346,14 @@ def build_parser() -> _Parser:
     sp.add_argument("--emax", type=_bounded(float, "emax", 0, strict=True), default=30.0)
     sp.add_argument("--method", default="wkb,full",
                     help="comma list from wkb,full,numeric")
-    common(sp)
+    dataset(sp)
+    shooting_tolerance(sp)
     sp.set_defaults(func=cmd_bifurcation)
 
     sp = sub.add_parser("stokes", help="Stokes line traces")
     sp.add_argument("--p", type=_bounded(float, "p", 1, strict=False), default=None)
     sp.add_argument("--A", type=_bounded(float, "A", 0, strict=False), default=None)
-    common(sp)
+    dataset(sp)
     sp.set_defaults(func=cmd_stokes)
 
     sp = sub.add_parser("p1-scaling", help="branches approaching p = 1")
@@ -358,7 +361,7 @@ def build_parser() -> _Parser:
                     default=6)
     sp.add_argument("--floor", type=_bounded(float, "floor", 0, strict=True),
                     default=1e-3)
-    common(sp)
+    dataset(sp)
     sp.set_defaults(func=cmd_p1_scaling)
 
     sp = sub.add_parser("quartic", help="quartic oscillator branches")
@@ -367,18 +370,19 @@ def build_parser() -> _Parser:
     sp.add_argument("--emax", type=_bounded(float, "emax", 0, strict=True), default=20.0)
     sp.add_argument("--numeric", action="store_true",
                     help="include shooting eigenvalues (slow)")
-    common(sp)
+    dataset(sp)
+    shooting_tolerance(sp)
     sp.set_defaults(func=cmd_quartic)
 
     sp = sub.add_parser("verify", help="matching-constant checks")
-    common(sp)
     sp.set_defaults(func=cmd_verify)
 
     sp = sub.add_parser("eigen", help="single (p, n) eigenvalue")
     sp.add_argument("--p", type=_bounded(float, "p", 1, strict=True), required=True)
     sp.add_argument("--n", type=_bounded(int, "n", 0, strict=False), required=True)
     sp.add_argument("--method", choices=("wkb", "full", "numeric"), default="full")
-    common(sp)
+    dataset(sp)
+    shooting_tolerance(sp)
     sp.set_defaults(func=cmd_eigen)
     return parser
 

@@ -2,13 +2,15 @@
 
 The eigenproblems live on contours in the complex z-plane.  This module
 knows where the decay wedges are, where the WKB approximation breaks
-(turning points), where the branch cut of (i z)^p runs, and how to follow
+(turning points), where the branch cut of (i z)^p runs and which paths
+cross it (path_crosses_cut, the one place that decides), and how to follow
 the curves Im chi = 0 (Stokes lines) and Re chi = 0 (the classical matching
-path) away from their source singularities.  One predictor-corrector traces
-both; it differs between them only in the part of chi it holds at zero, the
-orientation of the first step and where it stops.  The quartic's four
-turning points and their labels come from one coupling walk from a = 0,
-which the quartic action walks too.
+path) away from their source singularities.  The lines leave at the angles
+the local form of chi gives (seed_directions).  One predictor-corrector
+traces both; it differs between them only in the part of chi it holds at
+zero, the orientation of the first step and where it stops.  The
+quartic's four turning points and their labels come from one coupling
+walk from a = 0, which the quartic action walks too.
 """
 
 import cmath
@@ -39,6 +41,9 @@ _TP_NEIGHBOURHOOD = 1e-6
 _H_CAP = 0.01
 #: The tracer's corrector holds the chosen part of chi within this of zero.
 _HOLD_TOL = 1e-10
+#: Distance from the source singularity at which seeds are polished and
+#: traces start.
+_START_RADIUS = 1e-3
 #: A Stokes line ends "escape" once |z| exceeds this radius.
 _ESCAPE_RADIUS = 8.0
 #: Tracer step budget; running out raises TraceError.
@@ -240,12 +245,15 @@ def _ray_hit(w0: complex, w1: complex) -> bool:
     return False
 
 
-def path_crosses_cut(path, model: ModelSpec) -> bool:
-    """True iff any segment of the path meets the branch-cut ray."""
-    nodes = getattr(path, "nodes", None)
-    if nodes is None:
-        nodes = getattr(path, "points", path)
-    zs = [complex(z) for z in nodes]
+def path_crosses_cut(points, model: ModelSpec) -> bool:
+    """True iff the polyline through points meets the model's branch cut.
+
+    Only a fractional power of (i z) has a cut, the positive imaginary
+    axis; for the quartic and integer p no path crosses one.
+    """
+    if not model.has_branch_cut:
+        return False
+    zs = [complex(z) for z in points]
     return any(map(_ray_hit, zs, zs[1:]))
 
 
@@ -270,72 +278,61 @@ def _chi_from_origin(origin: complex, model: ModelSpec, z: complex,
     return 2j * val, last
 
 
-def _gauss3_chi(q, z0: complex, z1: complex, tracker: SqrtTracker) -> complex:
-    """2i * integral of sqrt(q) over one short straight step, branch-tracked."""
-    d = z1 - z0
+def seed_directions(origin: complex, model: ModelSpec,
+                    kind: str = "stokes") -> list[float]:
+    """Angles in [0, 2 pi), sorted, at which equal-phase lines leave origin.
+
+    The leading-order angles come from the local form of chi.  At a simple
+    zero of q, chi ~ (4i/3) sqrt(q'(z*)) (z - z*)^(3/2): with phi =
+    arg(i sqrt(q'(z*))) the three Stokes directions (Im chi = 0, kind
+    "stokes") are (2/3)(k pi - phi) and the three anti-Stokes directions
+    (Re chi = 0, kind "anti", the classical matching directions) are
+    (2/3)(pi/2 + k pi - phi), k = 0, 1, 2.  Elsewhere, including the
+    branch point z = 0 on the principal sheet where q(0) = 1, chi ~ 2i
+    sqrt(q) (z - origin) with phi = arg(2i sqrt(q)): one Stokes direction
+    -phi, on which Re chi > 0, and two anti-Stokes directions pi/2 + k pi -
+    phi.  Each angle is then polished by at most three Newton steps on the
+    held part of chi at the tracer's start radius; raises TraceError if
+    that part still exceeds the tracer's hold tolerance, and ValueError
+    for an unknown kind.
+    """
+    if kind not in ("stokes", "anti"):
+        raise ValueError(f"unknown seed kind {kind!r}")
+    hold_imag = kind == "stokes"
+    lead = 0.0 if hold_imag else math.pi / 2
+    if abs(model.q(origin)) < 1e-8:
+        phi = cmath.phase(1j * cmath.sqrt(model.dq(origin)))
+        thetas = [(2.0 / 3.0) * (lead + k * math.pi - phi) for k in range(3)]
+    else:
+        phi = cmath.phase(2j * cmath.sqrt(model.q(origin)))
+        thetas = [lead + k * math.pi - phi for k in range(1 if hold_imag else 2)]
+    polished = []
+    for theta in thetas:
+        for step in range(4):
+            z = origin + _START_RADIUS * cmath.exp(1j * theta)
+            chi, s = _chi_from_origin(origin, model, z)
+            held = chi.imag if hold_imag else chi.real
+            if step == 3 or held == 0.0:
+                break
+            slope = -2.0 * s * (z - origin)  # d chi / d theta
+            theta -= held / (slope.imag if hold_imag else slope.real)
+        if abs(held) > _HOLD_TOL:
+            raise TraceError(f"seed from z = {origin:.6g} at angle {theta:.6g}: "
+                             f"held part of chi {abs(held):.3g} above tolerance")
+        polished.append(theta % (2.0 * math.pi))
+    return sorted(polished)
+
+
+def _advance(q, z: complex, chi: complex, tracker: SqrtTracker, dz: complex):
+    """One straight micro-step; chi gains 2i * 3-point Gauss of sqrt(q)."""
+    z_new = z + dz
+    d = z_new - z
     acc = 0j
     for u, w in ((0.1127016653792583, 0.2777777777777778),
                  (0.5, 0.4444444444444444),
                  (0.8872983346207417, 0.2777777777777778)):
-        acc += w * tracker.take(q(z0 + u * d))
-    return 2j * acc * d
-
-
-def seed_directions(origin: complex, model: ModelSpec,
-                    kind: str = "stokes") -> list[float]:
-    """Angles at which equal-phase lines leave a singularity.
-
-    Samples chi at 720 points on a circle of radius 1e-3 around the origin,
-    continuing the square-root branch along the arc, and returns the angles
-    where Im chi changes sign with Re chi > 0 (kind "stokes"), or where
-    Re chi changes sign (kind "anti", the classical matching directions).
-    A simple turning point yields exactly three Stokes directions; the
-    branch point z = 0 is sampled on the principal sheet only.
-    """
-    q = model.q_callable()
-    radius, n = 1e-3, 720
-    at_branch_point = abs(origin) < 1e-12 and model.has_branch_cut
-    if at_branch_point:
-        margin = 2.0 * math.pi / n
-        theta0 = math.pi / 2 + margin
-        span = 2.0 * math.pi - 2.0 * margin
-    else:
-        theta0 = 0.0
-        # Two loops: chi ~ (z - z*)^{3/2} at a turning point, so the tracked
-        # branch only closes up after 4 pi.
-        span = 4.0 * math.pi if abs(model.q(origin)) < 1e-8 else 2.0 * math.pi
-    thetas = [theta0 + span * k / n for k in range(n + 1)]
-    z_prev = origin + radius * cmath.exp(1j * thetas[0])
-    chi, last = _chi_from_origin(origin, model, z_prev)
-    tracker = SqrtTracker(last)
-    found: list[float] = []
-    prev_re, prev_th = chi.real, thetas[0]
-    target_prev = chi.imag if kind == "stokes" else chi.real
-    for th in thetas[1:]:
-        z = origin + radius * cmath.exp(1j * th)
-        chi += _gauss3_chi(q, z_prev, z, tracker)
-        z_prev = z
-        target = chi.imag if kind == "stokes" else chi.real
-        if target_prev == 0.0 or target * target_prev < 0.0:
-            t = abs(target_prev) / (abs(target_prev) + abs(target) + 1e-300)
-            th_cross = prev_th + t * (th - prev_th)
-            re_cross = prev_re + t * (chi.real - prev_re)
-            if kind == "anti" or re_cross > 0.0:
-                found.append(th_cross % (2.0 * math.pi))
-        prev_th, prev_re, target_prev = th, chi.real, target
-    found.sort()
-    dedup: list[float] = []
-    for th in found:
-        if all(min(abs(th - u), 2 * math.pi - abs(th - u)) > 1e-2 for u in dedup):
-            dedup.append(th)
-    return dedup
-
-
-def _advance(q, z: complex, chi: complex, tracker: SqrtTracker, dz: complex):
-    """One straight micro-step with its branch-tracked chi increment."""
-    z_new = z + dz
-    chi_new = chi + _gauss3_chi(q, z, z_new, tracker)
-    return z_new, chi_new
+        acc += w * tracker.take(q(z + u * d))
+    return z_new, chi + 2j * acc * d
 
 
 def _trace(model: ModelSpec, origin: complex, theta: float, hold_imag: bool,
@@ -357,8 +354,7 @@ def _trace(model: ModelSpec, origin: complex, theta: float, hold_imag: bool,
     """
     q = model.q_callable()
     dq = model.dq
-    r0 = 1e-3
-    z = origin + r0 * cmath.exp(1j * theta)
+    z = origin + _START_RADIUS * cmath.exp(1j * theta)
     chi, last = _chi_from_origin(origin, model, z)
     if hold_imag:
         if chi.real < 0.0:
@@ -370,7 +366,7 @@ def _trace(model: ModelSpec, origin: complex, theta: float, hold_imag: bool,
     has_cut = model.has_branch_cut
     tracker = SqrtTracker(last)
     trace = StokesTrace(origin=origin, points=[z], chi=[chi], hold_imag=hold_imag)
-    arclen = r0
+    arclen = _START_RADIUS
     for _ in range(_MAX_POINTS):
         qv = q(z)
         if target is None:
@@ -460,7 +456,5 @@ def trace_matching_path(model: ModelSpec) -> StokesTrace:
     z_a, z_b = turning_points(model.p)
     heading = cmath.phase(z_b - z_a) if abs(z_b - z_a) > 1e-9 else 0.0
     cands = seed_directions(z_a, model, kind="anti")
-    if not cands:
-        raise TraceError("no matching-path direction found at z_A")
     theta = min(cands, key=lambda t: abs(cmath.exp(1j * t) - cmath.exp(1j * heading)))
     return _trace(model, z_a, theta, False, z_b, 12.0)

@@ -348,10 +348,7 @@ def _contour(model: ModelSpec, eps: complex, cfg: ShootConfig) -> tuple[complex,
         clear_of_tps = all(
             _point_segment_distance(tp, z_end, z_mid) >= _STANDOFF
             for tp in tps for z_end in (z_l, z_r))
-        clear_of_cut = not (model.has_branch_cut and (
-            path_crosses_cut([z_l, z_mid], model)
-            or path_crosses_cut([z_r, z_mid], model)))
-        if clear_of_tps and clear_of_cut:
+        if clear_of_tps and not path_crosses_cut([z_l, z_mid, z_r], model):
             return z_l, z_r, z_mid
         z_mid -= 0.15j
     raise ShootingError("could not place the match point away from turning "

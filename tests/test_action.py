@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from ptspec.action import (ContourPath, action_between, action_scale,
+from ptspec.action import (action_between, action_scale,
                            action_to_turning_points, quartic_action,
                            quartic_critical_a, singulant,
                            _quartic_end_action)
@@ -54,8 +54,7 @@ def test_path_additivity():
     model = ModelSpec.power_law(2.5)
     z_mid = 0.4 - 0.3j
     z_end = 1.1 - 0.6j
-    whole = action_between(0, z_end, model,
-                           path=ContourPath([0, z_mid, z_end]))
+    whole = action_between(0, z_end, model, via=[z_mid])
     first = action_between(0, z_mid, model)
     second = action_between(z_mid, z_end, model)
     assert abs(whole - (first + second)) < 1e-12
@@ -76,8 +75,7 @@ def test_path_independence_homotopic():
         za, _ = turning_points(p)
         straight = action_between(0, za, model)
         detour_node = 0.5 * za - 0.25j
-        detour = action_between(0, za, model,
-                                path=ContourPath([0, detour_node, za]))
+        detour = action_between(0, za, model, via=[detour_node])
         assert abs(straight - detour) <= 1e-10
 
 
@@ -94,11 +92,6 @@ def test_cut_guard():
     model = ModelSpec.power_law(1.5)
     with pytest.raises(ValueError):
         action_between(cmath.exp(3j * PI / 4), cmath.exp(1j * PI / 4), model)
-    # explicit flag overrides
-    path = ContourPath([cmath.exp(3j * PI / 4), cmath.exp(1j * PI / 4)],
-                       allow_cut=True)
-    action_between(cmath.exp(3j * PI / 4), cmath.exp(1j * PI / 4), model,
-                   path=path)
 
 
 def test_singulant_basics():

@@ -152,6 +152,30 @@ def test_stokes_exits_2_when_no_line_is_traced(monkeypatch, capsys):
     assert "warning: trace z_A/0 failed" in captured.err
 
 
+def test_stokes_warns_past_a_failed_seed_and_stops_on_a_bug(monkeypatch, capsys):
+    # a typed seeding failure costs that origin's lines; any other
+    # exception is a bug and reaches main's error boundary
+    z_a, _ = geometry.turning_points(1.3)
+    real = geometry.seed_directions
+    failure = geometry.TraceError("held part not reached")
+
+    def seed(origin, model, kind="stokes"):
+        if origin == z_a:
+            raise failure
+        return real(origin, model, kind)
+
+    monkeypatch.setattr(geometry, "seed_directions", seed)
+    assert main(["stokes", "--p", "1.3"]) == 0
+    captured = capsys.readouterr()
+    assert "warning: seeding failed at z_A" in captured.err
+    assert "stokes_z_A_" not in captured.out and "stokes_z_B_0" in captured.out
+    failure = ZeroDivisionError("division by zero")
+    assert main(["stokes", "--p", "1.3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "warning" not in captured.err
+    assert captured.err.startswith("error: ")
+
+
 def test_invalid_rtol_is_a_usage_error():
     # a negative scale passes every step's error test and a nan one none,
     # so either would print a wrong eigenvalue or spend the step budget
@@ -190,6 +214,13 @@ def test_empty_datasets_say_why(capsys):
     ["bifurcation", "--range", "1.5:inf"],
     ["quartic", "--range", "0:inf"],
     ["p1-scaling", "--floor", "nan"],
+    # options a command never read: verify printed its table and wrote no
+    # file, stokes and p1-scaling dropped the shooting tolerance
+    ["verify", "--format", "json"],
+    ["verify", "--out", "x"],
+    ["verify", "--rtol", "1e-9"],
+    ["stokes", "--p", "2.4", "--rtol", "1e-9"],
+    ["p1-scaling", "--rtol", "1e-9"],
 ])
 def test_out_of_range_arguments_are_usage_errors(argv, capsys):
     try:

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ptspec._quadrature import sqrt_path_integral
+from ptspec.action import singulant
 from ptspec.geometry import (ModelSpec, TraceError, path_crosses_cut,
                              quartic_turning_points, seed_directions,
                              trace_matching_path, trace_stokes_line,
@@ -109,6 +110,16 @@ def test_path_crosses_cut_basics():
     assert path_crosses_cut([cmath.exp(3j * PI / 4), cmath.exp(1j * PI / 4)], model)
 
 
+def test_path_crosses_cut_needs_a_cut():
+    # Only a fractional power of (i z) has a cut; the same chord over the
+    # positive imaginary axis is clear for integer p and the quartic.
+    chord = [cmath.exp(3j * PI / 4), cmath.exp(1j * PI / 4)]
+    assert path_crosses_cut(chord, ModelSpec.power_law(1.5))
+    for model in (ModelSpec.power_law(2.0), ModelSpec.power_law(3.0),
+                  ModelSpec.quartic(1.0)):
+        assert not path_crosses_cut(chord, model)
+
+
 def test_straight_segment_between_turning_points_vs_cut():
     # The chord z_A -> z_B passes above the origin exactly when p < 2.
     for p in (1.1, 1.3, 1.5, 1.7, 1.9):
@@ -135,6 +146,33 @@ def test_seed_directions_branch_point():
     dirs = seed_directions(0j, model)
     assert len(dirs) == 1
     assert abs(dirs[0] - 3 * PI / 2) < 0.02
+
+
+def test_seed_directions_sit_on_the_held_line():
+    # Three lines leave a simple turning point and one the branch point
+    # z = 0; at the tracer's start radius chi, integrated independently,
+    # has its held part at zero to rounding on every seed.
+    cases = []
+    for p in (1.05, 1.3, 1.5, 2.0, 2.4, 3.0, 5.0):
+        model = ModelSpec.power_law(p)
+        za, zb = turning_points(p)
+        cases += [(model, za, "stokes", 3), (model, zb, "stokes", 3),
+                  (model, za, "anti", 3)]
+        if model.has_branch_cut:
+            cases.append((model, 0j, "stokes", 1))
+    for a in (0.0, 0.5, 1.0, 2.3, 3.5):
+        model = ModelSpec.quartic(a)
+        cases += [(model, z, "stokes", 3) for z in quartic_turning_points(a).all]
+    for model, origin, kind, count in cases:
+        dirs = seed_directions(origin, model, kind)
+        assert len(dirs) == count, (model, origin, kind, dirs)
+        assert dirs == sorted(dirs) and 0.0 <= dirs[0] and dirs[-1] < 2 * PI
+        for d in dirs:
+            chi = singulant(origin + 1e-3 * cmath.exp(1j * d), origin, model)
+            held = chi.imag if kind == "stokes" else chi.real
+            assert abs(held) <= 1e-12, (model, origin, kind, d, chi)
+    with pytest.raises(ValueError, match="kind"):
+        seed_directions(0j, ModelSpec.power_law(1.5), kind="matching")
 
 
 def test_integer_p_origin_line_has_zero_weight():
