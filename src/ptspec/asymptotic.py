@@ -160,60 +160,39 @@ def _descend(f, x: float, g: float, step: float, max_halvings: int) -> tuple[flo
     raise _RealStall(x, g)
 
 
-def _newton_real(f, x0: float, max_halvings: int | None = None) -> tuple[float, float]:
-    """Newton on the positive real axis with a central-difference slope.
+def _newton_complex(f, z0: complex, max_halvings: int | None = None) -> tuple[complex, float]:
+    """Newton to |f| <= 1e-12 in at most 100 iterations, central-difference slope.
 
-    Runs until |f| <= 1e-12, for at most 100 iterations.  Every step is
-    taken as it comes (capped at half of x) unless max_halvings is given;
-    then the search is a descent on |f|, halving each step at most that
-    many times until it lowers |f|, and raising _RealStall where it cannot.
+    Every step is capped at half of |z|, so a real f from a real seed keeps
+    every iterate on the positive real axis: the one search finds the real
+    and the complex roots.  Steps are taken as they come unless max_halvings
+    is given (real seeds only); then the search is a descent on |f|, halving
+    each step at most that many times until it lowers |f|, and raising
+    _RealStall where it cannot.
     """
-    x, g = x0, None
+    z, g = z0, None
     for _ in range(100):
         if g is None:
             try:
-                g = f(x)
+                g = f(z)
             except (OverflowError, ValueError):
-                raise SolveError("condition overflowed during real Newton")
-        if abs(g) <= 1e-12:
-            return x, abs(g)
-        h = 1e-7 * abs(x)
-        dg = (f(x + h) - f(x - h)) / (2.0 * h)
-        if dg == 0 or not math.isfinite(abs(dg)):
-            raise SolveError("flat condition in real Newton")
-        step = -g / dg
-        if abs(step) > 0.5 * abs(x):
-            step = math.copysign(0.5 * abs(x), step)
-        if max_halvings is not None:
-            x, g = _descend(f, x, g, step, max_halvings)
-            continue
-        x, g = x + step, None
-        if x <= 0 or not math.isfinite(x):
-            raise SolveError("real Newton left the positive axis")
-    raise SolveError("real Newton did not converge")
-
-
-def _newton_complex(f, z0: complex) -> tuple[complex, float]:
-    """Complex Newton to |f| <= 1e-12 in at most 200 iterations."""
-    z = z0
-    for _ in range(200):
-        try:
-            g = f(z)
-        except (OverflowError, ValueError):
-            raise SolveError("condition overflowed during complex Newton")
+                raise SolveError("condition overflowed during Newton")
         if abs(g) <= 1e-12:
             return z, abs(g)
         h = 1e-7 * max(abs(z), 1e-12)
         dg = (f(z + h) - f(z - h)) / (2.0 * h)
         if dg == 0 or not cmath.isfinite(dg):
-            raise SolveError("flat condition in complex Newton")
+            raise SolveError("flat condition in Newton")
         step = -g / dg
         if abs(step) > 0.5 * abs(z):
             step *= 0.5 * abs(z) / abs(step)
-        z += step
+        if max_halvings is not None:
+            z, g = _descend(f, z, g, step, max_halvings)
+            continue
+        z, g = z + step, None
         if not cmath.isfinite(z) or abs(z) == 0:
-            raise SolveError("complex Newton diverged")
-    raise SolveError("complex Newton did not converge")
+            raise SolveError("Newton diverged")
+    raise SolveError("Newton did not converge")
 
 
 def _fold_seed(f, x: float, g: float) -> complex:
@@ -232,17 +211,18 @@ def _fold_seed(f, x: float, g: float) -> complex:
 def _seeded_root(f, seed: complex, max_halvings: int | None = None) -> tuple[complex, float]:
     """Root of the scaled condition f near seed, and |f| there.
 
-    A complex seed goes straight to complex Newton.  A real seed tries the
-    real axis first (a descent on |f| if max_halvings is given); where that
-    fails the root has left the axis, and complex Newton starts from the
-    fold model at the stall point, else from seed (1 + 0.05i).
+    A complex seed goes straight to Newton on f.  A real seed first runs
+    the same Newton on the real part of f, which stays on the real axis (a
+    descent on |f| if max_halvings is given); where that fails the root has
+    left the axis, and Newton on f starts from the fold model at the stall
+    point, else from seed (1 + 0.05i).
     """
     seed = complex(seed)
     if abs(seed.imag) >= 1e-14:
         return _newton_complex(f, seed)
     f_real = lambda e: f(e).real
     try:
-        x, res = _newton_real(f_real, seed.real, max_halvings=max_halvings)
+        x, res = _newton_complex(f_real, seed.real, max_halvings)
         return complex(x), res
     except _RealStall as stall:
         start = _fold_seed(f_real, stall.x, stall.g)
@@ -279,9 +259,10 @@ def solve_condition(n: int, p: float, condition: str = "full",
                     seed: complex | None = None) -> EigRecord:
     """Root of the chosen eigenvalue condition for mode n.
 
-    Seeds from the cosine-zero rule unless given, runs Newton on the real
-    axis first and falls back to complex Newton when the real search
-    diverges (the root has left the axis in the broken region).
+    Seeds from the cosine-zero rule unless given.  Newton runs on the real
+    part of the condition first, which keeps it on the real axis, and
+    restarts from a complex point when that search fails (the root has left
+    the axis in the broken region); see _seeded_root.
     """
     if condition not in ("wkb", "full"):
         raise ValueError("condition must be 'wkb' or 'full'")
@@ -296,9 +277,10 @@ def count_real_roots(p: float, e_max: float) -> list[float]:
     """Real eigenvalues E <= e_max of the corrected condition, deduplicated.
 
     Seeds every ladder index whose classical eigenvalue could fall below
-    e_max and keeps the converged real roots.  In the broken region the
-    high seeds fail or wander off-axis and are dropped, so the returned
-    list is finite and shrinks as p decreases.
+    e_max, runs Newton on the real part of the condition from each seed (so
+    every iterate is real) and keeps the converged roots.  In the broken
+    region the high seeds find no real root within the Newton budget and
+    are dropped, so the returned list is finite and shrinks as p decreases.
     """
     n_cap = 3
     while wkb_eigenvalue(n_cap, p) < 1.6 * e_max + 10 and n_cap < 400:
@@ -306,7 +288,7 @@ def count_real_roots(p: float, e_max: float) -> list[float]:
     eps_found: list[float] = []
     for n in range(n_cap + 1):
         try:
-            x, _ = _newton_real(
+            x, _ = _newton_complex(
                 lambda e: _scaled_condition(e, p, "full").real, cosine_seed(n, p))
         except SolveError:
             continue
@@ -317,13 +299,13 @@ def count_real_roots(p: float, e_max: float) -> list[float]:
     return [e for e in energies if e <= e_max * (1.0 + 1e-12)]
 
 
-def broken_complex_roots(p: float, max_roots: int = 4) -> list[complex]:
+def broken_complex_roots(p: float) -> list[complex]:
     """Complex eps roots of the corrected condition from merged ladder seeds.
 
     Walks the ladder seeds n = 0..60 upward and keeps the solve_condition
     roots that lie off the real axis (indices whose real root has merged
-    away).  Stops after max_roots distinct roots (normalised to the upper
-    half plane).
+    away).  Stops after four distinct roots (normalised to the upper half
+    plane).
     """
     roots: list[complex] = []
     for n in range(61):
@@ -337,7 +319,7 @@ def broken_complex_roots(p: float, max_roots: int = 4) -> list[complex]:
             z = z.conjugate()
         if all(abs(z - u) > 1e-8 * max(1.0, abs(u)) for u in roots):
             roots.append(z)
-        if len(roots) >= max_roots:
+        if len(roots) >= 4:
             break
     return roots
 
@@ -435,9 +417,9 @@ def solve_quartic(n: int, A: float, seed: complex | None = None) -> EigRecord:
     search is a Newton descent on |f| (see _seeded_root).  At a fold, where
     the root has merged with its neighbour and left the real axis, the
     search stalls at the local minimum of |f| between the two vanished
-    roots instead of jumping to a root of another mode; complex Newton then
-    starts from the quadratic model of f at that point, and the record
-    holds one member of the conjugate pair.
+    roots instead of jumping to a root of another mode; Newton on the
+    complex condition then starts from the quadratic model of f at that
+    point, and the record holds one member of the conjugate pair.
     """
     if seed is None:
         seed = 0.0  # the first pass is the rule at a = 0

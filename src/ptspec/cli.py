@@ -98,6 +98,13 @@ def _grid(lo: float, hi: float, step: float) -> list[float]:
     return vals
 
 
+def _shoot_config(args, **kwargs) -> shooting.ShootConfig:
+    """ShootConfig with the command's --rtol, if one was given."""
+    if args.rtol is not None:
+        kwargs["rtol"] = args.rtol
+    return shooting.ShootConfig(**kwargs)
+
+
 def _record_row(rec, method: str) -> dict:
     return {
         "param": float(rec.param),
@@ -125,7 +132,7 @@ def cmd_bifurcation(args) -> int:
             n_cap += 1
         for method in methods:
             if method == "numeric":
-                cfg = shooting.ShootConfig(rtol=args.rtol)
+                cfg = _shoot_config(args)
                 try:
                     recs = shooting.scan_spectrum(ModelSpec.power_law(p), args.emax, cfg)
                 except shooting.ShootingError as exc:
@@ -259,7 +266,7 @@ def cmd_quartic(args) -> int:
                                if a_phys > 0 else 0.0)
             rows.append(row)
         if args.numeric:
-            cfg = shooting.ShootConfig(r_max=5.0, rtol=args.rtol)
+            cfg = _shoot_config(args, r_max=5.0)
             try:
                 recs = shooting.scan_spectrum(ModelSpec.quartic(a_phys), args.emax, cfg)
             except shooting.ShootingError as exc:
@@ -307,7 +314,7 @@ def cmd_eigen(args) -> int:
         model = ModelSpec.power_law(args.p)
         seed = asymptotic.wkb_eigenvalue(args.n, args.p)
         try:
-            rec = shooting.find_eigen(seed, model, shooting.ShootConfig(rtol=args.rtol))
+            rec = shooting.find_eigen(seed, model, _shoot_config(args))
         except shooting.ShootingError as exc:
             sys.stderr.write(f"error: {exc}\n")
             return FAILURE_EXIT
@@ -336,9 +343,12 @@ def build_parser() -> _Parser:
         sp.add_argument("--format", choices=("csv", "json"), default="csv")
         sp.add_argument("--out", default=None, help="output path (default stdout)")
 
-    def shooting_tolerance(sp):
-        sp.add_argument("--rtol", type=_tolerance, default=1e-10,
-                        help="shooting integrator relative tolerance")
+    def shooting_tolerance(sp, shoots):
+        # main rejects --rtol where shoots(args) says the run never shoots
+        sp.add_argument("--rtol", type=_tolerance, default=None,
+                        help="shooting integrator relative tolerance "
+                             "(default 1e-10; shooting routes only)")
+        sp.set_defaults(shoots=shoots)
 
     sp = sub.add_parser("bifurcation", help="eigenvalue branches over a p-range")
     sp.add_argument("--range", type=_parse_range, required=True, metavar="PMIN:PMAX")
@@ -347,7 +357,8 @@ def build_parser() -> _Parser:
     sp.add_argument("--method", default="wkb,full",
                     help="comma list from wkb,full,numeric")
     dataset(sp)
-    shooting_tolerance(sp)
+    shooting_tolerance(
+        sp, lambda a: "numeric" in (m.strip() for m in a.method.split(",")))
     sp.set_defaults(func=cmd_bifurcation)
 
     sp = sub.add_parser("stokes", help="Stokes line traces")
@@ -371,7 +382,7 @@ def build_parser() -> _Parser:
     sp.add_argument("--numeric", action="store_true",
                     help="include shooting eigenvalues (slow)")
     dataset(sp)
-    shooting_tolerance(sp)
+    shooting_tolerance(sp, lambda a: a.numeric)
     sp.set_defaults(func=cmd_quartic)
 
     sp = sub.add_parser("verify", help="matching-constant checks")
@@ -382,13 +393,17 @@ def build_parser() -> _Parser:
     sp.add_argument("--n", type=_bounded(int, "n", 0, strict=False), required=True)
     sp.add_argument("--method", choices=("wkb", "full", "numeric"), default="full")
     dataset(sp)
-    shooting_tolerance(sp)
+    shooting_tolerance(sp, lambda a: a.method == "numeric")
     sp.set_defaults(func=cmd_eigen)
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if getattr(args, "rtol", None) is not None and not args.shoots(args):
+        parser.error("--rtol needs the shooting route (bifurcation --method "
+                     "with numeric, quartic --numeric, eigen --method numeric)")
     try:
         code = args.func(args)
     except BrokenPipeError:

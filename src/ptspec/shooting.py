@@ -57,8 +57,9 @@ class ShootConfig:
     """Contour and integrator settings.
 
     r_max is the longest ray allowed (each ray's length is chosen per eps
-    from the decay the WKB start needs), z_mid the match point (shifted
-    automatically if a ray would pass within 0.05 of a turning point),
+    from the decay the WKB start needs), z_mid the power-law match point
+    (shifted automatically if a ray would pass within 0.05 of a turning
+    point; the quartic always matches at z = 0 and ignores z_mid),
     rtol/atol the local error targets of the embedded Runge-Kutta pair
     (finite, >= 0 and not both 0).  A ray that takes more than 2,000,000
     steps raises ShootingError.

@@ -105,7 +105,7 @@ def test_criterion_06_broken_region_structure():
     conj_dev = 0.0
     for p in (1.9, 1.7, 1.5, 1.3):
         counts[p] = len(count_real_roots(p, 30.0))
-        for z in broken_complex_roots(p, max_roots=2):
+        for z in broken_complex_roots(p)[:2]:
             rec = solve_condition(0, p, "full", seed=z.conjugate())
             conj_dev = max(conj_dev, abs(rec.eps - z.conjugate()) / abs(z))
     ordered = [counts[p] for p in (1.9, 1.7, 1.5, 1.3)]

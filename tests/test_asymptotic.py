@@ -7,7 +7,8 @@ from hypothesis import given, settings, strategies as st
 from ptspec.action import (action_between, action_scale,
                            action_to_turning_points, quartic_action,
                            quartic_critical_a)
-from ptspec.asymptotic import (SolveError, _mode_index, broken_complex_roots,
+from ptspec.asymptotic import (SolveError, _mode_index, _newton_complex,
+                               _scaled_condition, broken_complex_roots,
                                corrected_condition, count_real_roots,
                                cosine_seed, delta_estimate, E_to_eps, eps_to_E,
                                lowest_branch_path, quartic_closeoff,
@@ -85,9 +86,35 @@ def test_solve_condition_harmonic_anchor():
 
 def test_solve_condition_leaves_axis_in_broken_region():
     # at p = 1.9 the ladder is real up to E ~ 90; far beyond, only complex
-    # roots remain and the real search must hand over to complex Newton
+    # roots remain and the real-axis search must hand over to one off the axis
     rec = solve_condition(80, 1.9, "full")
     assert abs(rec.eps.imag) > 1e-12
+
+
+def test_newton_budget_is_100_iterations():
+    # (z - 2)^2 + 1 has no real root; from a real seed every iterate stays
+    # on the positive axis, and each iteration costs three evaluations
+    seen = []
+
+    def f(z):
+        seen.append(z)
+        return (z - 2.0) ** 2 + 1.0
+
+    with pytest.raises(SolveError):
+        _newton_complex(f, 1.0)
+    assert len(seen) <= 300
+    assert all(complex(z).imag == 0.0 and z > 0 for z in seen)
+
+
+def test_newton_on_the_real_part_stays_on_the_axis():
+    # a real condition from a complex seed on the axis never leaves it, and
+    # lands on the root solve_condition reports
+    for p in (1.5, 2.5, 3.0):
+        for n in range(4):
+            f = lambda e: _scaled_condition(e, p, "full").real
+            z, res = _newton_complex(f, complex(cosine_seed(n, p)))
+            assert z.imag == 0.0 and res <= 1e-12
+            assert z == solve_condition(n, p).eps
 
 
 def test_eps_scaling_roundtrip():

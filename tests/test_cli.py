@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -8,8 +9,9 @@ from pathlib import Path
 import pytest
 
 import ptspec
-from ptspec import geometry
-from ptspec.cli import main
+from ptspec import geometry, shooting
+from ptspec.asymptotic import EigRecord
+from ptspec.cli import build_parser, main
 
 CMD = [sys.executable, "-m", "ptspec"]
 # The child process imports the same ptspec as this one.
@@ -186,6 +188,43 @@ def test_invalid_rtol_is_a_usage_error():
         assert proc.stdout == ""
 
 
+def test_rtol_reaches_every_shooting_route(monkeypatch):
+    seen = []
+
+    def scan(model, e_max, cfg):
+        seen.append(cfg.rtol)
+        return [EigRecord(0, 2.0, 1.0, 1.0 + 0j, "numeric", 0.0)]
+
+    def polish(seed, model, cfg):
+        seen.append(cfg.rtol)
+        return EigRecord(2, 3.0, 0.2, 7.5 + 0j, "numeric", 0.0)
+
+    monkeypatch.setattr(shooting, "scan_spectrum", scan)
+    monkeypatch.setattr(shooting, "find_eigen", polish)
+    bif = ["bifurcation", "--range", "2.4:2.5", "--step", "0.1", "--emax", "5"]
+    for argv in (bif + ["--method", "numeric"], bif + ["--method", "wkb,numeric"],
+                 ["quartic", "--range", "0:0.5", "--step", "0.5", "--emax", "5",
+                  "--numeric"],
+                 ["eigen", "--p", "3", "--n", "2", "--method", "numeric"]):
+        for extra, rtol in (([], shooting.ShootConfig().rtol),
+                            (["--rtol", "0"], 0.0), (["--rtol", "1e-9"], 1e-9)):
+            seen.clear()
+            assert main(argv + extra) == 0
+            assert seen and all(r == rtol for r in seen)
+
+
+def test_readme_commands_parse():
+    # every command the README shows must be one the parser takes
+    text = (Path(__file__).parents[1] / "README.md").read_text()
+    block = text.split("## Command line", 1)[1].split("```")[1]
+    commands = [line for line in block.splitlines() if line.startswith("ptspec ")]
+    assert commands
+    parser = build_parser()
+    for line in commands:
+        args = parser.parse_args(shlex.split(line)[1:])
+        assert callable(args.func)
+
+
 def test_empty_datasets_say_why(capsys):
     for args in (["p1-scaling", "--floor", "0.6"],
                  ["quartic", "--range", "0:1", "--emax", "0.5"]):
@@ -221,6 +260,11 @@ def test_empty_datasets_say_why(capsys):
     ["verify", "--rtol", "1e-9"],
     ["stokes", "--p", "2.4", "--rtol", "1e-9"],
     ["p1-scaling", "--rtol", "1e-9"],
+    # --rtol on a run that never shoots was ignored with exit 0
+    ["eigen", "--p", "3", "--n", "2", "--method", "full", "--rtol", "1e-9"],
+    ["bifurcation", "--range", "2.4:2.5", "--step", "0.1", "--emax", "5",
+     "--method", "wkb", "--rtol", "1e-9"],
+    ["quartic", "--range", "0:0.5", "--step", "0.5", "--emax", "5", "--rtol", "1e-9"],
 ])
 def test_out_of_range_arguments_are_usage_errors(argv, capsys):
     try:
