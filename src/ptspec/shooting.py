@@ -9,6 +9,14 @@ by the time the rays meet.  The ray length is chosen per eps so that this
 suppression is just complete (see _ray_length), capped at ShootConfig.r_max.
 An eigenvalue is a zero of the normalized Wronskian of the two rays.
 
+The model is PT-symmetric: at real E, conj f(-conj z) solves the equation
+whenever f does.  The contour is its own mirror image (z_r = -conj z_l, the
+match point on the imaginary axis), so at real E only the left ray is
+integrated and the right one is its mirror; W is then exactly real and a
+real secant stays on the axis.  Complex E, and a quartic whose scaled
+coupling is complex, integrate both rays; W(conj E) = conj W(E) still holds
+exactly, so a complex root is polished once and its conjugate taken.
+
 The rays are stepped with the Dormand-Prince 8(5,3) pair (DOP853), first
 same as last, under Hairer's blended 5th/3rd-order error norm (see
 integrate_ray).
@@ -56,13 +64,15 @@ class ShootState:
 class ShootConfig:
     """Contour and integrator settings.
 
-    r_max is the longest ray allowed (each ray's length is chosen per eps
-    from the decay the WKB start needs), z_mid the power-law match point
-    (shifted automatically if a ray would pass within 0.05 of a turning
-    point; the quartic always matches at z = 0 and ignores z_mid),
-    rtol/atol the local error targets of the embedded Runge-Kutta pair
-    (finite, >= 0 and not both 0).  A ray that takes more than 2,000,000
-    steps raises ShootingError.
+    r_max (finite, > 0) is the longest ray allowed (each ray's length is
+    chosen per eps from the decay the WKB start needs), z_mid the power-law
+    match point (shifted down the imaginary axis if a ray would pass within
+    0.05 of a turning point; the quartic always matches at z = 0 and ignores
+    z_mid), rtol/atol the local error targets of the embedded Runge-Kutta
+    pair (finite, >= 0 and not both 0).  z_mid must be finite and lie on
+    the imaginary axis, the PT-symmetry axis, so that at real E the right
+    ray is the mirror of the left one (see mismatch).  A ray that takes
+    more than 2,000,000 steps raises ShootingError.
     """
 
     r_max: float = 7.0
@@ -71,6 +81,12 @@ class ShootConfig:
     atol: float = 1e-12
 
     def __post_init__(self):
+        if not (math.isfinite(self.r_max) and self.r_max > 0):
+            raise ValueError(f"r_max must be finite and > 0, got {self.r_max}")
+        z_mid = complex(self.z_mid)
+        if not cmath.isfinite(z_mid) or z_mid.real != 0:
+            raise ValueError(f"z_mid must be finite and on the imaginary axis, "
+                             f"got {self.z_mid}")
         tols = (self.rtol, self.atol)
         if not all(math.isfinite(x) and x >= 0 for x in tols) or not any(tols):
             raise ValueError(f"rtol and atol must be finite, >= 0 and not both 0, "
@@ -331,20 +347,23 @@ def _ray_length(k: float, r_tp: float, eps: complex, r_max: float) -> float:
 
 
 def _contour(model: ModelSpec, eps: complex, cfg: ShootConfig) -> tuple[complex, complex, complex]:
-    """Ray endpoints and a match point keeping clear of turning points."""
+    """Ray endpoints and a match point keeping clear of turning points.
+
+    z_r = -conj(z_l) (for the power law th_r = -pi - th_l) and the match
+    point stays on the imaginary axis, so the contour is its own PT mirror.
+    """
     if model.family == "power":
-        th_l, th_r, _ = wedge_angles(model.p)
+        th_l, _, _ = wedge_angles(model.p)
         r = _ray_length(model.p + 2.0, 1.0, eps, cfg.r_max)
         z_l = r * cmath.exp(1j * th_l)
-        z_r = r * cmath.exp(1j * th_r)
         tps = turning_points(model.p)
         z_mid = cfg.z_mid
     else:
         tps = quartic_turning_points(model.a).all
         r = _ray_length(6.0, max(abs(tp) for tp in tps), eps, cfg.r_max)
         z_l = complex(-r)
-        z_r = complex(r)
         z_mid = 0j
+    z_r = -z_l.conjugate()
     for _ in range(8):
         clear_of_tps = all(
             _point_segment_distance(tp, z_end, z_mid) >= _STANDOFF
@@ -362,6 +381,12 @@ def mismatch(E: complex, model: ModelSpec, cfg: ShootConfig | None = None) -> co
     Zero exactly when the solutions are linearly dependent, i.e. at an
     eigenvalue; the normalization by the larger cross product keeps
     |W| in [0, 2] and cancels both rescaling exponents.
+
+    At real eps with a PT-symmetric scaled model (every power law, and the
+    quartic when its scaled coupling is real), conj f(-conj z) solves the
+    same equation, so the right ray is the mirror of the left one and only
+    the left ray is integrated.  W is then exactly real.  Complex E and a
+    complex quartic coupling integrate both rays.
     """
     cfg = cfg or ShootConfig()
     E = complex(E)
@@ -369,7 +394,10 @@ def mismatch(E: complex, model: ModelSpec, cfg: ShootConfig | None = None) -> co
     scaled = _scaled_model(model, eps)
     z_l, z_r, z_mid = _contour(scaled, eps, cfg)
     left = integrate_ray(wkb_init(z_l, eps, scaled), (z_l, z_mid), eps, scaled, cfg)
-    right = integrate_ray(wkb_init(z_r, eps, scaled), (z_r, z_mid), eps, scaled, cfg)
+    if eps.imag == 0 and (scaled.family == "power" or complex(scaled.a).imag == 0):
+        right = ShootState(left.f.conjugate(), -left.df.conjugate(), left.log_scale)
+    else:
+        right = integrate_ray(wkb_init(z_r, eps, scaled), (z_r, z_mid), eps, scaled, cfg)
     cross1 = left.f * right.df
     cross2 = right.f * left.df
     norm = max(abs(cross1), abs(cross2))
@@ -453,8 +481,9 @@ def scan_spectrum(model: ModelSpec, E_max: float, cfg: ShootConfig | None = None
     Scans |W| on a real-E grid fine enough to separate harmonic-scale
     spacing, refines each local minimum, and (for the broken power-law
     region) additionally polishes complex seeds taken from the corrected
-    condition so conjugate pairs are found too.  Real records are ordered
-    and indexed by position.
+    condition.  Each complex root is polished once and its conjugate added
+    alongside it, an exact pair with the same residual.  Real records are
+    ordered and indexed by position.
     """
     cfg = cfg or ShootConfig()
     grid = []
@@ -470,17 +499,21 @@ def scan_spectrum(model: ModelSpec, E_max: float, cfg: ShootConfig | None = None
             logw.append(float("inf"))
     records: list[EigRecord] = []
 
-    def try_seed(seed):
-        try:
-            rec = find_eigen(seed, model, cfg)
-        except ShootingError:
-            return
+    def keep(rec):
         if rec.E.real > E_max * (1.0 + 1e-9) or rec.E.real <= 0:
             return
         for r in records:
             if abs(r.E - rec.E) < 1e-7 * max(1.0, abs(rec.E)):
                 return
         records.append(rec)
+
+    def try_seed(seed):
+        try:
+            rec = find_eigen(seed, model, cfg)
+        except ShootingError:
+            return None
+        keep(rec)
+        return rec
 
     for i in range(len(grid)):
         lo = logw[i - 1] if i > 0 else float("inf")
@@ -489,9 +522,11 @@ def scan_spectrum(model: ModelSpec, E_max: float, cfg: ShootConfig | None = None
             try_seed(grid[i])
     if complex_seeds and model.family == "power" and model.p < 2.0:
         for eps_root in broken_complex_roots(model.p):
-            e_seed = eps_to_E(eps_root, model.p)
-            try_seed(e_seed)
-            try_seed(e_seed.conjugate())
+            rec = try_seed(eps_to_E(eps_root, model.p))
+            if rec is not None:
+                # W(conj E) = conj W(E), so the conjugate seed would polish
+                # to the conjugate root with the same residual
+                keep(_record(rec.E.conjugate(), rec.residual, model))
     real = sorted((r for r in records if abs(r.E.imag) <= 1e-7 * max(1.0, abs(r.E))),
                   key=lambda r: r.E.real)
     cplx = sorted((r for r in records if abs(r.E.imag) > 1e-7 * max(1.0, abs(r.E))),

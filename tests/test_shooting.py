@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 from ptspec.asymptotic import broken_complex_roots, eps_to_E, solve_condition
+from ptspec import shooting
 from ptspec.geometry import ModelSpec, wedge_angles
 from ptspec.shooting import (_DP_A, _DP_B, _DP_C, _DP_E3, _DP_E5, ShootConfig,
                              ShootingError, ShootState, _contour, _E_to_eps,
@@ -105,6 +106,18 @@ def test_shoot_config_rejects_invalid_tolerances():
     assert ShootConfig(rtol=0.0).atol > 0
 
 
+def test_shoot_config_rejects_unusable_contours():
+    # r_max = 0 used to divide by zero in mismatch, r_max < 0 shot rays away
+    # from the wedges, and z_mid off the imaginary axis breaks the mirror
+    for kwargs in ({"r_max": 0.0}, {"r_max": -7.0}, {"r_max": math.inf},
+                   {"r_max": math.nan}, {"z_mid": complex(math.nan, -0.5)},
+                   {"z_mid": complex(0.0, -math.inf)}, {"z_mid": 0.3 - 0.5j},
+                   {"z_mid": -0.5}):
+        with pytest.raises(ValueError):
+            ShootConfig(**kwargs)
+    assert ShootConfig(r_max=4.5, z_mid=-0.8j).z_mid == -0.8j
+
+
 def test_dop853_tableau():
     # a mistyped coefficient would only show as slower steps or lost digits
     assert len(_DP_A) == len(_DP_C) == len(_DP_B) == 12
@@ -140,6 +153,68 @@ def test_integrate_ray_matches_tight_tolerance():
             want = _match_ratios(model, tight, E)
             for g, w in zip(got, want):
                 assert abs(g - w) <= 1e-9 * abs(w)
+
+
+def test_right_ray_is_mirror_of_left_at_real_E():
+    # PT symmetry: integrating the right ray from z_r = -conj z_l gives
+    # (conj f, -conj eps f') of the left ray, which mismatch takes instead
+    cases = [(ModelSpec.power_law(p), ShootConfig()) for p in (1.5, 2.0, 2.5, 3.0, 5.0)]
+    cases += [(ModelSpec.quartic(a), ShootConfig(r_max=5.0)) for a in (0.0, 0.75, 2.0)]
+    for model, cfg in cases:
+        for E in (1.0, 10.0, 40.0):
+            eps = _E_to_eps(complex(E), model)
+            scaled = _scaled_model(model, eps)
+            z_l, z_r, z_mid = _contour(scaled, eps, cfg)
+            assert z_r == -z_l.conjugate() and z_mid.real == 0
+            left = integrate_ray(wkb_init(z_l, eps, scaled), (z_l, z_mid), eps, scaled, cfg)
+            right = integrate_ray(wkb_init(z_r, eps, scaled), (z_r, z_mid), eps, scaled, cfg)
+            size = max(abs(left.f), abs(left.df))
+            assert abs(right.f - left.f.conjugate()) <= 1e-13 * size
+            assert abs(right.df + left.df.conjugate()) <= 1e-13 * size
+            assert abs(right.log_scale - left.log_scale) <= 1e-13 * max(1.0, abs(left.log_scale))
+
+
+def test_one_ray_per_real_mismatch(monkeypatch):
+    calls = [0]
+    plain = shooting.integrate_ray
+
+    def counting(*args):
+        calls[0] += 1
+        return plain(*args)
+
+    monkeypatch.setattr(shooting, "integrate_ray", counting)
+    for model, E, rays in ((ModelSpec.power_law(3.0), 10.0, 1),
+                           (ModelSpec.power_law(1.5), 10.0, 1),
+                           (ModelSpec.quartic(0.75), 10.0, 1),
+                           (ModelSpec.power_law(3.0), 10.0 + 0.5j, 2),
+                           (ModelSpec.quartic(0.75j), 10.0, 2)):
+        calls[0] = 0
+        w = mismatch(E, model)
+        assert calls[0] == rays
+        if rays == 1:
+            assert w.imag == 0.0
+
+
+def test_mismatch_conjugate_symmetry():
+    model = ModelSpec.power_law(1.5)
+    E = 9.09 + 2j
+    assert mismatch(E.conjugate(), model) == mismatch(E, model).conjugate()
+
+
+def test_real_seed_polishes_to_a_real_eigenvalue():
+    rec = find_eigen(1.1, ModelSpec.power_law(3.0))
+    assert rec.E.imag == 0.0
+    assert abs(rec.E - 1.1562670719966897) <= 1e-12
+
+
+def test_scan_complex_records_come_in_exact_pairs():
+    recs = scan_spectrum(ModelSpec.power_law(1.5), 12.0)
+    cplx = [r for r in recs if r.E.imag != 0]
+    assert len(cplx) >= 2
+    for rec in cplx:
+        mates = [r for r in cplx if r.E == rec.E.conjugate()]
+        assert len(mates) == 1
+        assert mates[0].residual == rec.residual
 
 
 def test_mismatch_harmonic_anchor():
@@ -192,9 +267,11 @@ def test_ray_length_follows_eps():
 
 
 def test_mismatch_work_nearly_flat_in_E(monkeypatch):
-    # the 8th-order pair takes 1,674 q evaluations at E = 10 (Cash-Karp 5(4)
-    # took 6,168; rays from r_max = 7, 87,144); E = 40 sits on the 2 r_tp
-    # ray-length floor and may cost at most 2.25 times as much
+    # the 8th-order pair takes 837 q evaluations at E = 10, one ray mirrored
+    # into the other (1,674 for both rays; Cash-Karp 5(4) took 6,168; rays
+    # from r_max = 7, 87,144); complex E integrates both rays (1,663 at
+    # E = 10 + 0.5i); E = 40 sits on the 2 r_tp ray-length floor and may
+    # cost at most 2.25 times as much as E = 10
     count = [0]
     plain = ModelSpec.q_callable
 
@@ -212,8 +289,11 @@ def test_mismatch_work_nearly_flat_in_E(monkeypatch):
     at_10 = count[0]
     count[0] = 0
     mismatch(40.0, model)
-    assert at_10 <= 2_500
+    assert at_10 <= 1_000
     assert count[0] <= 2.25 * at_10
+    count[0] = 0
+    mismatch(10.0 + 0.5j, model)
+    assert count[0] <= 2_500
 
 
 def test_muller_step_rejects_coincident_iterates():
@@ -229,7 +309,7 @@ def test_pt_reality_unbroken():
     recs = scan_spectrum(model, 8.0, ShootConfig(rtol=1e-9), step=0.4)
     assert len(recs) >= 3
     for rec in recs:
-        assert abs(rec.E.imag) <= 1e-8
+        assert rec.E.imag == 0.0
 
 
 def test_conjugate_pair_in_broken_region():
@@ -240,7 +320,7 @@ def test_conjugate_pair_in_broken_region():
     r1 = find_eigen(seed, model, ShootConfig(rtol=1e-9))
     r2 = find_eigen(seed.conjugate(), model, ShootConfig(rtol=1e-9))
     assert abs(r1.E.imag) > 1e-4
-    assert abs(r1.E - r2.E.conjugate()) <= 1e-8 * abs(r1.E)
+    assert r1.E == r2.E.conjugate()
 
 
 def test_broken_region_real_count_shrinks():
