@@ -22,8 +22,7 @@ from .geometry import (ModelSpec, QuarticRoots, StokesTrace, TraceError,
                        turning_points, wedge_angles)
 from .shooting import (ShootConfig, ShootState, ShootingError, find_eigen,
                        integrate_ray, mismatch, scan_spectrum, wkb_init)
-from .special import (BranchAmbiguityError, GammaPoleError, gamma_real,
-                      principal_power, recip_gamma)
+from .special import BranchAmbiguityError, principal_power, recip_gamma
 from .verify import (ConvergenceReport, HSequence, branch_point_prefactor,
                      h_sequence, quantization_equivalence,
                      turning_point_matching_ratio, turning_point_prefactor)

@@ -13,7 +13,6 @@ from functools import lru_cache
 
 from ._quadrature import powerlaw_origin_piece, sqrt_path_integral
 from .geometry import ModelSpec, _quartic_walk, path_crosses_cut
-from .special import gamma_real
 
 __all__ = [
     "action_between",
@@ -80,7 +79,7 @@ def action_scale(p: float) -> float:
     and a turning point; R(1) = 2/3, R(2) = pi/4, R -> 1 as p -> infinity.
     """
     rp = 1.0 / p
-    return math.sqrt(math.pi) * gamma_real(1.0 + rp) / (2.0 * gamma_real(1.5 + rp))
+    return math.sqrt(math.pi) * math.gamma(1.0 + rp) / (2.0 * math.gamma(1.5 + rp))
 
 
 def action_to_turning_points(p: float) -> tuple[complex, complex]:

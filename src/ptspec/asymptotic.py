@@ -26,7 +26,7 @@ from .action import (action_scale, action_to_turning_points, quartic_action,
                      quartic_critical_a, action_between,
                      _quartic_end_action)
 from .geometry import ModelSpec
-from .special import gamma_real, principal_power, recip_gamma
+from .special import principal_power, recip_gamma
 
 __all__ = [
     "EigRecord",
@@ -92,8 +92,8 @@ def wkb_eigenvalue(n: int, p: float) -> float:
     if p == 1.0:
         raise ValueError("closed-form eigenvalue has a pole at p = 1")
     rp = 1.0 / p
-    base = (math.sqrt(math.pi) * (n + 0.5) * gamma_real(1.5 + rp)
-            / (gamma_real(1.0 + rp) * math.sin(math.pi / p)))
+    base = (math.sqrt(math.pi) * (n + 0.5) * math.gamma(1.5 + rp)
+            / (math.gamma(1.0 + rp) * math.sin(math.pi / p)))
     return base ** (2.0 * p / (p + 2.0))
 
 

@@ -111,7 +111,7 @@ def _record_row(rec, method: str) -> dict:
         "n": rec.n,
         "method": method,
         "re_E": rec.E.real,
-        "im_E": rec.E.imag,
+        "im_E": rec.E.imag + 0.0,  # no "-0" for a real root
         "residual": rec.residual,
     }
 

@@ -31,8 +31,8 @@ import math
 from dataclasses import dataclass
 
 from .asymptotic import EigRecord, _mode_index, broken_complex_roots, eps_to_E
-from .geometry import (ModelSpec, path_crosses_cut, quartic_turning_points,
-                       turning_points, wedge_angles)
+from .geometry import (ModelSpec, TraceError, path_crosses_cut,
+                       quartic_turning_points, turning_points, wedge_angles)
 from .special import principal_power
 
 __all__ = [
@@ -359,7 +359,10 @@ def _contour(model: ModelSpec, eps: complex, cfg: ShootConfig) -> tuple[complex,
         tps = turning_points(model.p)
         z_mid = cfg.z_mid
     else:
-        tps = quartic_turning_points(model.a).all
+        try:
+            tps = quartic_turning_points(model.a).all
+        except TraceError as exc:
+            raise ShootingError(f"no labelled turning points: {exc}") from exc
         r = _ray_length(6.0, max(abs(tp) for tp in tps), eps, cfg.r_max)
         z_l = complex(-r)
         z_mid = 0j
@@ -475,7 +478,7 @@ def _record(E: complex, w: complex, model: ModelSpec) -> EigRecord:
 
 
 def scan_spectrum(model: ModelSpec, E_max: float, cfg: ShootConfig | None = None,
-                  step: float = 0.35, complex_seeds: bool = True) -> list[EigRecord]:
+                  step: float = 0.35) -> list[EigRecord]:
     """All eigenvalues with Re E in (0, E_max].
 
     Scans |W| on a real-E grid fine enough to separate harmonic-scale
@@ -520,7 +523,7 @@ def scan_spectrum(model: ModelSpec, E_max: float, cfg: ShootConfig | None = None
         hi = logw[i + 1] if i + 1 < len(grid) else float("inf")
         if logw[i] < lo and logw[i] < hi:
             try_seed(grid[i])
-    if complex_seeds and model.family == "power" and model.p < 2.0:
+    if model.family == "power" and model.p < 2.0:
         for eps_root in broken_complex_roots(model.p):
             rec = try_seed(eps_to_E(eps_root, model.p))
             if rec is not None:

@@ -20,7 +20,7 @@ import math
 from dataclasses import dataclass
 
 from .asymptotic import solve_condition, wkb_eigenvalue
-from .special import gamma_real, recip_gamma
+from .special import recip_gamma
 
 __all__ = [
     "ConvergenceReport",
@@ -107,7 +107,7 @@ def _gamma_sign_log(x: float) -> tuple[float, float]:
     """(sign, log|Gamma(x)|) for real non-pole x of any size."""
     if x > 0:
         return 1.0, math.lgamma(x)
-    g = gamma_real(x)  # only reached for moderate negative x
+    g = math.gamma(x)  # only reached for moderate negative x
     return math.copysign(1.0, g), math.log(abs(g))
 
 

@@ -106,6 +106,13 @@ def test_newton_budget_is_100_iterations():
     assert all(complex(z).imag == 0.0 and z > 0 for z in seen)
 
 
+def test_condition_beyond_the_gamma_range_is_a_solve_error():
+    # 1/Gamma(-200.5) is no finite double (math.gamma(-200.5) is -0.0), so
+    # the branch-point term cannot be evaluated
+    with pytest.raises(SolveError):
+        solve_condition(0, 200.5, "full")
+
+
 def test_newton_on_the_real_part_stays_on_the_axis():
     # a real condition from a complex seed on the axis never leaves it, and
     # lands on the root solve_condition reports

@@ -103,6 +103,21 @@ def test_quartic_dataset_closeoff_column(tmp_path):
                                 rel_tol=1e-5)
 
 
+def test_real_roots_print_a_positive_zero(tmp_path):
+    # a real root's imaginary part may carry the sign of a -0.0; the
+    # datasets print it as 0 in CSV and 0.0 in JSON
+    for args in (["quartic", "--range", "0:1", "--step", "0.5", "--emax", "12"],
+                 ["eigen", "--p", "3", "--n", "2", "--method", "full"]):
+        c, j = tmp_path / "d.csv", tmp_path / "d.json"
+        assert main(args + ["--out", str(c)]) == 0
+        assert main(args + ["--format", "json", "--out", str(j)]) == 0
+        lines = c.read_text().strip().splitlines()
+        assert all("-0" not in line.split(",") for line in lines[1:])
+        for row in json.loads(j.read_text())["rows"]:
+            assert not any(isinstance(v, float) and v == 0.0
+                           and math.copysign(1.0, v) < 0 for v in row.values())
+
+
 def test_quartic_ladder_continues_past_folded_pair(tmp_path):
     # at A = 3.25 the two lowest modes form a complex pair; the real modes
     # above it are still listed, each once

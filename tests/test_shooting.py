@@ -304,6 +304,15 @@ def test_muller_step_rejects_coincident_iterates():
             _muller_step(pts)
 
 
+def test_merging_quartic_turning_points_are_a_shooting_error():
+    # E = -(A / (4 3^(-3/4)))^(4/3) at A = 1 rescales the coupling onto
+    # a = -1.24081(1 + i), where two quartic turning points meet; a secant
+    # step landing there must end in ShootingError, which the polish and
+    # the scan catch, not in the tracer's TraceError
+    with pytest.raises(ShootingError, match="turning points meet"):
+        mismatch(-0.47247039371057753, ModelSpec.quartic(1.0))
+
+
 def test_pt_reality_unbroken():
     model = ModelSpec.power_law(2.5)
     recs = scan_spectrum(model, 8.0, ShootConfig(rtol=1e-9), step=0.4)
@@ -327,8 +336,7 @@ def test_broken_region_real_count_shrinks():
     cfg = ShootConfig(r_max=6.0, rtol=1e-8)
     reals = {}
     for p in (1.8, 1.2):
-        recs = scan_spectrum(ModelSpec.power_law(p), 12.0, cfg, step=0.4,
-                             complex_seeds=False)
+        recs = scan_spectrum(ModelSpec.power_law(p), 12.0, cfg, step=0.4)
         reals[p] = [r.E.real for r in recs if abs(r.E.imag) < 1e-6]
     assert len(reals[1.2]) < len(reals[1.8])
     assert len(reals[1.8]) >= 5

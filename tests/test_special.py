@@ -4,32 +4,7 @@ import math
 import pytest
 
 from ptspec._quadrature import SqrtTracker
-from ptspec.special import (BranchAmbiguityError, GammaPoleError, gamma_real,
-                            principal_power, recip_gamma)
-
-
-def test_gamma_known_values():
-    assert abs(gamma_real(0.5) - math.sqrt(math.pi)) < 1e-12
-    assert abs(gamma_real(4.0) - 6.0) < 1e-11
-    # reflection-formula oracle for the negative argument
-    oracle = math.pi / (math.sin(-2.5 * math.pi) * math.gamma(3.5))
-    assert abs(gamma_real(-2.5) - oracle) < 1e-12
-    assert abs(gamma_real(-2.5) - (-0.9453087205)) < 1e-9
-
-
-def test_gamma_matches_library_over_range():
-    x = -29.75
-    while x <= 30.0:
-        if x > 0 or x != math.floor(x):
-            ref = math.gamma(x)
-            assert abs(gamma_real(x) - ref) <= 1e-12 * abs(ref), x
-        x += 0.25
-
-
-def test_gamma_pole_raises():
-    for x in (0.0, -1.0, -7.0):
-        with pytest.raises(GammaPoleError):
-            gamma_real(x)
+from ptspec.special import BranchAmbiguityError, principal_power, recip_gamma
 
 
 def test_recip_gamma_total():
@@ -43,19 +18,16 @@ def test_recip_gamma_inverse_property():
     x = -9.9
     while x <= 10.0:
         if x != math.floor(x):
-            assert abs(recip_gamma(x) * gamma_real(x) - 1.0) < 1e-12
+            assert abs(recip_gamma(x) * math.gamma(x) - 1.0) < 1e-12
         x += 0.2
 
 
-def test_gamma_duplication_identity():
-    # Gamma(2x) = Gamma(x) Gamma(x+1/2) 2^(2x-1) / sqrt(pi)
-    x = 0.3
-    while x <= 12.0:
-        lhs = gamma_real(2 * x)
-        rhs = (gamma_real(x) * gamma_real(x + 0.5)
-               * 2.0 ** (2 * x - 1) / math.sqrt(math.pi))
-        assert abs(lhs - rhs) <= 1e-11 * abs(rhs), x
-        x += 0.7
+def test_recip_gamma_raises_where_it_is_not_a_finite_double():
+    # math.gamma(-200.5) underflows to -0.0; math.gamma(200.0) overflows
+    assert math.gamma(-200.5) == 0.0
+    for x in (-200.5, 200.0):
+        with pytest.raises(OverflowError):
+            recip_gamma(x)
 
 
 def test_principal_power_values():
