@@ -95,6 +95,27 @@ def _sqrt_end_points(a: float, order: int):
     return [(1.0 - u, w) for u, w in reversed(_sqrt_start_points(1.0 - a, order))]
 
 
+@lru_cache(maxsize=32)
+def _segment_points(order: int, singular_start: bool, singular_end: bool):
+    """Gauss points/weights on [0, 1] for one segment, in traversal order.
+
+    A singular end maps the adjacent _SING_FRACTION of the segment through
+    the square-root substitution; the rest is plain Gauss-Legendre.
+    """
+    pieces = []
+    lo = 0.0
+    if singular_start:
+        pieces += _sqrt_start_points(_SING_FRACTION, order)
+        lo = _SING_FRACTION
+    if singular_end:
+        hi = 1.0 - _SING_FRACTION
+        pieces += _plain_points(lo, hi, order)
+        pieces += _sqrt_end_points(hi, order)
+    else:
+        pieces += _plain_points(lo, 1.0, order)
+    return tuple(pieces)
+
+
 def sqrt_path_integral(
     q: Callable[[complex], complex],
     nodes: Sequence[complex],
@@ -116,7 +137,7 @@ def sqrt_path_integral(
     if len(nodes) < 2:
         raise ValueError("path needs at least two nodes")
     total = 0j
-    tracker: SqrtTracker | None = None
+    take = None
     first_val: complex | None = None
     last_seg = len(nodes) - 2
     for i in range(len(nodes) - 1):
@@ -124,30 +145,20 @@ def sqrt_path_integral(
         d = z1 - z0
         if d == 0:
             raise ValueError("consecutive path nodes coincide")
-        pieces = []
-        lo = 0.0
-        if singular_start and i == 0:
-            pieces.append(_sqrt_start_points(_SING_FRACTION, order))
-            lo = _SING_FRACTION
-        if singular_end and i == last_seg:
-            hi = 1.0 - _SING_FRACTION
-            pieces.append(_plain_points(lo, hi, order))
-            pieces.append(_sqrt_end_points(hi, order))
-        else:
-            pieces.append(_plain_points(lo, 1.0, order))
         acc = 0j
-        for piece in pieces:
-            for u, wu in piece:
-                qv = q(z0 + u * d)
-                if tracker is None:
-                    s = cmath.sqrt(qv)
-                    if seed is not None and abs(s - seed) > abs(s + seed):
-                        s = -s
-                    tracker = SqrtTracker(s)
-                    first_val = s
-                else:
-                    s = tracker.take(qv)
-                acc += wu * s
+        for u, wu in _segment_points(order, singular_start and i == 0,
+                                     singular_end and i == last_seg):
+            qv = q(z0 + u * d)
+            if take is None:
+                s = cmath.sqrt(qv)
+                if seed is not None and abs(s - seed) > abs(s + seed):
+                    s = -s
+                tracker = SqrtTracker(s)
+                take = tracker.take
+                first_val = s
+            else:
+                s = take(qv)
+            acc += wu * s
         total += acc * d
-    assert tracker is not None and first_val is not None
+    assert take is not None and first_val is not None
     return total, first_val, tracker.last

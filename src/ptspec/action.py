@@ -114,23 +114,16 @@ def _quartic_end_action(a: complex, end: str) -> complex:
     the integrand is fixed at a = 0 by the requirement Im(U + iV) > 0 (i.e.
     V(0) = +0.874..., not its negative) and carried to other couplings
     along the coupling walk that also labels the turning points
-    (geometry._quartic_walk), whose steps are small enough that the
-    midpoint sample never jumps branch.
+    (geometry._quartic_walk), whose legs are small enough that the midpoint
+    sample never jumps branch.  The walk memoises the roots and seeds at
+    its fixed waypoints, so a call costs one leg from the nearest waypoint
+    plus two quadratures.
     """
-    seed = None
-    for ak, roots in _quartic_walk(a):
-        z_c, z_e = roots.z_c, getattr(roots, end)
-        mid = 0.5 * (z_c + z_e)
-        model = ModelSpec.quartic(ak)
-        s = model.q(mid) ** 0.5
-        if seed is None:
-            # Calibration at a = 0: the -principal branch yields V > 0.
-            seed = -s
-        elif abs(s - seed) > abs(s + seed):
-            seed = -s
-        else:
-            seed = s
-    q = model.q_callable()
+    wp = _quartic_walk(a)
+    z_c, z_e = wp.roots.z_c, getattr(wp.roots, end)
+    seed = wp.seed_a if end == "z_a" else wp.seed_b
+    mid = 0.5 * (z_c + z_e)
+    q = ModelSpec.quartic(wp.a).q_callable()
     to_e, _, _ = sqrt_path_integral(q, [mid, z_e], order=DEFAULT_ORDER,
                                     seed=seed, singular_end=True)
     to_c, _, _ = sqrt_path_integral(q, [mid, z_c], order=DEFAULT_ORDER,
@@ -146,6 +139,8 @@ def quartic_action(a: complex) -> complex:
     by the square-root substitution; U decreases and V falls monotonically
     from V(0) ~ 0.874 through zero at the critical coupling.  Accepts
     complex a (analytic continuation) for continuation past branch merges.
+    The turning points come from the memoised coupling walk: one leg from
+    the nearest fixed waypoint, so the result depends on a alone.
     """
     return _quartic_end_action(a, "z_a")
 

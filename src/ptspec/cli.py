@@ -186,7 +186,7 @@ def cmd_stokes(args) -> int:
             for r in (0.0, 8.0):
                 z = r * cmath.exp(1j * th)
                 rows.append({"origin_re": 0.0, "origin_im": 0.0,
-                             "z_re": z.real, "z_im": z.imag,
+                             "z_re": z.real + 0.0, "z_im": z.imag + 0.0,
                              "rechi": 0.0, "imchi": 0.0, "kind": label})
     else:
         model = ModelSpec.quartic(args.A)

@@ -166,38 +166,95 @@ class QuarticRoots:
         return (self.z_a, self.z_b, self.z_c, self.z_d)
 
 
-def _quartic_walk(a: complex):
-    """Labelled turning points along the straight coupling walk from 0 to a.
+#: Spacing of the fixed coupling waypoints of the quartic walk.
+_WAYPOINT_STEP = 0.2
+#: Waypoints memoised per real direction: |a| up to 0.2 * 63 = 12.6.
+_WAYPOINT_MEMO_LEN = 64
 
-    Yields (a_k, QuarticRoots) for a_k = a k / steps, k = 0..steps, with
-    steps = int(|a| / 0.2) + 1.  The walk starts from the a = 0 roots
-    (1, -1, -i, i) and Newton-polishes each root of z^4 + i a_k z - 1 from
-    its value at the previous step, so every label is carried by continuity.
-    Two roots meet only at |a| = 4 * 3^(-3/4) with arg a = +-pi/4, +-3pi/4,
-    so along real a the labels are the sorted ones of QuarticRoots.  A step
-    on which two roots meet raises TraceError: continuity cannot tell their
-    labels apart there.
+
+@dataclass(frozen=True)
+class _Waypoint:
+    """Labelled turning points at coupling a, with the action's branch seeds.
+
+    seed_a and seed_b orient sqrt(q) at the midpoints of z_C -> z_A and
+    z_C -> z_B, where action._quartic_end_action starts its quadrature.
+    """
+
+    a: complex
+    roots: QuarticRoots
+    seed_a: complex
+    seed_b: complex
+
+
+def _polish_turning_point(z: complex, ia: complex) -> complex:
+    """Newton-polish z toward a root of z^4 + ia z - 1 (ia = i a)."""
+    for _ in range(50):
+        dz = (z * (z * z * z + ia) - 1.0) / (4.0 * z * z * z + ia)
+        z -= dz
+        if abs(dz) < 1e-14:
+            break
+    return z
+
+
+def _walk_leg(start: _Waypoint, a: complex) -> _Waypoint:
+    """Carry the labelled roots and seeds of start straight on to coupling a.
+
+    Each root is polished from its value at start and each seed takes the
+    sign nearest its value there, so labels and branches are carried by
+    continuity.  A leg on which two roots meet raises TraceError:
+    continuity cannot tell their labels apart there.
+    """
+    ia = 1j * a
+    roots = [_polish_turning_point(z, ia) for z in start.roots.all]
+    for z in roots:
+        if abs(z * (z * z * z + ia) - 1.0) > 1e-12:
+            raise TraceError(f"turning point polish failed at a = {a:.6g}")
+    if min(abs(u - v) for u, v in combinations(roots, 2)) < 1e-6:
+        raise TraceError(f"two turning points meet near a = {a:.6g}")
+    z_a, z_b, z_c, _ = roots
+    q = ModelSpec.quartic(a).q_callable()
+    seeds = [SqrtTracker(prev).take(q(0.5 * (z_c + z_e)))
+             for z_e, prev in ((z_a, start.seed_a), (z_b, start.seed_b))]
+    return _Waypoint(a, QuarticRoots(*roots), *seeds)
+
+
+# At a = 0, q = 5/4 at both midpoints; seeds of -1 pick the -principal
+# branch there, which fixes the overall sign of the action by V(0) =
+# +0.874..., not its negative.
+_ORIGIN_WAYPOINT = _Waypoint(0j, QuarticRoots(1 + 0j, -1 + 0j, -1j, 1j),
+                             -1 + 0j, -1 + 0j)
+#: Waypoint chains of the two real directions, filled lazily from a = 0.
+_WAYPOINT_MEMO = {1.0: [_ORIGIN_WAYPOINT], -1.0: [_ORIGIN_WAYPOINT]}
+
+
+def _quartic_walk(a: complex) -> _Waypoint:
+    """Labelled turning points and action seeds at a, walked from a = 0.
+
+    The walk runs the straight ray from 0 to a through the fixed waypoints
+    a_k = 0.2 k a/|a|, k = 0..floor(|a|/0.2), then to a itself, and carries
+    each root of z^4 + i a z - 1 and each seed by continuity (_walk_leg).
+    No leg is longer than 0.2.  For real a the waypoints are memoised per
+    direction up to a fixed bound, so one call polishes one leg, waypoint
+    -> a; a complex a walks its own ray uncached.  Each waypoint follows
+    from its predecessor alone, so the result is the same whatever the
+    memo holds.  Two roots meet only at |a| = 4 * 3^(-3/4) with arg a =
+    +-pi/4, +-3pi/4, so along real a the labels are the sorted ones of
+    QuarticRoots; a walk through such a meeting raises TraceError.
     """
     a = complex(a)
-    steps = max(1, int(abs(a) / 0.2) + 1)
-    roots = (1 + 0j, -1 + 0j, -1j, 1j)
-    for k in range(steps + 1):
-        ak = a * (k / steps)
-        ia = 1j * ak
-        polished = []
-        for z in roots:
-            for _ in range(50):
-                dz = (z * (z * z * z + ia) - 1.0) / (4.0 * z * z * z + ia)
-                z -= dz
-                if abs(dz) < 1e-14:
-                    break
-            if abs(z * (z * z * z + ia) - 1.0) > 1e-12:
-                raise TraceError(f"turning point polish failed at a = {ak:.6g}")
-            polished.append(z)
-        if min(abs(u - v) for u, v in combinations(polished, 2)) < 1e-6:
-            raise TraceError(f"two turning points meet near a = {ak:.6g}")
-        roots = tuple(polished)
-        yield ak, QuarticRoots(*roots)
+    size = abs(a)
+    direction = a / size if size else 1 + 0j
+    chain = _WAYPOINT_MEMO.get(direction) or [_ORIGIN_WAYPOINT]
+    last = int(size / _WAYPOINT_STEP)
+    k = min(last, len(chain) - 1)
+    wp = chain[k]
+    while k < last:
+        k += 1
+        wp = _walk_leg(wp, _WAYPOINT_STEP * k * direction)
+        if k < _WAYPOINT_MEMO_LEN:
+            # One atomic store: a waypoint is the same whoever computes it.
+            chain[k:k + 1] = [wp]
+    return wp if wp.a == a else _walk_leg(wp, a)
 
 
 def quartic_turning_points(a: complex) -> QuarticRoots:
@@ -206,12 +263,11 @@ def quartic_turning_points(a: complex) -> QuarticRoots:
     For real a >= 0 two roots sit on the imaginary axis: z_c below, z_d
     above; the other two share an imaginary part, z_a to the right of the
     axis and z_b to the left.  Every label is carried by continuity along
-    the straight coupling walk from 0 to a (_quartic_walk), the one walk
-    the quartic action also takes.
+    the straight coupling walk from 0 to a (_quartic_walk, the one walk the
+    quartic action also takes): from the memoised waypoint nearest below
+    |a|, one polished leg per call.
     """
-    for _, roots in _quartic_walk(a):
-        pass
-    return roots
+    return _quartic_walk(a).roots
 
 
 @dataclass
@@ -342,15 +398,18 @@ def _trace(model: ModelSpec, origin: complex, theta: float, hold_imag: bool,
     The predictor moves chi by h (Stokes line, chi oriented so Re chi >= 0)
     or by +-i h (matching path, sign chosen so the first step points along
     theta); a transverse Newton corrector then restores the held part of
-    chi to within _HOLD_TOL.  The step is relative, h = min(_H_CAP max(1,
-    |chi|), 0.1 |chi'/chi''|): away from the turning points |chi| grows by
-    at most a fraction _H_CAP per step, so a line takes O(log |chi|) points,
-    not O(|chi|), to reach _ESCAPE_RADIUS.  With a target the trace stops
-    "target" near it, otherwise "singularity" at a zero of q, including one
-    the next step would overshoot.  A step that crosses the cut ends the
-    trace "cut": the step is kept if its chord crosses, dropped if only a
-    corrector leg went across and back (chi after it would be on the other
-    sheet).
+    chi to within _HOLD_TOL.  The step in chi is relative, h = min(_H_CAP
+    max(1, |chi|), 0.1 |chi'| |chi'/chi''|): away from the turning points
+    |chi| grows by at most a fraction _H_CAP per step, so a line takes
+    O(log |chi|) points, not O(|chi|), to reach _ESCAPE_RADIUS, and the
+    step in z, |dz| = h/|chi'|, is at most 0.1 of the local length scale
+    |chi'/chi''| = 2 |q/q'|.  Near a simple zero z* of q that is about
+    0.2 |z - z*|, so a line closes in on a turning point geometrically
+    rather than step across it.  With a target the trace stops "target"
+    near it, otherwise "singularity" at a zero of q.  A step that crosses
+    the cut ends the trace "cut": the step is kept if its chord crosses,
+    dropped if only a corrector leg went across and back (chi after it
+    would be on the other sheet).
     """
     q = model.q_callable()
     dq = model.dq
@@ -378,17 +437,11 @@ def _trace(model: ModelSpec, origin: complex, theta: float, hold_imag: bool,
             return trace
         sq = tracker.take(qv)
         chi_p = 2j * sq
-        dqv = dq(z)
-        curv = abs(dqv) / (2.0 * abs(qv))
+        curv = abs(dq(z)) / (2.0 * abs(qv))
         h = _H_CAP * max(1.0, abs(chi))
         if curv != 0.0:
-            h = min(h, 0.1 / curv)
+            h = min(h, 0.1 * abs(chi_p) / curv)
         dz = turn * h / chi_p
-        # Longer than half the Newton distance |q/q'| and heading for that
-        # zero of q: the step would run through a turning point.
-        if curv * abs(dz) > 0.25 and (dz * (qv / dqv).conjugate()).real < 0.0:
-            trace.terminated = "singularity"
-            return trace
         step_tracker = SqrtTracker(tracker.last)
         z_new, chi_new = _advance(q, z, chi, step_tracker, dz)
         legs = [z, z_new]
@@ -431,9 +484,10 @@ def trace_stokes_line(origin: complex, model: ModelSpec, seed_direction: float,
 
     Predictor dz = h / chi'(z) keeps the chi increment real positive;
     a transverse Newton corrector restores |Im chi| <= 1e-10 after each
-    step.  The step h = min(0.01 max(1, |chi|), 0.1 |chi'/chi''|) is at
-    most 1% of max(1, |chi|), so the point count grows with log |chi|, and
-    it shrinks automatically near turning points.  Stops on |z| > 8, on the
+    step.  The step h = min(0.01 max(1, |chi|), 0.1 |chi'| |chi'/chi''|)
+    is at most 1% of max(1, |chi|), so the point count grows with log
+    |chi|, and the z-step h/|chi'| is at most 0.1 |chi'/chi''|, so it
+    shrinks automatically near turning points.  Stops on |z| > 8, on the
     arclength budget, on hitting the branch-cut ray (the crossing step is
     kept so cut tests see it), or on running into another singularity;
     raises TraceError after 500,000 steps.

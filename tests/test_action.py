@@ -4,11 +4,14 @@ import math
 import numpy as np
 import pytest
 
+from ptspec import geometry
+from ptspec._quadrature import sqrt_path_integral
 from ptspec.action import (action_between, action_scale,
                            action_to_turning_points, quartic_action,
                            quartic_critical_a, singulant,
                            _quartic_end_action)
-from ptspec.geometry import ModelSpec, turning_points
+from ptspec.geometry import ModelSpec, quartic_turning_points, turning_points
+from ptspec.special import BranchAmbiguityError
 
 PI = math.pi
 
@@ -137,6 +140,50 @@ def test_quartic_z_b_action_mirrors_z_a_at_real_coupling():
     for a in (0.0, 0.3, 0.9, 1.2, 1.7, 2.5, 3.3, 4.0):
         w_b = _quartic_end_action(a, "z_b")
         assert abs(w_b + quartic_action(a).conjugate()) <= 1e-14, a
+
+
+def test_quartic_action_is_a_pure_function_of_the_coupling(monkeypatch):
+    # The coupling walk memoises its waypoints; whatever the memo holds and
+    # whichever coupling came before, each coupling must give the same bits.
+    # 0.2 k are waypoints themselves; 3.45 precedes 3.5 on the same leg.
+    couplings = [0.0, 0.2 * 1, 0.9, 0.2 * 5, 0.2 * 17, 3.45, 3.5, 1.1 + 0.3j]
+
+    def evaluate(a):
+        return (quartic_action(a), _quartic_end_action(a, "z_b"),
+                quartic_turning_points(a))
+
+    cold = {}
+    for a in couplings:
+        origin = geometry._ORIGIN_WAYPOINT
+        monkeypatch.setattr(geometry, "_WAYPOINT_MEMO",
+                            {1.0: [origin], -1.0: [origin]})
+        cold[a] = evaluate(a)
+    for a in reversed(couplings):
+        assert evaluate(a) == cold[a], a
+
+
+def test_warm_quartic_action_polishes_one_leg(monkeypatch):
+    # 3.5 lies 0.1 past the waypoint 3.4: a warm call polishes the four
+    # roots on that one leg, not on every step of the walk from a = 0.
+    quartic_action(3.5)
+    calls = [0]
+    plain = geometry._polish_turning_point
+
+    def counting(z, ia):
+        calls[0] += 1
+        return plain(z, ia)
+
+    monkeypatch.setattr(geometry, "_polish_turning_point", counting)
+    quartic_action(3.5)
+    assert calls[0] == 4
+
+
+@pytest.mark.parametrize("order", [5, 41])
+def test_path_integral_refuses_a_sample_at_a_zero_of_q(order):
+    # An odd Gauss order puts a node at the segment midpoint, here z = 0,
+    # where the sign of sqrt(q) cannot be carried through.
+    with pytest.raises(BranchAmbiguityError):
+        sqrt_path_integral(lambda z: z, [-1.0, 1.0], order=order)
 
 
 def test_quartic_critical_coupling():

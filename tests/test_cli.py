@@ -85,6 +85,15 @@ def test_stokes_dataset_structure(tmp_path):
             assert abs(float(fields[5])) < 1e-7
 
 
+def test_stokes_rows_print_no_negative_zero(tmp_path):
+    # the r = 0 wedge points are 0.0 * exp(i theta), whose parts carry the
+    # signs of cos and sin theta; the dataset prints them as 0
+    out = tmp_path / "s.csv"
+    assert main(["stokes", "--p", "1.3", "--out", str(out)]) == 0
+    lines = out.read_text().strip().splitlines()
+    assert all("-0" not in line.split(",") for line in lines[1:])
+
+
 def test_quartic_dataset_closeoff_column(tmp_path):
     out = tmp_path / "q.csv"
     assert main(["quartic", "--range", "0:1", "--step", "0.5",

@@ -307,7 +307,7 @@ def test_matching_path_residuals_are_re_chi():
 
 def test_stokes_line_points_grow_with_log_chi():
     # |chi| reaches ~340 by |z| = 8 at A = 1; a step relative to |chi| keeps
-    # each line to ~1.5k points, where a fixed chi step took ~34k.
+    # each line to ~700 points, where a fixed chi step took ~34k.
     model = ModelSpec.quartic(1.0)
     escaping = []
     for origin in quartic_turning_points(1.0).all:
@@ -333,3 +333,17 @@ def test_stokes_line_points_grow_with_log_chi():
         assert abs(chi - reported) <= bound, (z1, chi, reported)
         assert abs(chi.imag) <= bound, (z1, chi)
     assert abs(pts[-1]) > 8.0
+
+
+def test_stokes_tracer_z_step_is_a_tenth_of_the_length_scale():
+    # |dz| = h/|chi'| <= 0.1 |chi'/chi''| = 0.2 |q/q'|, which keeps each
+    # escaping line at A = 1 to about 700 points; capping h, a step in chi,
+    # by that length in z shrank the steps by |chi'| (1,489-1,518 points).
+    model = ModelSpec.quartic(1.0)
+    for origin in quartic_turning_points(1.0).all:
+        for d in seed_directions(origin, model):
+            trace = trace_stokes_line(origin, model, d, max_arclen=25.0)
+            assert len(trace.points) <= 1000, (origin, d, len(trace.points))
+            for z0, z1 in zip(trace.points, trace.points[1:]):
+                scale = 2.0 * abs(model.q(z0) / model.dq(z0))
+                assert abs(z1 - z0) <= 0.1 * scale * (1 + 1e-6), (origin, d, z0)
