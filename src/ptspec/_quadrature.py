@@ -123,22 +123,24 @@ def sqrt_path_integral(
     seed: complex | None = None,
     singular_start: bool = False,
     singular_end: bool = False,
-) -> tuple[complex, complex, complex]:
+) -> tuple[complex, complex]:
     """Integral of sqrt(q) along the polyline, sign-continuous throughout.
 
     seed orients the first sample (nearest-sign rule); None takes the
-    principal branch there.  singular_start / singular_end declare a simple
-    zero of q at the first / last path node.
+    principal branch there.  Every sample, the first included, goes through
+    SqrtTracker.take, so one within BRANCH_AMBIGUITY_TOL of a zero of q
+    raises BranchAmbiguityError.  singular_start / singular_end declare a
+    simple zero of q at the first / last path node.
 
-    Returns (integral, first sample, last sample); the samples let callers
-    chain further integrals on the same branch.
+    Returns (integral, last sample); the sample lets callers chain further
+    integrals on the same branch.
     """
     nodes = [complex(z) for z in nodes]
     if len(nodes) < 2:
         raise ValueError("path needs at least two nodes")
+    tracker = SqrtTracker(1.0 if seed is None else seed)  # 1: the principal branch
+    take = tracker.take
     total = 0j
-    take = None
-    first_val: complex | None = None
     last_seg = len(nodes) - 2
     for i in range(len(nodes) - 1):
         z0, z1 = nodes[i], nodes[i + 1]
@@ -148,17 +150,6 @@ def sqrt_path_integral(
         acc = 0j
         for u, wu in _segment_points(order, singular_start and i == 0,
                                      singular_end and i == last_seg):
-            qv = q(z0 + u * d)
-            if take is None:
-                s = cmath.sqrt(qv)
-                if seed is not None and abs(s - seed) > abs(s + seed):
-                    s = -s
-                tracker = SqrtTracker(s)
-                take = tracker.take
-                first_val = s
-            else:
-                s = take(qv)
-            acc += wu * s
+            acc += wu * take(q(z0 + u * d))
         total += acc * d
-    assert take is not None and first_val is not None
-    return total, first_val, tracker.last
+    return total, tracker.last

@@ -64,7 +64,7 @@ def action_between(z0: complex, z1: complex, model: ModelSpec,
         nodes[0] = delta * direction
         if seed is None:
             seed = 1.0 + 0j
-    val, _, _ = sqrt_path_integral(
+    val, _ = sqrt_path_integral(
         model.q_callable(), nodes, order=order, seed=seed,
         singular_start=abs(model.q(nodes[0])) < _ENDPOINT_SINGULAR_TOL,
         singular_end=abs(model.q(nodes[-1])) < _ENDPOINT_SINGULAR_TOL,
@@ -124,10 +124,10 @@ def _quartic_end_action(a: complex, end: str) -> complex:
     seed = wp.seed_a if end == "z_a" else wp.seed_b
     mid = 0.5 * (z_c + z_e)
     q = ModelSpec.quartic(wp.a).q_callable()
-    to_e, _, _ = sqrt_path_integral(q, [mid, z_e], order=DEFAULT_ORDER,
-                                    seed=seed, singular_end=True)
-    to_c, _, _ = sqrt_path_integral(q, [mid, z_c], order=DEFAULT_ORDER,
-                                    seed=seed, singular_end=True)
+    to_e, _ = sqrt_path_integral(q, [mid, z_e], order=DEFAULT_ORDER,
+                                 seed=seed, singular_end=True)
+    to_c, _ = sqrt_path_integral(q, [mid, z_c], order=DEFAULT_ORDER,
+                                 seed=seed, singular_end=True)
     # integral_{z_C}^{z_e} = integral_{mid}^{z_e} - integral_{mid}^{z_C}
     return -(to_e - to_c)
 

@@ -13,14 +13,16 @@ eigenvalues, and the corrected condition carrying the branch-point term
 which stays meaningful for 1 < p < 2 where the extra term takes over and
 the real spectrum terminates.  The quartic oscillator gets the analogous
 three-exponential condition 2 exp(2V/eps) cos(2U/eps) + 1 = 0.  Solvers
-work on an overflow-safe rescaling of these conditions; lowest_branch_path
-continues a real branch in p, and broken_complex_roots collects the
-conjugate pairs that merged branches leave in the complex plane.
+work on an overflow-safe rescaling of these conditions.  condition_spectrum
+lists each root below an energy once, with the conjugates of complex ones;
+lowest_branch_path continues a real branch in p; broken_complex_roots
+collects the pairs that merged branches leave in the complex plane.
 """
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import lru_cache
 
 from .action import (action_scale, action_to_turning_points, quartic_action,
                      quartic_critical_a, action_between,
@@ -43,6 +45,7 @@ __all__ = [
     "solve_quartic",
     "switched_terms",
     "broken_complex_roots",
+    "condition_spectrum",
     "wkb_condition",
     "wkb_eigenvalue",
 ]
@@ -56,8 +59,9 @@ class SolveError(RuntimeError):
 class EigRecord:
     """One eigenvalue observation.
 
-    n is the mode index (ladder position for asymptotic roots, scan order
-    for numeric ones), param the family parameter (p or the quartic
+    n is the mode label (a condition root's seed index, see
+    condition_spectrum; _mode_index for find_eigen; scan_spectrum ranks its
+    real roots by E), param the family parameter (p or the quartic
     coupling), method one of "wkb" / "full" / "numeric", residual the
     absolute value of the (rescaled) condition or Wronskian at the root.
     """
@@ -273,30 +277,60 @@ def solve_condition(n: int, p: float, condition: str = "full",
                      method=condition, residual=res)
 
 
-def count_real_roots(p: float, e_max: float) -> list[float]:
-    """Real eigenvalues E <= e_max of the corrected condition, deduplicated.
+def _off_axis(eps: complex) -> bool:
+    """Whether a condition root has left the real axis."""
+    return abs(eps.imag) > 1e-10 * abs(eps)
 
-    Seeds every ladder index whose classical eigenvalue could fall below
-    e_max, runs Newton on the real part of the condition from each seed (so
-    every iterate is real) and keeps the converged roots.  In the broken
-    region the high seeds find no real root within the Newton budget and
-    are dropped, so the returned list is finite and shrinks as p decreases.
+
+def _same_root(a: complex, b: complex) -> bool:
+    """The duplicate test for condition roots: eps equal to 1e-8 relative."""
+    return abs(a - b) <= 1e-8 * max(abs(a), abs(b))
+
+
+def condition_spectrum(model: ModelSpec, e_max: float,
+                       condition: str = "full") -> list[EigRecord]:
+    """Roots of the condition with Re E <= e_max, each once, ordered by n, Im E.
+
+    Solves seeds n = 0, 1, ... (skipping a SolveError) through the first
+    whose own energy, wkb_eigenvalue or the quartic seed's eps**(-4/3)
+    (model.a is the physical coupling), reaches e_max.  A root reached from
+    several seeds takes the seed nearest its _mode_index (the lower on a
+    tie), any other its own; each complex root comes with its conjugate.
     """
-    n_cap = 3
-    while wkb_eigenvalue(n_cap, p) < 1.6 * e_max + 10 and n_cap < 400:
-        n_cap += 1
-    eps_found: list[float] = []
-    for n in range(n_cap + 1):
+    if model.family == "quartic" and condition != "full":
+        raise ValueError("the quartic has only the full condition")
+    solved, n, seed_e = [], 0, 0.0
+    while seed_e < e_max:
         try:
-            x, _ = _newton_complex(
-                lambda e: _scaled_condition(e, p, "full").real, cosine_seed(n, p))
+            if model.family == "power":
+                seed_e = wkb_eigenvalue(n, model.p)
+                rec = solve_condition(n, model.p, condition)
+            else:
+                seed = _quartic_seed(n, model.a)
+                seed_e = seed ** (-4.0 / 3.0)
+                rec = solve_quartic(n, model.a, seed)
+            if rec.E.real <= e_max * (1.0 + 1e-9):
+                solved.append(rec)
         except SolveError:
-            continue
-        if any(abs(x - u) < 1e-9 * max(1.0, abs(u)) for u in eps_found):
-            continue
-        eps_found.append(x)
-    energies = sorted(eps_to_E(e, p).real for e in eps_found)
-    return [e for e in energies if e <= e_max * (1.0 + 1e-12)]
+            pass
+        n += 1
+    records = []
+    for rec in solved:
+        twins = [r for r in solved if _same_root(r.eps, rec.eps)]
+        if twins[0] is rec:  # the first solve of this root
+            m = _mode_index(rec.eps, model) if twins[1:] else rec.n
+            records.append(min(twins, key=lambda r: (abs(r.n - m), r.n)))
+    records += [replace(r, eps=r.eps.conjugate(), E=r.E.conjugate()) for r in records
+                if _off_axis(r.eps)
+                and not any(_same_root(r.eps.conjugate(), s.eps) for s in records)]
+    return sorted(records, key=lambda r: (r.n, r.E.imag))
+
+
+def count_real_roots(p: float, e_max: float) -> list[float]:
+    """Real eigenvalues E <= e_max of the corrected condition, ascending: the
+    on-axis roots of condition_spectrum, fewer as p falls below 2."""
+    return sorted(r.E.real for r in condition_spectrum(ModelSpec.power_law(p), e_max)
+                  if not _off_axis(r.eps) and r.E.real <= e_max * (1.0 + 1e-12))
 
 
 def broken_complex_roots(p: float) -> list[complex]:
@@ -313,14 +347,11 @@ def broken_complex_roots(p: float) -> list[complex]:
             z = solve_condition(n, p, "full").eps
         except SolveError:
             continue
-        if abs(z.imag) < 1e-10 * abs(z):
-            continue
-        if z.imag < 0:
-            z = z.conjugate()
-        if all(abs(z - u) > 1e-8 * max(1.0, abs(u)) for u in roots):
+        z = z if z.imag > 0 else z.conjugate()
+        if _off_axis(z) and not any(_same_root(z, u) for u in roots):
             roots.append(z)
-        if len(roots) >= 4:
-            break
+            if len(roots) == 4:
+                break
     return roots
 
 
@@ -339,7 +370,7 @@ def lowest_branch_path(deltas: list[float], n: int = 0) -> list[EigRecord]:
             rec = solve_condition(n, 1.0 + d, "full", seed=seed)
         except SolveError:
             break
-        if abs(rec.eps.imag) > 1e-10 * abs(rec.eps):
+        if _off_axis(rec.eps):
             break
         seed = rec.eps.real
         records.append(rec)
@@ -409,22 +440,30 @@ def quartic_condition(eps: complex, A: float) -> complex:
     return sum(terms) / scale
 
 
+@lru_cache(maxsize=1)
+def _quartic_phase_at_zero() -> float:
+    return _quartic_phase(0.0)
+
+
+def _quartic_seed(n: int, A: float) -> float:
+    """eps of the rule 2U(A eps)/eps = (n + 1/2) pi (the one _mode_index
+    inverts), iterated 7 times from a = 0, whose phase is computed once."""
+    seed = _quartic_phase_at_zero() / ((n + 0.5) * math.pi)
+    for _ in range(6):
+        seed = _quartic_phase(A * seed) / ((n + 0.5) * math.pi)
+    return seed
+
+
 def solve_quartic(n: int, A: float, seed: complex | None = None) -> EigRecord:
     """Root of the quartic condition for mode n at physical coupling A.
 
-    Unless a seed is given, the seed is iterated from the half-integer rule
-    2U(A eps)/eps = (n + 1/2) pi, the rule _mode_index inverts.  The real
-    search is a Newton descent on |f| (see _seeded_root).  At a fold, where
-    the root has merged with its neighbour and left the real axis, the
-    search stalls at the local minimum of |f| between the two vanished
-    roots instead of jumping to a root of another mode; Newton on the
-    complex condition then starts from the quadratic model of f at that
-    point, and the record holds one member of the conjugate pair.
+    Seeds from _quartic_seed unless given.  The real search is a descent on
+    |f|, so at a fold it stalls between the two merged roots rather than
+    jump to another mode's root, and restarts off the axis from the fold
+    model there (see _seeded_root); the record holds one member of the pair.
     """
     if seed is None:
-        seed = 0.0  # the first pass is the rule at a = 0
-        for _ in range(7):
-            seed = _quartic_phase(A * seed) / ((n + 0.5) * math.pi)
+        seed = _quartic_seed(n, A)
     eps, res = _seeded_root(lambda e: quartic_condition(e, A), seed, max_halvings=4)
     return EigRecord(n=n, param=A, eps=eps, E=principal_power(eps, -4.0 / 3.0),
                      method="full", residual=res)

@@ -105,11 +105,11 @@ def _shoot_config(args, **kwargs) -> shooting.ShootConfig:
     return shooting.ShootConfig(**kwargs)
 
 
-def _record_row(rec, method: str) -> dict:
+def _record_row(rec) -> dict:
     return {
         "param": float(rec.param),
         "n": rec.n,
-        "method": method,
+        "method": rec.method,
         "re_E": rec.E.real,
         "im_E": rec.E.imag + 0.0,  # no "-0" for a real root
         "residual": rec.residual,
@@ -125,29 +125,19 @@ def cmd_bifurcation(args) -> int:
     if lo <= 1.0:
         sys.stderr.write("error: p-range must stay above 1\n")
         return USAGE_EXIT
-    rows, warnings = [], 0
+    rows = []
     for p in _grid(lo, hi, args.step):
-        n_cap = 0
-        while asymptotic.wkb_eigenvalue(n_cap, p) < args.emax and n_cap < 200:
-            n_cap += 1
+        model = ModelSpec.power_law(p)
         for method in methods:
             if method == "numeric":
-                cfg = _shoot_config(args)
                 try:
-                    recs = shooting.scan_spectrum(ModelSpec.power_law(p), args.emax, cfg)
+                    recs = shooting.scan_spectrum(model, args.emax, _shoot_config(args))
                 except shooting.ShootingError as exc:
                     sys.stderr.write(f"warning: numeric scan failed at p={p}: {exc}\n")
-                    warnings += 1
                     continue
-                rows.extend(_record_row(r, "numeric") for r in recs)
-                continue
-            for n in range(n_cap + 1):
-                try:
-                    rec = asymptotic.solve_condition(n, p, method)
-                except asymptotic.SolveError:
-                    continue
-                if rec.E.real <= args.emax * (1 + 1e-9):
-                    rows.append(_record_row(rec, method))
+            else:
+                recs = asymptotic.condition_spectrum(model, args.emax, method)
+            rows.extend(_record_row(r) for r in recs)
     if not rows:
         sys.stderr.write("error: no branch produced any root\n")
         return FAILURE_EXIT
@@ -252,31 +242,17 @@ def cmd_quartic(args) -> int:
         return USAGE_EXIT
     rows = []
     for a_phys in _grid(lo, hi, args.step):
-        for n in range(201):
-            try:
-                rec = asymptotic.solve_quartic(n, a_phys)
-            except asymptotic.SolveError:
-                break
-            if rec.E.real > args.emax:
-                break
-            if abs(rec.eps.imag) > 1e-10 * abs(rec.eps):
-                continue  # a folded pair: the modes above it stay real
-            row = _record_row(rec, "full")
-            row["closeoff"] = (asymptotic.quartic_closeoff(a_phys)
-                               if a_phys > 0 else 0.0)
-            rows.append(row)
+        model = ModelSpec.quartic(a_phys)
+        closeoff = asymptotic.quartic_closeoff(a_phys) if a_phys > 0 else 0.0
+        # a folded pair leaves the axis; the modes above it stay real
+        recs = [r for r in asymptotic.condition_spectrum(model, args.emax)
+                if not asymptotic._off_axis(r.eps)]
         if args.numeric:
-            cfg = _shoot_config(args, r_max=5.0)
             try:
-                recs = shooting.scan_spectrum(ModelSpec.quartic(a_phys), args.emax, cfg)
+                recs += shooting.scan_spectrum(model, args.emax, _shoot_config(args, r_max=5.0))
             except shooting.ShootingError as exc:
                 sys.stderr.write(f"warning: scan failed at A={a_phys}: {exc}\n")
-                continue
-            for r in recs:
-                row = _record_row(r, "numeric")
-                row["closeoff"] = (asymptotic.quartic_closeoff(a_phys)
-                                   if a_phys > 0 else 0.0)
-                rows.append(row)
+        rows.extend(dict(_record_row(r), closeoff=closeoff) for r in recs)
     if not rows:
         sys.stderr.write("error: no eigenvalue at or below --emax\n")
         return FAILURE_EXIT
@@ -328,7 +304,7 @@ def cmd_eigen(args) -> int:
         except asymptotic.SolveError as exc:
             sys.stderr.write(f"error: {exc}\n")
             return FAILURE_EXIT
-    _emit([_record_row(rec, rec.method)],
+    _emit([_record_row(rec)],
           ["param", "n", "method", "re_E", "im_E", "residual"], args,
           {"command": "eigen", "p": args.p, "n": args.n, "method": args.method})
     return 0

@@ -325,11 +325,11 @@ def _chi_from_origin(origin: complex, model: ModelSpec, z: complex,
         delta = 0.5 * abs(seg)
         direction = seg / abs(seg)
         head = powerlaw_origin_piece(model.p, direction, delta)
-        val, _, last = sqrt_path_integral(
+        val, last = sqrt_path_integral(
             model.q_callable(), [delta * direction, z], order=order, seed=1.0 + 0j)
         return 2j * (head + val), last
     singular = abs(model.q(origin)) < 1e-8
-    val, _, last = sqrt_path_integral(
+    val, last = sqrt_path_integral(
         model.q_callable(), [origin, z], order=order, singular_start=singular)
     return 2j * val, last
 

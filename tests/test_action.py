@@ -178,10 +178,11 @@ def test_warm_quartic_action_polishes_one_leg(monkeypatch):
     assert calls[0] == 4
 
 
-@pytest.mark.parametrize("order", [5, 41])
+@pytest.mark.parametrize("order", [1, 5, 41])
 def test_path_integral_refuses_a_sample_at_a_zero_of_q(order):
     # An odd Gauss order puts a node at the segment midpoint, here z = 0,
-    # where the sign of sqrt(q) cannot be carried through.
+    # where the sign of sqrt(q) cannot be carried through; at order 1 it is
+    # the first sample, which gets the same check as every later one.
     with pytest.raises(BranchAmbiguityError):
         sqrt_path_integral(lambda z: z, [-1.0, 1.0], order=order)
 

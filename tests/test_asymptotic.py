@@ -9,7 +9,8 @@ from ptspec.action import (action_between, action_scale,
                            quartic_critical_a)
 from ptspec.asymptotic import (SolveError, _mode_index, _newton_complex,
                                _scaled_condition, broken_complex_roots,
-                               corrected_condition, count_real_roots,
+                               condition_spectrum, corrected_condition,
+                               count_real_roots,
                                cosine_seed, delta_estimate, E_to_eps, eps_to_E,
                                lowest_branch_path, quartic_closeoff,
                                quartic_condition, solve_condition,
@@ -141,6 +142,68 @@ def test_record_scaling_invariant():
 def test_count_real_roots_frozen_regression():
     counts = {p: len(count_real_roots(p, 30.0)) for p in (1.9, 1.7, 1.5, 1.3)}
     assert counts == {1.9: 16, 1.7: 9, 1.5: 3, 1.3: 1}
+
+
+def ladder_problems(recs, residual):
+    """The rules a condition spectrum keeps: no root twice (1e-7 relative in
+    E), every complex root with its conjugate, real labels rising with E,
+    and every record a root."""
+    out = []
+    same = lambda a, b: abs(a - b) <= 1e-7 * max(1.0, abs(a))
+    for i, r in enumerate(recs):
+        out += [f"duplicate E={r.E}" for s in recs[i + 1:] if same(r.E, s.E)]
+        if r.E.imag != 0 and not any(same(r.E.conjugate(), s.E) for s in recs):
+            out.append(f"no conjugate of E={r.E}")
+        if not residual(r.eps) <= 1e-12:
+            out.append(f"residual {residual(r.eps):.2e} at E={r.E}")
+    real = sorted((r.n, r.E.real) for r in recs if r.E.imag == 0)
+    out += [f"labels {a} and {b} out of order" for a, b in zip(real, real[1:])
+            if not a[1] < b[1]]
+    return out
+
+
+@settings(deadline=None, max_examples=40)
+@given(p=st.floats(1.05, 5.0), e_max=st.floats(5.0, 30.0))
+def test_condition_spectrum_lists_each_root_once_with_its_conjugate(p, e_max):
+    recs = condition_spectrum(ModelSpec.power_law(p), e_max)
+    assert recs and all(r.E.real <= e_max * (1 + 1e-9) for r in recs)
+    assert ladder_problems(recs, lambda e: abs(_scaled_condition(e, p, "full"))) == []
+
+
+def test_condition_spectrum_labels_a_root_from_several_seeds_by_its_mode():
+    # at A = 3.5 the seeds n = 0, 1, 2 all reach E = 7.6954, the n = 2 mode
+    model = ModelSpec.quartic(3.5)
+    recs = condition_spectrum(model, 20.0)
+    hits = [r for r in recs if abs(r.E - 7.6954) < 1e-3]
+    assert [r.n for r in hits] == [2] == [_mode_index(hits[0].eps, model)]
+    assert ladder_problems(recs, lambda e: abs(quartic_condition(e, 3.5))) == []
+    with pytest.raises(ValueError):
+        condition_spectrum(model, 20.0, "wkb")
+
+
+def real_roots_by_real_newton(p, e_max):
+    """Reference: Newton on the real part of the corrected condition from
+    every cosine seed with wkb_eigenvalue below 1.6 e_max + 10, once each."""
+    found = []
+    n_top = 3
+    while wkb_eigenvalue(n_top, p) < 1.6 * e_max + 10:
+        n_top += 1
+    for n in range(n_top + 1):
+        try:
+            x, _ = _newton_complex(lambda e: _scaled_condition(e, p, "full").real,
+                                   cosine_seed(n, p))
+        except SolveError:
+            continue
+        if not any(abs(x - u) < 1e-9 * max(1.0, abs(u)) for u in found):
+            found.append(x)
+    return sorted(e for e in (eps_to_E(x, p).real for x in found)
+                  if e <= e_max * (1.0 + 1e-12))
+
+
+@pytest.mark.parametrize("p", [1.3, 1.45, 1.55, 1.7, 1.9, 2.5, 4.0])
+def test_count_real_roots_matches_real_newton_from_every_seed(p):
+    for e_max in (12.0, 30.0):
+        assert count_real_roots(p, e_max) == real_roots_by_real_newton(p, e_max)
 
 
 def test_conjugate_closure_of_complex_roots():

@@ -129,15 +129,35 @@ def test_real_roots_print_a_positive_zero(tmp_path):
 
 def test_quartic_ladder_continues_past_folded_pair(tmp_path):
     # at A = 3.25 the two lowest modes form a complex pair; the real modes
-    # above it are still listed, each once
+    # above it are still listed, each once.  At A = 3.5 the seeds n = 0, 1
+    # and 2 all reach the n = 2 root.
     out = tmp_path / "q.csv"
-    assert main(["quartic", "--range", "3:3.25", "--step", "0.25",
+    assert main(["quartic", "--range", "3:3.5", "--step", "0.25",
                  "--emax", "20", "--out", str(out)]) == 0
-    lines = out.read_text().strip().splitlines()
-    re_e = sorted(float(line.split(",")[3]) for line in lines[1:]
-                  if float(line.split(",")[0]) == 3.25)
-    assert all(hi - lo > 1e-6 for lo, hi in zip(re_e, re_e[1:]))
-    assert any(abs(e - 7.6527) < 1e-3 for e in re_e)
+    rows = [line.split(",") for line in out.read_text().strip().splitlines()[1:]]
+    for a in (3.25, 3.5):
+        re_e = sorted(float(r[3]) for r in rows if float(r[0]) == a)
+        assert all(hi - lo > 1e-6 for lo, hi in zip(re_e, re_e[1:]))
+    assert any(abs(float(r[3]) - 7.6527) < 1e-3 for r in rows if r[0] == "3.25")
+    assert [r[1] for r in rows if r[0] == "3.5" and abs(float(r[3]) - 7.6954) < 1e-3] == ["2"]
+
+
+def test_broken_region_rows_are_each_root_once_with_its_conjugate(tmp_path):
+    # 1 < p < 2: the corrected condition carries merged pairs off the axis
+    out = tmp_path / "b.csv"
+    assert main(["bifurcation", "--range", "1.45:1.55", "--step", "0.05",
+                 "--emax", "30", "--method", "full", "--out", str(out)]) == 0
+    rows = [line.split(",") for line in out.read_text().strip().splitlines()[1:]]
+    assert {r[0] for r in rows} == {"1.45", "1.5", "1.55"}
+    for p in {r[0] for r in rows}:
+        spec = [(int(r[1]), complex(float(r[3]), float(r[4]))) for r in rows if r[0] == p]
+        same = lambda a, b: abs(a - b) <= 1e-7 * max(1.0, abs(a))
+        for i, (_, e) in enumerate(spec):
+            assert not any(same(e, f) for _, f in spec[i + 1:]), (p, e)
+            assert e.imag == 0 or any(same(e.conjugate(), f) for _, f in spec), (p, e)
+        real = sorted((n, e.real) for n, e in spec if e.imag == 0)
+        assert all(a[1] < b[1] for a, b in zip(real, real[1:])), (p, real)
+        assert any(e.imag != 0 for _, e in spec)
 
 
 def test_eigen_numeric_rejects_a_neighbouring_mode(capsys):
