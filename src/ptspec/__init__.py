@@ -10,9 +10,9 @@ lines that decide which exponentially small terms switch on.
 
 from .action import (action_between, action_scale, action_to_turning_points,
                      quartic_action, quartic_critical_a, singulant)
-from .asymptotic import (EigRecord, SolveError, broken_complex_roots,
-                         condition_spectrum, corrected_condition,
-                         count_real_roots, delta_estimate, E_to_eps, eps_to_E,
+from .asymptotic import (EigRecord, SolveError, condition_spectrum,
+                         corrected_condition, count_real_roots,
+                         delta_estimate, E_to_eps, eps_to_E,
                          lowest_branch_path, quartic_closeoff,
                          quartic_condition, solve_condition, solve_quartic,
                          switched_terms, wkb_condition, wkb_eigenvalue)

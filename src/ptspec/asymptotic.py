@@ -14,9 +14,9 @@ which stays meaningful for 1 < p < 2 where the extra term takes over and
 the real spectrum terminates.  The quartic oscillator gets the analogous
 three-exponential condition 2 exp(2V/eps) cos(2U/eps) + 1 = 0.  Solvers
 work on an overflow-safe rescaling of these conditions.  condition_spectrum
-lists each root below an energy once, with the conjugates of complex ones;
-lowest_branch_path continues a real branch in p; broken_complex_roots
-collects the pairs that merged branches leave in the complex plane.
+lists each root below an energy once, real roots and the conjugate pairs
+merged branches leave in the complex plane alike; lowest_branch_path
+continues a real branch in p.
 """
 
 import cmath
@@ -44,7 +44,6 @@ __all__ = [
     "solve_condition",
     "solve_quartic",
     "switched_terms",
-    "broken_complex_roots",
     "condition_spectrum",
     "wkb_condition",
     "wkb_eigenvalue",
@@ -140,17 +139,8 @@ def _scaled_condition(eps: complex, p: float, condition: str) -> complex:
     return cmath.cos(y) * cmath.exp(x - l2) - t2 / abs(t2)
 
 
-class _RealStall(SolveError):
-    """A descending real search stalled at x, where |f| = |g| > 0 is a local minimum."""
-
-    def __init__(self, x: float, g: float):
-        super().__init__(f"real search stalled at {x!r} with |f| = {abs(g):.3g}")
-        self.x = x
-        self.g = g
-
-
 def _descend(f, x: float, g: float, step: float, max_halvings: int) -> tuple[float, float]:
-    """x + step, halved until |f| drops below |g|; _RealStall if it never does."""
+    """x + step, halved until |f| drops below |g|; SolveError if it never does."""
     for _ in range(max_halvings + 1):
         xt = x + step
         if xt > 0 and math.isfinite(xt):
@@ -161,7 +151,7 @@ def _descend(f, x: float, g: float, step: float, max_halvings: int) -> tuple[flo
             if abs(gt) < abs(g):
                 return xt, gt
         step *= 0.5
-    raise _RealStall(x, g)
+    raise SolveError(f"real search stalled at {x!r} with |f| = {abs(g):.3g}")
 
 
 def _newton_complex(f, z0: complex, max_halvings: int | None = None) -> tuple[complex, float]:
@@ -172,7 +162,7 @@ def _newton_complex(f, z0: complex, max_halvings: int | None = None) -> tuple[co
     and the complex roots.  Steps are taken as they come unless max_halvings
     is given (real seeds only); then the search is a descent on |f|, halving
     each step at most that many times until it lowers |f|, and raising
-    _RealStall where it cannot.
+    SolveError where it cannot (_seeded_root then restarts off the axis).
     """
     z, g = z0, None
     for _ in range(100):
@@ -199,40 +189,22 @@ def _newton_complex(f, z0: complex, max_halvings: int | None = None) -> tuple[co
     raise SolveError("Newton did not converge")
 
 
-def _fold_seed(f, x: float, g: float) -> complex:
-    """Complex root of the quadratic model of real f about a minimum of |f| at x.
-
-    f(x + d) ~ g + f''(x) d^2 / 2 vanishes at d = +- i sqrt(2 |g / f''|) when
-    g and f'' share a sign, as they do where two real roots have merged.
-    """
-    h = 1e-3 * x
-    d2 = (f(x + h) - 2.0 * g + f(x - h)) / (h * h)
-    if d2 == 0 or not math.isfinite(d2):
-        return complex(x, 0.05 * x)
-    return complex(x, math.sqrt(2.0 * abs(g / d2)))
-
-
 def _seeded_root(f, seed: complex, max_halvings: int | None = None) -> tuple[complex, float]:
     """Root of the scaled condition f near seed, and |f| there.
 
     A complex seed goes straight to Newton on f.  A real seed first runs
     the same Newton on the real part of f, which stays on the real axis (a
     descent on |f| if max_halvings is given); where that fails the root has
-    left the axis, and Newton on f starts from the fold model at the stall
-    point, else from seed (1 + 0.05i).
+    left the axis, and Newton on f restarts from seed (1 + 0.05i).
     """
     seed = complex(seed)
     if abs(seed.imag) >= 1e-14:
         return _newton_complex(f, seed)
-    f_real = lambda e: f(e).real
     try:
-        x, res = _newton_complex(f_real, seed.real, max_halvings)
+        x, res = _newton_complex(lambda e: f(e).real, seed.real, max_halvings)
         return complex(x), res
-    except _RealStall as stall:
-        start = _fold_seed(f_real, stall.x, stall.g)
     except SolveError:
-        start = seed * (1.0 + 0.05j)
-    return _newton_complex(f, start)
+        return _newton_complex(f, seed * (1.0 + 0.05j))
 
 
 def _power_phase(p: float) -> float:
@@ -270,6 +242,8 @@ def solve_condition(n: int, p: float, condition: str = "full",
     """
     if condition not in ("wkb", "full"):
         raise ValueError("condition must be 'wkb' or 'full'")
+    if n < 0 or not p > 1.0:
+        raise ValueError("solve_condition needs a mode index n >= 0 and p > 1")
     if seed is None:
         seed = cosine_seed(n, p)
     eps, res = _seeded_root(lambda e: _scaled_condition(e, p, condition), seed)
@@ -331,28 +305,6 @@ def count_real_roots(p: float, e_max: float) -> list[float]:
     on-axis roots of condition_spectrum, fewer as p falls below 2."""
     return sorted(r.E.real for r in condition_spectrum(ModelSpec.power_law(p), e_max)
                   if not _off_axis(r.eps) and r.E.real <= e_max * (1.0 + 1e-12))
-
-
-def broken_complex_roots(p: float) -> list[complex]:
-    """Complex eps roots of the corrected condition from merged ladder seeds.
-
-    Walks the ladder seeds n = 0..60 upward and keeps the solve_condition
-    roots that lie off the real axis (indices whose real root has merged
-    away).  Stops after four distinct roots (normalised to the upper half
-    plane).
-    """
-    roots: list[complex] = []
-    for n in range(61):
-        try:
-            z = solve_condition(n, p, "full").eps
-        except SolveError:
-            continue
-        z = z if z.imag > 0 else z.conjugate()
-        if _off_axis(z) and not any(_same_root(z, u) for u in roots):
-            roots.append(z)
-            if len(roots) == 4:
-                break
-    return roots
 
 
 def lowest_branch_path(deltas: list[float], n: int = 0) -> list[EigRecord]:
@@ -459,9 +411,11 @@ def solve_quartic(n: int, A: float, seed: complex | None = None) -> EigRecord:
 
     Seeds from _quartic_seed unless given.  The real search is a descent on
     |f|, so at a fold it stalls between the two merged roots rather than
-    jump to another mode's root, and restarts off the axis from the fold
-    model there (see _seeded_root); the record holds one member of the pair.
+    jump to another mode's root, and restarts off the axis from the seed
+    (see _seeded_root); the record holds one member of the pair.
     """
+    if n < 0:
+        raise ValueError("mode index must be >= 0")
     if seed is None:
         seed = _quartic_seed(n, A)
     eps, res = _seeded_root(lambda e: quartic_condition(e, A), seed, max_halvings=4)

@@ -58,11 +58,11 @@ class TraceError(RuntimeError):
 class ModelSpec:
     """Which oscillator family.
 
-    family "power" is the eigenproblem -eps^2 f'' - (i z)^p f = f with real
-    exponent p >= 1; family "quartic" is -eps^2 f'' + (z^4 + i a z) f = f
-    with scaled coupling a (shooting interprets the coupling as the physical
-    one and rescales per eigenvalue, see shooting module docs).  The branch
-    cut of (i z)^p is fixed on the positive imaginary axis.
+    family "power" is the eigenproblem -eps^2 f'' - (i z)^p f = f with finite
+    real exponent p >= 1; family "quartic" is -eps^2 f'' + (z^4 + i a z) f = f
+    with finite scaled coupling a (shooting interprets the coupling as the
+    physical one and rescales per eigenvalue, see shooting module docs).  The
+    branch cut of (i z)^p is fixed on the positive imaginary axis.
     """
 
     family: str
@@ -71,11 +71,11 @@ class ModelSpec:
 
     def __post_init__(self):
         if self.family == "power":
-            if self.p is None or self.p < 1.0:
-                raise ValueError("power-law family needs real p >= 1")
+            if self.p is None or not math.isfinite(self.p) or self.p < 1.0:
+                raise ValueError("power-law family needs finite real p >= 1")
         elif self.family == "quartic":
-            if self.a is None:
-                raise ValueError("quartic family needs a coupling")
+            if self.a is None or not cmath.isfinite(self.a):
+                raise ValueError("quartic family needs a finite coupling")
             if isinstance(self.a, (int, float)) and self.a < 0:
                 raise ValueError("quartic coupling must be >= 0")
         else:

@@ -30,7 +30,7 @@ import cmath
 import math
 from dataclasses import dataclass
 
-from .asymptotic import EigRecord, _mode_index, broken_complex_roots, eps_to_E
+from .asymptotic import EigRecord, _mode_index, _off_axis, condition_spectrum
 from .geometry import (ModelSpec, TraceError, path_crosses_cut,
                        quartic_turning_points, turning_points, wedge_angles)
 from .special import principal_power
@@ -483,10 +483,11 @@ def scan_spectrum(model: ModelSpec, E_max: float, cfg: ShootConfig | None = None
 
     Scans |W| on a real-E grid fine enough to separate harmonic-scale
     spacing, refines each local minimum, and (for the broken power-law
-    region) additionally polishes complex seeds taken from the corrected
-    condition.  Each complex root is polished once and its conjugate added
-    alongside it, an exact pair with the same residual.  Real records are
-    ordered and indexed by position.
+    region) additionally polishes the complex roots that
+    condition_spectrum(model, E_max) lists in the upper half plane, one
+    seed per conjugate pair.  Each complex root is polished once and its
+    conjugate added alongside it, an exact pair with the same residual.
+    Real records are ordered and indexed by position.
     """
     cfg = cfg or ShootConfig()
     grid = []
@@ -524,8 +525,10 @@ def scan_spectrum(model: ModelSpec, E_max: float, cfg: ShootConfig | None = None
         if logw[i] < lo and logw[i] < hi:
             try_seed(grid[i])
     if model.family == "power" and model.p < 2.0:
-        for eps_root in broken_complex_roots(model.p):
-            rec = try_seed(eps_to_E(eps_root, model.p))
+        for root in condition_spectrum(model, E_max):
+            if not (_off_axis(root.eps) and root.eps.imag > 0):
+                continue
+            rec = try_seed(root.E)
             if rec is not None:
                 # W(conj E) = conj W(E), so the conjugate seed would polish
                 # to the conjugate root with the same residual

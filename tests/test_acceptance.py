@@ -15,7 +15,7 @@ import time
 
 from ptspec.action import (action_between, action_to_turning_points,
                            quartic_action, quartic_critical_a)
-from ptspec.asymptotic import (broken_complex_roots, count_real_roots,
+from ptspec.asymptotic import (_off_axis, condition_spectrum, count_real_roots,
                                delta_estimate, lowest_branch_path,
                                solve_condition, solve_quartic, wkb_eigenvalue)
 from ptspec.geometry import (ModelSpec, path_crosses_cut, seed_directions,
@@ -103,18 +103,25 @@ def test_criterion_06_broken_region_structure():
     frozen = {1.9: 16, 1.7: 9, 1.5: 3, 1.3: 1}
     counts = {}
     conj_dev = 0.0
+    checked = {}
     for p in (1.9, 1.7, 1.5, 1.3):
         counts[p] = len(count_real_roots(p, 30.0))
-        for z in broken_complex_roots(p)[:2]:
+        # p = 1.9 lists its first complex roots only above E = 30
+        upper = [r.eps for r in condition_spectrum(ModelSpec.power_law(p), 100.0)
+                 if _off_axis(r.eps) and r.eps.imag > 0]
+        checked[p] = len(upper[:2])
+        for z in upper[:2]:
             rec = solve_condition(0, p, "full", seed=z.conjugate())
             conj_dev = max(conj_dev, abs(rec.eps - z.conjugate()) / abs(z))
     ordered = [counts[p] for p in (1.9, 1.7, 1.5, 1.3)]
     elapsed = time.time() - t0
     ok = (counts == frozen
           and all(b <= a for a, b in zip(ordered, ordered[1:]))
+          and all(k == 2 for k in checked.values())
           and conj_dev <= 1e-9 and elapsed < 30.0)
     assert _report(6, ok, f"counts={ordered} (frozen {list(frozen.values())}), "
-                          f"conjugacy dev={conj_dev:.1e}, {elapsed:.1f}s")
+                          f"conjugacy dev={conj_dev:.1e} over "
+                          f"{sum(checked.values())} roots, {elapsed:.1f}s")
 
 
 def test_criterion_07_cross_method_agreement():

@@ -8,7 +8,7 @@ from ptspec.action import (action_between, action_scale,
                            action_to_turning_points, quartic_action,
                            quartic_critical_a)
 from ptspec.asymptotic import (SolveError, _mode_index, _newton_complex,
-                               _scaled_condition, broken_complex_roots,
+                               _off_axis, _scaled_condition,
                                condition_spectrum, corrected_condition,
                                count_real_roots,
                                cosine_seed, delta_estimate, E_to_eps, eps_to_E,
@@ -90,6 +90,20 @@ def test_solve_condition_leaves_axis_in_broken_region():
     # roots remain and the real-axis search must hand over to one off the axis
     rec = solve_condition(80, 1.9, "full")
     assert abs(rec.eps.imag) > 1e-12
+
+
+def test_root_solvers_reject_negative_modes():
+    with pytest.raises(ValueError):
+        solve_condition(-2, 2.0)
+    with pytest.raises(ValueError):
+        solve_quartic(-1, 1.0)
+
+
+@pytest.mark.parametrize("p", [1.0, 0.5, -2.0, math.nan])
+def test_solve_condition_rejects_p_at_most_one(p):
+    # the conditions have no ladder there: at p = 1 the cosine seed is 1e-16
+    with pytest.raises(ValueError):
+        solve_condition(0, p)
 
 
 def test_newton_budget_is_100_iterations():
@@ -208,7 +222,8 @@ def test_count_real_roots_matches_real_newton_from_every_seed(p):
 
 def test_conjugate_closure_of_complex_roots():
     for p in (1.5, 1.7):
-        roots = broken_complex_roots(p)
+        roots = [r.eps for r in condition_spectrum(ModelSpec.power_law(p), 30.0)
+                 if _off_axis(r.eps) and r.eps.imag > 0]
         assert roots
         for z in roots:
             rec = solve_condition(0, p, "full", seed=z.conjugate())
@@ -342,6 +357,23 @@ def test_quartic_unseeded_ground_root_below_first_mode():
     for k in range(16):
         seed = solve_quartic(0, round(0.5 + 0.1 * k, 10), seed=seed).eps.real
     assert abs(solve_quartic(0, 2.0).eps.real - seed) < 1e-9
+
+
+def test_quartic_fold_pair_is_reached_by_the_off_axis_restart():
+    # at A = 3.25 the two lowest real roots have merged; their seeds stall
+    # on the real axis and restart from seed (1 + 0.05i), one onto each
+    # member of the pair
+    recs = condition_spectrum(ModelSpec.quartic(3.25), 20.0)
+    pair = [r.E for r in recs if _off_axis(r.eps)]
+    assert len(pair) == 2
+    assert abs(pair[0] - pair[1].conjugate()) <= 1e-9
+    for e in pair:
+        assert abs(e - complex(3.2189465, math.copysign(0.4612484, e.imag))) <= 1e-6
+    real = [r.E.real for r in recs if not _off_axis(r.eps)]
+    want = [7.6527364163, 11.7827446263, 16.3812051301]
+    assert len(real) == len(want)
+    assert all(abs(e - w) <= 1e-9 * w for e, w in zip(real, want))
+    assert ladder_problems(recs, lambda e: abs(quartic_condition(e, 3.25))) == []
 
 
 def test_quartic_roots_carry_their_mode_label():

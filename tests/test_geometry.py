@@ -104,6 +104,19 @@ def test_quartic_walk_stops_where_turning_points_meet():
             quartic_turning_points(scale * a_branch)
 
 
+@pytest.mark.parametrize("make", [
+    lambda: ModelSpec.power_law(math.nan),
+    lambda: ModelSpec.power_law(math.inf),
+    lambda: ModelSpec.quartic(math.nan),
+    lambda: ModelSpec.quartic(math.inf),
+    lambda: ModelSpec.quartic(complex(1.0, math.nan)),
+    lambda: ModelSpec.quartic(complex(math.inf, 0.5)),
+])
+def test_model_spec_rejects_non_finite_parameters(make):
+    with pytest.raises(ValueError, match="finite"):
+        make()
+
+
 def test_path_crosses_cut_basics():
     model = ModelSpec.power_law(1.5)
     assert not path_crosses_cut([-2 - 0.1j, 2 - 0.1j], model)

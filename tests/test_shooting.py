@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from ptspec.asymptotic import broken_complex_roots, eps_to_E, solve_condition
+from ptspec.asymptotic import _off_axis, condition_spectrum, solve_condition
 from ptspec import shooting
 from ptspec.geometry import ModelSpec, wedge_angles
 from ptspec.shooting import (_DP_A, _DP_B, _DP_C, _DP_E3, _DP_E5, ShootConfig,
@@ -324,8 +324,8 @@ def test_pt_reality_unbroken():
 def test_conjugate_pair_in_broken_region():
     p = 1.5
     model = ModelSpec.power_law(p)
-    eps_root = broken_complex_roots(p)[0]
-    seed = eps_to_E(eps_root, p)
+    seed = next(r.E for r in condition_spectrum(model, 30.0)
+                if _off_axis(r.eps) and r.eps.imag > 0)
     r1 = find_eigen(seed, model, ShootConfig(rtol=1e-9))
     r2 = find_eigen(seed.conjugate(), model, ShootConfig(rtol=1e-9))
     assert abs(r1.E.imag) > 1e-4
