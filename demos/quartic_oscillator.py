@@ -33,7 +33,7 @@ print()
 
 print("close-off: real spectrum below E = 8 as the coupling grows")
 for a_phys in (0.5, 3.0, 5.0):
-    recs = scan_spectrum(ModelSpec.quartic(a_phys), 8.0, cfg, step=0.4)
+    recs = scan_spectrum(ModelSpec.quartic(a_phys), 8.0, cfg)
     real = [f"{r.E.real:.3f}" for r in recs if abs(r.E.imag) < 1e-6]
     print(f"  A = {a_phys}: predicted close-off {quartic_closeoff(a_phys):5.2f}, "
           f"real levels {real or 'none'}")

@@ -244,15 +244,15 @@ def cmd_quartic(args) -> int:
     for a_phys in _grid(lo, hi, args.step):
         model = ModelSpec.quartic(a_phys)
         closeoff = asymptotic.quartic_closeoff(a_phys) if a_phys > 0 else 0.0
-        # a folded pair leaves the axis; the modes above it stay real
-        recs = [r for r in asymptotic.condition_spectrum(model, args.emax)
-                if not asymptotic._off_axis(r.eps)]
+        recs = asymptotic.condition_spectrum(model, args.emax)
         if args.numeric:
             try:
                 recs += shooting.scan_spectrum(model, args.emax, _shoot_config(args, r_max=5.0))
             except shooting.ShootingError as exc:
                 sys.stderr.write(f"warning: scan failed at A={a_phys}: {exc}\n")
-        rows.extend(dict(_record_row(r), closeoff=closeoff) for r in recs)
+        # a folded pair leaves the axis; the modes above it stay real
+        rows.extend(dict(_record_row(r), closeoff=closeoff) for r in recs
+                    if not asymptotic._off_axis(r.eps))
     if not rows:
         sys.stderr.write("error: no eigenvalue at or below --emax\n")
         return FAILURE_EXIT

@@ -22,15 +22,17 @@ same as last, under Hairer's blended 5th/3rd-order error norm (see
 integrate_ray).
 
 For the quartic family the coupling stored on the model is the physical
-one; each evaluation at eigenvalue E rescales it to a = A * E^(-3/4) so
-the scan traces the physical spectrum at fixed coupling.
+one, rescaled per eigenvalue E to a = A * E^(-3/4).  scan_spectrum seeds
+find_eigen from a Chebyshev collocation on the same contour.
 """
 
 import cmath
 import math
 from dataclasses import dataclass
 
-from .asymptotic import EigRecord, _mode_index, _off_axis, condition_spectrum
+import numpy as np
+
+from .asymptotic import EigRecord, _mode_index
 from .geometry import (ModelSpec, TraceError, path_crosses_cut,
                        quartic_turning_points, turning_points, wedge_angles)
 from .special import principal_power
@@ -102,6 +104,9 @@ _MAX_STEPS = 2_000_000
 # WKB start excites before it reaches the match point: exp(-40) ~ 4e-18 is
 # below double precision, so a longer ray changes W only by rounding.
 _DECAY_EFOLDS = 40.0
+
+# Chebyshev intervals on the ray of the collocation that seeds scan_spectrum.
+_COLLOCATION_POINTS = 120
 
 # Dormand-Prince 8(5,3) pair (DOP853; Hairer, Norsett & Wanner, Solving
 # ODEs I, sec. II.5): nodes c, stage rows a (lower triangle, zeros kept),
@@ -477,66 +482,66 @@ def _record(E: complex, w: complex, model: ModelSpec) -> EigRecord:
                      eps=eps, E=E, method="numeric", residual=abs(w))
 
 
-def scan_spectrum(model: ModelSpec, E_max: float, cfg: ShootConfig | None = None,
-                  step: float = 0.35) -> list[EigRecord]:
-    """All eigenvalues with Re E in (0, E_max].
+def _contour_eigenvalues(model: ModelSpec, E_max: float, cfg: ShootConfig) -> np.ndarray:
+    """Eigenvalues of a Chebyshev collocation on mismatch's contour at E0.
 
-    Scans |W| on a real-E grid fine enough to separate harmonic-scale
-    spacing, refines each local minimum, and (for the broken power-law
-    region) additionally polishes the complex roots that
-    condition_spectrum(model, E_max) lists in the upper half plane, one
-    seed per conjugate pair.  Each complex root is polished once and its
-    conjugate added alongside it, an exact pair with the same residual.
-    Real records are ordered and indexed by position.
+    At E0 = 1.5 E_max both families read -eps0^2 u'' + (1 - q) u = (E/E0) u
+    on the ray 0 -> z_l, with u(z_l) = 0; the right ray carries conj(u).  The
+    operator [[X, Y], [conj Y, conj X]] is solved as the real matrix
+    [[Re(X+Y), Im(Y-X)], [Im(X+Y), Re(X-Y)]] (Trefethen, SIAM 2000)."""
+    E0 = 1.5 * E_max
+    eps0 = _E_to_eps(complex(E0), model)
+    scaled = _scaled_model(model, eps0)
+    z_l = _contour(scaled, eps0, cfg)[0]
+    n, m = _COLLOCATION_POINTS, _COLLOCATION_POINTS - 1
+    x = np.cos(np.pi * np.arange(n + 1) / n)
+    c = np.hstack([2.0, np.ones(n - 1), 2.0]) * (-1.0) ** np.arange(n + 1)
+    d = np.outer(c, 1.0 / c) / (x[:, None] - x[None, :] + np.eye(n + 1))
+    d -= np.diag(d.sum(axis=1))
+    d2 = d @ d  # node 0 is z_l, node n is 0, node k is z_l (1 + x_k) / 2
+    k = -eps0 ** 2 * (2.0 / z_l) ** 2
+    v = np.array([1.0 - scaled.q(z_l * (1.0 + xk) / 2.0) for xk in x[1:n]])
+    # u(0) = 2 Re(w.u), w = -(1 + i t) r / 2, r = d[n, 1:n] / d[n, n]
+    t = (1.0 / z_l).imag / (1.0 / z_l).real
+    rc = np.outer(d2[1:n, n], d[n, 1:n] / d[n, n])
+    h = np.empty((2 * m, 2 * m))  # real and filled in place: less memory
+    for blk, a, b, dv in ((h[:m, :m], k.real, -k.real, v.real),
+                          (h[:m, m:], -k.imag, t * k.real, -v.imag),
+                          (h[m:, :m], k.imag, -k.imag, v.imag),
+                          (h[m:, m:], k.real, t * k.imag, v.real)):
+        np.multiply(d2[1:n, 1:n], a, out=blk)
+        blk += b * rc
+        blk[np.diag_indices(m)] += dv
+    return np.linalg.eigvals(h) * E0
+
+
+def scan_spectrum(model: ModelSpec, E_max: float,
+                  cfg: ShootConfig | None = None) -> list[EigRecord]:
+    """All eigenvalues with 0 < Re E <= E_max and |Im E| <= E_max.
+
+    Each upper-half-plane eigenvalue of _contour_eigenvalues (real if
+    |Im E| <= 1e-6 |E|) seeds find_eigen; a polish within 1e-6 |seed| is
+    kept, with its conjugate if complex.  Real roots are indexed by
+    position.  A complex quartic coupling (no PT mirror) raises ValueError.
     """
+    if model.family == "quartic" and complex(model.a).imag != 0:
+        raise ValueError(f"scan_spectrum needs a real quartic coupling, got {model.a}")
     cfg = cfg or ShootConfig()
-    grid = []
-    e = step
-    while e <= E_max + 1e-12:
-        grid.append(e)
-        e += step
-    logw = []
-    for e in grid:
-        try:
-            logw.append(abs(mismatch(e, model, cfg)))
-        except ShootingError:
-            logw.append(float("inf"))
     records: list[EigRecord] = []
-
-    def keep(rec):
-        if rec.E.real > E_max * (1.0 + 1e-9) or rec.E.real <= 0:
-            return
-        for r in records:
-            if abs(r.E - rec.E) < 1e-7 * max(1.0, abs(rec.E)):
-                return
-        records.append(rec)
-
-    def try_seed(seed):
+    for seed in map(complex, _contour_eigenvalues(model, E_max, cfg)):
+        if not (0 < seed.real <= E_max and 0 <= seed.imag <= E_max):
+            continue
+        seed = complex(seed.real) if seed.imag <= 1e-6 * abs(seed) else seed
         try:
             rec = find_eigen(seed, model, cfg)
         except ShootingError:
-            return None
-        keep(rec)
-        return rec
-
-    for i in range(len(grid)):
-        lo = logw[i - 1] if i > 0 else float("inf")
-        hi = logw[i + 1] if i + 1 < len(grid) else float("inf")
-        if logw[i] < lo and logw[i] < hi:
-            try_seed(grid[i])
-    if model.family == "power" and model.p < 2.0:
-        for root in condition_spectrum(model, E_max):
-            if not (_off_axis(root.eps) and root.eps.imag > 0):
-                continue
-            rec = try_seed(root.E)
-            if rec is not None:
-                # W(conj E) = conj W(E), so the conjugate seed would polish
-                # to the conjugate root with the same residual
-                keep(_record(rec.E.conjugate(), rec.residual, model))
-    real = sorted((r for r in records if abs(r.E.imag) <= 1e-7 * max(1.0, abs(r.E))),
-                  key=lambda r: r.E.real)
-    cplx = sorted((r for r in records if abs(r.E.imag) > 1e-7 * max(1.0, abs(r.E))),
-                  key=lambda r: (r.E.real, r.E.imag))
-    for idx, r in enumerate(real):
+            continue
+        if abs(rec.E - seed) > 1e-6 * abs(seed) or rec.E.real > E_max:
+            continue
+        records.append(rec)
+        if rec.E.imag:  # W(conj E) = conj W(E): the conjugate root, same residual
+            records.append(_record(rec.E.conjugate(), rec.residual, model))
+    records.sort(key=lambda r: (r.E.imag != 0, r.E.real, r.E.imag))
+    for idx, r in enumerate(r for r in records if r.E.imag == 0):
         r.n = idx
-    return real + cplx
+    return records

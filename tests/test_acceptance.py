@@ -202,8 +202,8 @@ def test_criterion_10_quartic_bifurcation():
     agree = max(rels.values()) <= 1e-2
     # close-off: at coupling 5 the predicted close-off (~6.8) is below
     # E_max = 8 and the low branches are gone from the real spectrum
-    low = scan_spectrum(ModelSpec.quartic(0.5), 8.0, cfg, step=0.4)
-    high = scan_spectrum(ModelSpec.quartic(5.0), 8.0, cfg, step=0.4)
+    low = scan_spectrum(ModelSpec.quartic(0.5), 8.0, cfg)
+    high = scan_spectrum(ModelSpec.quartic(5.0), 8.0, cfg)
     low_real = [r for r in low if abs(r.E.imag) < 1e-6]
     high_real = [r for r in high if abs(r.E.imag) < 1e-6]
     closed_off = len(high_real) == 0 and len(low_real) >= 3

@@ -142,6 +142,17 @@ def test_quartic_ladder_continues_past_folded_pair(tmp_path):
     assert [r[1] for r in rows if r[0] == "3.5" and abs(float(r[3]) - 7.6954) < 1e-3] == ["2"]
 
 
+def test_quartic_numeric_rows_stay_on_the_real_axis(tmp_path):
+    # the numeric scan finds the folded pair 3.3356 +- 0.7082i at A = 3.5;
+    # quartic lists real roots only, numeric ones included
+    out = tmp_path / "q.csv"
+    assert main(["quartic", "--range", "3.25:3.5", "--step", "0.25", "--emax", "20",
+                 "--numeric", "--out", str(out)]) == 0
+    rows = [line.split(",") for line in out.read_text().strip().splitlines()[1:]]
+    assert any(r[2] == "numeric" for r in rows)
+    assert all(float(r[4]) == 0.0 for r in rows)
+
+
 def test_broken_region_rows_are_each_root_once_with_its_conjugate(tmp_path):
     # 1 < p < 2: the corrected condition carries merged pairs off the axis
     out = tmp_path / "b.csv"

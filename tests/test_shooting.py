@@ -315,7 +315,7 @@ def test_merging_quartic_turning_points_are_a_shooting_error():
 
 def test_pt_reality_unbroken():
     model = ModelSpec.power_law(2.5)
-    recs = scan_spectrum(model, 8.0, ShootConfig(rtol=1e-9), step=0.4)
+    recs = scan_spectrum(model, 8.0, ShootConfig(rtol=1e-9))
     assert len(recs) >= 3
     for rec in recs:
         assert rec.E.imag == 0.0
@@ -336,10 +336,60 @@ def test_broken_region_real_count_shrinks():
     cfg = ShootConfig(r_max=6.0, rtol=1e-8)
     reals = {}
     for p in (1.8, 1.2):
-        recs = scan_spectrum(ModelSpec.power_law(p), 12.0, cfg, step=0.4)
-        reals[p] = [r.E.real for r in recs if abs(r.E.imag) < 1e-6]
-    assert len(reals[1.2]) < len(reals[1.8])
-    assert len(reals[1.8]) >= 5
+        recs = scan_spectrum(ModelSpec.power_law(p), 12.0, cfg)
+        reals[p] = [r.E.real for r in recs if r.E.imag == 0]
+    assert len(reals[1.2]) == 1
+    assert abs(reals[1.2][0] - 1.388199) <= 1e-6
+    assert len(reals[1.8]) == 7
+
+
+def test_scan_lists_the_published_p3_ladder():
+    # Bender & Boettcher, PRL 80, 5243 (1998): the ground state is no grid
+    # point of any real-E scan and must come from the collocation seeds
+    recs = scan_spectrum(ModelSpec.power_law(3.0), 12.0)
+    want = [1.156267072, 4.109228752, 7.562273854, 11.314421818]
+    assert len(recs) == len(want)
+    for rec, e in zip(recs, want):
+        assert rec.E.imag == 0.0
+        assert abs(rec.E.real - e) <= 1e-8 * e
+
+
+def _assert_spectrum(recs, want, rel):
+    assert len(recs) == len(want)
+    for e in want:
+        assert sum(abs(r.E - e) <= rel * abs(e) for r in recs) == 1
+
+
+_P15_SPECTRUM = [1.0869317, 3.1957762, 4.4219980,
+                 6.6557931 + 0.9514678j, 6.6557931 - 0.9514678j,
+                 9.0911098 + 1.9947373j, 9.0911098 - 1.9947373j,
+                 11.3708501 + 3.0114842j, 11.3708501 - 3.0114842j]
+
+
+def test_scan_lists_the_whole_broken_spectrum():
+    _assert_spectrum(scan_spectrum(ModelSpec.power_law(1.5), 12.0), _P15_SPECTRUM, 1e-6)
+
+
+def test_scan_at_a_high_power():
+    recs = scan_spectrum(ModelSpec.power_law(6.0), 30.0)
+    _assert_spectrum(recs, [2.439346, 11.881565, 25.411553], 1e-6)
+
+
+def test_scan_needs_no_condition_root(monkeypatch):
+    import ptspec.asymptotic
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the numeric scan asked the asymptotic route")
+
+    monkeypatch.setattr(ptspec.asymptotic, "condition_spectrum", refuse)
+    monkeypatch.setattr(shooting, "condition_spectrum", refuse, raising=False)
+    recs = scan_spectrum(ModelSpec.power_law(1.5), 12.0)
+    assert len(recs) == 9
+
+
+def test_scan_refuses_a_complex_quartic_coupling():
+    with pytest.raises(ValueError, match="real quartic coupling"):
+        scan_spectrum(ModelSpec.quartic(1 + 0.5j), 8.0)
 
 
 def test_cross_method_gap_moderate_mode():
@@ -363,7 +413,7 @@ def _quartic_fd_oracle(levels: int) -> list[float]:
 def test_quartic_spectrum_matches_fd_oracle():
     model = ModelSpec.quartic(0.0)
     cfg = ShootConfig(r_max=4.5, rtol=1e-9)
-    recs = scan_spectrum(model, 12.5, cfg, step=0.6)
+    recs = scan_spectrum(model, 12.5, cfg)
     got = [r.E.real for r in recs]
     assert len(got) == 4
     frozen = [1.0603620904, 3.7996730298, 7.4556979379, 11.6447455113]
