@@ -1,10 +1,14 @@
 """Branch-continuous Gauss-Legendre quadrature of sqrt(q(z)) along polylines.
 
-Internal engine shared by the action integrals and the Stokes tracer.  The
-integrand sign is carried node to node with the tracked square root, and a
-simple zero of q at a path endpoint is handled by mapping the adjacent 10%
-of that segment through z = z* + s**2, which makes the integrand analytic
-there and restores spectral accuracy.
+Internal engine shared by the action integrals and the Stokes tracer.  One
+call is one numpy pass over the path: q is evaluated on all Gauss points at
+once, and the sign of each principal square root is carried from sample to
+sample by the nearest-sign rule, taken as a running parity of the sign
+flips between consecutive roots (an exact tie keeps the principal root).
+A simple zero of q at a path endpoint is handled by mapping the adjacent
+10% of that segment through z = z* + s**2, which makes the integrand
+analytic there and restores spectral accuracy.  SqrtTracker applies the
+same rule one sample at a time, for the loops that step along a path.
 """
 
 import cmath
@@ -52,7 +56,7 @@ def _gauss_nodes(order: int) -> tuple[tuple[float, ...], tuple[float, ...]]:
 
 
 class SqrtTracker:
-    """Mutable square-root sign tracker for tight quadrature loops."""
+    """Mutable square-root sign tracker for loops that step sample by sample."""
 
     __slots__ = ("last",)
 
@@ -96,11 +100,14 @@ def _sqrt_end_points(a: float, order: int):
 
 
 @lru_cache(maxsize=32)
-def _segment_points(order: int, singular_start: bool, singular_end: bool):
-    """Gauss points/weights on [0, 1] for one segment, in traversal order.
+def _segment_points(order: int, singular_start: bool,
+                    singular_end: bool) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss points and weights on [0, 1] for one segment, in traversal order.
 
     A singular end maps the adjacent _SING_FRACTION of the segment through
-    the square-root substitution; the rest is plain Gauss-Legendre.
+    the square-root substitution; the rest is plain Gauss-Legendre.  The
+    arrays are cached and read-only; the weights are complex, like the
+    samples they are dotted with.
     """
     pieces = []
     lo = 0.0
@@ -113,11 +120,15 @@ def _segment_points(order: int, singular_start: bool, singular_end: bool):
         pieces += _sqrt_end_points(hi, order)
     else:
         pieces += _plain_points(lo, 1.0, order)
-    return tuple(pieces)
+    u = np.array([uk for uk, _ in pieces])
+    w = np.array([wk for _, wk in pieces], dtype=complex)
+    u.flags.writeable = False
+    w.flags.writeable = False
+    return u, w
 
 
 def sqrt_path_integral(
-    q: Callable[[complex], complex],
+    q: Callable[[np.ndarray], np.ndarray],
     nodes: Sequence[complex],
     order: int = 40,
     seed: complex | None = None,
@@ -126,11 +137,14 @@ def sqrt_path_integral(
 ) -> tuple[complex, complex]:
     """Integral of sqrt(q) along the polyline, sign-continuous throughout.
 
-    seed orients the first sample (nearest-sign rule); None takes the
-    principal branch there.  Every sample, the first included, goes through
-    SqrtTracker.take, so one within BRANCH_AMBIGUITY_TOL of a zero of q
-    raises BranchAmbiguityError.  singular_start / singular_end declare a
-    simple zero of q at the first / last path node.
+    One numpy pass: the Gauss points of every segment form one array, q is
+    called once on it, and the principal roots are signed by the
+    nearest-sign rule of SqrtTracker.take, each sample taking the sign that
+    puts it nearer the sample before.  seed is the sample before the first
+    (None: +1, the principal branch there).  Every sample, the first
+    included, must lie at least BRANCH_AMBIGUITY_TOL from a zero of q, or
+    BranchAmbiguityError is raised.  singular_start / singular_end declare
+    a simple zero of q at the first / last path node.
 
     Returns (integral, last sample); the sample lets callers chain further
     integrals on the same branch.
@@ -138,18 +152,44 @@ def sqrt_path_integral(
     nodes = [complex(z) for z in nodes]
     if len(nodes) < 2:
         raise ValueError("path needs at least two nodes")
-    tracker = SqrtTracker(1.0 if seed is None else seed)  # 1: the principal branch
-    take = tracker.take
-    total = 0j
     last_seg = len(nodes) - 2
-    for i in range(len(nodes) - 1):
-        z0, z1 = nodes[i], nodes[i + 1]
-        d = z1 - z0
+    segments = []
+    for i in range(last_seg + 1):
+        z0, d = nodes[i], nodes[i + 1] - nodes[i]
         if d == 0:
             raise ValueError("consecutive path nodes coincide")
-        acc = 0j
-        for u, wu in _segment_points(order, singular_start and i == 0,
-                                     singular_end and i == last_seg):
-            acc += wu * take(q(z0 + u * d))
-        total += acc * d
-    return total, tracker.last
+        u, wu = _segment_points(order, singular_start and i == 0,
+                                singular_end and i == last_seg)
+        segments.append((z0, d, u, wu))
+    points = [z0 + u * d for z0, d, u, _ in segments]
+    w = q(np.concatenate(points) if last_seg else points[0])
+    size = np.abs(w)
+    if size.min() < BRANCH_AMBIGUITY_TOL:
+        first = size[np.argmax(size < BRANCH_AMBIGUITY_TOL)]
+        raise BranchAmbiguityError(f"square-root sample at |w| = {first:.3e}")
+    roots = np.sqrt(w)
+    before = np.empty_like(roots)
+    before[0] = 1.0 if seed is None else seed
+    before[1:] = roots[:-1]
+    # Sample k is negated iff an odd number of flips between consecutive
+    # principal roots lead up to it.  Negation is exact, so each flip test
+    # is the comparison SqrtTracker.take makes, with hypot as the modulus,
+    # as in Python's abs(complex).
+    step, jump = roots - before, roots + before
+    away = np.hypot(step.real, step.imag)
+    toward = np.hypot(jump.real, jump.imag)
+    negated = np.logical_xor.accumulate(away > toward)
+    ties = away == toward
+    if np.count_nonzero(ties):
+        # A tie is no flip whatever the sign before: the principal root is
+        # kept, and the samples after it follow from there.
+        for k in np.flatnonzero(ties):
+            if negated[k]:
+                negated[k:] = ~negated[k:]
+    np.negative(roots, out=roots, where=negated)
+    total, lo = 0j, 0
+    for _, d, _, wu in segments:
+        hi = lo + wu.size
+        total += complex(roots[lo:hi] @ wu) * d
+        lo = hi
+    return total, complex(roots[-1])

@@ -100,12 +100,20 @@ def wkb_eigenvalue(n: int, p: float) -> float:
     return base ** (2.0 * p / (p + 2.0))
 
 
+@lru_cache(maxsize=256)
+def _p_constants(p: float) -> tuple[float, float, float, float]:
+    """The factors of _condition_parts that depend on p alone."""
+    r = action_scale(p)
+    return (2.0 * r * math.cos(math.pi / p), 2.0 * r * math.sin(math.pi / p),
+            recip_gamma(-p), 2.0 ** (p + 2.0))
+
+
 def _condition_parts(eps: complex, p: float) -> tuple[complex, complex, complex]:
     """X, Y, T2 with the condition written as 2i [exp(X) cos(Y) - T2]."""
-    r = action_scale(p)
-    x = 2.0 * r * math.cos(math.pi / p) / eps
-    y = 2.0 * r * math.sin(math.pi / p) / eps
-    t2 = math.pi * principal_power(eps, p) * recip_gamma(-p) / 2.0 ** (p + 2.0)
+    x_num, y_num, rg, t2_den = _p_constants(p)
+    x = x_num / eps
+    y = y_num / eps
+    t2 = math.pi * principal_power(eps, p) * rg / t2_den
     return x, y, t2
 
 

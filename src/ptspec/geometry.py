@@ -18,6 +18,8 @@ import math
 from dataclasses import dataclass, field
 from itertools import combinations
 
+import numpy as np
+
 from ._quadrature import SqrtTracker, powerlaw_origin_piece, sqrt_path_integral
 from .special import principal_power
 
@@ -98,10 +100,15 @@ class ModelSpec:
         """Only fractional powers of (i z) carry a cut; the quartic is entire."""
         return self.family == "power" and not self.is_integer_power
 
-    def q(self, z: complex) -> complex:
-        """Eikonal right-hand side: (phi')^2 = q(z)."""
-        if z == 0 and self.has_branch_cut:
-            return 1.0 + 0j  # (i z)^p -> 0; log(0) would raise
+    def q(self, z):
+        """Eikonal right-hand side: (phi')^2 = q(z), at a point or an array."""
+        if self.has_branch_cut:  # (i z)^p -> 0 at z = 0, where log would raise
+            if isinstance(z, np.ndarray):
+                origin = z == 0
+                return np.where(origin, 1.0 + 0j,
+                                self._q_closure()(np.where(origin, 1.0, z)))
+            if z == 0:
+                return 1.0 + 0j
         return self._q_closure()(z)
 
     def dq(self, z: complex) -> complex:
@@ -114,7 +121,10 @@ class ModelSpec:
         return -(4.0 * z * z * z + 1j * self.a)
 
     def _q_closure(self):
-        """Specialised q(z) closure for hot loops: the one formula for q."""
+        """Specialised q(z) closure for hot loops: the one formula for q.
+
+        The closure takes a point or a numpy array of points.
+        """
         if self.family == "power":
             p = self.p
             if p == int(p):
@@ -122,7 +132,16 @@ class ModelSpec:
                 return lambda z: 1.0 + (1j * z) ** ip
             clog = cmath.log
             cexp = cmath.exp
-            return lambda z: 1.0 + cexp(p * clog(1j * z))
+
+            def q(z):
+                try:
+                    return 1.0 + cexp(p * clog(1j * z))
+                except TypeError:  # an array: cmath takes scalars only
+                    if np.count_nonzero(z) < z.size:  # log(0), as in cmath
+                        raise ValueError("math domain error") from None
+                    return 1.0 + np.exp(p * np.log(1j * z))
+
+            return q
         ia = 1j * self.a
         return lambda z: 1.0 - z * (z * z * z + ia)
 

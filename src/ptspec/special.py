@@ -2,9 +2,11 @@
 
 Everything downstream (actions, eigenvalue conditions, Stokes tracing) runs
 on two primitives: the total reciprocal of the standard library's Gamma
-function and the principal complex power.  The square root whose sign is
-carried along a contour is the quadrature engine's SqrtTracker; its
-ambiguity error and tolerance live here.
+function and the principal complex power.  A square root whose sign is
+carried along a contour follows the nearest-sign rule of the quadrature
+module: sqrt_path_integral applies it to a whole path in one numpy pass,
+SqrtTracker one sample at a time.  Its ambiguity error and tolerance live
+here.
 """
 
 import cmath

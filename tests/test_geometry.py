@@ -1,5 +1,6 @@
 import cmath
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -360,3 +361,31 @@ def test_stokes_tracer_z_step_is_a_tenth_of_the_length_scale():
             for z0, z1 in zip(trace.points, trace.points[1:]):
                 scale = 2.0 * abs(model.q(z0) / model.dq(z0))
                 assert abs(z1 - z0) <= 0.1 * scale * (1 + 1e-6), (origin, d, z0)
+
+
+def test_model_q_takes_the_origin_in_an_array():
+    model = ModelSpec.power_law(1.5)
+    z = np.array([-0.5, 0.0, 0.5j], dtype=complex)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        values = model.q(z)
+    scalar = np.array([model.q(complex(x)) for x in z])
+    assert np.all(np.abs(values - scalar) <= 1e-14 * np.abs(scalar))
+    assert values[1] == 1.0
+
+
+@pytest.mark.parametrize("model", [
+    ModelSpec.power_law(2.0), ModelSpec.power_law(3.0),
+    ModelSpec.power_law(1.5), ModelSpec.power_law(2.5084),
+    ModelSpec.quartic(0.7), ModelSpec.quartic(1.0 + 0.5j),
+], ids=lambda m: f"{m.family}-{m.p if m.a is None else m.a}")
+def test_scalar_and_array_q_agree(model):
+    rng = np.random.default_rng(7)
+    z = rng.uniform(-3.0, 3.0, 400) + 1j * rng.uniform(-3.0, 3.0, 400)
+    closure = model.q_callable()
+    for q in (closure, model.q):
+        array = q(z)
+        scalar = np.array([q(complex(x)) for x in z])
+        assert array.shape == z.shape
+        assert np.all(np.abs(array - scalar)
+                      <= 1e-14 * np.maximum(1.0, np.abs(scalar)))
