@@ -10,7 +10,8 @@ the surviving real levels.
 Run:  python demos/bifurcation_fingers.py
 """
 
-from ptspec import count_real_roots, solve_condition, wkb_eigenvalue
+from ptspec import (ModelSpec, condition_spectrum, solve_condition,
+                    wkb_eigenvalue)
 
 P_SWEEP = (2.5, 2.0, 1.9, 1.7, 1.5, 1.3)
 E_MAX = 30.0
@@ -18,7 +19,8 @@ E_MAX = 30.0
 print(f"real levels with E <= {E_MAX:g} per the corrected condition")
 print(f"{'p':>5s} {'count':>6s}  levels")
 for p in P_SWEEP:
-    levels = count_real_roots(p, E_MAX)
+    spectrum = condition_spectrum(ModelSpec.power_law(p), E_MAX)
+    levels = sorted(r.E.real for r in spectrum if r.E.imag == 0)
     shown = ", ".join(f"{e:7.3f}" for e in levels[:6])
     more = " ..." if len(levels) > 6 else ""
     print(f"{p:5.2f} {len(levels):6d}  {shown}{more}")

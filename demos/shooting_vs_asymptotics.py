@@ -10,7 +10,7 @@ integer p the corrected condition degenerates to plain WKB exactly
 Run:  python demos/shooting_vs_asymptotics.py   (a few seconds)
 """
 
-from ptspec import (ModelSpec, ShootConfig, count_real_roots, find_eigen,
+from ptspec import (ModelSpec, ShootConfig, condition_spectrum, find_eigen,
                     solve_condition, wkb_eigenvalue)
 
 P = 1.7
@@ -27,7 +27,7 @@ for n in range(5):
     print(f"{n:3d} {wkb:11.6f} {full:11.6f} {num:11.6f} "
           f"{abs(wkb - num):12.2e} {abs(full - num):13.2e}")
 
-levels = count_real_roots(P, 30.0)
+levels = [r for r in condition_spectrum(model, 30.0) if r.E.imag == 0]
 print(f"\nthe corrected condition terminates the ladder: "
       f"{len(levels)} real levels below E = 30 at p = {P}")
 print("plain WKB would continue it forever.")

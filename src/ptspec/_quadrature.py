@@ -1,10 +1,12 @@
 """Branch-continuous Gauss-Legendre quadrature of sqrt(q(z)) along polylines.
 
-Internal engine shared by the action integrals and the Stokes tracer.  One
-call is one numpy pass over the path: q is evaluated on all Gauss points at
-once, and the sign of each principal square root is carried from sample to
-sample by the nearest-sign rule, taken as a running parity of the sign
-flips between consecutive roots (an exact tie keeps the principal root).
+Internal engine of geometry._path_action, the one path integral of sqrt(q)
+behind the action integrals and the Stokes tracer.  One call is one numpy
+pass over the path: q is evaluated on all Gauss points at once, and the
+sign of each principal square root s is carried from the root r before it
+by the nearest-sign rule: with d = s conj(r), s is negated iff Re d <
+-1e-12 |d|, and a near tie, |Re d| <= 1e-12 |d|, keeps the principal root,
+so last-bit differences between numpy's and cmath's roots decide nothing.
 A simple zero of q at a path endpoint is handled by mapping the adjacent
 10% of that segment through z = z* + s**2, which makes the integrand
 analytic there and restores spectral accuracy.  SqrtTracker applies the
@@ -23,6 +25,8 @@ __all__ = ["sqrt_path_integral", "SqrtTracker", "powerlaw_origin_piece"]
 
 #: Fraction of a segment mapped through the square-root substitution.
 _SING_FRACTION = 0.1
+#: Two roots s, r with |Re(s conj(r))| <= _TIE_TOL |s r| are a near tie.
+_TIE_TOL = 1e-12
 
 
 def powerlaw_origin_piece(p: float, direction: complex, delta: float) -> complex:
@@ -49,12 +53,6 @@ def powerlaw_origin_piece(p: float, direction: complex, delta: float) -> complex
     return direction * total
 
 
-@lru_cache(maxsize=32)
-def _gauss_nodes(order: int) -> tuple[tuple[float, ...], tuple[float, ...]]:
-    x, w = np.polynomial.legendre.leggauss(order)
-    return tuple(x.tolist()), tuple(w.tolist())
-
-
 class SqrtTracker:
     """Mutable square-root sign tracker for loops that step sample by sample."""
 
@@ -67,36 +65,12 @@ class SqrtTracker:
         if abs(w) < BRANCH_AMBIGUITY_TOL:
             raise BranchAmbiguityError(f"square-root sample at |w| = {abs(w):.3e}")
         s = cmath.sqrt(w)
-        if abs(s - self.last) > abs(s + self.last):
+        d = s * self.last.conjugate()
+        dr = d.real
+        if dr < 0.0 and dr < -_TIE_TOL * abs(d):  # abs only when it can matter
             s = -s
         self.last = s
         return s
-
-
-def _plain_points(a: float, b: float, order: int):
-    """Gauss points/weights for the parameter interval [a, b] of a segment."""
-    x, w = _gauss_nodes(order)
-    half = 0.5 * (b - a)
-    mid = 0.5 * (b + a)
-    return [(mid + half * xk, half * wk) for xk, wk in zip(x, w)]
-
-
-def _sqrt_start_points(b: float, order: int):
-    """Points/weights for [0, b] with u = v**2, traversed away from u = 0."""
-    x, w = _gauss_nodes(order)
-    vmax = b ** 0.5
-    half = 0.5 * vmax
-    pts = []
-    for xk, wk in zip(x, w):
-        v = half * (xk + 1.0)
-        pts.append((v * v, 2.0 * v * half * wk))
-    return pts
-
-
-def _sqrt_end_points(a: float, order: int):
-    """Points/weights for [a, 1] with u = 1 - v**2, traversed toward u = 1:
-    the mirror image of _sqrt_start_points(1 - a)."""
-    return [(1.0 - u, w) for u, w in reversed(_sqrt_start_points(1.0 - a, order))]
 
 
 @lru_cache(maxsize=32)
@@ -105,26 +79,33 @@ def _segment_points(order: int, singular_start: bool,
     """Gauss points and weights on [0, 1] for one segment, in traversal order.
 
     A singular end maps the adjacent _SING_FRACTION of the segment through
-    the square-root substitution; the rest is plain Gauss-Legendre.  The
-    arrays are cached and read-only; the weights are complex, like the
-    samples they are dotted with.
+    the square-root substitution u = v**2 (u = 1 - v**2 at the end); the
+    rest is plain Gauss-Legendre.  The arrays are cached and read-only; the
+    weights are complex, like the samples they are dotted with.
     """
-    pieces = []
-    lo = 0.0
-    if singular_start:
-        pieces += _sqrt_start_points(_SING_FRACTION, order)
-        lo = _SING_FRACTION
+    x, w = np.polynomial.legendre.leggauss(order)
+
+    def plain(a, b):
+        half, mid = 0.5 * (b - a), 0.5 * (b + a)
+        return mid + half * x, half * w
+
+    def sqrt_start(b):  # [0, b], traversed away from u = 0
+        half = 0.5 * b ** 0.5
+        v = half * (x + 1.0)
+        return v * v, 2.0 * v * half * w
+
+    lo = _SING_FRACTION if singular_start else 0.0
+    hi = 1.0 - _SING_FRACTION if singular_end else 1.0
+    pieces = [sqrt_start(lo)] if singular_start else []
+    pieces.append(plain(lo, hi))
     if singular_end:
-        hi = 1.0 - _SING_FRACTION
-        pieces += _plain_points(lo, hi, order)
-        pieces += _sqrt_end_points(hi, order)
-    else:
-        pieces += _plain_points(lo, 1.0, order)
-    u = np.array([uk for uk, _ in pieces])
-    w = np.array([wk for _, wk in pieces], dtype=complex)
+        v2, wv = sqrt_start(1.0 - hi)
+        pieces.append((1.0 - v2[::-1], wv[::-1]))
+    u, wu = (np.concatenate(p) for p in zip(*pieces))
+    wu = wu.astype(complex)
     u.flags.writeable = False
-    w.flags.writeable = False
-    return u, w
+    wu.flags.writeable = False
+    return u, wu
 
 
 def sqrt_path_integral(
@@ -140,8 +121,11 @@ def sqrt_path_integral(
     One numpy pass: the Gauss points of every segment form one array, q is
     called once on it, and the principal roots are signed by the
     nearest-sign rule of SqrtTracker.take, each sample taking the sign that
-    puts it nearer the sample before.  seed is the sample before the first
-    (None: +1, the principal branch there).  Every sample, the first
+    puts it nearer the sample before.  The flip and near-tie tests compare
+    consecutive principal roots of this array (np.sqrt); take compares
+    cmath's root with the signed sample before, and a near tie keeps the
+    principal root in both.  seed is the sample before the first (None: +1,
+    the principal branch there).  Every sample, the first
     included, must lie at least BRANCH_AMBIGUITY_TOL from a zero of q, or
     BranchAmbiguityError is raised.  singular_start / singular_end declare
     a simple zero of q at the first / last path node.
@@ -168,18 +152,19 @@ def sqrt_path_integral(
         first = size[np.argmax(size < BRANCH_AMBIGUITY_TOL)]
         raise BranchAmbiguityError(f"square-root sample at |w| = {first:.3e}")
     roots = np.sqrt(w)
-    before = np.empty_like(roots)
-    before[0] = 1.0 if seed is None else seed
-    before[1:] = roots[:-1]
     # Sample k is negated iff an odd number of flips between consecutive
-    # principal roots lead up to it.  Negation is exact, so each flip test
-    # is the comparison SqrtTracker.take makes, with hypot as the modulus,
-    # as in Python's abs(complex).
-    step, jump = roots - before, roots + before
-    away = np.hypot(step.real, step.imag)
-    toward = np.hypot(jump.real, jump.imag)
-    negated = np.logical_xor.accumulate(away > toward)
-    ties = away == toward
+    # principal roots lead up to it.  Negation is exact and only flips the
+    # sign of d, so each flip and tie test is the one SqrtTracker.take makes
+    # on the signed samples.
+    prod = np.empty_like(roots)  # d = root * conj(root before), in place
+    prod[0] = 1.0 if seed is None else seed
+    prod[1:] = roots[:-1]
+    np.conjugate(prod, out=prod)
+    prod *= roots
+    tol = np.abs(prod)
+    tol *= _TIE_TOL
+    negated = np.logical_xor.accumulate(prod.real < -tol)
+    ties = np.abs(prod.real) <= tol
     if np.count_nonzero(ties):
         # A tie is no flip whatever the sign before: the principal root is
         # kept, and the samples after it follow from there.

@@ -1,18 +1,19 @@
 """Contour integrals of the WKB action and the singulant.
 
 The action phi(z1) - phi(z0) = integral of sqrt(q(t)) dt enters every
-eigenvalue condition.  Paths are polylines that avoid the branch cut; the
-square-root branch is seeded at the path start (+1 at the origin for the
-power-law family, calibrated at the segment midpoint for the quartic) and
-carried continuously.  Turning-point endpoints get the s**2 substitution
-from the quadrature engine automatically.
+eigenvalue condition.  action_between checks that its polyline avoids the
+branch cut and hands it to geometry._path_action, the one path integral of
+sqrt(q) it shares with the Stokes tracer (origin sliver, turning-point
+ends, branch seed).  The quartic action seeds its branch at the segment
+midpoint from the coupling walk and calls the quadrature engine directly:
+its ends are turning points by construction.
 """
 
 import math
 from functools import lru_cache
 
-from ._quadrature import powerlaw_origin_piece, sqrt_path_integral
-from .geometry import ModelSpec, _quartic_walk, path_crosses_cut
+from ._quadrature import sqrt_path_integral
+from .geometry import ModelSpec, _path_action, _quartic_walk, path_crosses_cut
 
 __all__ = [
     "action_between",
@@ -24,9 +25,6 @@ __all__ = [
 ]
 
 DEFAULT_ORDER = 40
-
-#: |q| below which a path endpoint is treated as a turning point.
-_ENDPOINT_SINGULAR_TOL = 1e-9
 
 
 def action_between(z0: complex, z1: complex, model: ModelSpec,
@@ -49,27 +47,10 @@ def action_between(z0: complex, z1: complex, model: ModelSpec,
     nodes = [z0, *map(complex, via), z1]
     if path_crosses_cut(nodes, model):
         raise ValueError("contour crosses the branch cut")
-    fractional_origin = model.has_branch_cut
-    if fractional_origin and z1 == 0:
+    if model.has_branch_cut and z1 == 0:
         return -action_between(z1, z0, model, via=nodes[-2:0:-1], order=order,
                                seed=seed)
-    head = 0j
-    if fractional_origin and z0 == 0:
-        # Peel off a sliver at the origin: the (i t)^p kink there defeats
-        # Gauss quadrature, the binomial series does not.
-        seg = nodes[1] - nodes[0]
-        delta = min(0.3, 0.5 * abs(seg))
-        direction = seg / abs(seg)
-        head = powerlaw_origin_piece(model.p, direction, delta)
-        nodes[0] = delta * direction
-        if seed is None:
-            seed = 1.0 + 0j
-    val, _ = sqrt_path_integral(
-        model.q_callable(), nodes, order=order, seed=seed,
-        singular_start=abs(model.q(nodes[0])) < _ENDPOINT_SINGULAR_TOL,
-        singular_end=abs(model.q(nodes[-1])) < _ENDPOINT_SINGULAR_TOL,
-    )
-    return head + val
+    return _path_action(model, nodes, order, seed)[0]
 
 
 def action_scale(p: float) -> float:

@@ -34,7 +34,6 @@ __all__ = [
     "EigRecord",
     "SolveError",
     "corrected_condition",
-    "count_real_roots",
     "delta_estimate",
     "eps_to_E",
     "E_to_eps",
@@ -308,13 +307,6 @@ def condition_spectrum(model: ModelSpec, e_max: float,
     return sorted(records, key=lambda r: (r.n, r.E.imag))
 
 
-def count_real_roots(p: float, e_max: float) -> list[float]:
-    """Real eigenvalues E <= e_max of the corrected condition, ascending: the
-    on-axis roots of condition_spectrum, fewer as p falls below 2."""
-    return sorted(r.E.real for r in condition_spectrum(ModelSpec.power_law(p), e_max)
-                  if not _off_axis(r.eps) and r.E.real <= e_max * (1.0 + 1e-12))
-
-
 def lowest_branch_path(deltas: list[float], n: int = 0) -> list[EigRecord]:
     """Real roots of branch n of the corrected condition at p = 1 + delta.
 
@@ -377,27 +369,22 @@ def switched_terms(z: complex, eps: complex, p: float) -> complex:
 def quartic_condition(eps: complex, A: float) -> complex:
     """Three-exponential eigenvalue condition of the quartic oscillator.
 
-    Evaluated at the scaled coupling a = A * eps.  For real eps this is
-    2 exp(2V/eps) cos(2U/eps) + 1 rescaled by its dominant term; for complex
-    eps the two turning-point actions are continued analytically in a.
+    (exp(-2i w_A/eps) + exp(-2i w_B/eps) + 1) / 2 at the scaled coupling
+    a = A * eps, with w_A = U + iV = -phi(z_A), w_B = -phi(z_B), phi based
+    at z_C, each term times exp(-m), m the largest real part of the three
+    exponents, so nothing overflows: exp(2V/eps) cos(2U/eps) + 1/2 rescaled
+    for real eps.  Complex a continues both actions analytically.
     """
     a = A * eps
-    if abs(complex(eps).imag) < 1e-14 and abs(complex(a).imag) < 1e-14:
-        w = quartic_action(complex(a).real)
-        u, v = w.real, w.imag
-        e = complex(eps).real
-        big = 2.0 * v / e
-        if big >= 0:
-            return cmath.cos(2.0 * u / e) + 0.5 * math.exp(-big)
-        return cmath.cos(2.0 * u / e) * math.exp(big) + 0.5
-    w_a = quartic_action(a)            # -phi(z_A)
-    w_b = (-w_a.conjugate() if abs(complex(a).imag) < 1e-14
-           else _quartic_end_action(a, "z_b"))
-    t1 = 2j * w_a / eps                # 2i phi(z_A)/eps with phi_A = -w_a
-    t2 = 2j * w_b / eps
-    terms = (cmath.exp(-t1), cmath.exp(-t2), 1.0 + 0j)
-    scale = max(abs(t) for t in terms)
-    return sum(terms) / scale
+    if abs(complex(a).imag) < 1e-14:
+        w_a = quartic_action(complex(a).real)  # a real a hits the walk's memo
+        w_b = -w_a.conjugate()
+    else:
+        w_a = quartic_action(a)
+        w_b = _quartic_end_action(a, "z_b")
+    exponents = (-2j * w_a / eps, -2j * w_b / eps, 0j)
+    m = max(x.real for x in exponents)
+    return sum(cmath.exp(x - m) for x in exponents) / 2
 
 
 @lru_cache(maxsize=1)

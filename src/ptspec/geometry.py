@@ -8,7 +8,9 @@ the curves Im chi = 0 (Stokes lines) and Re chi = 0 (the classical matching
 path) away from their source singularities.  The lines leave at the angles
 the local form of chi gives (seed_directions).  One predictor-corrector
 traces both; it differs between them only in the part of chi it holds at
-zero, the orientation of the first step and where it stops.  The
+zero, the orientation of the first step and where it stops.  chi =
+2i * integral of sqrt(q) from the source comes from _path_action, the one
+path integral of sqrt(q) that the action module's integrals also use.  The
 quartic's four turning points and their labels come from one coupling
 walk from a = 0, which the quartic action walks too.
 """
@@ -39,13 +41,16 @@ __all__ = [
 
 #: |q| below this counts as "at a turning point" for tracer termination.
 _TP_NEIGHBOURHOOD = 1e-6
+#: |q| below this makes a path end or a seed origin a turning point.
+_TURNING_POINT_TOL = 1e-9
 #: Largest tracer step as a fraction of max(1, |chi|).
 _H_CAP = 0.01
 #: The tracer's corrector holds the chosen part of chi within this of zero.
 _HOLD_TOL = 1e-10
 #: Distance from the source singularity at which seeds are polished and
-#: traces start.
+#: traces start, and the Gauss order of the integral of sqrt(q) out to it.
 _START_RADIUS = 1e-3
+_START_ORDER = 24
 #: A Stokes line ends "escape" once |z| exceeds this radius.
 _ESCAPE_RADIUS = 8.0
 #: Tracer step budget; running out raises TraceError.
@@ -332,25 +337,33 @@ def path_crosses_cut(points, model: ModelSpec) -> bool:
     return any(map(_ray_hit, zs, zs[1:]))
 
 
-def _chi_from_origin(origin: complex, model: ModelSpec, z: complex,
-                     order: int = 24) -> tuple[complex, complex]:
-    """chi(z) = 2i * integral_origin^z sqrt(q), plus the sqrt sample at z.
+def _path_action(model: ModelSpec, nodes, order: int,
+                 seed: complex | None = None) -> tuple[complex, complex]:
+    """Integral of sqrt(q) along the polyline nodes, plus the last sample.
 
-    The branch is whatever the principal seed gives; callers orient it.
+    The one place that decides how: a path from the branch point z = 0 of
+    a fractional power starts with the binomial series on a sliver of its
+    first segment (the (i t)^p kink there defeats Gauss quadrature) and
+    seeds the branch at +1; an end where |q| < _TURNING_POINT_TOL is a
+    turning point and gets the square-root substitution; otherwise the
+    seed (None: the principal root) is the sample before the first.
     """
-    if abs(origin) < 1e-12 and model.has_branch_cut:
-        # Fractional-power kink at z = 0: series sliver, then quadrature.
-        seg = z - origin
-        delta = 0.5 * abs(seg)
+    nodes = [complex(z) for z in nodes]
+    head = 0j
+    if model.has_branch_cut and nodes[0] == 0:
+        seg = nodes[1] - nodes[0]
+        delta = min(0.3, 0.5 * abs(seg))
         direction = seg / abs(seg)
         head = powerlaw_origin_piece(model.p, direction, delta)
-        val, last = sqrt_path_integral(
-            model.q_callable(), [delta * direction, z], order=order, seed=1.0 + 0j)
-        return 2j * (head + val), last
-    singular = abs(model.q(origin)) < 1e-8
+        nodes[0] = delta * direction
+        if seed is None:
+            seed = 1.0 + 0j
     val, last = sqrt_path_integral(
-        model.q_callable(), [origin, z], order=order, singular_start=singular)
-    return 2j * val, last
+        model.q_callable(), nodes, order=order, seed=seed,
+        singular_start=abs(model.q(nodes[0])) < _TURNING_POINT_TOL,
+        singular_end=abs(model.q(nodes[-1])) < _TURNING_POINT_TOL,
+    )
+    return head + val, last
 
 
 def seed_directions(origin: complex, model: ModelSpec,
@@ -375,7 +388,7 @@ def seed_directions(origin: complex, model: ModelSpec,
         raise ValueError(f"unknown seed kind {kind!r}")
     hold_imag = kind == "stokes"
     lead = 0.0 if hold_imag else math.pi / 2
-    if abs(model.q(origin)) < 1e-8:
+    if abs(model.q(origin)) < _TURNING_POINT_TOL:
         phi = cmath.phase(1j * cmath.sqrt(model.dq(origin)))
         thetas = [(2.0 / 3.0) * (lead + k * math.pi - phi) for k in range(3)]
     else:
@@ -385,7 +398,8 @@ def seed_directions(origin: complex, model: ModelSpec,
     for theta in thetas:
         for step in range(4):
             z = origin + _START_RADIUS * cmath.exp(1j * theta)
-            chi, s = _chi_from_origin(origin, model, z)
+            val, s = _path_action(model, [origin, z], _START_ORDER)
+            chi = 2j * val
             held = chi.imag if hold_imag else chi.real
             if step == 3 or held == 0.0:
                 break
@@ -433,7 +447,8 @@ def _trace(model: ModelSpec, origin: complex, theta: float, hold_imag: bool,
     q = model.q_callable()
     dq = model.dq
     z = origin + _START_RADIUS * cmath.exp(1j * theta)
-    chi, last = _chi_from_origin(origin, model, z)
+    val, last = _path_action(model, [origin, z], _START_ORDER)
+    chi = 2j * val
     if hold_imag:
         if chi.real < 0.0:
             chi, last = -chi, -last

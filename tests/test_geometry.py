@@ -189,6 +189,20 @@ def test_seed_directions_sit_on_the_held_line():
         seed_directions(0j, ModelSpec.power_law(1.5), kind="matching")
 
 
+@pytest.mark.parametrize("model, origin", [
+    (ModelSpec.power_law(1.5), 0j),
+    (ModelSpec.power_law(3.0), turning_points(3.0)[0]),
+    (ModelSpec.quartic(1.0), quartic_turning_points(1.0).z_a),
+])
+def test_tracer_starts_on_the_singulant(model, origin):
+    # The tracer's first chi and singulant come from the one path integral
+    # of sqrt(q), so they agree bit for bit, up to the orientation of chi.
+    for d in seed_directions(origin, model):
+        trace = trace_stokes_line(origin, model, d, max_arclen=0.01)
+        chi = singulant(trace.points[0], origin, model, order=24)
+        assert trace.chi[0] in (chi, -chi), (d, trace.chi[0], chi)
+
+
 def test_integer_p_origin_line_has_zero_weight():
     # The tracer finds an equal-phase line from z = 0 at p = 2, but the
     # attached switching weight 1/Gamma(-2) vanishes.

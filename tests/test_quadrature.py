@@ -100,3 +100,22 @@ def test_fractional_power_sample_at_the_origin_raises_without_warning():
             sqrt_path_integral(q, [-1.0, 1.0], order=5)
         with pytest.raises(ValueError):
             q(np.array([0.5, 0.0, -0.5], dtype=complex))
+
+
+@pytest.mark.parametrize("singular_start", [False, True])
+@pytest.mark.parametrize("singular_end", [False, True])
+def test_segment_points_integrate_powers_exactly(singular_start, singular_end):
+    # The square-root substitution maps u^k to a polynomial of degree 2k + 1
+    # in v, so every piece stays exact for k < order.
+    for order in (1, 3, 8, 24, 40):
+        u, w = _segment_points(order, singular_start, singular_end)
+        for k in range(order):
+            assert abs(complex(u ** k @ w) - 1.0 / (k + 1)) <= 1e-14, (order, k)
+
+
+def test_singular_ends_integrate_the_square_root_zero():
+    for order in (24, 40):
+        u, w = _segment_points(order, True, False)
+        assert abs(complex(np.sqrt(u) @ w) - 2.0 / 3.0) <= 1e-13
+        u, w = _segment_points(order, False, True)
+        assert abs(complex(np.sqrt(1.0 - u) @ w) - 2.0 / 3.0) <= 1e-13
