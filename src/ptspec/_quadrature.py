@@ -1,12 +1,15 @@
 """Branch-continuous Gauss-Legendre quadrature of sqrt(q(z)) along polylines.
 
 Internal engine of geometry._path_action, the one path integral of sqrt(q)
-behind the action integrals and the Stokes tracer.  One call is one numpy
-pass over the path: q is evaluated on all Gauss points at once, and the
-sign of each principal square root s is carried from the root r before it
-by the nearest-sign rule: with d = s conj(r), s is negated iff Re d <
--1e-12 |d|, and a near tie, |Re d| <= 1e-12 |d|, keeps the principal root,
-so last-bit differences between numpy's and cmath's roots decide nothing.
+behind the action integrals and the Stokes tracer, and of the quartic
+action, which integrates several legs in one call (sqrt_leg_integrals).
+One call is one numpy pass over the path or the legs: q is evaluated on
+all Gauss points at once, and the sign of each principal square root s is
+carried from the root r before it by the nearest-sign rule (_signed_roots,
+its one implementation on arrays; each leg restarts from its own seed):
+with d = s conj(r), s is negated iff Re d < -1e-12 |d|, and a near tie,
+|Re d| <= 1e-12 |d|, keeps the principal root, so last-bit differences
+between numpy's and cmath's roots decide nothing.
 A simple zero of q at a path endpoint is handled by mapping the adjacent
 10% of that segment through z = z* + s**2, which makes the integrand
 analytic there and restores spectral accuracy.  SqrtTracker applies the
@@ -21,7 +24,8 @@ import numpy as np
 
 from .special import BRANCH_AMBIGUITY_TOL, BranchAmbiguityError
 
-__all__ = ["sqrt_path_integral", "SqrtTracker", "powerlaw_origin_piece"]
+__all__ = ["sqrt_path_integral", "sqrt_leg_integrals", "SqrtTracker",
+           "powerlaw_origin_piece"]
 
 #: Fraction of a segment mapped through the square-root substitution.
 _SING_FRACTION = 0.1
@@ -120,61 +124,114 @@ def sqrt_path_integral(
 
     One numpy pass: the Gauss points of every segment form one array, q is
     called once on it, and the principal roots are signed by the
-    nearest-sign rule of SqrtTracker.take, each sample taking the sign that
-    puts it nearer the sample before.  The flip and near-tie tests compare
-    consecutive principal roots of this array (np.sqrt); take compares
-    cmath's root with the signed sample before, and a near tie keeps the
-    principal root in both.  seed is the sample before the first (None: +1,
-    the principal branch there).  Every sample, the first
-    included, must lie at least BRANCH_AMBIGUITY_TOL from a zero of q, or
-    BranchAmbiguityError is raised.  singular_start / singular_end declare
-    a simple zero of q at the first / last path node.
+    nearest-sign rule of SqrtTracker.take (see _signed_roots), each sample
+    taking the sign that puts it nearer the sample before.  seed is the
+    sample before the first (None: +1, the principal branch there).  Every
+    sample, the first included, must lie at least BRANCH_AMBIGUITY_TOL from
+    a zero of q, or BranchAmbiguityError is raised.  singular_start /
+    singular_end declare a simple zero of q at the first / last path node.
 
     Returns (integral, last sample); the sample lets callers chain further
     integrals on the same branch.
     """
-    nodes = [complex(z) for z in nodes]
-    if len(nodes) < 2:
-        raise ValueError("path needs at least two nodes")
-    last_seg = len(nodes) - 2
-    segments = []
-    for i in range(last_seg + 1):
-        z0, d = nodes[i], nodes[i + 1] - nodes[i]
-        if d == 0:
-            raise ValueError("consecutive path nodes coincide")
-        u, wu = _segment_points(order, singular_start and i == 0,
-                                singular_end and i == last_seg)
-        segments.append((z0, d, u, wu))
-    points = [z0 + u * d for z0, d, u, _ in segments]
-    w = q(np.concatenate(points) if last_seg else points[0])
-    size = np.abs(w)
-    if size.min() < BRANCH_AMBIGUITY_TOL:
-        first = size[np.argmax(size < BRANCH_AMBIGUITY_TOL)]
+    return _integrate_legs(q, [(nodes, seed, singular_start, singular_end)], order)[0]
+
+
+def sqrt_leg_integrals(
+    q: Callable[[np.ndarray], np.ndarray],
+    legs: Sequence[tuple[Sequence[complex], complex | None]],
+    order: int = 40,
+    singular_end: bool = False,
+) -> list[complex]:
+    """Integrals of sqrt(q) along several polylines (nodes, seed) in one pass.
+
+    Each leg is the integral sqrt_path_integral(q, nodes, order, seed,
+    singular_end=singular_end) would return, bit for bit: q is called once
+    on the samples of all legs, but the sign chain restarts from each leg's
+    own seed at its first sample and each leg is summed on its own.
+    """
+    return [val for val, _ in _integrate_legs(
+        q, [(nodes, seed, False, singular_end) for nodes, seed in legs], order)]
+
+
+def _integrate_legs(q, legs, order: int) -> list[tuple[complex, complex]]:
+    """(integral, last sample) of each leg (nodes, seed, singular_start,
+    singular_end), all in one numpy pass: one call of q on every sample,
+    one sign chain restarted at the first sample of each leg, and one dot
+    product per segment, summed per leg in path order."""
+    legs_segments, starts, seeds, size = [], [], [], 0
+    for nodes, seed, singular_start, singular_end in legs:
+        nodes = [complex(z) for z in nodes]
+        if len(nodes) < 2:
+            raise ValueError("path needs at least two nodes")
+        starts.append(size)
+        seeds.append(seed)
+        last_seg = len(nodes) - 2
+        segments = []
+        for i in range(last_seg + 1):
+            z0, d = nodes[i], nodes[i + 1] - nodes[i]
+            if d == 0:
+                raise ValueError("consecutive path nodes coincide")
+            u, wu = _segment_points(order, singular_start and i == 0,
+                                    singular_end and i == last_seg)
+            segments.append((z0, d, u, wu))
+            size += wu.size
+        legs_segments.append(segments)
+    points = [z0 + u * d for segments in legs_segments for z0, d, u, _ in segments]
+    w = q(np.concatenate(points) if len(points) > 1 else points[0])
+    modulus = np.abs(w)
+    if modulus.min() < BRANCH_AMBIGUITY_TOL:
+        first = modulus[np.argmax(modulus < BRANCH_AMBIGUITY_TOL)]
         raise BranchAmbiguityError(f"square-root sample at |w| = {first:.3e}")
+    roots = _signed_roots(w, starts, seeds)
+    out, lo = [], 0
+    for segments in legs_segments:
+        total = 0j
+        for _, d, _, wu in segments:
+            hi = lo + wu.size
+            total += complex(roots[lo:hi] @ wu) * d
+            lo = hi
+        out.append((total, complex(roots[hi - 1])))
+    return out
+
+
+def _signed_roots(w: np.ndarray, starts: Sequence[int],
+                  seeds: Sequence[complex | None]) -> np.ndarray:
+    """Principal roots of the samples w, signed by the nearest-sign rule.
+
+    The one implementation of the rule on arrays.  The chain restarts at
+    each index in starts (the first is 0) from the seed given for it (None:
+    +1): that sample is compared with the seed, not with the sample before,
+    so no flip or tie carries across a restart.  The flip and near-tie
+    tests compare consecutive principal roots (np.sqrt); SqrtTracker.take
+    compares cmath's root with the signed sample before, and a near tie
+    keeps the principal root in both.
+    """
     roots = np.sqrt(w)
     # Sample k is negated iff an odd number of flips between consecutive
     # principal roots lead up to it.  Negation is exact and only flips the
     # sign of d, so each flip and tie test is the one SqrtTracker.take makes
     # on the signed samples.
     prod = np.empty_like(roots)  # d = root * conj(root before), in place
-    prod[0] = 1.0 if seed is None else seed
     prod[1:] = roots[:-1]
+    for k, seed in zip(starts, seeds):
+        prod[k] = 1.0 if seed is None else seed
     np.conjugate(prod, out=prod)
     prod *= roots
     tol = np.abs(prod)
     tol *= _TIE_TOL
-    negated = np.logical_xor.accumulate(prod.real < -tol)
+    flips = prod.real < -tol
+    negated = np.logical_xor.accumulate(flips)
     ties = np.abs(prod.real) <= tol
+    # A restart compares its sample with the seed, and a tie is no flip
+    # whatever the sign before (the principal root is kept): at both the
+    # sample is negated iff it flips itself, and the samples after it
+    # follow from there.
+    events = starts[1:]
     if np.count_nonzero(ties):
-        # A tie is no flip whatever the sign before: the principal root is
-        # kept, and the samples after it follow from there.
-        for k in np.flatnonzero(ties):
-            if negated[k]:
-                negated[k:] = ~negated[k:]
+        events = {*events, *np.flatnonzero(ties).tolist()}
+    for k in sorted(events):
+        if negated[k] != flips[k]:
+            negated[k:] = ~negated[k:]
     np.negative(roots, out=roots, where=negated)
-    total, lo = 0j, 0
-    for _, d, _, wu in segments:
-        hi = lo + wu.size
-        total += complex(roots[lo:hi] @ wu) * d
-        lo = hi
-    return total, complex(roots[-1])
+    return roots

@@ -5,14 +5,15 @@ eigenvalue condition.  action_between checks that its polyline avoids the
 branch cut and hands it to geometry._path_action, the one path integral of
 sqrt(q) it shares with the Stokes tracer (origin sliver, turning-point
 ends, branch seed).  The quartic action seeds its branch at the segment
-midpoint from the coupling walk and calls the quadrature engine directly:
-its ends are turning points by construction.
+midpoint from the coupling walk and calls the quadrature engine directly,
+one pass for both halves of the segment (and for both actions at complex
+coupling): its ends are turning points by construction.
 """
 
 import math
 from functools import lru_cache
 
-from ._quadrature import sqrt_path_integral
+from ._quadrature import sqrt_leg_integrals
 from .geometry import ModelSpec, _path_action, _quartic_walk, path_crosses_cut
 
 __all__ = [
@@ -88,29 +89,31 @@ def singulant(z: complex, z_star: complex, model: ModelSpec,
     return 2j * action_between(z_star, z, model, via=via, order=order, seed=seed)
 
 
-def _quartic_end_action(a: complex, end: str) -> complex:
-    """-integral from z_C to the turning point named end ("z_a" or "z_b").
+def _quartic_end_actions(a: complex, *ends: str) -> tuple[complex, ...]:
+    """-integral from z_C to each turning point named in ends ("z_a", "z_b").
 
-    Straight segment, branch seeded at its midpoint.  The overall sign of
-    the integrand is fixed at a = 0 by the requirement Im(U + iV) > 0 (i.e.
-    V(0) = +0.874..., not its negative) and carried to other couplings
-    along the coupling walk that also labels the turning points
+    Straight segments, branch seeded at their midpoints.  The overall sign
+    of the integrand is fixed at a = 0 by the requirement Im(U + iV) > 0
+    (i.e. V(0) = +0.874..., not its negative) and carried to other
+    couplings along the coupling walk that also labels the turning points
     (geometry._quartic_walk), whose legs are small enough that the midpoint
     sample never jumps branch.  The walk memoises the roots and seeds at
-    its fixed waypoints, so a call costs one leg from the nearest waypoint
-    plus two quadratures.
+    its fixed waypoints, so a call costs one walk (one leg from the nearest
+    waypoint for real a) plus one quadrature pass over the legs mid -> z_e
+    and mid -> z_C of every end.
     """
     wp = _quartic_walk(a)
-    z_c, z_e = wp.roots.z_c, getattr(wp.roots, end)
-    seed = wp.seed_a if end == "z_a" else wp.seed_b
-    mid = 0.5 * (z_c + z_e)
+    z_c = wp.roots.z_c
+    legs = []
+    for end in ends:
+        z_e = getattr(wp.roots, end)
+        seed = wp.seed_a if end == "z_a" else wp.seed_b
+        mid = 0.5 * (z_c + z_e)
+        legs += [([mid, z_e], seed), ([mid, z_c], seed)]
     q = ModelSpec.quartic(wp.a).q_callable()
-    to_e, _ = sqrt_path_integral(q, [mid, z_e], order=DEFAULT_ORDER,
-                                 seed=seed, singular_end=True)
-    to_c, _ = sqrt_path_integral(q, [mid, z_c], order=DEFAULT_ORDER,
-                                 seed=seed, singular_end=True)
+    vals = sqrt_leg_integrals(q, legs, order=DEFAULT_ORDER, singular_end=True)
     # integral_{z_C}^{z_e} = integral_{mid}^{z_e} - integral_{mid}^{z_C}
-    return -(to_e - to_c)
+    return tuple(-(to_e - to_c) for to_e, to_c in zip(vals[::2], vals[1::2]))
 
 
 def quartic_action(a: complex) -> complex:
@@ -123,7 +126,7 @@ def quartic_action(a: complex) -> complex:
     The turning points come from the memoised coupling walk: one leg from
     the nearest fixed waypoint, so the result depends on a alone.
     """
-    return _quartic_end_action(a, "z_a")
+    return _quartic_end_actions(a, "z_a")[0]
 
 
 @lru_cache(maxsize=1)

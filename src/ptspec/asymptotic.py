@@ -26,7 +26,7 @@ from functools import lru_cache
 
 from .action import (action_scale, action_to_turning_points, quartic_action,
                      quartic_critical_a, action_between,
-                     _quartic_end_action)
+                     _quartic_end_actions)
 from .geometry import ModelSpec
 from .special import principal_power, recip_gamma
 
@@ -161,39 +161,64 @@ def _descend(f, x: float, g: float, step: float, max_halvings: int) -> tuple[flo
     raise SolveError(f"real search stalled at {x!r} with |f| = {abs(g):.3g}")
 
 
+#: Consecutive steps capped at half of |z| after which Newton gives up: the
+#: condition is flat on the scale of |z|.  Of 31,715 converging searches
+#: (the README bifurcation wkb,full and quartic sweeps, quartic 3.5:6 and
+#: 0:6 --emax 30, bifurcation 1.01:2.5 --step 0.01 --emax 40, and the
+#: perfbench conditions rounds of seeds 1-11) none took more than 9 capped
+#: steps in a row: 9 and 8 only in the step-0.01 sweep, at most 7 elsewhere
+#: (at cosine_seed(3, 1.5) and cosine_seed(10, 1.6)).  The off-axis
+#: searches that cannot converge cycle z <-> ~conj z with every step capped
+#: and |f| = 1 +- 2e-8; they used to run the whole budget.
+_FLAT_STEPS = 15
+
+
 def _newton_complex(f, z0: complex, max_halvings: int | None = None) -> tuple[complex, float]:
     """Newton to |f| <= 1e-12 in at most 100 iterations, central-difference slope.
 
     Every step is capped at half of |z|, so a real f from a real seed keeps
     every iterate on the positive real axis: the one search finds the real
-    and the complex roots.  Steps are taken as they come unless max_halvings
-    is given (real seeds only); then the search is a descent on |f|, halving
-    each step at most that many times until it lowers |f|, and raising
-    SolveError where it cannot (_seeded_root then restarts off the axis).
+    and the complex roots.  _FLAT_STEPS capped steps in a row end the
+    search: the condition is flat on the scale of |z| there.  Steps are
+    taken as they come unless max_halvings is given (real seeds only); then
+    the search is a descent on |f|, halving each step at most that many
+    times until it lowers |f|, and raising SolveError where it cannot
+    (_seeded_root then restarts off the axis).  Each way of failing (zero
+    slope, flat condition, out of iterations, stalled descent) raises
+    SolveError with its own message.
     """
-    z, g = z0, None
+    z, g, capped = z0, None, 0
     for _ in range(100):
         if g is None:
             try:
                 g = f(z)
             except (OverflowError, ValueError):
                 raise SolveError("condition overflowed during Newton")
-        if abs(g) <= 1e-12:
-            return z, abs(g)
+        z_res, res = z, abs(g)
+        if res <= 1e-12:
+            return z, res
         h = 1e-7 * max(abs(z), 1e-12)
         dg = (f(z + h) - f(z - h)) / (2.0 * h)
-        if dg == 0 or not cmath.isfinite(dg):
-            raise SolveError("flat condition in Newton")
+        if dg == 0:
+            raise SolveError(f"zero slope in Newton at z = {z!r}, |f| = {res:.3g}")
+        if not cmath.isfinite(dg):
+            raise SolveError(f"slope not finite in Newton at z = {z!r}")
         step = -g / dg
         if abs(step) > 0.5 * abs(z):
             step *= 0.5 * abs(z) / abs(step)
+            capped += 1
+            if capped == _FLAT_STEPS:
+                raise SolveError(f"condition flat on the scale of |z|: {capped} capped "
+                                 f"Newton steps in a row, at z = {z!r}, |f| = {res:.3g}")
+        else:
+            capped = 0
         if max_halvings is not None:
             z, g = _descend(f, z, g, step, max_halvings)
             continue
         z, g = z + step, None
         if not cmath.isfinite(z) or abs(z) == 0:
             raise SolveError("Newton diverged")
-    raise SolveError("Newton did not converge")
+    raise SolveError(f"Newton out of its 100 iterations, |f| = {res:.3g} at z = {z_res!r}")
 
 
 def _seeded_root(f, seed: complex, max_halvings: int | None = None) -> tuple[complex, float]:
@@ -379,9 +404,8 @@ def quartic_condition(eps: complex, A: float) -> complex:
     if abs(complex(a).imag) < 1e-14:
         w_a = quartic_action(complex(a).real)  # a real a hits the walk's memo
         w_b = -w_a.conjugate()
-    else:
-        w_a = quartic_action(a)
-        w_b = _quartic_end_action(a, "z_b")
+    else:  # one walk of the whole ray and one pass for both actions
+        w_a, w_b = _quartic_end_actions(a, "z_a", "z_b")
     exponents = (-2j * w_a / eps, -2j * w_b / eps, 0j)
     m = max(x.real for x in exponents)
     return sum(cmath.exp(x - m) for x in exponents) / 2

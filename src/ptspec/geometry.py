@@ -201,7 +201,7 @@ class _Waypoint:
     """Labelled turning points at coupling a, with the action's branch seeds.
 
     seed_a and seed_b orient sqrt(q) at the midpoints of z_C -> z_A and
-    z_C -> z_B, where action._quartic_end_action starts its quadrature.
+    z_C -> z_B, where action._quartic_end_actions starts its quadrature.
     """
 
     a: complex

@@ -9,7 +9,7 @@ from ptspec._quadrature import sqrt_path_integral
 from ptspec.action import (action_between, action_scale,
                            action_to_turning_points, quartic_action,
                            quartic_critical_a, singulant,
-                           _quartic_end_action)
+                           _quartic_end_actions)
 from ptspec.geometry import ModelSpec, quartic_turning_points, turning_points
 from ptspec.special import BranchAmbiguityError
 
@@ -138,7 +138,7 @@ def test_quartic_z_b_action_mirrors_z_a_at_real_coupling():
     # z_B = -conj(z_A) for real a, so the coupling walk to z_B must land on
     # the mirror image of the z_A action: -conj(U + iV).
     for a in (0.0, 0.3, 0.9, 1.2, 1.7, 2.5, 3.3, 4.0):
-        w_b = _quartic_end_action(a, "z_b")
+        w_b = _quartic_end_actions(a, "z_b")[0]
         assert abs(w_b + quartic_action(a).conjugate()) <= 1e-14, a
 
 
@@ -149,7 +149,7 @@ def test_quartic_action_is_a_pure_function_of_the_coupling(monkeypatch):
     couplings = [0.0, 0.2 * 1, 0.9, 0.2 * 5, 0.2 * 17, 3.45, 3.5, 1.1 + 0.3j]
 
     def evaluate(a):
-        return (quartic_action(a), _quartic_end_action(a, "z_b"),
+        return (quartic_action(a), _quartic_end_actions(a, "z_b")[0],
                 quartic_turning_points(a))
 
     cold = {}
@@ -192,3 +192,32 @@ def test_quartic_critical_coupling():
     assert abs(a_star - 1.18384) <= 1e-4
     assert quartic_action(a_star - 0.1).imag > 0
     assert quartic_action(a_star + 0.1).imag < 0
+
+
+def test_one_quadrature_pass_per_quartic_condition(monkeypatch):
+    # One engine pass for both halves of the z_C -> z_A segment at real
+    # coupling, and one for both actions (four legs) at complex coupling,
+    # after one walk of the coupling ray.
+    from ptspec import _quadrature
+    from ptspec.asymptotic import quartic_condition
+    passes, walks = [], [0]
+    plain_pass, plain_walk = _quadrature._integrate_legs, geometry._walk_leg
+
+    def counting_pass(q, legs, order):
+        passes.append(len(legs))
+        return plain_pass(q, legs, order)
+
+    def counting_walk(start, a):
+        walks[0] += 1
+        return plain_walk(start, a)
+
+    monkeypatch.setattr(_quadrature, "_integrate_legs", counting_pass)
+    monkeypatch.setattr(geometry, "_walk_leg", counting_walk)
+    quartic_condition(0.3, 2.0)
+    assert passes == [2]
+    passes.clear()
+    walks[0] = 0
+    eps = 0.3 + 0.01j  # a = 0.6 + 0.02i: three waypoints, then a itself
+    quartic_condition(eps, 2.0)
+    assert passes == [4]
+    assert walks[0] == 4

@@ -120,6 +120,77 @@ def test_newton_budget_is_100_iterations():
     assert all(complex(z).imag == 0.0 and z > 0 for z in seen)
 
 
+def _counting(f):
+    """f, and the list of the points it has been called at."""
+    seen = []
+
+    def counted(z):
+        seen.append(z)
+        return f(z)
+
+    return counted, seen
+
+
+def _longest_capped_run(iterates):
+    """Most consecutive Newton steps of length half of |z|, the step cap."""
+    run = best = 0
+    for a, b in zip(iterates, iterates[1:]):
+        run = run + 1 if abs(abs(b - a) - 0.5 * abs(a)) <= 1e-12 * abs(a) else 0
+        best = max(best, run)
+    return best
+
+
+def test_flat_newton_search_stops_early():
+    # The restart seed of p = 1.05, n = 1: off the axis the condition is
+    # flat, and Newton cycles z <-> ~conj z with every step capped.  It
+    # used to run all 100 iterations (300 evaluations).
+    f, seen = _counting(lambda e: _scaled_condition(e, 1.05, "full"))
+    with pytest.raises(SolveError, match="flat on the scale of"):
+        _newton_complex(f, 0.042744751223068006 * (1 + 0.05j))
+    assert len(seen) <= 48
+
+
+@pytest.mark.parametrize("n, p", [(3, 1.5), (10, 1.6)])
+def test_newton_converges_after_seven_capped_steps(n, p):
+    # The longest run of capped steps measured on a converging search: the
+    # stop rule must leave these roots in place.
+    f, seen = _counting(lambda e: _scaled_condition(e, p, "full").real)
+    x, res = _newton_complex(f, cosine_seed(n, p))
+    assert res <= 1e-12 and abs(f(x)) <= 1e-12
+    assert _longest_capped_run(seen[::3]) == 7  # three evaluations per step
+
+
+def test_each_way_newton_fails_has_its_own_message():
+    messages = []
+    for f, z0 in [(lambda z: 1.0 + 0j, 1.0),  # zero slope
+                  (lambda e: _scaled_condition(e, 1.05, "full"),
+                   0.042744751223068006 * (1 + 0.05j)),
+                  (lambda z: (z - 2.0) ** 2 + 1.0, 1.0)]:  # no real root
+        with pytest.raises(SolveError) as err:
+            _newton_complex(f, z0)
+        messages.append(str(err.value))
+    assert ["zero slope" in messages[0], "flat on the scale of |z|" in messages[1],
+            "100 iterations" in messages[2]] == [True] * 3
+
+
+def test_condition_spectrum_work_is_bounded(monkeypatch):
+    # Deterministic work count: before the stop rule this listing took
+    # 6,454 condition evaluations, most in off-axis searches that cannot
+    # converge; it must still return the same single root.
+    from ptspec import asymptotic
+    calls = [0]
+    plain = asymptotic._scaled_condition
+
+    def counting(*args):
+        calls[0] += 1
+        return plain(*args)
+
+    monkeypatch.setattr(asymptotic, "_scaled_condition", counting)
+    recs = condition_spectrum(ModelSpec.power_law(1.2), 30.0)
+    assert calls[0] <= 1300
+    assert [(r.n, r.eps) for r in recs] == [(0, 0.5567693675470603 + 0j)]
+
+
 def test_condition_beyond_the_gamma_range_is_a_solve_error():
     # 1/Gamma(-200.5) is no finite double (math.gamma(-200.5) is -0.0), so
     # the branch-point term cannot be evaluated

@@ -1,13 +1,17 @@
 """The vectorised quadrature engine against a sample-by-sample reference."""
 
+import cmath
+import math
 import warnings
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from ptspec._quadrature import _segment_points, sqrt_path_integral, SqrtTracker
-from ptspec.geometry import ModelSpec
+from ptspec import geometry
+from ptspec._quadrature import (_segment_points, sqrt_leg_integrals,
+                               sqrt_path_integral, SqrtTracker)
+from ptspec.geometry import ModelSpec, TraceError
 from ptspec.special import BranchAmbiguityError
 
 #: Integrands: the model closures of every kind, and the bare simple zero.
@@ -119,3 +123,76 @@ def test_singular_ends_integrate_the_square_root_zero():
         assert abs(complex(np.sqrt(u) @ w) - 2.0 / 3.0) <= 1e-13
         u, w = _segment_points(order, False, True)
         assert abs(complex(np.sqrt(1.0 - u) @ w) - 2.0 / 3.0) <= 1e-13
+
+
+def _bits(z):
+    return z.real.hex(), z.imag.hex()
+
+
+def _separately(q, legs, order, singular_end):
+    """The legs as separate sqrt_path_integral calls, in their bits."""
+    return [_bits(sqrt_path_integral(q, nodes, order=order, seed=seed,
+                                     singular_end=singular_end)[0])
+            for nodes, seed in legs]
+
+
+@settings(deadline=None, max_examples=300)
+@given(q_name=st.sampled_from(sorted(_Q)),
+       legs=st.lists(st.tuples(st.lists(_point, min_size=2, max_size=4),
+                               st.none() | _point), min_size=1, max_size=3),
+       order=st.integers(1, 24),
+       singular_end=st.booleans())
+def test_legs_in_one_pass_equal_separate_integrals(q_name, legs, order, singular_end):
+    assume(all(z0 != z1 for nodes, _ in legs for z0, z1 in zip(nodes, nodes[1:])))
+    q = _Q[q_name]
+    try:
+        ref = _separately(q, legs, order, singular_end)
+    except (BranchAmbiguityError, ValueError) as err:
+        with pytest.raises(type(err)):
+            sqrt_leg_integrals(q, legs, order=order, singular_end=singular_end)
+        return
+    one = sqrt_leg_integrals(q, legs, order=order, singular_end=singular_end)
+    assert list(map(_bits, one)) == ref
+
+
+_coupling = (st.floats(-12.0, 12.0).map(complex)
+             | st.builds(lambda r, t: r * cmath.exp(1j * t),
+                         st.floats(0.0, 12.0), st.floats(-math.pi, math.pi)))
+
+
+@settings(deadline=None, max_examples=200)
+@given(a=_coupling)
+def test_quartic_legs_in_one_pass_equal_separate_integrals(a):
+    # The four legs of both quartic actions, mid -> z_e and mid -> z_C for
+    # z_e = z_A and z_B, seeded from the coupling walk as the action seeds
+    # them, on the real and the complex coupling plane.
+    try:
+        wp = geometry._quartic_walk(a)
+    except TraceError:  # the walk passes where two turning points meet
+        assume(False)
+    q = ModelSpec.quartic(wp.a).q_callable()
+    z_c, legs = wp.roots.z_c, []
+    for z_e, seed in ((wp.roots.z_a, wp.seed_a), (wp.roots.z_b, wp.seed_b)):
+        mid = 0.5 * (z_c + z_e)
+        legs += [([mid, z_e], seed), ([mid, z_c], seed)]
+    one = sqrt_leg_integrals(q, legs, order=40, singular_end=True)
+    assert list(map(_bits, one)) == _separately(q, legs, 40, True)
+
+
+def test_each_leg_restarts_the_sign_chain_from_its_own_seed():
+    # Along -1 + 0.5i -> -1 - 0.5i, q = z crosses the negative axis, so the
+    # chain flips once and the last sample is the negated principal root.
+    # A second leg starts afresh from its own seed: the flip does not carry
+    # into it, nor into the exact tie of [-1, 1] seeded at -i (see
+    # test_exact_tie_keeps_the_principal_root_after_a_negated_sample).
+    q = _Q["z"]
+    flip = ([-1 + 0.5j, -1 - 0.5j], None)
+    _, last = sqrt_path_integral(q, flip[0], order=8)
+    assert last.real < 0
+    for order in (2, 4, 8):
+        tie = ([-1.0, 1.0], -1j)
+        for legs in ([flip, tie], [flip, flip], [tie, flip]):
+            one = sqrt_leg_integrals(q, legs, order=order)
+            assert list(map(_bits, one)) == _separately(q, legs, order, False)
+        one = sqrt_leg_integrals(q, [flip, flip], order=order)
+        assert one[0] == one[1]
