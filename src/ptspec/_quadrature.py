@@ -12,8 +12,8 @@ with d = s conj(r), s is negated iff Re d < -1e-12 |d|, and a near tie,
 between numpy's and cmath's roots decide nothing.
 A simple zero of q at a path endpoint is handled by mapping the adjacent
 10% of that segment through z = z* + s**2, which makes the integrand
-analytic there and restores spectral accuracy.  SqrtTracker applies the
-same rule one sample at a time, for the loops that step along a path.
+analytic there and restores spectral accuracy.  _signed_root applies the
+same rule to one sample, for the loops that step along a path.
 """
 
 import cmath
@@ -24,8 +24,7 @@ import numpy as np
 
 from .special import BRANCH_AMBIGUITY_TOL, BranchAmbiguityError
 
-__all__ = ["sqrt_path_integral", "sqrt_leg_integrals", "SqrtTracker",
-           "powerlaw_origin_piece"]
+__all__ = ["sqrt_path_integral", "sqrt_leg_integrals", "powerlaw_origin_piece"]
 
 #: Fraction of a segment mapped through the square-root substitution.
 _SING_FRACTION = 0.1
@@ -57,24 +56,22 @@ def powerlaw_origin_piece(p: float, direction: complex, delta: float) -> complex
     return direction * total
 
 
-class SqrtTracker:
-    """Mutable square-root sign tracker for loops that step sample by sample."""
+def _signed_root(w: complex, last: complex) -> complex:
+    """cmath's root of w, negated iff that puts it nearer last.
 
-    __slots__ = ("last",)
-
-    def __init__(self, last: complex):
-        self.last = last
-
-    def take(self, w: complex) -> complex:
-        if abs(w) < BRANCH_AMBIGUITY_TOL:
-            raise BranchAmbiguityError(f"square-root sample at |w| = {abs(w):.3e}")
-        s = cmath.sqrt(w)
-        d = s * self.last.conjugate()
-        dr = d.real
-        if dr < 0.0 and dr < -_TIE_TOL * abs(d):  # abs only when it can matter
-            s = -s
-        self.last = s
-        return s
+    The nearest-sign rule for one sample, for loops that step sample by
+    sample and carry the last signed root themselves: with d = s conj(last),
+    s is negated iff Re d < -_TIE_TOL |d|, so a near tie keeps the
+    principal root.  Raises BranchAmbiguityError below BRANCH_AMBIGUITY_TOL.
+    """
+    if abs(w) < BRANCH_AMBIGUITY_TOL:
+        raise BranchAmbiguityError(f"square-root sample at |w| = {abs(w):.3e}")
+    s = cmath.sqrt(w)
+    d = s * last.conjugate()
+    dr = d.real
+    if dr < 0.0 and dr < -_TIE_TOL * abs(d):  # abs only when it can matter
+        s = -s
+    return s
 
 
 @lru_cache(maxsize=32)
@@ -124,7 +121,7 @@ def sqrt_path_integral(
 
     One numpy pass: the Gauss points of every segment form one array, q is
     called once on it, and the principal roots are signed by the
-    nearest-sign rule of SqrtTracker.take (see _signed_roots), each sample
+    nearest-sign rule of _signed_root (see _signed_roots), each sample
     taking the sign that puts it nearer the sample before.  seed is the
     sample before the first (None: +1, the principal branch there).  Every
     sample, the first included, must lie at least BRANCH_AMBIGUITY_TOL from
@@ -203,14 +200,14 @@ def _signed_roots(w: np.ndarray, starts: Sequence[int],
     each index in starts (the first is 0) from the seed given for it (None:
     +1): that sample is compared with the seed, not with the sample before,
     so no flip or tie carries across a restart.  The flip and near-tie
-    tests compare consecutive principal roots (np.sqrt); SqrtTracker.take
+    tests compare consecutive principal roots (np.sqrt); _signed_root
     compares cmath's root with the signed sample before, and a near tie
     keeps the principal root in both.
     """
     roots = np.sqrt(w)
     # Sample k is negated iff an odd number of flips between consecutive
     # principal roots lead up to it.  Negation is exact and only flips the
-    # sign of d, so each flip and tie test is the one SqrtTracker.take makes
+    # sign of d, so each flip and tie test is the one _signed_root makes
     # on the signed samples.
     prod = np.empty_like(roots)  # d = root * conj(root before), in place
     prod[1:] = roots[:-1]

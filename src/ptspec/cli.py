@@ -36,23 +36,32 @@ class _Parser(argparse.ArgumentParser):
         sys.exit(USAGE_EXIT)
 
 
-def _fmt(x) -> str:
-    if isinstance(x, float):
-        return f"{x:.17g}"
-    return str(x)
+def _emit(rows: list, columns: list[str], args, meta: dict) -> None:
+    """Write rows, dicts keyed by column or tuples in column order.
 
-
-def _emit(rows: list[dict], columns: list[str], args, meta: dict) -> None:
+    CSV renders a float (numpy.float64 included) as %.17g and anything else
+    as str: one %-template per distinct tuple of cell types, one join.
+    """
+    rows = [r if isinstance(r, tuple) else tuple(map(r.__getitem__, columns))
+            for r in rows]
     out = open(args.out, "w") if args.out else sys.stdout
     try:
         if args.format == "json":
-            payload = {"meta": meta, "rows": rows}
+            payload = {"meta": meta, "rows": [dict(zip(columns, r)) for r in rows]}
             json.dump(payload, out, indent=1, sort_keys=True)
             out.write("\n")
         else:
-            out.write(",".join(columns) + "\n")
+            templates = {}
+            lines = [",".join(columns)]
             for row in rows:
-                out.write(",".join(_fmt(row[c]) for c in columns) + "\n")
+                shape = tuple(map(type, row))
+                tmpl = templates.get(shape)
+                if tmpl is None:
+                    tmpl = templates[shape] = ",".join(
+                        "%.17g" if isinstance(x, float) else "%s" for x in row)
+                lines.append(tmpl % row)
+            lines.append("")
+            out.write("\n".join(lines))
     finally:
         if args.out:
             out.close()
@@ -156,10 +165,9 @@ def cmd_stokes(args) -> int:
     traced = 0
 
     def add_trace(kind, origin, trace):
-        for z, chi in zip(trace.points, trace.chi):
-            rows.append({"origin_re": origin.real, "origin_im": origin.imag,
-                         "z_re": z.real, "z_im": z.imag,
-                         "rechi": chi.real, "imchi": chi.imag, "kind": kind})
+        o_re, o_im = origin.real, origin.imag
+        rows.extend((o_re, o_im, z.real, z.imag, chi.real, chi.imag, kind)
+                    for z, chi in zip(trace.points, trace.chi))
 
     if args.p is not None:
         model = ModelSpec.power_law(args.p)
@@ -175,9 +183,7 @@ def cmd_stokes(args) -> int:
                           ("wedge_boundary_right_hi", th_r + width / 2)):
             for r in (0.0, 8.0):
                 z = r * cmath.exp(1j * th)
-                rows.append({"origin_re": 0.0, "origin_im": 0.0,
-                             "z_re": z.real + 0.0, "z_im": z.imag + 0.0,
-                             "rechi": 0.0, "imchi": 0.0, "kind": label})
+                rows.append((0.0, 0.0, z.real + 0.0, z.imag + 0.0, 0.0, 0.0, label))
     else:
         model = ModelSpec.quartic(args.A)
         roots = geometry.quartic_turning_points(args.A)

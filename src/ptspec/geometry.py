@@ -17,13 +17,13 @@ walk from a = 0, which the quartic action walks too.
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass, field
 from itertools import combinations
 
 import numpy as np
 
-from ._quadrature import SqrtTracker, powerlaw_origin_piece, sqrt_path_integral
-from .special import principal_power
+from ._quadrature import _signed_root, powerlaw_origin_piece, sqrt_path_integral
 
 __all__ = [
     "ModelSpec",
@@ -45,8 +45,11 @@ _TP_NEIGHBOURHOOD = 1e-6
 _TURNING_POINT_TOL = 1e-9
 #: Largest tracer step as a fraction of max(1, |chi|).
 _H_CAP = 0.01
-#: The tracer's corrector holds the chosen part of chi within this of zero.
+#: The tracer's corrector holds the chosen part of chi within this of zero,
+#: or within _HOLD_REL |chi| where |chi| is so large (above ~7e3) that the
+#: rounding of chi alone exceeds _HOLD_TOL.
 _HOLD_TOL = 1e-10
+_HOLD_REL = 64 * sys.float_info.epsilon
 #: Distance from the source singularity at which seeds are polished and
 #: traces start, and the Gauss order of the integral of sqrt(q) out to it.
 _START_RADIUS = 1e-3
@@ -117,13 +120,8 @@ class ModelSpec:
         return self._q_closure()(z)
 
     def dq(self, z: complex) -> complex:
-        """d q / d z."""
-        if self.family == "power":
-            p = self.p
-            if p == int(p):
-                return 1j * p * (1j * z) ** (int(p) - 1)
-            return 1j * p * principal_power(1j * z, p - 1.0)
-        return -(4.0 * z * z * z + 1j * self.a)
+        """d q / d z at a point."""
+        return self._dq_closure()(z)
 
     def _q_closure(self):
         """Specialised q(z) closure for hot loops: the one formula for q.
@@ -149,6 +147,26 @@ class ModelSpec:
             return q
         ia = 1j * self.a
         return lambda z: 1.0 - z * (z * z * z + ia)
+
+    def _dq_closure(self):
+        """Specialised scalar dq/dz closure for hot loops: the one formula."""
+        if self.family == "power":
+            ip = 1j * self.p
+            if self.is_integer_power:
+                k = int(self.p) - 1
+                return lambda z: ip * (1j * z) ** k
+            pm1 = self.p - 1.0
+            clog = cmath.log
+            cexp = cmath.exp
+
+            def dq(z):
+                if z == 0:  # (i z)^(p-1) -> 0 at the branch point, p > 1
+                    return 0j
+                return ip * cexp(pm1 * clog(1j * z))
+
+            return dq
+        ia = 1j * self.a
+        return lambda z: -(4.0 * z * z * z + ia)
 
     # q bypasses q_callable, so a counter wrapped around both sees each q(z) once.
     q_callable = _q_closure
@@ -237,7 +255,7 @@ def _walk_leg(start: _Waypoint, a: complex) -> _Waypoint:
         raise TraceError(f"two turning points meet near a = {a:.6g}")
     z_a, z_b, z_c, _ = roots
     q = ModelSpec.quartic(a).q_callable()
-    seeds = [SqrtTracker(prev).take(q(0.5 * (z_c + z_e)))
+    seeds = [_signed_root(q(0.5 * (z_c + z_e)), prev)
              for z_e, prev in ((z_a, start.seed_a), (z_b, start.seed_b))]
     return _Waypoint(a, QuarticRoots(*roots), *seeds)
 
@@ -412,18 +430,6 @@ def seed_directions(origin: complex, model: ModelSpec,
     return sorted(polished)
 
 
-def _advance(q, z: complex, chi: complex, tracker: SqrtTracker, dz: complex):
-    """One straight micro-step; chi gains 2i * 3-point Gauss of sqrt(q)."""
-    z_new = z + dz
-    d = z_new - z
-    acc = 0j
-    for u, w in ((0.1127016653792583, 0.2777777777777778),
-                 (0.5, 0.4444444444444444),
-                 (0.8872983346207417, 0.2777777777777778)):
-        acc += w * tracker.take(q(z + u * d))
-    return z_new, chi + 2j * acc * d
-
-
 def _trace(model: ModelSpec, origin: complex, theta: float, hold_imag: bool,
            target: complex | None, max_arclen: float) -> StokesTrace:
     """Follow Im chi = 0 (hold_imag) or Re chi = 0 away from origin.
@@ -431,21 +437,33 @@ def _trace(model: ModelSpec, origin: complex, theta: float, hold_imag: bool,
     The predictor moves chi by h (Stokes line, chi oriented so Re chi >= 0)
     or by +-i h (matching path, sign chosen so the first step points along
     theta); a transverse Newton corrector then restores the held part of
-    chi to within _HOLD_TOL.  The step in chi is relative, h = min(_H_CAP
-    max(1, |chi|), 0.1 |chi'| |chi'/chi''|): away from the turning points
-    |chi| grows by at most a fraction _H_CAP per step, so a line takes
-    O(log |chi|) points, not O(|chi|), to reach _ESCAPE_RADIUS, and the
-    step in z, |dz| = h/|chi'|, is at most 0.1 of the local length scale
-    |chi'/chi''| = 2 |q/q'|.  Near a simple zero z* of q that is about
-    0.2 |z - z*|, so a line closes in on a turning point geometrically
-    rather than step across it.  With a target the trace stops "target"
-    near it, otherwise "singularity" at a zero of q.  A step that crosses
-    the cut ends the trace "cut": the step is kept if its chord crosses,
-    dropped if only a corrector leg went across and back (chi after it
-    would be on the other sheet).
+    chi to within max(_HOLD_TOL, _HOLD_REL |chi|): the relative part acts
+    only where |chi| > ~7e3, where the rounding of chi alone exceeds
+    _HOLD_TOL.  The step in chi is relative, h = min(_H_CAP max(1, |chi|),
+    0.1 |chi'| |chi'/chi''|): away from the turning points |chi| grows by
+    at most a fraction _H_CAP per step, so a line takes O(log |chi|)
+    points, not O(|chi|), to reach _ESCAPE_RADIUS, and the step in z, |dz|
+    = h/|chi'|, is at most 0.1 of the local length scale |chi'/chi''| = 2
+    |q/q'|.  Near a simple zero z* of q that is about 0.2 |z - z*|, so a
+    line closes in on a turning point geometrically rather than step across
+    it.  With a target the trace stops "target" near it, otherwise
+    "singularity" at a zero of q.  A step that crosses the cut ends the
+    trace "cut": the step is kept if its chord crosses, dropped if only a
+    corrector leg went across and back (chi after it would be on the other
+    sheet).
+
+    The predictor and each corrector leg are one fused straight step, on
+    which chi gains 2i * the 3-point Gauss rule of sqrt(q): the samples
+    q(z + u d) are taken in node order, each signed by _signed_root from
+    the sample before (the loop carries the last signed root, last), and
+    summed into one accumulator in that order.
     """
     q = model.q_callable()
-    dq = model.dq
+    dq = model._dq_closure()
+    signed_root = _signed_root
+    hold_tol, hold_rel, h_cap, tp_tol = _HOLD_TOL, _HOLD_REL, _H_CAP, _TP_NEIGHBOURHOOD
+    u0, u1, u2 = 0.1127016653792583, 0.5, 0.8872983346207417  # Gauss on [0, 1]
+    w0, w1 = 0.2777777777777778, 0.4444444444444444  # weights; the third is w0
     z = origin + _START_RADIUS * cmath.exp(1j * theta)
     val, last = _path_action(model, [origin, z], _START_ORDER)
     chi = 2j * val
@@ -454,52 +472,60 @@ def _trace(model: ModelSpec, origin: complex, theta: float, hold_imag: bool,
             chi, last = -chi, -last
         turn = 1.0
     else:
-        sq = SqrtTracker(last).take(q(z))
+        sq = signed_root(q(z), last)
         turn = -1j if (1j / (2j * sq) * cmath.exp(-1j * theta)).real < 0.0 else 1j
     has_cut = model.has_branch_cut
-    tracker = SqrtTracker(last)
     trace = StokesTrace(origin=origin, points=[z], chi=[chi], hold_imag=hold_imag)
+    add_point, add_chi = trace.points.append, trace.chi.append
     arclen = _START_RADIUS
     for _ in range(_MAX_POINTS):
         qv = q(z)
         if target is None:
-            if abs(qv) < _TP_NEIGHBOURHOOD:
+            if abs(qv) < tp_tol:
                 trace.terminated = "singularity"
                 return trace
         elif abs(qv) < 1e-5 or abs(z - target) < 0.02:
             trace.terminated = "target"
             return trace
-        sq = tracker.take(qv)
-        chi_p = 2j * sq
+        last = signed_root(qv, last)
+        chi_p = 2j * last
         curv = abs(dq(z)) / (2.0 * abs(qv))
-        h = _H_CAP * max(1.0, abs(chi))
+        h = h_cap * max(1.0, abs(chi))
         if curv != 0.0:
             h = min(h, 0.1 * abs(chi_p) / curv)
         dz = turn * h / chi_p
-        step_tracker = SqrtTracker(tracker.last)
-        z_new, chi_new = _advance(q, z, chi, step_tracker, dz)
-        legs = [z, z_new]
-        for _ in range(8):
+        z_new, chi_new = z, chi
+        legs = [z] if has_cut else None
+        for leg in range(9):  # the predictor, then up to 8 corrector legs
+            z_end = z_new + dz
+            d = z_end - z_new
+            s = signed_root(q(z_new + u0 * d), last)
+            acc = 0j + w0 * s
+            s = signed_root(q(z_new + u1 * d), s)
+            acc += w1 * s
+            last = signed_root(q(z_new + u2 * d), s)
+            acc += w0 * last
+            z_new, chi_new = z_end, chi_new + 2j * acc * d
+            if has_cut:
+                legs.append(z_new)
+            if leg == 8:
+                raise TraceError(f"corrector stalled near z = {z_new:.6g}")
             off = chi_new.imag if hold_imag else chi_new.real
-            if abs(off) <= _HOLD_TOL:
+            held = abs(off)
+            if held <= hold_tol or held <= hold_rel * abs(chi_new):
                 break
-            sq_new = step_tracker.take(q(z_new))
-            dz_c = (-1j * off if hold_imag else -off) / (2j * sq_new)
-            z_new, chi_new = _advance(q, z_new, chi_new, step_tracker, dz_c)
-            legs.append(z_new)
-        else:
-            raise TraceError(f"corrector stalled near z = {z_new:.6g}")
+            last = signed_root(q(z_new), last)
+            dz = (-1j * off if hold_imag else -off) / (2j * last)
         hit_cut = False
         if has_cut:
             hit_cut = _ray_hit(legs[0], legs[-1])
             if not hit_cut and any(map(_ray_hit, legs, legs[1:])):
                 trace.terminated = "cut"
                 return trace
-        tracker.last = step_tracker.last
         arclen += abs(z_new - z)
         z, chi = z_new, chi_new
-        trace.points.append(z)
-        trace.chi.append(chi)
+        add_point(z)
+        add_chi(chi)
         if hit_cut:
             trace.terminated = "cut"
             return trace
@@ -517,8 +543,11 @@ def trace_stokes_line(origin: complex, model: ModelSpec, seed_direction: float,
     """Follow Im chi = 0, Re chi >= 0 from a singularity.
 
     Predictor dz = h / chi'(z) keeps the chi increment real positive;
-    a transverse Newton corrector restores |Im chi| <= 1e-10 after each
-    step.  The step h = min(0.01 max(1, |chi|), 0.1 |chi'| |chi'/chi''|)
+    a transverse Newton corrector restores |Im chi| <= max(1e-10, 64 eps
+    |chi|) after each step (eps the machine epsilon; the relative hold
+    acts only above |chi| ~ 7e3, where chi's own rounding exceeds 1e-10).
+    Predictor and corrector legs are one fused 3-point Gauss step each,
+    carrying the sign of sqrt(q) from sample to sample.  The step h = min(0.01 max(1, |chi|), 0.1 |chi'| |chi'/chi''|)
     is at most 1% of max(1, |chi|), so the point count grows with log
     |chi|, and the z-step h/|chi'| is at most 0.1 |chi'/chi''|, so it
     shrinks automatically near turning points.  Stops on |z| > 8, on the

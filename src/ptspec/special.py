@@ -5,7 +5,7 @@ on two primitives: the total reciprocal of the standard library's Gamma
 function and the principal complex power.  A square root whose sign is
 carried along a contour follows the nearest-sign rule of the quadrature
 module: sqrt_path_integral applies it to a whole path in one numpy pass,
-SqrtTracker one sample at a time.  Its ambiguity error and tolerance live
+_signed_root to one sample.  Its ambiguity error and tolerance live
 here.
 """
 

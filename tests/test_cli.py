@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 import os
@@ -6,10 +7,11 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import ptspec
-from ptspec import geometry, shooting
+from ptspec import cli, geometry, shooting
 from ptspec.asymptotic import EigRecord
 from ptspec.cli import build_parser, main
 
@@ -331,3 +333,87 @@ def test_out_of_range_arguments_are_usage_errors(argv, capsys):
     assert captured.out == ""
     errors = [line for line in captured.err.splitlines() if line.startswith("error: ")]
     assert errors and errors[0] != "error: "
+
+
+def _rendered_by_cell(rows, columns):
+    """The CSV of rows as it was written cell by cell before the templates."""
+    def fmt(x):
+        return f"{x:.17g}" if isinstance(x, float) else str(x)
+    lines = [",".join(columns)] + [",".join(fmt(r[c]) for c in columns) for r in rows]
+    return "".join(line + "\n" for line in lines)
+
+
+def test_emit_renders_every_cell_as_the_per_cell_writer_did(tmp_path):
+    cells = [1.5, np.float64(0.1), 3, True, False, "x", None, -0.0,
+             math.nan, math.inf, -math.inf, 5e-324, 1.7976931348623157e308,
+             np.float64(-0.0), np.float64(math.nan), 2.0 / 3.0, 1e22, -12]
+    columns = ["a", "b", "c", "d"]
+    rows = [dict(zip(columns, (cells * 2)[k:k + 4])) for k in range(len(cells))]
+    rows += rows[:5]  # repeated shapes reuse their template
+    meta = {"command": "test"}
+    for form, want in (("csv", _rendered_by_cell(rows, columns)),
+                       ("json", json.dumps({"meta": meta, "rows": rows},
+                                           indent=1, sort_keys=True) + "\n")):
+        for given in (rows, [tuple(r[c] for c in columns) for r in rows]):
+            out = tmp_path / f"rows.{form}"
+            cli._emit(given, columns, argparse.Namespace(format=form, out=str(out)), meta)
+            assert out.read_text() == want, form
+    out = tmp_path / "empty.csv"
+    cli._emit([], columns, argparse.Namespace(format="csv", out=str(out)), meta)
+    assert out.read_text() == "a,b,c,d\n"
+
+
+@pytest.mark.parametrize("p", ["12", "40"])
+def test_stokes_traces_every_line_at_large_p(tmp_path, capsys, p):
+    # Far out |chi| reaches 6e5 at p = 12 and ~1e18 at p = 40, where the
+    # rounding of chi alone exceeds the absolute hold of 1e-10: the
+    # corrector holds Im chi within 64 eps |chi| there instead of stalling.
+    out = tmp_path / "s.csv"
+    assert main(["stokes", "--p", p, "--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    kinds = set()
+    for line in out.read_text().splitlines()[1:]:
+        fields = line.split(",")
+        if fields[6].startswith("stokes_"):
+            kinds.add(fields[6])
+            chi = complex(float(fields[4]), float(fields[5]))
+            assert abs(chi.imag) <= 1e-10 * max(1.0, abs(chi)), (fields, chi)
+    assert kinds == {f"stokes_{o}_{k}" for o in ("z_A", "z_B") for k in range(3)}
+
+
+# q evaluations and traced points of the tracer before its step was fused,
+# counted as below: the fused step must not add work.
+_STOKES_Q_PER_POINT = {("--p", "1.3"): 19915 / 2729,      # 7.30
+                       ("--p", "2.5775"): 30935 / 4076,   # 7.59
+                       ("--A", "1.9312"): 60202 / 7668}   # 7.85
+
+
+def test_stokes_q_evaluations_per_traced_point_do_not_grow(monkeypatch, capsys):
+    # Counters are deterministic.  q is counted through q_callable, one per
+    # scalar call or array pass, as the benchmark counts it.
+    count, points = [0], [0]
+    plain = geometry.ModelSpec.q_callable
+    real_trace = geometry.trace_stokes_line
+
+    def q_callable(model):
+        inner = plain(model)
+
+        def q(z):
+            count[0] += 1
+            return inner(z)
+
+        return q
+
+    def trace(*args, **kwargs):
+        result = real_trace(*args, **kwargs)
+        points[0] += len(result.points)
+        return result
+
+    monkeypatch.setattr(geometry.ModelSpec, "q_callable", q_callable)
+    monkeypatch.setattr(geometry, "trace_stokes_line", trace)
+    for argv, per_point in _STOKES_Q_PER_POINT.items():
+        count[0] = points[0] = 0
+        assert main(["stokes", *argv]) == 0
+        capsys.readouterr()
+        assert points[0] > 0
+        assert count[0] <= 1.01 * per_point * points[0], (argv, count[0] / points[0])

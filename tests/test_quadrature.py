@@ -9,10 +9,10 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from ptspec import geometry
-from ptspec._quadrature import (_segment_points, sqrt_leg_integrals,
-                               sqrt_path_integral, SqrtTracker)
+from ptspec._quadrature import (_segment_points, _signed_root, _signed_roots,
+                               sqrt_leg_integrals, sqrt_path_integral)
 from ptspec.geometry import ModelSpec, TraceError
-from ptspec.special import BranchAmbiguityError
+from ptspec.special import BRANCH_AMBIGUITY_TOL, BranchAmbiguityError
 
 #: Integrands: the model closures of every kind, and the bare simple zero.
 _Q = {
@@ -27,13 +27,13 @@ _Q = {
 
 
 def _reference(q, nodes, order, seed, singular_start, singular_end):
-    """The same integral with one SqrtTracker.take per sample, in path order.
+    """The same integral with one _signed_root per sample, in path order.
 
     q is sampled on the same points as the engine samples it, so the test
     compares the sign chain and the sum, not two spellings of q.  Returns
     (integral, last sample, sum of the moduli of the terms).
     """
-    tracker = SqrtTracker(1.0 if seed is None else seed)
+    last = 1.0 if seed is None else seed
     total, scale = 0j, 0.0
     last_seg = len(nodes) - 2
     for i, (z0, z1) in enumerate(zip(nodes, nodes[1:])):
@@ -44,11 +44,12 @@ def _reference(q, nodes, order, seed, singular_start, singular_end):
         samples = q(np.array(points)).tolist()
         acc = 0j
         for wk, w in zip(wu.tolist(), samples):
-            term = wk * tracker.take(w)
+            last = _signed_root(w, last)
+            term = wk * last
             acc += term
             scale += abs(term * d)
         total += acc * d
-    return total, tracker.last, scale
+    return total, last, scale
 
 
 _coord = st.floats(-2.0, 2.0, allow_nan=False).map(lambda x: round(x, 2))
@@ -196,3 +197,57 @@ def test_each_leg_restarts_the_sign_chain_from_its_own_seed():
             assert list(map(_bits, one)) == _separately(q, legs, order, False)
         one = sqrt_leg_integrals(q, [flip, flip], order=order)
         assert one[0] == one[1]
+
+
+def _polar(modulus, angle):
+    return modulus * cmath.exp(1j * angle)
+
+
+def _tie_ratio(s, r):
+    d = s * r.conjugate()
+    return abs(d.real) / abs(d)
+
+
+_angle = st.floats(-math.pi, math.pi)
+_modulus = st.floats(1e-13, 10.0) | st.sampled_from([1e-16, 5e-15])
+#: Rotations of one root against the other: any, or a near tie (a quarter
+#: turn off by far less than the tie tolerance of 1e-12).
+_turn = _angle | st.builds(lambda k, e: k * math.pi / 2 + e,
+                           st.sampled_from([-1, 1]), st.floats(-1e-13, 1e-13))
+
+
+@settings(deadline=None, max_examples=500)
+@given(w0=st.builds(_polar, _modulus, _angle), turn=_turn, m1=_modulus,
+       seed=st.none() | st.tuples(st.floats(0.1, 3.0), _turn))
+def test_scalar_sign_rule_matches_the_array_engine(w0, turn, m1, seed):
+    # Two-sample paths: the second root is the first turned by turn, and a
+    # seed is given relative to the first root the same way, so flips, near
+    # ties and exact quarter turns all occur.  The samples reach the engine
+    # unchanged through a q that returns them.
+    r0 = cmath.sqrt(w0)
+    w1 = (m1 ** 0.5 * r0 / abs(r0) * cmath.exp(1j * turn)) ** 2
+    if seed is not None:
+        seed = seed[0] * r0 / abs(r0) * cmath.exp(1j * seed[1])
+    samples = np.array([w0, w1])
+
+    def q(z):
+        return samples
+
+    start = 1.0 if seed is None else seed
+    if min(abs(w0), abs(w1)) < BRANCH_AMBIGUITY_TOL:
+        with pytest.raises(BranchAmbiguityError):
+            _signed_root(w1, _signed_root(w0, start))
+        with pytest.raises(BranchAmbiguityError):
+            sqrt_path_integral(q, [0.0, 1.0], order=2, seed=seed)
+        return
+    # numpy's and cmath's roots may differ in the last bits: keep clear of
+    # the tie tolerance, where that difference could decide.
+    principal = [cmath.sqrt(w) for w in samples.tolist()]
+    for s, r in ((principal[0], start), (principal[1], principal[0])):
+        assume(not 0.5e-12 <= _tie_ratio(s, r) <= 2e-12)
+    s0 = _signed_root(w0, start)
+    s1 = _signed_root(w1, s0)
+    roots = _signed_roots(samples, [0], [seed])
+    for s, r in zip((s0, s1), roots.tolist()):
+        assert abs(s - r) <= 1e-15 * abs(s), (s, r)
+    assert sqrt_path_integral(q, [0.0, 1.0], order=2, seed=seed)[1] == roots[1]

@@ -3,7 +3,7 @@ import math
 
 import pytest
 
-from ptspec._quadrature import SqrtTracker
+from ptspec._quadrature import _signed_root
 from ptspec.special import BranchAmbiguityError, principal_power, recip_gamma
 
 
@@ -55,29 +55,25 @@ def test_principal_power_zero():
 
 
 def test_tracked_sqrt_continuity():
-    tracker = SqrtTracker(2.0 + 0j)
-    assert tracker.take(4.0) == 2.0
-    tracker = SqrtTracker(-2.1 + 0j)
-    assert tracker.take(4.0) == -2.0
-    assert tracker.last == -2.0
+    assert _signed_root(4.0, 2.0 + 0j) == 2.0
+    assert _signed_root(4.0, -2.1 + 0j) == -2.0
 
 
 def test_tracked_sqrt_square_roundtrip():
-    tracker = SqrtTracker(1.0 + 0j)
+    last = 1.0 + 0j
     for k in range(50):
         w = cmath.exp(0.3j * k) * (1.0 + 0.1 * k)
-        val = tracker.take(w)
-        assert abs(val * val - w) <= 1e-13 * abs(w)
+        last = _signed_root(w, last)
+        assert abs(last * last - w) <= 1e-13 * abs(w)
 
 
 def test_tracked_sqrt_monodromy():
     # One loop around the simple zero of w at the origin flips the branch.
-    tracker = SqrtTracker(1.0 + 0j)
     first = None
-    val = None
+    val = 1.0 + 0j
     for k in range(201):
         w = cmath.exp(2j * math.pi * k / 200)
-        val = tracker.take(w)
+        val = _signed_root(w, val)
         if first is None:
             first = val
     assert abs(val + first) < 1e-12
@@ -85,4 +81,4 @@ def test_tracked_sqrt_monodromy():
 
 def test_tracked_sqrt_ambiguity():
     with pytest.raises(BranchAmbiguityError):
-        SqrtTracker(1.0 + 0j).take(1e-16 + 0j)
+        _signed_root(1e-16 + 0j, 1.0 + 0j)
