@@ -59,13 +59,14 @@ class EigRecord:
 
     n is the mode label (a condition root's seed index, see
     condition_spectrum; _mode_index for find_eigen; scan_spectrum ranks its
-    real roots by E), param the family parameter (p or the quartic
-    coupling), method one of "wkb" / "full" / "numeric", residual the
-    absolute value of the (rescaled) condition or Wronskian at the root.
+    real roots by E), param the family parameter (ModelSpec.param: p, or
+    the quartic's physical coupling, complex for a complex coupling),
+    method one of "wkb" / "full" / "numeric", residual the absolute value
+    of the (rescaled) condition or Wronskian at the root.
     """
 
     n: int
-    param: float
+    param: float | complex
     eps: complex
     E: complex
     method: str
@@ -73,12 +74,12 @@ class EigRecord:
 
 
 def eps_to_E(eps: complex, p: float) -> complex:
-    """E = eps**(-2p/(p+2)) on the principal branch."""
+    """E = eps**(-2p/(p+2)) on the principal branch, p a ModelSpec.degree."""
     return principal_power(eps, -2.0 * p / (p + 2.0))
 
 
 def E_to_eps(E: complex, p: float) -> complex:
-    """eps = E**(-(p+2)/(2p)) on the principal branch."""
+    """eps = E**(-(p+2)/(2p)) on the principal branch, p a ModelSpec.degree."""
     return principal_power(E, -(p + 2.0) / (2.0 * p))
 
 
@@ -256,11 +257,9 @@ def cosine_seed(n: int, p: float) -> float:
 
 def _mode_index(eps: complex, model: ModelSpec) -> int:
     """Ladder index n: the seed rule 2U/|eps| = (n + 1/2) pi solved for n."""
-    if model.family == "power":
-        y = _power_phase(model.p) / abs(eps)
-    else:
-        y = _quartic_phase(model.a * eps) / abs(eps)
-    return max(0, round(y / math.pi - 0.5))
+    phase = (_power_phase(model.p) if model.family == "power"
+             else _quartic_phase(model.at(eps).a))
+    return max(0, round(phase / abs(eps) / math.pi - 0.5))
 
 
 def solve_condition(n: int, p: float, condition: str = "full",
@@ -302,6 +301,7 @@ def condition_spectrum(model: ModelSpec, e_max: float,
     (model.a is the physical coupling), reaches e_max.  A root reached from
     several seeds takes the seed nearest its _mode_index (the lower on a
     tie), any other its own; each complex root comes with its conjugate.
+    A complex quartic coupling raises ValueError (see solve_quartic).
     """
     if model.family == "quartic" and condition != "full":
         raise ValueError("the quartic has only the full condition")
@@ -395,10 +395,11 @@ def quartic_condition(eps: complex, A: float) -> complex:
     """Three-exponential eigenvalue condition of the quartic oscillator.
 
     (exp(-2i w_A/eps) + exp(-2i w_B/eps) + 1) / 2 at the scaled coupling
-    a = A * eps, with w_A = U + iV = -phi(z_A), w_B = -phi(z_B), phi based
-    at z_C, each term times exp(-m), m the largest real part of the three
-    exponents, so nothing overflows: exp(2V/eps) cos(2U/eps) + 1/2 rescaled
-    for real eps.  Complex a continues both actions analytically.
+    a = A * eps (that of ModelSpec.quartic(A).at(eps)), with w_A = U + iV =
+    -phi(z_A), w_B = -phi(z_B), phi based at z_C, each term times exp(-m),
+    m the largest real part of the three exponents, so nothing overflows:
+    exp(2V/eps) cos(2U/eps) + 1/2 rescaled for real eps.  Complex a
+    continues both actions analytically.
     """
     a = A * eps
     if abs(complex(a).imag) < 1e-14:
@@ -431,14 +432,20 @@ def solve_quartic(n: int, A: float, seed: complex | None = None) -> EigRecord:
     Seeds from _quartic_seed unless given.  The real search is a descent on
     |f|, so at a fold it stalls between the two merged roots rather than
     jump to another mode's root, and restarts off the axis from the seed
-    (see _seeded_root); the record holds one member of the pair.
+    (see _seeded_root); the record holds one member of the pair.  A model
+    without the PT mirror (complex A) raises ValueError: the real-axis
+    search zeroes only the real part of the condition, which is a root
+    only under the mirror.
     """
     if n < 0:
         raise ValueError("mode index must be >= 0")
+    model = ModelSpec.quartic(A)
+    if not model.pt_mirror:
+        raise ValueError(f"the quartic condition needs a real coupling, got {A}")
     if seed is None:
         seed = _quartic_seed(n, A)
     eps, res = _seeded_root(lambda e: quartic_condition(e, A), seed, max_halvings=4)
-    return EigRecord(n=n, param=A, eps=eps, E=principal_power(eps, -4.0 / 3.0),
+    return EigRecord(n=n, param=A, eps=eps, E=eps_to_E(eps, model.degree),
                      method="full", residual=res)
 
 

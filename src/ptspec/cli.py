@@ -169,12 +169,9 @@ def cmd_stokes(args) -> int:
         rows.extend((o_re, o_im, z.real, z.imag, chi.real, chi.imag, kind)
                     for z, chi in zip(trace.points, trace.chi))
 
+    # --A draws the quartic equation at eps = 1
+    model = ModelSpec.power_law(args.p) if args.A is None else ModelSpec.quartic(args.A)
     if args.p is not None:
-        model = ModelSpec.power_law(args.p)
-        z_a, z_b = geometry.turning_points(args.p)
-        origins = [("z_A", z_a), ("z_B", z_b)]
-        if not model.is_integer_power:
-            origins.append(("z0", 0j))
         th_l, th_r, width = geometry.wedge_angles(args.p)
         for label, th in (("wedge_centre_left", th_l), ("wedge_centre_right", th_r),
                           ("wedge_boundary_left_lo", th_l - width / 2),
@@ -184,11 +181,9 @@ def cmd_stokes(args) -> int:
             for r in (0.0, 8.0):
                 z = r * cmath.exp(1j * th)
                 rows.append((0.0, 0.0, z.real + 0.0, z.imag + 0.0, 0.0, 0.0, label))
-    else:
-        model = ModelSpec.quartic(args.A)
-        roots = geometry.quartic_turning_points(args.A)
-        origins = [("z_A", roots.z_a), ("z_B", roots.z_b),
-                   ("z_C", roots.z_c), ("z_D", roots.z_d)]
+    origins = [(f"z_{label}", z) for label, z in zip("ABCD", model.turning_points)]
+    if model.has_branch_cut:
+        origins.append(("z0", 0j))
     for name, origin in origins:
         try:
             dirs = geometry.seed_directions(origin, model)

@@ -66,13 +66,21 @@ class TraceError(RuntimeError):
 
 @dataclass(frozen=True)
 class ModelSpec:
-    """Which oscillator family.
+    """Which oscillator family, and the laws that follow from it.
 
     family "power" is the eigenproblem -eps^2 f'' - (i z)^p f = f with finite
     real exponent p >= 1; family "quartic" is -eps^2 f'' + (z^4 + i a z) f = f
-    with finite scaled coupling a (shooting interprets the coupling as the
-    physical one and rescales per eigenvalue, see shooting module docs).  The
-    branch cut of (i z)^p is fixed on the positive imaginary axis.
+    with finite coupling a.  The branch cut of (i z)^p is fixed on the
+    positive imaginary axis.
+
+    Each per-family law is stated once, here: degree (with
+    asymptotic.E_to_eps / eps_to_E, the one E <-> eps scaling), at (the
+    equation at a given eps), pt_mirror, param and turning_points.  A model
+    built for an eigenvalue search holds the physical coupling A; at(eps)
+    is the equation the ODE sees there, whose coupling is a = A eps.
+    Functions of a alone (quartic_turning_points, quartic_action) take the
+    equation's coupling, so q and turning_points of ModelSpec.quartic(A)
+    are those at eps = 1.
     """
 
     family: str
@@ -98,6 +106,39 @@ class ModelSpec:
     @classmethod
     def quartic(cls, a: complex) -> "ModelSpec":
         return cls(family="quartic", a=a)
+
+    @property
+    def degree(self) -> float:
+        """Growth exponent of q at large |z|: p, or 4 for the quartic.
+
+        Under z = E^(1/degree) x both families read -eps^2 f'' + ... = f with
+        eps = E^(-(degree + 2)/(2 degree)) (asymptotic.E_to_eps).
+        """
+        return self.p if self.family == "power" else 4.0
+
+    def at(self, eps: complex) -> "ModelSpec":
+        """The equation at eps: the quartic's coupling scales to a eps."""
+        return self if self.family == "power" else ModelSpec.quartic(self.a * eps)
+
+    @property
+    def pt_mirror(self) -> bool:
+        """Whether conj f(-conj z) solves the equation at real eps whenever f
+        does: iff the family parameter is real, so every power law, and the
+        quartic at a real coupling."""
+        return complex(self.param).imag == 0
+
+    @property
+    def param(self) -> float | complex:
+        """The family parameter: p, or the coupling a."""
+        return self.p if self.family == "power" else self.a
+
+    @property
+    def turning_points(self) -> tuple[complex, ...]:
+        """Zeros of q: (z_A, z_B) for the power law, or the quartic's
+        (z_a, z_b, z_c, z_d) carried from a = 0 (raises TraceError where
+        two of them meet)."""
+        return (turning_points(self.p) if self.family == "power"
+                else quartic_turning_points(self.a).all)
 
     @property
     def is_integer_power(self) -> bool:
@@ -570,7 +611,7 @@ def trace_matching_path(model: ModelSpec) -> StokesTrace:
     """
     if model.family != "power":
         raise ValueError("matching path is defined for the power-law family")
-    z_a, z_b = turning_points(model.p)
+    z_a, z_b = model.turning_points
     heading = cmath.phase(z_b - z_a) if abs(z_b - z_a) > 1e-9 else 0.0
     cands = seed_directions(z_a, model, kind="anti")
     theta = min(cands, key=lambda t: abs(cmath.exp(1j * t) - cmath.exp(1j * heading)))

@@ -13,17 +13,18 @@ The model is PT-symmetric: at real E, conj f(-conj z) solves the equation
 whenever f does.  The contour is its own mirror image (z_r = -conj z_l, the
 match point on the imaginary axis), so at real E only the left ray is
 integrated and the right one is its mirror; W is then exactly real and a
-real secant stays on the axis.  Complex E, and a quartic whose scaled
-coupling is complex, integrate both rays; W(conj E) = conj W(E) still holds
-exactly, so a complex root is polished once and its conjugate taken.
+real secant stays on the axis.  Complex E, and a model without that
+mirror (ModelSpec.pt_mirror: a quartic whose coupling is complex),
+integrate both rays; W(conj E) = conj W(E) still holds exactly, so a
+complex root is polished once and its conjugate taken.
 
 The rays are stepped with the Dormand-Prince 8(5,3) pair (DOP853), first
 same as last, under Hairer's blended 5th/3rd-order error norm (see
 integrate_ray).
 
-For the quartic family the coupling stored on the model is the physical
-one, rescaled per eigenvalue E to a = A * E^(-3/4).  scan_spectrum seeds
-find_eigen from a Chebyshev collocation on the same contour.
+The model holds the physical coupling; each eigenvalue E integrates the
+equation at eps = E_to_eps(E, model.degree), model.at(eps).  scan_spectrum
+seeds find_eigen from a Chebyshev collocation on the same contour.
 """
 
 import cmath
@@ -32,10 +33,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .asymptotic import EigRecord, _mode_index
-from .geometry import (ModelSpec, TraceError, path_crosses_cut,
-                       quartic_turning_points, turning_points, wedge_angles)
-from .special import principal_power
+from .asymptotic import E_to_eps, EigRecord, _mode_index
+from .geometry import ModelSpec, TraceError, path_crosses_cut, wedge_angles
 
 __all__ = [
     "ShootConfig",
@@ -165,13 +164,6 @@ _DP_E5 = (
 _DP_E3 = tuple(b - bhh for b, bhh in zip(_DP_B, (
     2.44094488188976377952755905512e-1, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0,
     7.33846688281611857341361741547e-1, 0.0, 0.0, 2.20588235294117647058823529412e-2)))
-
-
-def _scaled_model(model: ModelSpec, eps: complex) -> ModelSpec:
-    """Model with the coupling the ODE actually sees at this eps."""
-    if model.family == "quartic":
-        return ModelSpec.quartic(model.a * eps)
-    return model
 
 
 def wkb_init(z: complex, eps: complex, model: ModelSpec) -> ShootState:
@@ -330,22 +322,15 @@ def _point_segment_distance(w: complex, z0: complex, z1: complex) -> float:
     return abs(w - (z0 + t * d))
 
 
-def _E_to_eps(E: complex, model: ModelSpec) -> complex:
-    """eps = E**(-(p+2)/(2p)) for the power law, E**(-3/4) for the quartic."""
-    exponent = -(model.p + 2.0) / (2.0 * model.p) if model.family == "power" else -0.75
-    return principal_power(E, exponent)
-
-
 def _ray_length(k: float, r_tp: float, eps: complex, r_max: float) -> float:
     """Radius where the WKB start has bought _DECAY_EFOLDS of inward decay.
 
     Past the outermost turning point (radius r_tp) the action along a wedge
-    centre grows like S = (2/k)(r^(k/2) - r_tp^(k/2)), with k = p + 2 for
-    the power law and 6 for the quartic; the start's error decays inward
-    like exp(-2S/|eps|).  The ray is at most r_max long and at least 2 r_tp:
-    a start closer to the turning points gives a wrong W even when the
-    estimate promises enough decay (p = 3, E = 40: r = 1.8 moves W from
-    -0.092 to -7.7e-5).
+    centre grows like S = (2/k)(r^(k/2) - r_tp^(k/2)), with k the model's
+    degree + 2; the start's error decays inward like exp(-2S/|eps|).  The
+    ray is at most r_max long and at least 2 r_tp: a start closer to the
+    turning points gives a wrong W even when the estimate promises enough
+    decay (p = 3, E = 40: r = 1.8 moves W from -0.092 to -7.7e-5).
     """
     r = (r_tp ** (k / 2) + _DECAY_EFOLDS * k * abs(eps) / 4) ** (2 / k)
     return min(r_max, max(2 * r_tp, r))
@@ -354,23 +339,22 @@ def _ray_length(k: float, r_tp: float, eps: complex, r_max: float) -> float:
 def _contour(model: ModelSpec, eps: complex, cfg: ShootConfig) -> tuple[complex, complex, complex]:
     """Ray endpoints and a match point keeping clear of turning points.
 
+    model is the equation at eps (ModelSpec.at).  The left ray runs along
+    the power law's left wedge centre, or the quartic's negative real axis,
+    out past the outermost turning point (_ray_length), which for the power
+    law is taken at radius 1 exactly: |z_A| = |z_B| = 1 only up to rounding.
     z_r = -conj(z_l) (for the power law th_r = -pi - th_l) and the match
     point stays on the imaginary axis, so the contour is its own PT mirror.
     """
+    try:
+        tps = model.turning_points
+    except TraceError as exc:
+        raise ShootingError(f"no labelled turning points: {exc}") from exc
     if model.family == "power":
-        th_l, _, _ = wedge_angles(model.p)
-        r = _ray_length(model.p + 2.0, 1.0, eps, cfg.r_max)
-        z_l = r * cmath.exp(1j * th_l)
-        tps = turning_points(model.p)
-        z_mid = cfg.z_mid
+        r_tp, z_dir, z_mid = 1.0, cmath.exp(1j * wedge_angles(model.p)[0]), cfg.z_mid
     else:
-        try:
-            tps = quartic_turning_points(model.a).all
-        except TraceError as exc:
-            raise ShootingError(f"no labelled turning points: {exc}") from exc
-        r = _ray_length(6.0, max(abs(tp) for tp in tps), eps, cfg.r_max)
-        z_l = complex(-r)
-        z_mid = 0j
+        r_tp, z_dir, z_mid = max(abs(tp) for tp in tps), -1 + 0j, 0j
+    z_l = _ray_length(model.degree + 2.0, r_tp, eps, cfg.r_max) * z_dir
     z_r = -z_l.conjugate()
     for _ in range(8):
         clear_of_tps = all(
@@ -390,19 +374,19 @@ def mismatch(E: complex, model: ModelSpec, cfg: ShootConfig | None = None) -> co
     eigenvalue; the normalization by the larger cross product keeps
     |W| in [0, 2] and cancels both rescaling exponents.
 
-    At real eps with a PT-symmetric scaled model (every power law, and the
-    quartic when its scaled coupling is real), conj f(-conj z) solves the
-    same equation, so the right ray is the mirror of the left one and only
-    the left ray is integrated.  W is then exactly real.  Complex E and a
-    complex quartic coupling integrate both rays.
+    At real eps with a model that has the PT mirror (ModelSpec.pt_mirror),
+    conj f(-conj z) solves the same equation, so the right ray is the
+    mirror of the left one and only the left ray is integrated.  W is then
+    exactly real.  Complex E and a complex quartic coupling integrate both
+    rays.
     """
     cfg = cfg or ShootConfig()
     E = complex(E)
-    eps = _E_to_eps(E, model)
-    scaled = _scaled_model(model, eps)
+    eps = E_to_eps(E, model.degree)
+    scaled = model.at(eps)
     z_l, z_r, z_mid = _contour(scaled, eps, cfg)
     left = integrate_ray(wkb_init(z_l, eps, scaled), (z_l, z_mid), eps, scaled, cfg)
-    if eps.imag == 0 and (scaled.family == "power" or complex(scaled.a).imag == 0):
+    if eps.imag == 0 and scaled.pt_mirror:
         right = ShootState(left.f.conjugate(), -left.df.conjugate(), left.log_scale)
     else:
         right = integrate_ray(wkb_init(z_r, eps, scaled), (z_r, z_mid), eps, scaled, cfg)
@@ -476,10 +460,9 @@ def _muller_step(pts) -> complex:
 
 
 def _record(E: complex, w: complex, model: ModelSpec) -> EigRecord:
-    eps = _E_to_eps(E, model)
-    param = model.p if model.family == "power" else model.a
-    return EigRecord(n=_mode_index(eps, model), param=float(param.real if isinstance(param, complex) else param),
-                     eps=eps, E=E, method="numeric", residual=abs(w))
+    eps = E_to_eps(E, model.degree)
+    return EigRecord(n=_mode_index(eps, model), param=model.param, eps=eps, E=E,
+                     method="numeric", residual=abs(w))
 
 
 def _contour_eigenvalues(model: ModelSpec, E_max: float, cfg: ShootConfig) -> np.ndarray:
@@ -490,8 +473,8 @@ def _contour_eigenvalues(model: ModelSpec, E_max: float, cfg: ShootConfig) -> np
     operator [[X, Y], [conj Y, conj X]] is solved as the real matrix
     [[Re(X+Y), Im(Y-X)], [Im(X+Y), Re(X-Y)]] (Trefethen, SIAM 2000)."""
     E0 = 1.5 * E_max
-    eps0 = _E_to_eps(complex(E0), model)
-    scaled = _scaled_model(model, eps0)
+    eps0 = E_to_eps(complex(E0), model.degree)
+    scaled = model.at(eps0)
     z_l = _contour(scaled, eps0, cfg)[0]
     n, m = _COLLOCATION_POINTS, _COLLOCATION_POINTS - 1
     x = np.cos(np.pi * np.arange(n + 1) / n)
@@ -522,9 +505,10 @@ def scan_spectrum(model: ModelSpec, E_max: float,
     Each upper-half-plane eigenvalue of _contour_eigenvalues (real if
     |Im E| <= 1e-6 |E|) seeds find_eigen; a polish within 1e-6 |seed| is
     kept, with its conjugate if complex.  Real roots are indexed by
-    position.  A complex quartic coupling (no PT mirror) raises ValueError.
+    position.  A model without the PT mirror (a complex quartic coupling)
+    raises ValueError.
     """
-    if model.family == "quartic" and complex(model.a).imag != 0:
+    if not model.pt_mirror:
         raise ValueError(f"scan_spectrum needs a real quartic coupling, got {model.a}")
     cfg = cfg or ShootConfig()
     records: list[EigRecord] = []

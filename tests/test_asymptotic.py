@@ -16,6 +16,7 @@ from ptspec.asymptotic import (SolveError, _mode_index, _newton_complex,
                                solve_quartic, switched_terms, wkb_condition,
                                wkb_eigenvalue)
 from ptspec.geometry import ModelSpec
+from ptspec.special import principal_power
 
 PI = math.pi
 
@@ -210,12 +211,19 @@ def test_newton_on_the_real_part_stays_on_the_axis():
 
 
 def test_eps_scaling_roundtrip():
-    for p in (1.4, 2.0, 3.7):
+    for p in (1.4, 2.0, 3.7, 4.0):
         for eps in (0.21, 0.07 + 0.01j):
             assert abs(E_to_eps(eps_to_E(eps, p), p) - eps) < 1e-12 * abs(eps)
     assert abs(eps_to_E(0.25, 2.0) - 4.0) < 1e-12  # E = 1/eps at p = 2
     for p in (1.3, 2.0, 4.2):
         assert abs(eps_to_E(1.0, p) - 1.0) < 1e-14
+    # the quartic's degree 4 gives its eps = E^(-3/4), bit for bit
+    assert ModelSpec.quartic(0.5).degree == 4.0
+    assert ModelSpec.power_law(2.6).degree == 2.6
+    for E in (0.8, 10.0, 33.3 + 2.5j):
+        assert E_to_eps(E, 4.0) == principal_power(E, -0.75)
+    for eps in (0.21, 0.9, 0.07 + 0.01j):
+        assert eps_to_E(eps, 4.0) == principal_power(eps, -4 / 3)
 
 
 def test_record_scaling_invariant():
@@ -459,6 +467,16 @@ def test_quartic_roots_carry_their_mode_label():
             rec = solve_quartic(n, a)
             assert rec.eps.imag == 0
             assert _mode_index(rec.eps, model) == n
+
+
+def test_quartic_condition_solvers_refuse_a_complex_coupling():
+    # the real-axis search zeroes only Re f, a root only under the PT
+    # mirror: at A = 1 + 0.5i, Re f vanishes near E = 1.2500 where
+    # |quartic_condition| is 0.306
+    with pytest.raises(ValueError, match="real"):
+        condition_spectrum(ModelSpec.quartic(1 + 0.5j), 10.0)
+    with pytest.raises(ValueError, match="real"):
+        solve_quartic(0, 1 + 0.5j)
 
 
 def test_quartic_condition_complex_conjugate_symmetry():

@@ -57,6 +57,40 @@ def test_turning_points_are_roots_and_pt_symmetric():
         assert abs(zb + za.conjugate()) < 1e-13
 
 
+@pytest.mark.parametrize("model", [
+    ModelSpec.power_law(1.3), ModelSpec.power_law(2.0), ModelSpec.power_law(3.0),
+    ModelSpec.quartic(0.0), ModelSpec.quartic(1.0), ModelSpec.quartic(1.0 + 0.5j),
+], ids=lambda m: f"{m.family}-{m.param}")
+def test_model_turning_points(model):
+    if model.family == "power":
+        want = turning_points(model.p)
+    else:
+        want = quartic_turning_points(model.a).all
+    assert model.turning_points == want
+    assert all(abs(model.q(z)) < 1e-12 for z in model.turning_points)
+
+
+def test_model_at_eps():
+    power = ModelSpec.power_law(2.5)
+    assert power.at(0.3 + 0.1j) is power
+    assert ModelSpec.quartic(2.0).at(0.5) == ModelSpec.quartic(1.0)
+    assert ModelSpec.quartic(2.0).at(0.5j).a == 1j
+    assert ModelSpec.quartic(2.0).param == 2.0 and power.param == 2.5
+
+
+def test_pt_mirror_truth_table():
+    assert ModelSpec.power_law(1.5).pt_mirror
+    assert ModelSpec.power_law(3.0).pt_mirror
+    assert ModelSpec.quartic(0.0).pt_mirror
+    assert ModelSpec.quartic(2.0).pt_mirror
+    assert ModelSpec.quartic(2.0 + 0j).pt_mirror
+    assert not ModelSpec.quartic(1.0 + 0.5j).pt_mirror
+    assert not ModelSpec.quartic(0.75j).pt_mirror
+    # the equation at complex eps has a complex coupling
+    assert not ModelSpec.quartic(1.0).at(0.5 + 0.1j).pt_mirror
+    assert ModelSpec.power_law(1.5).at(0.5 + 0.1j).pt_mirror
+
+
 def test_quartic_roots_a0():
     roots = quartic_turning_points(0.0)
     assert abs(roots.z_a - 1.0) < 1e-12

@@ -3,13 +3,13 @@ import math
 
 import numpy as np
 import pytest
-from ptspec.asymptotic import _off_axis, condition_spectrum, solve_condition
+from ptspec.asymptotic import E_to_eps, _off_axis, condition_spectrum, solve_condition
 from ptspec import shooting
 from ptspec.geometry import ModelSpec, wedge_angles
 from ptspec.shooting import (_DP_A, _DP_B, _DP_C, _DP_E3, _DP_E5, ShootConfig,
-                             ShootingError, ShootState, _contour, _E_to_eps,
-                             _muller_step, _scaled_model, find_eigen,
-                             integrate_ray, mismatch, scan_spectrum, wkb_init)
+                             ShootingError, ShootState, _contour, _muller_step,
+                             find_eigen, integrate_ray, mismatch, scan_spectrum,
+                             wkb_init)
 
 PI = math.pi
 
@@ -132,8 +132,8 @@ def test_dop853_tableau():
 
 
 def _match_ratios(model, cfg, E):
-    eps = _E_to_eps(complex(E), model)
-    scaled = _scaled_model(model, eps)
+    eps = E_to_eps(complex(E), model.degree)
+    scaled = model.at(eps)
     z_l, z_r, z_mid = _contour(scaled, eps, cfg)
     out = []
     for z in (z_l, z_r):
@@ -162,8 +162,8 @@ def test_right_ray_is_mirror_of_left_at_real_E():
     cases += [(ModelSpec.quartic(a), ShootConfig(r_max=5.0)) for a in (0.0, 0.75, 2.0)]
     for model, cfg in cases:
         for E in (1.0, 10.0, 40.0):
-            eps = _E_to_eps(complex(E), model)
-            scaled = _scaled_model(model, eps)
+            eps = E_to_eps(complex(E), model.degree)
+            scaled = model.at(eps)
             z_l, z_r, z_mid = _contour(scaled, eps, cfg)
             assert z_r == -z_l.conjugate() and z_mid.real == 0
             left = integrate_ray(wkb_init(z_l, eps, scaled), (z_l, z_mid), eps, scaled, cfg)
@@ -253,8 +253,8 @@ def test_ray_length_follows_eps():
     cases += [(ModelSpec.quartic(a), ShootConfig(r_max=5.0)) for a in (0.75, 2.0)]
     for model, cfg in cases:
         for E in (1.0, 10.0, 40.0):
-            eps = _E_to_eps(complex(E), model)
-            scaled = _scaled_model(model, eps)
+            eps = E_to_eps(complex(E), model.degree)
+            scaled = model.at(eps)
             z_l, z_r, z_mid = _contour(scaled, eps, cfg)
             if E >= 10.0:
                 assert max(abs(z_l), abs(z_r)) < cfg.r_max
@@ -385,6 +385,14 @@ def test_scan_needs_no_condition_root(monkeypatch):
     monkeypatch.setattr(shooting, "condition_spectrum", refuse, raising=False)
     recs = scan_spectrum(ModelSpec.power_law(1.5), 12.0)
     assert len(recs) == 9
+
+
+def test_find_eigen_records_a_complex_coupling():
+    model = ModelSpec.quartic(0.5 + 0.05j)
+    rec = find_eigen(1.09, model)
+    assert rec.param == 0.5 + 0.05j
+    assert abs(rec.E - (1.0931281730 + 0.0066477472j)) <= 1e-9
+    assert abs(mismatch(rec.E, model)) <= 1e-9
 
 
 def test_scan_refuses_a_complex_quartic_coupling():
