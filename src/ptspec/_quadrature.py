@@ -12,8 +12,11 @@ with d = s conj(r), s is negated iff Re d < -1e-12 |d|, and a near tie,
 between numpy's and cmath's roots decide nothing.
 A simple zero of q at a path endpoint is handled by mapping the adjacent
 10% of that segment through z = z* + s**2, which makes the integrand
-analytic there and restores spectral accuracy.  _signed_root applies the
-same rule to one sample, for the loops that step along a path.
+analytic there and restores spectral accuracy.  The same pass can also
+give the integral of t / sqrt(q) of each leg (moment=True), from the same
+signed samples, for the slope of the quartic action in its coupling.
+_signed_root applies the sign rule to one sample, for the loops that step
+along a path.
 """
 
 import cmath
@@ -139,23 +142,31 @@ def sqrt_leg_integrals(
     legs: Sequence[tuple[Sequence[complex], complex | None]],
     order: int = 40,
     singular_end: bool = False,
-) -> list[complex]:
+    moment: bool = False,
+) -> list[complex] | list[tuple[complex, complex]]:
     """Integrals of sqrt(q) along several polylines (nodes, seed) in one pass.
 
     Each leg is the integral sqrt_path_integral(q, nodes, order, seed,
     singular_end=singular_end) would return, bit for bit: q is called once
     on the samples of all legs, but the sign chain restarts from each leg's
-    own seed at its first sample and each leg is summed on its own.
+    own seed at its first sample and each leg is summed on its own.  With
+    moment, each leg gives the pair (that integral, integral of t / sqrt(q)
+    dt) from the same samples; a simple zero of q at a singular end keeps
+    the second integrand integrable, and the substitution keeps it smooth.
     """
-    return [val for val, _ in _integrate_legs(
-        q, [(nodes, seed, False, singular_end) for nodes, seed in legs], order)]
+    legs = [(nodes, seed, False, singular_end) for nodes, seed in legs]
+    if moment:
+        return [(val, mom) for val, _, mom in _integrate_legs(q, legs, order, moment=True)]
+    return [val for val, _ in _integrate_legs(q, legs, order)]
 
 
-def _integrate_legs(q, legs, order: int) -> list[tuple[complex, complex]]:
+def _integrate_legs(q, legs, order: int, moment: bool = False) -> list[tuple]:
     """(integral, last sample) of each leg (nodes, seed, singular_start,
     singular_end), all in one numpy pass: one call of q on every sample,
     one sign chain restarted at the first sample of each leg, and one dot
-    product per segment, summed per leg in path order."""
+    product per segment, summed per leg in path order.  moment appends the
+    integral of t / sqrt(q) to each tuple: one more division over the
+    samples and one more dot product per segment."""
     legs_segments, starts, seeds, size = [], [], [], 0
     for nodes, seed, singular_start, singular_end in legs:
         nodes = [complex(z) for z in nodes]
@@ -175,20 +186,25 @@ def _integrate_legs(q, legs, order: int) -> list[tuple[complex, complex]]:
             size += wu.size
         legs_segments.append(segments)
     points = [z0 + u * d for segments in legs_segments for z0, d, u, _ in segments]
-    w = q(np.concatenate(points) if len(points) > 1 else points[0])
+    z = np.concatenate(points) if len(points) > 1 else points[0]
+    w = q(z)
     modulus = np.abs(w)
     if modulus.min() < BRANCH_AMBIGUITY_TOL:
         first = modulus[np.argmax(modulus < BRANCH_AMBIGUITY_TOL)]
         raise BranchAmbiguityError(f"square-root sample at |w| = {first:.3e}")
     roots = _signed_roots(w, starts, seeds)
+    ratios = z / roots if moment else None
     out, lo = [], 0
     for segments in legs_segments:
-        total = 0j
+        total = mom = 0j
         for _, d, _, wu in segments:
             hi = lo + wu.size
             total += complex(roots[lo:hi] @ wu) * d
+            if moment:
+                mom += complex(ratios[lo:hi] @ wu) * d
             lo = hi
-        out.append((total, complex(roots[hi - 1])))
+        last = complex(roots[hi - 1])
+        out.append((total, last, mom) if moment else (total, last))
     return out
 
 

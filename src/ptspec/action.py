@@ -7,7 +7,8 @@ sqrt(q) it shares with the Stokes tracer (origin sliver, turning-point
 ends, branch seed).  The quartic action seeds its branch at the segment
 midpoint from the coupling walk and calls the quadrature engine directly,
 one pass for both halves of the segment (and for both actions at complex
-coupling): its ends are turning points by construction.
+coupling), which can also give its derivative in the coupling: its ends
+are turning points by construction.
 """
 
 import math
@@ -89,7 +90,7 @@ def singulant(z: complex, z_star: complex, model: ModelSpec,
     return 2j * action_between(z_star, z, model, via=via, order=order, seed=seed)
 
 
-def _quartic_end_actions(a: complex, *ends: str) -> tuple[complex, ...]:
+def _quartic_end_actions(a: complex, *ends: str, slopes: bool = False) -> tuple:
     """-integral from z_C to each turning point named in ends ("z_a", "z_b").
 
     Straight segments, branch seeded at their midpoints.  The overall sign
@@ -100,7 +101,10 @@ def _quartic_end_actions(a: complex, *ends: str) -> tuple[complex, ...]:
     sample never jumps branch.  The walk memoises the roots and seeds at
     its fixed waypoints, so a call costs one walk (one leg from the nearest
     waypoint for real a) plus one quadrature pass over the legs mid -> z_e
-    and mid -> z_C of every end.
+    and mid -> z_C of every end.  With slopes, each end gives the pair
+    (w, dw/da) from that same pass: q vanishes at both ends of the segment,
+    so dw/da = (i/2) integral from z_C to z_e of t / sqrt(q), q = 1 - t^4 -
+    i a t.
     """
     wp = _quartic_walk(a)
     z_c = wp.roots.z_c
@@ -111,8 +115,12 @@ def _quartic_end_actions(a: complex, *ends: str) -> tuple[complex, ...]:
         mid = 0.5 * (z_c + z_e)
         legs += [([mid, z_e], seed), ([mid, z_c], seed)]
     q = ModelSpec.quartic(wp.a).q_callable()
-    vals = sqrt_leg_integrals(q, legs, order=DEFAULT_ORDER, singular_end=True)
+    vals = sqrt_leg_integrals(q, legs, order=DEFAULT_ORDER, singular_end=True,
+                              moment=slopes)
     # integral_{z_C}^{z_e} = integral_{mid}^{z_e} - integral_{mid}^{z_C}
+    if slopes:
+        return tuple((-(to_e - to_c), 0.5j * (mom_e - mom_c))
+                     for (to_e, mom_e), (to_c, mom_c) in zip(vals[::2], vals[1::2]))
     return tuple(-(to_e - to_c) for to_e, to_c in zip(vals[::2], vals[1::2]))
 
 

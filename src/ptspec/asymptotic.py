@@ -13,10 +13,11 @@ eigenvalues, and the corrected condition carrying the branch-point term
 which stays meaningful for 1 < p < 2 where the extra term takes over and
 the real spectrum terminates.  The quartic oscillator gets the analogous
 three-exponential condition 2 exp(2V/eps) cos(2U/eps) + 1 = 0.  Solvers
-work on an overflow-safe rescaling of these conditions.  condition_spectrum
-lists each root below an energy once, real roots and the conjugate pairs
-merged branches leave in the complex plane alike; lowest_branch_path
-continues a real branch in p.
+work on an overflow-safe rescaling of these conditions; the quartic one
+gives its Newton slope from the quadrature pass that gives its value.
+condition_spectrum lists each root below an energy once, real roots and
+the conjugate pairs merged branches leave in the complex plane alike;
+lowest_branch_path continues a real branch in p.
 """
 
 import cmath
@@ -147,35 +148,45 @@ def _scaled_condition(eps: complex, p: float, condition: str) -> complex:
     return cmath.cos(y) * cmath.exp(x - l2) - t2 / abs(t2)
 
 
-def _descend(f, x: float, g: float, step: float, max_halvings: int) -> tuple[float, float]:
-    """x + step, halved until |f| drops below |g|; SolveError if it never does."""
+def _descend(f, x: float, g: float, step: float,
+             max_halvings: int) -> tuple[float, float, float | None]:
+    """x + step, halved until |f| drops below |g|, with f's value and slope
+    there (f as in _newton_complex); SolveError if it never drops."""
     for _ in range(max_halvings + 1):
         xt = x + step
         if xt > 0 and math.isfinite(xt):
             try:
-                gt = f(xt)
+                gt, dgt = f(xt)
             except (OverflowError, ValueError):
                 gt = math.inf
             if abs(gt) < abs(g):
-                return xt, gt
+                return xt, gt, dgt
         step *= 0.5
     raise SolveError(f"real search stalled at {x!r} with |f| = {abs(g):.3g}")
 
 
 #: Consecutive steps capped at half of |z| after which Newton gives up: the
-#: condition is flat on the scale of |z|.  Of 31,715 converging searches
+#: condition is flat on the scale of |z|.  Of 31,589 converging searches
 #: (the README bifurcation wkb,full and quartic sweeps, quartic 3.5:6 and
 #: 0:6 --emax 30, bifurcation 1.01:2.5 --step 0.01 --emax 40, and the
 #: perfbench conditions rounds of seeds 1-11) none took more than 9 capped
 #: steps in a row: 9 and 8 only in the step-0.01 sweep, at most 7 elsewhere
-#: (at cosine_seed(3, 1.5) and cosine_seed(10, 1.6)).  The off-axis
-#: searches that cannot converge cycle z <-> ~conj z with every step capped
-#: and |f| = 1 +- 2e-8; they used to run the whole budget.
+#: (at cosine_seed(3, 1.5) and cosine_seed(10, 1.6)).  The 1,406 quartic
+#: searches among them, on the condition's own slope, take at most 4, as
+#: they did on central differences.  The off-axis searches that cannot
+#: converge cycle z <-> ~conj z with every step capped and |f| = 1 +- 2e-8;
+#: they used to run the whole budget.
 _FLAT_STEPS = 15
 
 
 def _newton_complex(f, z0: complex, max_halvings: int | None = None) -> tuple[complex, float]:
-    """Newton to |f| <= 1e-12 in at most 100 iterations, central-difference slope.
+    """Newton to |f| <= 1e-12 in at most 100 iterations.
+
+    f(z) returns (value, slope), the slope being the derivative along real
+    z (which a holomorphic f shares with every direction).  A slope of
+    None makes the step take the central difference (f(z + h) - f(z - h))
+    / 2h, h = 1e-7 |z|: three evaluations per step, where an f that gives
+    its slope from the work that gives its value costs one.
 
     Every step is capped at half of |z|, so a real f from a real seed keeps
     every iterate on the positive real axis: the one search finds the real
@@ -188,18 +199,19 @@ def _newton_complex(f, z0: complex, max_halvings: int | None = None) -> tuple[co
     slope, flat condition, out of iterations, stalled descent) raises
     SolveError with its own message.
     """
-    z, g, capped = z0, None, 0
+    z, g, dg, capped = z0, None, None, 0
     for _ in range(100):
         if g is None:
             try:
-                g = f(z)
+                g, dg = f(z)
             except (OverflowError, ValueError):
                 raise SolveError("condition overflowed during Newton")
         z_res, res = z, abs(g)
         if res <= 1e-12:
             return z, res
-        h = 1e-7 * max(abs(z), 1e-12)
-        dg = (f(z + h) - f(z - h)) / (2.0 * h)
+        if dg is None:
+            h = 1e-7 * max(abs(z), 1e-12)
+            dg = (f(z + h)[0] - f(z - h)[0]) / (2.0 * h)
         if dg == 0:
             raise SolveError(f"zero slope in Newton at z = {z!r}, |f| = {res:.3g}")
         if not cmath.isfinite(dg):
@@ -214,7 +226,7 @@ def _newton_complex(f, z0: complex, max_halvings: int | None = None) -> tuple[co
         else:
             capped = 0
         if max_halvings is not None:
-            z, g = _descend(f, z, g, step, max_halvings)
+            z, g, dg = _descend(f, z, g, step, max_halvings)
             continue
         z, g = z + step, None
         if not cmath.isfinite(z) or abs(z) == 0:
@@ -222,19 +234,25 @@ def _newton_complex(f, z0: complex, max_halvings: int | None = None) -> tuple[co
     raise SolveError(f"Newton out of its 100 iterations, |f| = {res:.3g} at z = {z_res!r}")
 
 
+def _real_parts(g: complex, dg: complex | None) -> tuple[float, float | None]:
+    """(value, slope) of the real part of a condition along the real axis."""
+    return g.real, None if dg is None else dg.real
+
+
 def _seeded_root(f, seed: complex, max_halvings: int | None = None) -> tuple[complex, float]:
     """Root of the scaled condition f near seed, and |f| there.
 
-    A complex seed goes straight to Newton on f.  A real seed first runs
-    the same Newton on the real part of f, which stays on the real axis (a
-    descent on |f| if max_halvings is given); where that fails the root has
-    left the axis, and Newton on f restarts from seed (1 + 0.05i).
+    f returns (value, slope) as _newton_complex takes it.  A complex seed
+    goes straight to Newton on f.  A real seed first runs the same Newton
+    on the real part of f, which stays on the real axis (a descent on |f|
+    if max_halvings is given); where that fails the root has left the
+    axis, and Newton on f restarts from seed (1 + 0.05i).
     """
     seed = complex(seed)
     if abs(seed.imag) >= 1e-14:
         return _newton_complex(f, seed)
     try:
-        x, res = _newton_complex(lambda e: f(e).real, seed.real, max_halvings)
+        x, res = _newton_complex(lambda e: _real_parts(*f(e)), seed.real, max_halvings)
         return complex(x), res
     except SolveError:
         return _newton_complex(f, seed * (1.0 + 0.05j))
@@ -277,7 +295,7 @@ def solve_condition(n: int, p: float, condition: str = "full",
         raise ValueError("solve_condition needs a mode index n >= 0 and p > 1")
     if seed is None:
         seed = cosine_seed(n, p)
-    eps, res = _seeded_root(lambda e: _scaled_condition(e, p, condition), seed)
+    eps, res = _seeded_root(lambda e: (_scaled_condition(e, p, condition), None), seed)
     return EigRecord(n=n, param=p, eps=eps, E=eps_to_E(eps, p),
                      method=condition, residual=res)
 
@@ -301,7 +319,8 @@ def condition_spectrum(model: ModelSpec, e_max: float,
     (model.a is the physical coupling), reaches e_max.  A root reached from
     several seeds takes the seed nearest its _mode_index (the lower on a
     tie), any other its own; each complex root comes with its conjugate.
-    A complex quartic coupling raises ValueError (see solve_quartic).
+    A complex or negative quartic coupling raises ValueError (see
+    solve_quartic).
     """
     if model.family == "quartic" and condition != "full":
         raise ValueError("the quartic has only the full condition")
@@ -401,15 +420,40 @@ def quartic_condition(eps: complex, A: float) -> complex:
     exp(2V/eps) cos(2U/eps) + 1/2 rescaled for real eps.  Complex a
     continues both actions analytically.
     """
+    return _quartic_condition(eps, A, slope=False)[0]
+
+
+def _quartic_condition(eps: complex, A: float,
+                       slope: bool = True) -> tuple[complex, complex | None]:
+    """quartic_condition at eps and, if slope, its derivative along real eps.
+
+    Both come from one walk and one quadrature pass, which gives each action
+    w with dw/da (action._quartic_end_actions).  The exponents X_k =
+    -2i w_k/eps are holomorphic, with X_k' = -2i (A w_k' - w_k/eps)/eps,
+    but the factor exp(-m) is not: m = Re X_j, j the largest, so along real
+    eps, the direction of the central difference it replaces, the slope is
+    sum_k exp(X_k - m) (X_k' - Re X_j') / 2.  The value is quartic_condition
+    bit for bit; the slope is None without slope.
+    """
     a = A * eps
-    if abs(complex(a).imag) < 1e-14:
-        w_a = quartic_action(complex(a).real)  # a real a hits the walk's memo
-        w_b = -w_a.conjugate()
+    real_a = abs(complex(a).imag) < 1e-14
+    if real_a:  # a real a hits the walk's memo
+        ends = _quartic_end_actions(complex(a).real, "z_a", slopes=slope)
     else:  # one walk of the whole ray and one pass for both actions
-        w_a, w_b = _quartic_end_actions(a, "z_a", "z_b")
-    exponents = (-2j * w_a / eps, -2j * w_b / eps, 0j)
+        ends = _quartic_end_actions(a, "z_a", "z_b", slopes=slope)
+    ws, dws = zip(*ends) if slope else (ends, ())
+    if real_a:  # w_B = -conj(w_A) along real a, and so are the slopes
+        ws += (-ws[0].conjugate(),)
+        dws += tuple(-d.conjugate() for d in dws)
+    exponents = (*(-2j * w / eps for w in ws), 0j)
     m = max(x.real for x in exponents)
-    return sum(cmath.exp(x - m) for x in exponents) / 2
+    terms = [cmath.exp(x - m) for x in exponents]
+    value = sum(terms) / 2
+    if not slope:
+        return value, None
+    dx = (*(-2j * (A * dw - w / eps) / eps for w, dw in zip(ws, dws)), 0j)
+    dm = max(zip(exponents, dx), key=lambda xd: xd[0].real)[1].real
+    return value, sum(t * (d - dm) for t, d in zip(terms, dx)) / 2
 
 
 @lru_cache(maxsize=1)
@@ -435,16 +479,21 @@ def solve_quartic(n: int, A: float, seed: complex | None = None) -> EigRecord:
     (see _seeded_root); the record holds one member of the pair.  A model
     without the PT mirror (complex A) raises ValueError: the real-axis
     search zeroes only the real part of the condition, which is a root
-    only under the mirror.
+    only under the mirror.  So does a negative coupling of any numeric
+    type: z -> -z maps the spectrum at A onto the one at -A, which the
+    condition does not reproduce (at A = -1 its ground state read 0.93505,
+    not 1.16243).
     """
     if n < 0:
         raise ValueError("mode index must be >= 0")
     model = ModelSpec.quartic(A)
     if not model.pt_mirror:
         raise ValueError(f"the quartic condition needs a real coupling, got {A}")
+    if complex(A).real < 0:
+        raise ValueError(f"the quartic condition needs a coupling >= 0, got {A}")
     if seed is None:
         seed = _quartic_seed(n, A)
-    eps, res = _seeded_root(lambda e: quartic_condition(e, A), seed, max_halvings=4)
+    eps, res = _seeded_root(lambda e: _quartic_condition(e, A), seed, max_halvings=4)
     return EigRecord(n=n, param=A, eps=eps, E=eps_to_E(eps, model.degree),
                      method="full", residual=res)
 

@@ -1,6 +1,7 @@
 import cmath
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -8,7 +9,7 @@ from ptspec.action import (action_between, action_scale,
                            action_to_turning_points, quartic_action,
                            quartic_critical_a)
 from ptspec.asymptotic import (SolveError, _mode_index, _newton_complex,
-                               _off_axis, _scaled_condition,
+                               _off_axis, _quartic_condition, _scaled_condition,
                                condition_spectrum, corrected_condition,
                                cosine_seed, delta_estimate, E_to_eps, eps_to_E,
                                lowest_branch_path, quartic_closeoff,
@@ -116,7 +117,7 @@ def test_newton_budget_is_100_iterations():
         return (z - 2.0) ** 2 + 1.0
 
     with pytest.raises(SolveError):
-        _newton_complex(f, 1.0)
+        _newton_complex(lambda z: (f(z), None), 1.0)
     assert len(seen) <= 300
     assert all(complex(z).imag == 0.0 and z > 0 for z in seen)
 
@@ -147,7 +148,7 @@ def test_flat_newton_search_stops_early():
     # used to run all 100 iterations (300 evaluations).
     f, seen = _counting(lambda e: _scaled_condition(e, 1.05, "full"))
     with pytest.raises(SolveError, match="flat on the scale of"):
-        _newton_complex(f, 0.042744751223068006 * (1 + 0.05j))
+        _newton_complex(lambda z: (f(z), None), 0.042744751223068006 * (1 + 0.05j))
     assert len(seen) <= 48
 
 
@@ -156,7 +157,7 @@ def test_newton_converges_after_seven_capped_steps(n, p):
     # The longest run of capped steps measured on a converging search: the
     # stop rule must leave these roots in place.
     f, seen = _counting(lambda e: _scaled_condition(e, p, "full").real)
-    x, res = _newton_complex(f, cosine_seed(n, p))
+    x, res = _newton_complex(lambda z: (f(z), None), cosine_seed(n, p))
     assert res <= 1e-12 and abs(f(x)) <= 1e-12
     assert _longest_capped_run(seen[::3]) == 7  # three evaluations per step
 
@@ -168,7 +169,7 @@ def test_each_way_newton_fails_has_its_own_message():
                    0.042744751223068006 * (1 + 0.05j)),
                   (lambda z: (z - 2.0) ** 2 + 1.0, 1.0)]:  # no real root
         with pytest.raises(SolveError) as err:
-            _newton_complex(f, z0)
+            _newton_complex(lambda z: (f(z), None), z0)
         messages.append(str(err.value))
     assert ["zero slope" in messages[0], "flat on the scale of |z|" in messages[1],
             "100 iterations" in messages[2]] == [True] * 3
@@ -205,7 +206,7 @@ def test_newton_on_the_real_part_stays_on_the_axis():
     for p in (1.5, 2.5, 3.0):
         for n in range(4):
             f = lambda e: _scaled_condition(e, p, "full").real
-            z, res = _newton_complex(f, complex(cosine_seed(n, p)))
+            z, res = _newton_complex(lambda z: (f(z), None), complex(cosine_seed(n, p)))
             assert z.imag == 0.0 and res <= 1e-12
             assert z == solve_condition(n, p).eps
 
@@ -288,7 +289,7 @@ def real_roots_by_real_newton(p, e_max):
         n_top += 1
     for n in range(n_top + 1):
         try:
-            x, _ = _newton_complex(lambda e: _scaled_condition(e, p, "full").real,
+            x, _ = _newton_complex(lambda e: (_scaled_condition(e, p, "full").real, None),
                                    cosine_seed(n, p))
         except SolveError:
             continue
@@ -479,12 +480,64 @@ def test_quartic_condition_solvers_refuse_a_complex_coupling():
         solve_quartic(0, 1 + 0.5j)
 
 
+@pytest.mark.parametrize("A", [-1 + 0j, complex(-1.0, -0.0), np.complex128(-1)], ids=repr)
+def test_quartic_condition_solvers_refuse_a_negative_coupling(A):
+    # z -> -z maps the quartic at -A onto the one at A, but the condition
+    # does not reproduce that: at A = -1 + 0j its ground state read 0.93505,
+    # where A = 1 gives 1.16243.  ModelSpec.quartic refuses a negative float;
+    # a negative real complex coupling is a valid equation (the coupling
+    # walk takes it), so the condition solvers refuse it themselves.
+    with pytest.raises(ValueError, match=">= 0"):
+        condition_spectrum(ModelSpec.quartic(A), 10.0)
+    with pytest.raises(ValueError, match=">= 0"):
+        solve_quartic(0, A)
+
+
+def test_quartic_condition_solvers_accept_a_real_complex_coupling():
+    assert ModelSpec.quartic(-1 + 0.5j).a == -1 + 0.5j
+    rec = solve_quartic(0, 1 + 0j)
+    assert rec.eps == solve_quartic(0, 1.0).eps and abs(rec.E - 1.16243) <= 1e-5
+
+
 def test_quartic_condition_complex_conjugate_symmetry():
     # the analytic continuation in a keeps roots closed under conjugation
     eps = 0.45 + 0.06j
     lhs = quartic_condition(eps.conjugate(), 1.0)
     rhs = quartic_condition(eps, 1.0).conjugate()
     assert abs(lhs - rhs) < 1e-10
+
+
+@settings(deadline=None, max_examples=60)
+@given(A=st.floats(0.0, 6.0), x=st.floats(0.04, 0.9), t=st.floats(-0.05, 0.05),
+       real=st.booleans())
+def test_quartic_condition_slope_matches_the_central_difference(A, x, t, real):
+    # The slope comes from the quadrature pass that gives the value; the
+    # value must stay quartic_condition's, and the slope the derivative
+    # along real eps that Newton's central difference measures.
+    eps = complex(x) if real else x * complex(1.0, t)
+    value, slope = _quartic_condition(eps, A)
+    assert value == quartic_condition(eps, A)
+    h = 1e-7 * abs(eps)
+    central = (quartic_condition(eps + h, A) - quartic_condition(eps - h, A)) / (2 * h)
+    assert abs(slope - central) <= 1e-6 * abs(central)
+
+
+def test_quartic_spectrum_takes_one_quadrature_pass_per_newton_step(monkeypatch):
+    # Deterministic work count: with central-difference slopes (three
+    # condition evaluations per Newton step) this listing took 88 passes.
+    from ptspec import _quadrature, asymptotic
+    asymptotic._quartic_phase_at_zero()  # a cached pass, taken before counting
+    passes = [0]
+    plain = _quadrature._integrate_legs
+
+    def counting(*args, **kwargs):
+        passes[0] += 1
+        return plain(*args, **kwargs)
+
+    monkeypatch.setattr(_quadrature, "_integrate_legs", counting)
+    recs = condition_spectrum(ModelSpec.quartic(2.0), 20.0)
+    assert passes[0] <= 60
+    assert [r.n for r in recs] == [0, 1, 2, 3, 4]
 
 
 def test_quartic_closeoff_values():
