@@ -164,6 +164,12 @@ class ModelSpec:
         """d q / d z at a point."""
         return self._dq_closure()(z)
 
+    def d2q(self, z: complex) -> complex:
+        """d^2 q / d z^2 at a point off the origin."""
+        if self.family == "power":
+            return -self.p * (self.p - 1.0) * (1j * z) ** (self.p - 2.0)
+        return -12.0 * z * z
+
     def _q_closure(self):
         """Specialised q(z) closure for hot loops: the one formula for q.
 

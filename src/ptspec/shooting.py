@@ -1,13 +1,15 @@
 """Numerical eigenvalues by ODE shooting along wedge-centred complex contours.
 
-The eigenproblem -eps^2 f'' = q(z) f is integrated as a first-order system
-in (f, g) with g = eps f' (which keeps both components O(1) in the
-semiclassical regime) from far out in each decay wedge inward to a common
-match point.  The initial state is the decaying WKB solution; any error in
-it excites the inward-decaying partner, which is suppressed exponentially
-by the time the rays meet.  The ray length is chosen per eps so that this
-suppression is just complete (see _ray_length), capped at ShootConfig.r_max.
-An eigenvalue is a zero of the normalized Wronskian of the two rays.
+The eigenproblem -eps^2 f'' = q(z) f is integrated in (f, g) with
+g = eps f' (which keeps both components O(1) in the semiclassical regime)
+from far out in each decay wedge inward to a common match point.  The
+initial state is the decaying WKB solution to first order in eps (the
+Riccati correction -eps q'/(4q) included); its error, about eps^2 times
+the next Riccati term, excites the inward-decaying partner, which is
+suppressed exponentially by the time the rays reach the turning points.
+Each ray starts at the smallest radius where that suppression takes the
+partner below 2^-53 (see _start_radius), capped at ShootConfig.r_max.  An
+eigenvalue is a zero of the normalized Wronskian of the two rays.
 
 The model is PT-symmetric: at real E, conj f(-conj z) solves the equation
 whenever f does.  The contour is its own mirror image (z_r = -conj z_l, the
@@ -19,8 +21,9 @@ integrate both rays; W(conj E) = conj W(E) still holds exactly, so a
 complex root is polished once and its conjugate taken.
 
 The rays are stepped with the Dormand-Prince 8(5,3) pair (DOP853), first
-same as last, under Hairer's blended 5th/3rd-order error norm (see
-integrate_ray).
+same as last, under Hairer's blended 5th/3rd-order error norm, its stages
+written in the second-order (Nystrom) form that the linear system allows
+(see integrate_ray).
 
 The model holds the physical coupling; each eigenvalue E integrates the
 equation at eps = E_to_eps(E, model.degree), model.at(eps).  scan_spectrum
@@ -99,10 +102,15 @@ _STANDOFF = 0.05
 # Step budget of one ray.
 _MAX_STEPS = 2_000_000
 
-# Inward decay, in e-folds, that a ray must give the partner solution the
-# WKB start excites before it reaches the match point: exp(-40) ~ 4e-18 is
-# below double precision, so a longer ray changes W only by rounding.
-_DECAY_EFOLDS = 40.0
+# Decay, in e-folds, that takes the partner solution the WKB start excites
+# below 2^-53, one rounding unit: a longer ray changes W only by rounding.
+_LN_ULP = 53 * math.log(2.0)
+# The four-point Gauss-Legendre rule on [0, 1] for the decay integral (on
+# [-1, 1]: nodes +-sqrt(3/7 -+ (2/7) sqrt(6/5)), weights (18 +- sqrt(30))/36),
+# and the most Newton steps that place a ray's start (see _start_radius).
+_GAUSS_01 = tuple((0.5 + 0.5 * side * math.sqrt(3 / 7 - inner * 2 / 7 * math.sqrt(6 / 5)),
+                   (18 + inner * math.sqrt(30)) / 72) for inner in (1, -1) for side in (-1, 1))
+_NEWTON_STEPS = 8
 
 # Chebyshev intervals on the ray of the collocation that seeds scan_spectrum.
 _COLLOCATION_POINTS = 120
@@ -166,8 +174,26 @@ _DP_E3 = tuple(b - bhh for b, bhh in zip(_DP_B, (
     7.33846688281611857341361741547e-1, 0.0, 0.0, 2.20588235294117647058823529412e-2)))
 
 
+def _times_a(w):
+    """Row vector w times the stage matrix: sum_j w_j a_jk for k < len(w) - 1."""
+    return tuple(math.fsum(w[j] * _DP_A[j][k] for j in range(k + 1, len(w)))
+                 for k in range(len(w) - 1))
+
+
+# The same pair in Nystrom form (Hairer, Norsett & Wanner, sec. II.14).  The
+# system is f' = g, g' = q f up to constant factors, so a stage's f is
+# f + c_i h g + h^2 sum_k (A^2)_ik p_k with p_k = q_k f_k: no g stages.  Since
+# sum b = 1 and sum e5 = sum e3 = 0, the new f and the f error estimates need
+# only b A, e5 A and e3 A.  DOP853 has (b A)_j = b_j (1 - c_j), so (b A)_4
+# and (b A)_5 vanish; the values derived here are rounding, ~3e-16.
+_DP_A2 = tuple(_times_a(row) for row in _DP_A)
+_DP_BA, _DP_E5A, _DP_E3A = _times_a(_DP_B), _times_a(_DP_E5), _times_a(_DP_E3)
+
+
 def wkb_init(z: complex, eps: complex, model: ModelSpec) -> ShootState:
-    """Decaying WKB state at a wedge-centre ray end: f = 1, eps f' = i phi'.
+    """Decaying WKB state at a ray end, to first order in eps: f = 1 and
+    eps f' = i phi' - eps q'/(4 q), the first two terms of the Riccati
+    solution y = eps f'/f of eps y' + y^2 = -q.
 
     The square-root branch of phi' = sqrt(q) is the one whose exponential
     grows toward the interior (equivalently decays toward |z| -> infinity),
@@ -182,7 +208,7 @@ def wkb_init(z: complex, eps: complex, model: ModelSpec) -> ShootState:
         raise ShootingError(f"ambiguous decay branch at z = {z:.4g}")
     if growth < 0:
         s = -s
-    return ShootState(f=1.0 + 0j, df=1j * s, log_scale=0.0)
+    return ShootState(f=1.0 + 0j, df=1j * s - eps * model.dq(z) / (4.0 * q), log_scale=0.0)
 
 
 def integrate_ray(start: ShootState, seg: tuple[complex, complex], eps: complex,
@@ -193,7 +219,11 @@ def integrate_ray(start: ShootState, seg: tuple[complex, complex], eps: complex,
     the right-hand side at the end of an accepted step is the next step's
     first stage.  The system is linear in (f, g), so that stage is carried
     as q at the new point, the q the c = 1 stage already evaluated, and it
-    follows f and g through any rescaling.  The
+    follows f and g through any rescaling.  Since f' involves only g and
+    g' only q f, the stages are in Nystrom form (_DP_A2): stage i needs
+    f_i = f + c_i hf g + hf hg sum_k (A^2)_ik q_k f_k and no g_i, and g
+    enters only the step's end, the same steps as the first-order form up
+    to rounding.  The
     local error is Hairer's blend h e5^2 / sqrt(e5^2 + 0.01 e3^2) of the
     5th- and 3rd-order estimates, each the larger over f and g of the error
     divided by atol + rtol max(|y|, |y_new|); the step then changes by
@@ -208,19 +238,21 @@ def integrate_ray(start: ShootState, seg: tuple[complex, complex], eps: complex,
     df_fac = d * inv_eps
     dg_fac = -d * inv_eps
     _, c2, c3, c4, c5, c6, c7, c8, c9, c10, c11, _ = _DP_C
-    (_, (a2_1,), (a3_1, a3_2), (a4_1, _, a4_3), (a5_1, _, a5_3, a5_4),
-     (a6_1, _, _, a6_4, a6_5), (a7_1, _, _, a7_4, a7_5, a7_6),
-     (a8_1, _, _, a8_4, a8_5, a8_6, a8_7),
-     (a9_1, _, _, a9_4, a9_5, a9_6, a9_7, a9_8),
-     (a10_1, _, _, a10_4, a10_5, a10_6, a10_7, a10_8, a10_9),
-     (a11_1, _, _, a11_4, a11_5, a11_6, a11_7, a11_8, a11_9, a11_10),
-     (a12_1, _, _, a12_4, a12_5, a12_6, a12_7, a12_8, a12_9, a12_10, a12_11)) = _DP_A
+    (_, _, (s3_1,), (s4_1, s4_2), (s5_1, s5_2, s5_3), (s6_1, _, s6_3, s6_4),
+     (s7_1, _, s7_3, s7_4, s7_5), (s8_1, _, s8_3, s8_4, s8_5, s8_6),
+     (s9_1, _, s9_3, s9_4, s9_5, s9_6, s9_7),
+     (s10_1, _, s10_3, s10_4, s10_5, s10_6, s10_7, s10_8),
+     (s11_1, _, s11_3, s11_4, s11_5, s11_6, s11_7, s11_8, s11_9),
+     (s12_1, _, s12_3, s12_4, s12_5, s12_6, s12_7, s12_8, s12_9, s12_10)) = _DP_A2
     b1, _, _, _, _, b6, b7, b8, b9, b10, b11, b12 = _DP_B
+    ba1, _, _, _, _, ba6, ba7, ba8, ba9, ba10, ba11 = _DP_BA  # (b A)_4,5: rounding of 0
     e5_1, _, _, _, _, e5_6, e5_7, e5_8, e5_9, e5_10, e5_11, e5_12 = _DP_E5
+    e5a1, _, _, e5a4, e5a5, e5a6, e5a7, e5a8, e5a9, e5a10, e5a11 = _DP_E5A
     e3_1, _, _, _, _, e3_6, e3_7, e3_8, e3_9, e3_10, e3_11, e3_12 = _DP_E3
+    e3a1, _, _, e3a4, e3a5, e3a6, e3a7, e3a8, e3a9, e3a10, e3a11 = _DP_E3A
 
-    # Stage i holds (f_i, g_i) and p_i = q(z_i) f_i; its slope is
-    # (df_fac g_i, dg_fac p_i), so hf and hg fold in the step length.
+    # Stage i needs only f_i and p_i = q(z_i) f_i: g enters through hfg, and
+    # hf hg (A^2 p) stands for the g stages (Nystrom form, see _DP_A2).
     f, g = start.f, start.df
     q_t = q(z0)
     log_scale = start.log_scale
@@ -237,57 +269,40 @@ def integrate_ray(start: ShootState, seg: tuple[complex, complex], eps: complex,
         hd = h * d
         hf = h * df_fac
         hg = h * dg_fac
+        hfg = hf * g
+        hh = hf * hg
         p1 = q_t * f
-        f2 = f + hf * (a2_1 * g)
-        g2 = g + hg * (a2_1 * p1)
-        p2 = q(zt + c2 * hd) * f2
-        f3 = f + hf * (a3_1 * g + a3_2 * g2)
-        g3 = g + hg * (a3_1 * p1 + a3_2 * p2)
-        p3 = q(zt + c3 * hd) * f3
-        f4 = f + hf * (a4_1 * g + a4_3 * g3)
-        g4 = g + hg * (a4_1 * p1 + a4_3 * p3)
-        p4 = q(zt + c4 * hd) * f4
-        f5 = f + hf * (a5_1 * g + a5_3 * g3 + a5_4 * g4)
-        g5 = g + hg * (a5_1 * p1 + a5_3 * p3 + a5_4 * p4)
-        p5 = q(zt + c5 * hd) * f5
-        f6 = f + hf * (a6_1 * g + a6_4 * g4 + a6_5 * g5)
-        g6 = g + hg * (a6_1 * p1 + a6_4 * p4 + a6_5 * p5)
-        p6 = q(zt + c6 * hd) * f6
-        f7 = f + hf * (a7_1 * g + a7_4 * g4 + a7_5 * g5 + a7_6 * g6)
-        g7 = g + hg * (a7_1 * p1 + a7_4 * p4 + a7_5 * p5 + a7_6 * p6)
-        p7 = q(zt + c7 * hd) * f7
-        f8 = f + hf * (a8_1 * g + a8_4 * g4 + a8_5 * g5 + a8_6 * g6 + a8_7 * g7)
-        g8 = g + hg * (a8_1 * p1 + a8_4 * p4 + a8_5 * p5 + a8_6 * p6 + a8_7 * p7)
-        p8 = q(zt + c8 * hd) * f8
-        f9 = f + hf * (a9_1 * g + a9_4 * g4 + a9_5 * g5 + a9_6 * g6 + a9_7 * g7 + a9_8 * g8)
-        g9 = g + hg * (a9_1 * p1 + a9_4 * p4 + a9_5 * p5 + a9_6 * p6 + a9_7 * p7 + a9_8 * p8)
-        p9 = q(zt + c9 * hd) * f9
-        f10 = f + hf * (a10_1 * g + a10_4 * g4 + a10_5 * g5 + a10_6 * g6 + a10_7 * g7
-                        + a10_8 * g8 + a10_9 * g9)
-        g10 = g + hg * (a10_1 * p1 + a10_4 * p4 + a10_5 * p5 + a10_6 * p6 + a10_7 * p7
-                        + a10_8 * p8 + a10_9 * p9)
-        p10 = q(zt + c10 * hd) * f10
-        f11 = f + hf * (a11_1 * g + a11_4 * g4 + a11_5 * g5 + a11_6 * g6 + a11_7 * g7
-                        + a11_8 * g8 + a11_9 * g9 + a11_10 * g10)
-        g11 = g + hg * (a11_1 * p1 + a11_4 * p4 + a11_5 * p5 + a11_6 * p6 + a11_7 * p7
-                        + a11_8 * p8 + a11_9 * p9 + a11_10 * p10)
-        p11 = q(zt + c11 * hd) * f11
-        f12 = f + hf * (a12_1 * g + a12_4 * g4 + a12_5 * g5 + a12_6 * g6 + a12_7 * g7
-                        + a12_8 * g8 + a12_9 * g9 + a12_10 * g10 + a12_11 * g11)
-        g12 = g + hg * (a12_1 * p1 + a12_4 * p4 + a12_5 * p5 + a12_6 * p6 + a12_7 * p7
-                        + a12_8 * p8 + a12_9 * p9 + a12_10 * p10 + a12_11 * p11)
+        p2 = q(zt + c2 * hd) * (f + c2 * hfg)
+        p3 = q(zt + c3 * hd) * (f + c3 * hfg + hh * (s3_1 * p1))
+        p4 = q(zt + c4 * hd) * (f + c4 * hfg + hh * (s4_1 * p1 + s4_2 * p2))
+        p5 = q(zt + c5 * hd) * (f + c5 * hfg + hh * (s5_1 * p1 + s5_2 * p2 + s5_3 * p3))
+        p6 = q(zt + c6 * hd) * (f + c6 * hfg + hh * (s6_1 * p1 + s6_3 * p3 + s6_4 * p4))
+        p7 = q(zt + c7 * hd) * (f + c7 * hfg + hh * (s7_1 * p1 + s7_3 * p3 + s7_4 * p4
+                                                     + s7_5 * p5))
+        p8 = q(zt + c8 * hd) * (f + c8 * hfg + hh * (s8_1 * p1 + s8_3 * p3 + s8_4 * p4
+                                                     + s8_5 * p5 + s8_6 * p6))
+        p9 = q(zt + c9 * hd) * (f + c9 * hfg + hh * (s9_1 * p1 + s9_3 * p3 + s9_4 * p4
+                                                     + s9_5 * p5 + s9_6 * p6 + s9_7 * p7))
+        p10 = q(zt + c10 * hd) * (f + c10 * hfg + hh * (s10_1 * p1 + s10_3 * p3 + s10_4 * p4
+                                                        + s10_5 * p5 + s10_6 * p6 + s10_7 * p7
+                                                        + s10_8 * p8))
+        p11 = q(zt + c11 * hd) * (f + c11 * hfg + hh * (s11_1 * p1 + s11_3 * p3 + s11_4 * p4
+                                                        + s11_5 * p5 + s11_6 * p6 + s11_7 * p7
+                                                        + s11_8 * p8 + s11_9 * p9))
         q_end = q(zt + hd)
-        p12 = q_end * f12
-        f_new = f + hf * (b1 * g + b6 * g6 + b7 * g7 + b8 * g8 + b9 * g9 + b10 * g10
-                          + b11 * g11 + b12 * g12)
+        p12 = q_end * (f + hfg + hh * (s12_1 * p1 + s12_3 * p3 + s12_4 * p4 + s12_5 * p5
+                                       + s12_6 * p6 + s12_7 * p7 + s12_8 * p8 + s12_9 * p9
+                                       + s12_10 * p10))
+        f_new = f + hfg + hh * (ba1 * p1 + ba6 * p6 + ba7 * p7 + ba8 * p8 + ba9 * p9
+                                + ba10 * p10 + ba11 * p11)
         g_new = g + hg * (b1 * p1 + b6 * p6 + b7 * p7 + b8 * p8 + b9 * p9 + b10 * p10
                           + b11 * p11 + b12 * p12)
-        ef5 = hf * (e5_1 * g + e5_6 * g6 + e5_7 * g7 + e5_8 * g8 + e5_9 * g9 + e5_10 * g10
-                    + e5_11 * g11 + e5_12 * g12)
+        ef5 = hh * (e5a1 * p1 + e5a4 * p4 + e5a5 * p5 + e5a6 * p6 + e5a7 * p7 + e5a8 * p8
+                    + e5a9 * p9 + e5a10 * p10 + e5a11 * p11)
         eg5 = hg * (e5_1 * p1 + e5_6 * p6 + e5_7 * p7 + e5_8 * p8 + e5_9 * p9 + e5_10 * p10
                     + e5_11 * p11 + e5_12 * p12)
-        ef3 = hf * (e3_1 * g + e3_6 * g6 + e3_7 * g7 + e3_8 * g8 + e3_9 * g9 + e3_10 * g10
-                    + e3_11 * g11 + e3_12 * g12)
+        ef3 = hh * (e3a1 * p1 + e3a4 * p4 + e3a5 * p5 + e3a6 * p6 + e3a7 * p7 + e3a8 * p8
+                    + e3a9 * p9 + e3a10 * p10 + e3a11 * p11)
         eg3 = hg * (e3_1 * p1 + e3_6 * p6 + e3_7 * p7 + e3_8 * p8 + e3_9 * p9 + e3_10 * p10
                     + e3_11 * p11 + e3_12 * p12)
         scale_f = atol + rtol * max(abs(f), abs(f_new))
@@ -322,29 +337,73 @@ def _point_segment_distance(w: complex, z0: complex, z1: complex) -> float:
     return abs(w - (z0 + t * d))
 
 
-def _ray_length(k: float, r_tp: float, eps: complex, r_max: float) -> float:
-    """Radius where the WKB start has bought _DECAY_EFOLDS of inward decay.
+def _start_radius(model: ModelSpec, z_dir: complex, r_tp: float, eps: complex,
+                  r_max: float) -> float:
+    """Smallest radius along z_dir from which a ray started by wkb_init is
+    back at the turning points with its partner solution below 2^-53.
 
-    Past the outermost turning point (radius r_tp) the action along a wedge
-    centre grows like S = (2/k)(r^(k/2) - r_tp^(k/2)), with k the model's
-    degree + 2; the start's error decays inward like exp(-2S/|eps|).  The
-    ray is at most r_max long and at least 2 r_tp: a start closer to the
-    turning points gives a wrong W even when the estimate promises enough
-    decay (p = 3, E = 40: r = 1.8 moves W from -0.092 to -7.7e-5).
+    The start misses the decaying solution's eps f'/f by about eps^2 y2, the
+    next Riccati term, and so excites the partner at relative size
+    c = |eps^2 y2| / (2 |y0|) = |eps|^2 |5 q'^2 - 4 q q''| / (64 |q|^3).  On the
+    way in from radius r to r_tp the partner decays against the solution by
+    D(r) = 2 int_{r_tp}^r |Re(i sqrt(q) z_dir / eps)| dr.  The radius solves
+    D = ln(2^53 c), capped at r_max.  Newton steps start from the radius
+    where the asymptotic action gives ln(2^53) and stop within one e-fold,
+    and a last linear step lands within about 0.1 e-fold.  D comes from the
+    four-point Gauss rule in u, r = r_tp + (r - r_tp) u^2 (smooth at a
+    turning point on the ray), then from the Hermite rule on each step.
     """
-    r = (r_tp ** (k / 2) + _DECAY_EFOLDS * k * abs(eps) / 4) ** (2 / k)
+    q, dq, d2q = model.q_callable(), model.dq, model.d2q
+    w_dir = 2j * z_dir / eps  # dD/dr = |Re(sqrt(q) w_dir)|
+    floor = _LN_ULP + math.log(abs(eps) ** 2 / 64.0)
+    k = model.degree + 2.0
+    r = min(r_max, (r_tp ** (k / 2) + _LN_ULP * k * abs(eps) / 4) ** (2 / k))
+    span = r - r_tp
+    decay = 0.0
+    for u, w in _GAUSS_01:
+        decay += w * u * abs((cmath.sqrt(q((r_tp + span * u * u) * z_dir)) * w_dir).real)
+    decay *= 2.0 * span
+    r_new = r
+    for _ in range(_NEWTON_STEPS):
+        # dD/dr, its derivative and ln(2^53 c) at r_new
+        z = r_new * z_dir
+        qz, dqz = q(z), dq(z)
+        v = cmath.sqrt(qz) * w_dir
+        rho_new = abs(v.real)
+        slope_new = math.copysign(0.5, v.real) * (v * dqz * z_dir / qz).real
+        target = floor + math.log(abs(5.0 * dqz * dqz - 4.0 * qz * d2q(z)) / abs(qz) ** 3)
+        if r_new != r:
+            dr = r_new - r
+            decay += dr * (0.5 * (rho + rho_new) + dr * (slope - slope_new) / 12.0)
+        r, rho, slope = r_new, rho_new, slope_new
+        r_new = min(r_max, max(r + (target - decay) / rho, 0.5 * (r + r_tp)))
+        if abs(target - decay) <= 1.0 or r_new == r:
+            break
+    return min(r_max, r + (target - decay) / rho)
+
+
+def _collocation_length(k: float, r_tp: float, eps: complex, r_max: float) -> float:
+    """Ray of the collocation that seeds scan_spectrum: 40 e-folds of the
+    asymptotic action S = (2/k)(r^(k/2) - r_tp^(k/2)), k the model's degree
+    + 2, at least 2 r_tp and at most r_max.  Kept apart from _start_radius:
+    the collocation's seeds move with its ray."""
+    r = (r_tp ** (k / 2) + 40.0 * k * abs(eps) / 4) ** (2 / k)
     return min(r_max, max(2 * r_tp, r))
 
 
-def _contour(model: ModelSpec, eps: complex, cfg: ShootConfig) -> tuple[complex, complex, complex]:
+def _contour(model: ModelSpec, eps: complex, cfg: ShootConfig,
+             collocation: bool = False) -> tuple[complex, complex, complex]:
     """Ray endpoints and a match point keeping clear of turning points.
 
     model is the equation at eps (ModelSpec.at).  The left ray runs along
     the power law's left wedge centre, or the quartic's negative real axis,
-    out past the outermost turning point (_ray_length), which for the power
-    law is taken at radius 1 exactly: |z_A| = |z_B| = 1 only up to rounding.
+    out past the outermost turning point, which for the power law is taken
+    at radius 1 exactly: |z_A| = |z_B| = 1 only up to rounding.  Its radius
+    is the larger _start_radius of the two rays (one when the right ray is
+    the left one's PT mirror), or _collocation_length for the collocation.
     z_r = -conj(z_l) (for the power law th_r = -pi - th_l) and the match
-    point stays on the imaginary axis, so the contour is its own PT mirror.
+    point stays on the imaginary axis, so the contour is its own PT mirror,
+    and the contour at conj(eps) is the one at eps.
     """
     try:
         tps = model.turning_points
@@ -354,7 +413,13 @@ def _contour(model: ModelSpec, eps: complex, cfg: ShootConfig) -> tuple[complex,
         r_tp, z_dir, z_mid = 1.0, cmath.exp(1j * wedge_angles(model.p)[0]), cfg.z_mid
     else:
         r_tp, z_dir, z_mid = max(abs(tp) for tp in tps), -1 + 0j, 0j
-    z_l = _ray_length(model.degree + 2.0, r_tp, eps, cfg.r_max) * z_dir
+    if collocation:
+        r = _collocation_length(model.degree + 2.0, r_tp, eps, cfg.r_max)
+    else:
+        r = _start_radius(model, z_dir, r_tp, eps, cfg.r_max)
+        if eps.imag != 0 or not model.pt_mirror:
+            r = max(r, _start_radius(model, -z_dir.conjugate(), r_tp, eps, cfg.r_max))
+    z_l = r * z_dir
     z_r = -z_l.conjugate()
     for _ in range(8):
         clear_of_tps = all(
@@ -401,8 +466,11 @@ def mismatch(E: complex, model: ModelSpec, cfg: ShootConfig | None = None) -> co
 def find_eigen(seed_E: complex, model: ModelSpec, cfg: ShootConfig | None = None,
                tol: float = 1e-9) -> EigRecord:
     """Refine a seed to |W| <= tol: one Newton step, then at most 60 secant
-    steps, with a Muller fallback when the secant stalls.
+    steps, with a Muller fallback when the secant stalls.  tol must be
+    finite and > 0 (ValueError).
     """
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError(f"tol must be finite and > 0, got {tol}")
     cfg = cfg or ShootConfig()
     e0 = complex(seed_E)
     w0 = mismatch(e0, model, cfg)
@@ -475,7 +543,7 @@ def _contour_eigenvalues(model: ModelSpec, E_max: float, cfg: ShootConfig) -> np
     E0 = 1.5 * E_max
     eps0 = E_to_eps(complex(E0), model.degree)
     scaled = model.at(eps0)
-    z_l = _contour(scaled, eps0, cfg)[0]
+    z_l = _contour(scaled, eps0, cfg, collocation=True)[0]
     n, m = _COLLOCATION_POINTS, _COLLOCATION_POINTS - 1
     x = np.cos(np.pi * np.arange(n + 1) / n)
     c = np.hstack([2.0, np.ones(n - 1), 2.0]) * (-1.0) ** np.arange(n + 1)
@@ -505,9 +573,11 @@ def scan_spectrum(model: ModelSpec, E_max: float,
     Each upper-half-plane eigenvalue of _contour_eigenvalues (real if
     |Im E| <= 1e-6 |E|) seeds find_eigen; a polish within 1e-6 |seed| is
     kept, with its conjugate if complex.  Real roots are indexed by
-    position.  A model without the PT mirror (a complex quartic coupling)
-    raises ValueError.
+    position.  A model without the PT mirror (a complex quartic coupling),
+    and an E_max that is not finite and > 0, raise ValueError.
     """
+    if not (math.isfinite(E_max) and E_max > 0):
+        raise ValueError(f"E_max must be finite and > 0, got {E_max}")
     if not model.pt_mirror:
         raise ValueError(f"scan_spectrum needs a real quartic coupling, got {model.a}")
     cfg = cfg or ShootConfig()

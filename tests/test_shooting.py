@@ -6,10 +6,10 @@ import pytest
 from ptspec.asymptotic import E_to_eps, _off_axis, condition_spectrum, solve_condition
 from ptspec import shooting
 from ptspec.geometry import ModelSpec, wedge_angles
-from ptspec.shooting import (_DP_A, _DP_B, _DP_C, _DP_E3, _DP_E5, ShootConfig,
-                             ShootingError, ShootState, _contour, _muller_step,
-                             find_eigen, integrate_ray, mismatch, scan_spectrum,
-                             wkb_init)
+from ptspec.shooting import (_DP_A, _DP_A2, _DP_B, _DP_BA, _DP_C, _DP_E3, _DP_E3A, _DP_E5,
+                             _DP_E5A, ShootConfig, ShootingError, ShootState, _contour,
+                             _contour_eigenvalues, _muller_step, _start_radius, find_eigen,
+                             integrate_ray, mismatch, scan_spectrum, wkb_init)
 
 PI = math.pi
 
@@ -21,6 +21,55 @@ def test_wkb_init_harmonic_asymptote():
     ratio = state.df / state.f  # eps f'/f
     assert abs(ratio - (-z)) <= 2.5 * abs(z) / abs(z) ** 2
     assert state.log_scale == 0.0
+
+
+def _riccati_y2_size(model, eps, z):
+    # |eps^2 y2|, the next term of eps f'/f after the start's two
+    q, dq, d2q = model.q(z), model.dq(z), model.d2q(z)
+    return abs(eps) ** 2 * abs(5 * dq * dq - 4 * q * d2q) / (32 * abs(q) ** 2.5)
+
+
+def test_wkb_init_misses_the_decaying_solution_by_the_next_riccati_term():
+    # the true eps f'/f comes from a tight ray started at radius 7; the start
+    # misses it by eps^2 |y2| to within 10% (0.92-0.98 measured), and the
+    # leading-order start i sqrt(q) by 10 times as much or more
+    tight = ShootConfig(rtol=1e-13, atol=1e-15)
+    for p, E, radius in ((3.0, 10.0, 2.0), (3.0, 10.0, 3.0), (2.0, 4.0, 3.0), (1.5, 10 + 2j, 2.0)):
+        model = ModelSpec.power_law(p)
+        eps = E_to_eps(complex(E), p)
+        z_dir = cmath.exp(1j * wedge_angles(p)[0])
+        far, z = 7.0 * z_dir, radius * z_dir
+        end = integrate_ray(wkb_init(far, eps, model), (far, z), eps, model, tight)
+        start = wkb_init(z, eps, model).df
+        miss = abs(end.df / end.f - start)
+        assert 0.9 <= miss / _riccati_y2_size(model, eps, z) <= 1.1
+        leading = start + eps * model.dq(z) / (4 * model.q(z))
+        assert abs(end.df / end.f - leading) >= 10 * miss
+
+
+def test_start_radius_solves_its_decay_rule():
+    # D(r) = 2 int_{r_tp}^r |Re(i sqrt(q) z_dir / eps)| against ln(2^53 c),
+    # c = |eps^2 y2| / (2 |y0|), on a fine trapezoid: within 0.25 e-fold
+    # (-0.04 to +0.07 measured), or r_max when even r_max falls short
+    cases = [(ModelSpec.power_law(p), 7.0) for p in (1.2, 2.0, 3.0, 5.0)]
+    cases += [(ModelSpec.quartic(a), 5.0) for a in (0.0, 2.0)]
+    u = np.linspace(0.0, 1.0, 20001)
+    for model, r_max in cases:
+        for E in (0.5, 4.0, 40.0, 160.0, 9.09 + 2j):
+            eps = E_to_eps(complex(E), model.degree)
+            scaled = model.at(eps)
+            z_l, z_r, _ = _contour(scaled, eps, ShootConfig(r_max=r_max))
+            r_tp = 1.0 if model.family == "power" else max(map(abs, scaled.turning_points))
+            for z_dir in (z_l / abs(z_l), z_r / abs(z_r)):
+                r = _start_radius(scaled, z_dir, r_tp, eps, r_max)
+                rs = r_tp + (r - r_tp) * u * u
+                rate = 2 * np.abs((1j * np.sqrt(scaled.q(rs * z_dir)) * z_dir / eps).real)
+                decay = np.trapezoid(rate * 2 * (r - r_tp) * u, u)
+                z = r * z_dir
+                need = 53 * math.log(2) + math.log(
+                    _riccati_y2_size(scaled, eps, z) / (2 * abs(scaled.q(z)) ** 0.5))
+                assert decay - need <= 0.25
+                assert decay - need >= -0.25 or r == r_max
 
 
 def test_wkb_init_decays_outward_grows_inward():
@@ -129,6 +178,20 @@ def test_dop853_tableau():
     for weights in (_DP_E5, _DP_E3):
         assert len(weights) == 12
         assert abs(math.fsum(weights)) <= 1e-15
+    # the Nystrom form: (A^2)_ik sums to sum_j a_ij c_j, and b A, e5 A and
+    # e3 A to sum_i w_i c_i (1/2 for b, 0 for the error weights)
+    for row, row2 in zip(_DP_A, _DP_A2):
+        assert len(row2) == max(len(row) - 1, 0)
+        assert abs(math.fsum(row2) - math.fsum(a * c for a, c in zip(row, _DP_C))) <= 1e-13
+    for weights, times_a, moment in ((_DP_B, _DP_BA, 0.5), (_DP_E5, _DP_E5A, 0.0),
+                                     (_DP_E3, _DP_E3A, 0.0)):
+        assert len(times_a) == 11
+        assert abs(math.fsum(times_a) - moment) <= 1e-14
+        assert abs(math.fsum(w * c for w, c in zip(weights, _DP_C)) - moment) <= 1e-15
+    # integrate_ray drops (b A)_4 and (b A)_5: b_j (1 - c_j) = (b A)_j, and
+    # b_4 = b_5 = 0
+    for b, c, ba in zip(_DP_B, _DP_C, _DP_BA):
+        assert abs(ba - b * (1 - c)) <= 1e-15
 
 
 def _match_ratios(model, cfg, E):
@@ -195,10 +258,39 @@ def test_one_ray_per_real_mismatch(monkeypatch):
             assert w.imag == 0.0
 
 
+def _assert_exact_conjugation(model, E, cfg):
+    # both rays are integrated at complex E; the contour takes the longer of
+    # their two start radii, so it is one mirrored contour at E and conj E
+    # and W(conj E) = conj W(E) holds bit for bit
+    eps = E_to_eps(complex(E), model.degree)
+    z_l, z_r, z_mid = _contour(model.at(eps), eps, cfg)
+    assert z_r == -z_l.conjugate() and z_mid.real == 0
+    assert _contour(model.at(eps.conjugate()), eps.conjugate(), cfg) == (z_l, z_r, z_mid)
+    assert mismatch(E.conjugate(), model, cfg) == mismatch(E, model, cfg).conjugate()
+
+
 def test_mismatch_conjugate_symmetry():
-    model = ModelSpec.power_law(1.5)
-    E = 9.09 + 2j
-    assert mismatch(E.conjugate(), model) == mismatch(E, model).conjugate()
+    _assert_exact_conjugation(ModelSpec.power_law(1.5), 9.09 + 2j, ShootConfig())
+
+
+def test_quartic_mismatch_conjugate_symmetry():
+    _assert_exact_conjugation(ModelSpec.quartic(1.0), 4.3 + 0.7j, ShootConfig(r_max=5.0))
+
+
+@pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, math.inf])
+def test_find_eigen_refuses_a_tolerance_that_is_not_finite_and_positive(tol, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a mismatch was computed")
+
+    monkeypatch.setattr(shooting, "mismatch", refuse)
+    with pytest.raises(ValueError, match="tol must be finite and > 0"):
+        find_eigen(1.1, ModelSpec.power_law(3.0), tol=tol)
+
+
+@pytest.mark.parametrize("E_max", [0.0, -1.0, math.nan, math.inf])
+def test_scan_refuses_an_E_max_that_is_not_finite_and_positive(E_max):
+    with pytest.raises(ValueError, match="E_max must be finite and > 0"):
+        scan_spectrum(ModelSpec.power_law(1.5), E_max)
 
 
 def test_real_seed_polishes_to_a_real_eigenvalue():
@@ -247,8 +339,9 @@ def test_match_point_independence():
 
 
 def test_ray_length_follows_eps():
-    # rays end where the start's error has decayed, shorter than r_max once
-    # E is large, yet eps f'/f at the match point is that of a ray from r_max
+    # rays start where the partner the start excites has decayed below
+    # 2^-53, shorter than r_max once E is large, yet eps f'/f at the match
+    # point is that of a ray from r_max (worst 2.3e-11 here)
     cases = [(ModelSpec.power_law(p), ShootConfig()) for p in (1.5, 2.5, 3.0)]
     cases += [(ModelSpec.quartic(a), ShootConfig(r_max=5.0)) for a in (0.75, 2.0)]
     for model, cfg in cases:
@@ -263,15 +356,16 @@ def test_ray_length_follows_eps():
                 near = integrate_ray(wkb_init(z, eps, scaled), (z, z_mid), eps, scaled, cfg)
                 full = integrate_ray(wkb_init(far, eps, scaled), (far, z_mid), eps, scaled, cfg)
                 want = full.df / full.f
-                assert abs(near.df / near.f - want) <= 1e-9 * abs(want)
+                assert abs(near.df / near.f - want) <= 1e-10 * abs(want)
 
 
 def test_mismatch_work_nearly_flat_in_E(monkeypatch):
-    # the 8th-order pair takes 837 q evaluations at E = 10, one ray mirrored
-    # into the other (1,674 for both rays; Cash-Karp 5(4) took 6,168; rays
-    # from r_max = 7, 87,144); complex E integrates both rays (1,663 at
-    # E = 10 + 0.5i); E = 40 sits on the 2 r_tp ray-length floor and may
-    # cost at most 2.25 times as much as E = 10
+    # the 8th-order pair takes 711 q evaluations at E = 10, one ray mirrored
+    # into the other, 6 of them to place the ray's start (1,416 for both
+    # rays; 837 from the leading-order start and 40 e-folds of asymptotic
+    # decay; Cash-Karp 5(4) took 6,168; rays from r_max = 7, 87,144);
+    # complex E integrates both rays (1,422 at E = 10 + 0.5i); E = 40 costs
+    # 1,151, 1.62 times as much as E = 10.  Each bound is 5% above.
     count = [0]
     plain = ModelSpec.q_callable
 
@@ -289,11 +383,11 @@ def test_mismatch_work_nearly_flat_in_E(monkeypatch):
     at_10 = count[0]
     count[0] = 0
     mismatch(40.0, model)
-    assert at_10 <= 1_000
-    assert count[0] <= 2.25 * at_10
+    assert at_10 <= 746
+    assert count[0] <= 1.7 * at_10
     count[0] = 0
     mismatch(10.0 + 0.5j, model)
-    assert count[0] <= 2_500
+    assert count[0] <= 1_493
 
 
 def test_muller_step_rejects_coincident_iterates():
@@ -364,6 +458,16 @@ _P15_SPECTRUM = [1.0869317, 3.1957762, 4.4219980,
                  6.6557931 + 0.9514678j, 6.6557931 - 0.9514678j,
                  9.0911098 + 1.9947373j, 9.0911098 - 1.9947373j,
                  11.3708501 + 3.0114842j, 11.3708501 - 3.0114842j]
+
+
+def test_collocation_keeps_its_forty_e_fold_ray():
+    # the collocation that seeds scan_spectrum keeps its own ray (40 e-folds
+    # of asymptotic action, at least 2 r_tp); the shooting rays' shorter
+    # start would move these seeds by about 1e-8
+    ev = _contour_eigenvalues(ModelSpec.power_law(1.5), 12.0, ShootConfig())
+    for e in (1.0869317242441063, 3.1957762599142785, 4.421997912872259,
+              6.655792912346449 + 0.9514680357007428j):
+        assert np.min(np.abs(ev - e)) <= 1e-11 * abs(e)
 
 
 def test_scan_lists_the_whole_broken_spectrum():
