@@ -170,6 +170,33 @@ class ModelSpec:
             return -self.p * (self.p - 1.0) * (1j * z) ** (self.p - 2.0)
         return -12.0 * z * z
 
+    def q_series(self, z: complex, d: complex, n: int) -> list[complex]:
+        """The first n >= 1 Taylor coefficients of tau -> q(z + tau d).
+
+        The series ends after five terms for the quartic and after p + 1 for
+        an integer p.  A fractional power's binomial series, P_{k+1} =
+        P_k (p - k) d / ((k + 1) z) from P_0 = (i z)^p, converges only for
+        |tau d| < |z|, the distance to the branch point, and z = 0 has none
+        (ValueError).
+        """
+        if self.family == "quartic":
+            ia, d2 = 1j * self.a, d * d
+            return [1.0 - z * (z * z * z + ia), -(4.0 * z * z * z + ia) * d,
+                    -6.0 * z * z * d2, -4.0 * z * d2 * d, -d2 * d2][:n]
+        w, p = 1j * z, self.p
+        if self.is_integer_power:  # exact at z = 0 too, no division by z
+            ip = int(p)
+            return [1.0 + w ** ip] + [math.comb(ip, k) * w ** (ip - k) * (1j * d) ** k
+                                      for k in range(1, min(ip + 1, n))]
+        if z == 0:
+            raise ValueError("a fractional power has no Taylor series at its branch point")
+        term, ratio = cmath.exp(p * cmath.log(w)), d / z
+        coef = [1.0 + term]
+        for k in range(n - 1):
+            term *= (p - k) / (k + 1) * ratio
+            coef.append(term)
+        return coef
+
     def _q_closure(self):
         """Specialised q(z) closure for hot loops: the one formula for q.
 

@@ -20,10 +20,11 @@ mirror (ModelSpec.pt_mirror: a quartic whose coupling is complex),
 integrate both rays; W(conj E) = conj W(E) still holds exactly, so a
 complex root is polished once and its conjugate taken.
 
-The rays are stepped with the Dormand-Prince 8(5,3) pair (DOP853), first
-same as last, under Hairer's blended 5th/3rd-order error norm, its stages
-written in the second-order (Nystrom) form that the linear system allows
-(see integrate_ray).
+The equation is linear and q is analytic along each ray, with Taylor
+coefficients in closed form (ModelSpec.q_series), so the rays are stepped
+by order-30 Taylor series: each step expands q once about its start, takes
+the solution's coefficients from a recurrence and its length from the last
+two of them, so no step is rejected (see integrate_ray).
 
 The model holds the physical coupling; each eigenvalue E integrates the
 equation at eps = E_to_eps(E, model.degree), model.at(eps).  scan_spectrum
@@ -33,6 +34,7 @@ seeds find_eigen from a Chebyshev collocation on the same contour.
 import cmath
 import math
 from dataclasses import dataclass
+from operator import mul
 
 import numpy as np
 
@@ -71,12 +73,14 @@ class ShootConfig:
     r_max (finite, > 0) is the longest ray allowed (each ray's length is
     chosen per eps from the decay the WKB start needs), z_mid the power-law
     match point (shifted down the imaginary axis if a ray would pass within
-    0.05 of a turning point; the quartic always matches at z = 0 and ignores
-    z_mid), rtol/atol the local error targets of the embedded Runge-Kutta
-    pair (finite, >= 0 and not both 0).  z_mid must be finite and lie on
-    the imaginary axis, the PT-symmetry axis, so that at real E the right
-    ray is the mirror of the left one (see mismatch).  A ray that takes
-    more than 2,000,000 steps raises ShootingError.
+    0.05 of a turning point or of a fractional power's branch point z = 0;
+    the quartic always matches at z = 0 and ignores z_mid), rtol/atol the per-step error targets of the Taylor stepper
+    (finite, >= 0 and not both 0): each of the last two terms of a step's
+    series, which bound its truncation error, stays within 1e-3 (atol +
+    rtol max(|f|, |eps f'|)).  z_mid must be finite and lie on the
+    imaginary axis, the PT-symmetry axis, so that at real E the right ray
+    is the mirror of the left one (see mismatch).  A ray that takes more
+    than 150,000 steps raises ShootingError.
     """
 
     r_max: float = 7.0
@@ -99,8 +103,17 @@ class ShootConfig:
 
 # Closest a ray may pass to a turning point before the match point moves.
 _STANDOFF = 0.05
-# Step budget of one ray.
-_MAX_STEPS = 2_000_000
+# Taylor stepper of integrate_ray: the series order, the share of the
+# per-step error target that each of the last two terms may take, the
+# longest step as a share of the distance to a fractional power's branch
+# point, the shortest step (of a segment) and the step budget of one ray.
+_ORDER = 30
+_TRUNCATION = 1e-3
+_BRANCH_FRACTION = 0.5
+_MIN_STEP = 1e-9
+_MAX_STEPS = 150_000
+# 1 / ((k + 1)(k + 2)), the factor of a_{k+2} in the coefficient recurrence
+_INV_PAIRS = tuple(1.0 / ((k + 1) * (k + 2)) for k in range(_ORDER - 1))
 
 # Decay, in e-folds, that takes the partner solution the WKB start excites
 # below 2^-53, one rounding unit: a longer ray changes W only by rounding.
@@ -114,81 +127,6 @@ _NEWTON_STEPS = 8
 
 # Chebyshev intervals on the ray of the collocation that seeds scan_spectrum.
 _COLLOCATION_POINTS = 120
-
-# Dormand-Prince 8(5,3) pair (DOP853; Hairer, Norsett & Wanner, Solving
-# ODEs I, sec. II.5): nodes c, stage rows a (lower triangle, zeros kept),
-# the 8th-order weights b, and the weights of the 5th- and 3rd-order error
-# estimates (e3 = b - bhh, with bhh the 3rd-order weights).
-_DP_C = (
-    0.0, 5.26001519587677318785587544488e-2, 7.89002279381515978178381316732e-2,
-    1.18350341907227396726757197510e-1, 2.81649658092772603273242802490e-1,
-    1 / 3, 0.25, 4 / 13, 127 / 195, 0.6, 6 / 7, 1.0,
-)
-_DP_A = (
-    (),
-    (5.26001519587677318785587544488e-2,),
-    (1.97250569845378994544595329183e-2, 5.91751709536136983633785987549e-2),
-    (2.95875854768068491816892993775e-2, 0.0, 8.87627564304205475450678981324e-2),
-    (2.41365134159266685502369798665e-1, 0.0, -8.84549479328286085344864962717e-1,
-     9.24834003261792003115737966543e-1),
-    (3.7037037037037037037037037037e-2, 0.0, 0.0, 1.70828608729473871279604482173e-1,
-     1.25467687566822425016691814123e-1),
-    (3.7109375e-2, 0.0, 0.0, 1.70252211019544039314978060272e-1,
-     6.02165389804559606850219397283e-2, -1.7578125e-2),
-    (3.70920001185047927108779319836e-2, 0.0, 0.0, 1.70383925712239993810214054705e-1,
-     1.07262030446373284651809199168e-1, -1.53194377486244017527936158236e-2,
-     8.27378916381402288758473766002e-3),
-    (6.24110958716075717114429577812e-1, 0.0, 0.0, -3.36089262944694129406857109825,
-     -8.68219346841726006818189891453e-1, 2.75920996994467083049415600797e1,
-     2.01540675504778934086186788979e1, -4.34898841810699588477366255144e1),
-    (4.77662536438264365890433908527e-1, 0.0, 0.0, -2.48811461997166764192642586468,
-     -5.90290826836842996371446475743e-1, 2.12300514481811942347288949897e1,
-     1.52792336328824235832596922938e1, -3.32882109689848629194453265587e1,
-     -2.03312017085086261358222928593e-2),
-    (-9.3714243008598732571704021658e-1, 0.0, 0.0, 5.18637242884406370830023853209,
-     1.09143734899672957818500254654, -8.14978701074692612513997267357,
-     -1.85200656599969598641566180701e1, 2.27394870993505042818970056734e1,
-     2.49360555267965238987089396762, -3.0467644718982195003823669022),
-    (2.27331014751653820792359768449, 0.0, 0.0, -1.05344954667372501984066689879e1,
-     -2.00087205822486249909675718444, -1.79589318631187989172765950534e1,
-     2.79488845294199600508499808837e1, -2.85899827713502369474065508674,
-     -8.87285693353062954433549289258, 1.23605671757943030647266201528e1,
-     6.43392746015763530355970484046e-1),
-)
-_DP_B = (
-    5.42937341165687622380535766363e-2, 0.0, 0.0, 0.0, 0.0,
-    4.45031289275240888144113950566, 1.89151789931450038304281599044,
-    -5.8012039600105847814672114227, 3.1116436695781989440891606237e-1,
-    -1.52160949662516078556178806805e-1, 2.01365400804030348374776537501e-1,
-    4.47106157277725905176885569043e-2,
-)
-_DP_E5 = (
-    1.312004499419488073250102996e-2, 0.0, 0.0, 0.0, 0.0,
-    -1.225156446376204440720569753, -4.957589496572501915214079952e-1,
-    1.664377182454986536961530415, -3.503288487499736816886487290e-1,
-    3.341791187130174790297318841e-1, 8.192320648511571246570742613e-2,
-    -2.235530786388629525884427845e-2,
-)
-_DP_E3 = tuple(b - bhh for b, bhh in zip(_DP_B, (
-    2.44094488188976377952755905512e-1, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0,
-    7.33846688281611857341361741547e-1, 0.0, 0.0, 2.20588235294117647058823529412e-2)))
-
-
-def _times_a(w):
-    """Row vector w times the stage matrix: sum_j w_j a_jk for k < len(w) - 1."""
-    return tuple(math.fsum(w[j] * _DP_A[j][k] for j in range(k + 1, len(w)))
-                 for k in range(len(w) - 1))
-
-
-# The same pair in Nystrom form (Hairer, Norsett & Wanner, sec. II.14).  The
-# system is f' = g, g' = q f up to constant factors, so a stage's f is
-# f + c_i h g + h^2 sum_k (A^2)_ik p_k with p_k = q_k f_k: no g stages.  Since
-# sum b = 1 and sum e5 = sum e3 = 0, the new f and the f error estimates need
-# only b A, e5 A and e3 A.  DOP853 has (b A)_j = b_j (1 - c_j), so (b A)_4
-# and (b A)_5 vanish; the values derived here are rounding, ~3e-16.
-_DP_A2 = tuple(_times_a(row) for row in _DP_A)
-_DP_BA, _DP_E5A, _DP_E3A = _times_a(_DP_B), _times_a(_DP_E5), _times_a(_DP_E3)
-
 
 def wkb_init(z: complex, eps: complex, model: ModelSpec) -> ShootState:
     """Decaying WKB state at a ray end, to first order in eps: f = 1 and
@@ -215,118 +153,70 @@ def integrate_ray(start: ShootState, seg: tuple[complex, complex], eps: complex,
                   model: ModelSpec, cfg: ShootConfig) -> ShootState:
     """Integrate the (f, eps f') system along the straight segment.
 
-    Adaptive Dormand-Prince 8(5,3) stepping (DOP853), first same as last:
-    the right-hand side at the end of an accepted step is the next step's
-    first stage.  The system is linear in (f, g), so that stage is carried
-    as q at the new point, the q the c = 1 stage already evaluated, and it
-    follows f and g through any rescaling.  Since f' involves only g and
-    g' only q f, the stages are in Nystrom form (_DP_A2): stage i needs
-    f_i = f + c_i hf g + hf hg sum_k (A^2)_ik q_k f_k and no g_i, and g
-    enters only the step's end, the same steps as the first-order form up
-    to rounding.  The
-    local error is Hairer's blend h e5^2 / sqrt(e5^2 + 0.01 e3^2) of the
-    5th- and 3rd-order estimates, each the larger over f and g of the error
-    divided by atol + rtol max(|y|, |y_new|); the step then changes by
-    0.9 err^(-1/8), kept within [0.2, 10].  The state is renormalized to
-    unit magnitude whenever it leaves [1e-6, 1e6], with the factor
-    accumulated in log_scale.
+    On z = z0 + t d, t from 0 to 1, the equation reads f_tt = kappa q f with
+    kappa = -(d/eps)^2.  Each step expands q about the current point
+    (ModelSpec.q_series) and takes the solution's Taylor coefficients from
+    a_{k+2} = kappa sum_j Q_j a_{k-j} / ((k + 1)(k + 2)), a_0 = f and
+    a_1 = (d/eps) eps f', to order _ORDER (Corliss & Chang, ACM TOMS 8, 114
+    (1982)).  The step is the longest for which each of the last two terms,
+    |a_k| h^k, stays within _TRUNCATION (atol + rtol max(|f|, |eps f'|))
+    (Jorba & Zou, Exp. Math. 14, 99 (2005)), so no step is rejected; a
+    fractional power's step also stays within _BRANCH_FRACTION of |z|,
+    inside the radius of convergence.  f and eps f' at the step's end come
+    from Horner's rule.  The state is renormalized to unit magnitude
+    whenever it leaves [1e-6, 1e6], with the factor accumulated in
+    log_scale.  A non-finite coefficient, a step shorter than 1e-9 of the
+    segment or more than _MAX_STEPS steps raise ShootingError.
     """
     z0, z1 = seg
     d = z1 - z0
-    q = model.q_callable()
-    inv_eps = 1.0 / eps
-    df_fac = d * inv_eps
-    dg_fac = -d * inv_eps
-    _, c2, c3, c4, c5, c6, c7, c8, c9, c10, c11, _ = _DP_C
-    (_, _, (s3_1,), (s4_1, s4_2), (s5_1, s5_2, s5_3), (s6_1, _, s6_3, s6_4),
-     (s7_1, _, s7_3, s7_4, s7_5), (s8_1, _, s8_3, s8_4, s8_5, s8_6),
-     (s9_1, _, s9_3, s9_4, s9_5, s9_6, s9_7),
-     (s10_1, _, s10_3, s10_4, s10_5, s10_6, s10_7, s10_8),
-     (s11_1, _, s11_3, s11_4, s11_5, s11_6, s11_7, s11_8, s11_9),
-     (s12_1, _, s12_3, s12_4, s12_5, s12_6, s12_7, s12_8, s12_9, s12_10)) = _DP_A2
-    b1, _, _, _, _, b6, b7, b8, b9, b10, b11, b12 = _DP_B
-    ba1, _, _, _, _, ba6, ba7, ba8, ba9, ba10, ba11 = _DP_BA  # (b A)_4,5: rounding of 0
-    e5_1, _, _, _, _, e5_6, e5_7, e5_8, e5_9, e5_10, e5_11, e5_12 = _DP_E5
-    e5a1, _, _, e5a4, e5a5, e5a6, e5a7, e5a8, e5a9, e5a10, e5a11 = _DP_E5A
-    e3_1, _, _, _, _, e3_6, e3_7, e3_8, e3_9, e3_10, e3_11, e3_12 = _DP_E3
-    e3a1, _, _, e3a4, e3a5, e3a6, e3a7, e3a8, e3a9, e3a10, e3a11 = _DP_E3A
-
-    # Stage i needs only f_i and p_i = q(z_i) f_i: g enters through hfg, and
-    # hf hg (A^2 p) stands for the g stages (Nystrom form, see _DP_A2).
+    d_eps = d / eps
+    kappa = -d_eps * d_eps
+    g_fac = eps / d
+    q_series = model.q_series
+    # a fractional power's longest step (in t) from z, per unit of |z|
+    branch_cap = _BRANCH_FRACTION / abs(d) if model.has_branch_cut else None
+    n, inv_pairs = _ORDER, _INV_PAIRS
     f, g = start.f, start.df
-    q_t = q(z0)
     log_scale = start.log_scale
-    t = 0.0
-    h = 1e-3
     rtol, atol = cfg.rtol, cfg.atol
+    t = 0.0
     steps = 0
     while t < 1.0:
-        if steps > _MAX_STEPS:
+        if steps == _MAX_STEPS:
             raise ShootingError("step budget exhausted")
-        if h > 1.0 - t:
-            h = 1.0 - t
-        zt = z0 + t * d
-        hd = h * d
-        hf = h * df_fac
-        hg = h * dg_fac
-        hfg = hf * g
-        hh = hf * hg
-        p1 = q_t * f
-        p2 = q(zt + c2 * hd) * (f + c2 * hfg)
-        p3 = q(zt + c3 * hd) * (f + c3 * hfg + hh * (s3_1 * p1))
-        p4 = q(zt + c4 * hd) * (f + c4 * hfg + hh * (s4_1 * p1 + s4_2 * p2))
-        p5 = q(zt + c5 * hd) * (f + c5 * hfg + hh * (s5_1 * p1 + s5_2 * p2 + s5_3 * p3))
-        p6 = q(zt + c6 * hd) * (f + c6 * hfg + hh * (s6_1 * p1 + s6_3 * p3 + s6_4 * p4))
-        p7 = q(zt + c7 * hd) * (f + c7 * hfg + hh * (s7_1 * p1 + s7_3 * p3 + s7_4 * p4
-                                                     + s7_5 * p5))
-        p8 = q(zt + c8 * hd) * (f + c8 * hfg + hh * (s8_1 * p1 + s8_3 * p3 + s8_4 * p4
-                                                     + s8_5 * p5 + s8_6 * p6))
-        p9 = q(zt + c9 * hd) * (f + c9 * hfg + hh * (s9_1 * p1 + s9_3 * p3 + s9_4 * p4
-                                                     + s9_5 * p5 + s9_6 * p6 + s9_7 * p7))
-        p10 = q(zt + c10 * hd) * (f + c10 * hfg + hh * (s10_1 * p1 + s10_3 * p3 + s10_4 * p4
-                                                        + s10_5 * p5 + s10_6 * p6 + s10_7 * p7
-                                                        + s10_8 * p8))
-        p11 = q(zt + c11 * hd) * (f + c11 * hfg + hh * (s11_1 * p1 + s11_3 * p3 + s11_4 * p4
-                                                        + s11_5 * p5 + s11_6 * p6 + s11_7 * p7
-                                                        + s11_8 * p8 + s11_9 * p9))
-        q_end = q(zt + hd)
-        p12 = q_end * (f + hfg + hh * (s12_1 * p1 + s12_3 * p3 + s12_4 * p4 + s12_5 * p5
-                                       + s12_6 * p6 + s12_7 * p7 + s12_8 * p8 + s12_9 * p9
-                                       + s12_10 * p10))
-        f_new = f + hfg + hh * (ba1 * p1 + ba6 * p6 + ba7 * p7 + ba8 * p8 + ba9 * p9
-                                + ba10 * p10 + ba11 * p11)
-        g_new = g + hg * (b1 * p1 + b6 * p6 + b7 * p7 + b8 * p8 + b9 * p9 + b10 * p10
-                          + b11 * p11 + b12 * p12)
-        ef5 = hh * (e5a1 * p1 + e5a4 * p4 + e5a5 * p5 + e5a6 * p6 + e5a7 * p7 + e5a8 * p8
-                    + e5a9 * p9 + e5a10 * p10 + e5a11 * p11)
-        eg5 = hg * (e5_1 * p1 + e5_6 * p6 + e5_7 * p7 + e5_8 * p8 + e5_9 * p9 + e5_10 * p10
-                    + e5_11 * p11 + e5_12 * p12)
-        ef3 = hh * (e3a1 * p1 + e3a4 * p4 + e3a5 * p5 + e3a6 * p6 + e3a7 * p7 + e3a8 * p8
-                    + e3a9 * p9 + e3a10 * p10 + e3a11 * p11)
-        eg3 = hg * (e3_1 * p1 + e3_6 * p6 + e3_7 * p7 + e3_8 * p8 + e3_9 * p9 + e3_10 * p10
-                    + e3_11 * p11 + e3_12 * p12)
-        scale_f = atol + rtol * max(abs(f), abs(f_new))
-        scale_g = atol + rtol * max(abs(g), abs(g_new))
-        # ef5, eg5, ef3, eg3 already carry the factor h, so this is
-        # h e5^2 / sqrt(e5^2 + 0.01 e3^2)
-        err5_sq = max(abs(ef5) / scale_f, abs(eg5) / scale_g) ** 2
-        err3_sq = max(abs(ef3) / scale_f, abs(eg3) / scale_g) ** 2
-        err = err5_sq / math.sqrt(err5_sq + 0.01 * err3_sq) if err5_sq else 0.0
-        if err <= 1.0:
-            t += h
-            f, g, q_t = f_new, g_new, q_end
-            m = max(abs(f), abs(g))
-            if m > 1e6 or m < 1e-6:
-                f /= m
-                g /= m
-                log_scale += math.log(m)
-        if err > 0:
-            h *= min(10.0, max(0.2, 0.9 * err ** -0.125))
-        else:
-            h *= 10.0
-        if h < 1e-13:
-            raise ShootingError(f"step underflow at t = {t:.4f} along {z0:.3g} -> {z1:.3g}")
         steps += 1
+        z = z0 + t * d
+        kq = [kappa * c for c in q_series(z, d, n - 1)]
+        a = [f, d_eps * g]
+        for k, inv in enumerate(inv_pairs):  # map stops at the shorter of kq and a_k..a_0
+            a.append(sum(map(mul, kq, a[k::-1])) * inv)
+        h = span = 1.0 - t
+        if branch_cap is not None:
+            h = min(h, branch_cap * abs(z))
+        tol = _TRUNCATION * (atol + rtol * max(abs(f), abs(g)))
+        for k in (n - 1, n):
+            size = abs(a[k])
+            if size * h ** k > tol:
+                h = (tol / size) ** (1.0 / k)
+        if h < span and not h >= _MIN_STEP:
+            raise ShootingError(f"step collapsed at t = {t:.4f} along {z0:.3g} -> {z1:.3g}")
+        f, df = a[n], n * a[n]
+        for k in range(n - 1, 0, -1):
+            f = f * h + a[k]
+            df = df * h + k * a[k]
+        f = f * h + a[0]
+        g = g_fac * df
+        size_f, size_g = abs(f), abs(g)
+        if not math.isfinite(size_f + size_g):
+            raise ShootingError(f"non-finite Taylor coefficients at t = {t:.4f} "
+                                f"along {z0:.3g} -> {z1:.3g}")
+        t = 1.0 if h >= span else t + h
+        m = max(size_f, size_g)
+        if m > 1e6 or 0 < m < 1e-6:
+            f /= m
+            g /= m
+            log_scale += math.log(m)
     return ShootState(f=f, df=g, log_scale=log_scale)
 
 
@@ -393,7 +283,8 @@ def _collocation_length(k: float, r_tp: float, eps: complex, r_max: float) -> fl
 
 def _contour(model: ModelSpec, eps: complex, cfg: ShootConfig,
              collocation: bool = False) -> tuple[complex, complex, complex]:
-    """Ray endpoints and a match point keeping clear of turning points.
+    """Ray endpoints and a match point keeping clear of turning points
+    and of a fractional power's branch point.
 
     model is the equation at eps (ModelSpec.at).  The left ray runs along
     the power law's left wedge centre, or the quartic's negative real axis,
@@ -421,15 +312,17 @@ def _contour(model: ModelSpec, eps: complex, cfg: ShootConfig,
             r = max(r, _start_radius(model, -z_dir.conjugate(), r_tp, eps, cfg.r_max))
     z_l = r * z_dir
     z_r = -z_l.conjugate()
+    # a fractional power's branch point too: integrate_ray's Taylor steps
+    # cannot reach it
+    avoid = (*tps, 0j) if model.has_branch_cut else tps
     for _ in range(8):
-        clear_of_tps = all(
-            _point_segment_distance(tp, z_end, z_mid) >= _STANDOFF
-            for tp in tps for z_end in (z_l, z_r))
-        if clear_of_tps and not path_crosses_cut([z_l, z_mid, z_r], model):
+        clear = all(_point_segment_distance(w, z_end, z_mid) >= _STANDOFF
+                    for w in avoid for z_end in (z_l, z_r))
+        if clear and not path_crosses_cut([z_l, z_mid, z_r], model):
             return z_l, z_r, z_mid
         z_mid -= 0.15j
     raise ShootingError("could not place the match point away from turning "
-                        "points and the branch cut")
+                        "points, the branch point and the branch cut")
 
 
 def mismatch(E: complex, model: ModelSpec, cfg: ShootConfig | None = None) -> complex:
@@ -448,6 +341,8 @@ def mismatch(E: complex, model: ModelSpec, cfg: ShootConfig | None = None) -> co
     cfg = cfg or ShootConfig()
     E = complex(E)
     eps = E_to_eps(E, model.degree)
+    if eps == 0:
+        raise ShootingError(f"eps underflows to 0 at E = {E:.4g}")
     scaled = model.at(eps)
     z_l, z_r, z_mid = _contour(scaled, eps, cfg)
     left = integrate_ray(wkb_init(z_l, eps, scaled), (z_l, z_mid), eps, scaled, cfg)

@@ -6,8 +6,7 @@ import pytest
 from ptspec.asymptotic import E_to_eps, _off_axis, condition_spectrum, solve_condition
 from ptspec import shooting
 from ptspec.geometry import ModelSpec, wedge_angles
-from ptspec.shooting import (_DP_A, _DP_A2, _DP_B, _DP_BA, _DP_C, _DP_E3, _DP_E3A, _DP_E5,
-                             _DP_E5A, ShootConfig, ShootingError, ShootState, _contour,
+from ptspec.shooting import (ShootConfig, ShootingError, ShootState, _contour,
                              _contour_eigenvalues, _muller_step, _start_radius, find_eigen,
                              integrate_ray, mismatch, scan_spectrum, wkb_init)
 
@@ -167,31 +166,83 @@ def test_shoot_config_rejects_unusable_contours():
     assert ShootConfig(r_max=4.5, z_mid=-0.8j).z_mid == -0.8j
 
 
-def test_dop853_tableau():
-    # a mistyped coefficient would only show as slower steps or lost digits
-    assert len(_DP_A) == len(_DP_C) == len(_DP_B) == 12
-    for row, c in zip(_DP_A, _DP_C):
-        assert abs(math.fsum(row) - c) <= 1e-14
-    for k in range(8):
-        moment = math.fsum(b * c ** k for b, c in zip(_DP_B, _DP_C))
-        assert abs(moment - 1.0 / (k + 1)) <= 1e-14
-    for weights in (_DP_E5, _DP_E3):
-        assert len(weights) == 12
-        assert abs(math.fsum(weights)) <= 1e-15
-    # the Nystrom form: (A^2)_ik sums to sum_j a_ij c_j, and b A, e5 A and
-    # e3 A to sum_i w_i c_i (1/2 for b, 0 for the error weights)
-    for row, row2 in zip(_DP_A, _DP_A2):
-        assert len(row2) == max(len(row) - 1, 0)
-        assert abs(math.fsum(row2) - math.fsum(a * c for a, c in zip(row, _DP_C))) <= 1e-13
-    for weights, times_a, moment in ((_DP_B, _DP_BA, 0.5), (_DP_E5, _DP_E5A, 0.0),
-                                     (_DP_E3, _DP_E3A, 0.0)):
-        assert len(times_a) == 11
-        assert abs(math.fsum(times_a) - moment) <= 1e-14
-        assert abs(math.fsum(w * c for w, c in zip(weights, _DP_C)) - moment) <= 1e-15
-    # integrate_ray drops (b A)_4 and (b A)_5: b_j (1 - c_j) = (b A)_j, and
-    # b_4 = b_5 = 0
-    for b, c, ba in zip(_DP_B, _DP_C, _DP_BA):
-        assert abs(ba - b * (1 - c)) <= 1e-15
+def _hermite_state(n, eps, z):
+    # f = H_n(x) e^(-x^2/2) and eps f' at x = z / sqrt(eps): at p = 2 and
+    # eps = 1/(2n + 1) an exact solution of -eps^2 f'' - (i z)^2 f = f
+    x = z / math.sqrt(eps)
+    h_prev, h = 0j, 1 + 0j
+    for k in range(n):
+        h_prev, h = h, 2 * x * h - 2 * k * h_prev
+    gauss = cmath.exp(-x * x / 2)
+    return h * gauss, math.sqrt(eps) * (2 * n * h_prev - x * h) * gauss
+
+
+def test_integrate_ray_carries_hermite_functions_exactly():
+    # from the exact state at either ray's start to the match point, f and
+    # eps f' within 1e-12 of the exact ones (worst 3.3e-14 measured); and
+    # the odd functions from z = 0, where every even Taylor coefficient
+    # vanishes, out to -3i, where they grow (2.8e-14)
+    model, cfg = ModelSpec.power_law(2.0), ShootConfig()
+    for n in range(5):
+        eps = 1.0 / (2 * n + 1)
+        z_l, z_r, z_mid = _contour(model, eps, cfg)
+        segments = [(z_l, z_mid), (z_r, z_mid)] + ([(0j, -3j)] if n % 2 else [])
+        for z0, z1 in segments:
+            f, g = _hermite_state(n, eps, z0)
+            size = max(abs(f), abs(g))
+            end = integrate_ray(ShootState(f / size, g / size, math.log(size)), (z0, z1),
+                                eps, model, cfg)
+            scale = math.exp(end.log_scale)
+            for got, exact in zip((end.f, end.df), _hermite_state(n, eps, z1)):
+                assert abs(got * scale - exact) <= 1e-12 * abs(exact)
+
+
+def test_q_series_matches_q_and_its_derivatives():
+    rng = np.random.default_rng(5)
+    for model in (ModelSpec.power_law(2.0), ModelSpec.power_law(3.0), ModelSpec.power_law(5.0),
+                  ModelSpec.power_law(1.5), ModelSpec.power_law(2.5084),
+                  ModelSpec.quartic(0.0), ModelSpec.quartic(0.75), ModelSpec.quartic(1 + 0.5j)):
+        for _ in range(20):
+            z = complex(rng.uniform(-3, 3), -rng.uniform(0, 3))  # the cut is at Im z > 0
+            d = complex(*rng.uniform(-2, 2, 2))
+            coef = model.q_series(z, d, 30)
+            for got, want in ((coef[0], model.q(z)), (coef[1], model.dq(z) * d),
+                              (coef[2], model.d2q(z) * d * d / 2)):
+                assert abs(got - want) <= 1e-13 * max(1.0, abs(want))
+            if model.family == "quartic":
+                assert len(coef) == 5
+            elif model.is_integer_power:
+                assert len(coef) == int(model.p) + 1
+            else:
+                # the series sums to q inside its radius |z|, clear of the cut
+                tau = 0.4 * abs(z) / abs(d)
+                total = sum(c * tau ** k for k, c in enumerate(model.q_series(z, d, 120)))
+                assert abs(total - model.q(z + tau * d)) <= 1e-12 * abs(model.q(z + tau * d))
+    assert ModelSpec.power_law(3.0).q_series(0j, 2 + 1j, 30) == [1, 0, 0, (2j - 1) ** 3]
+    with pytest.raises(ValueError, match="branch point"):
+        ModelSpec.power_law(1.5).q_series(0j, 1.0, 30)
+
+
+@pytest.mark.parametrize("case", ["nan start", "overflow", "collapse", "budget", "eps underflow"])
+def test_integration_failures_are_shooting_errors(case, monkeypatch):
+    # each must raise ShootingError at once: no hang, no OverflowError or
+    # ZeroDivisionError
+    p3 = ModelSpec.power_law(3.0)
+    if case == "nan start":
+        match, run = "non-finite", lambda: integrate_ray(
+            ShootState(complex(math.nan), 1.0), (-3 + 0j, -0.5j), 0.1, p3, ShootConfig())
+    elif case == "overflow":  # eps ~ 2e-17: the Taylor coefficients overflow
+        match, run = "non-finite", lambda: mismatch(1e20, p3)
+    elif case == "collapse":  # toward a fractional power's branch point
+        match, run = "step collapsed", lambda: integrate_ray(
+            ShootState(1.0, 1.0), (-1 + 0j, 0j), 0.5, ModelSpec.power_law(1.5), ShootConfig())
+    elif case == "budget":
+        monkeypatch.setattr(shooting, "_MAX_STEPS", 3)
+        match, run = "step budget", lambda: mismatch(10.0, p3)
+    else:
+        match, run = "underflows", lambda: mismatch(1e300, ModelSpec.power_law(1.5))
+    with pytest.raises(ShootingError, match=match):
+        run()
 
 
 def _match_ratios(model, cfg, E):
@@ -296,7 +347,9 @@ def test_scan_refuses_an_E_max_that_is_not_finite_and_positive(E_max):
 def test_real_seed_polishes_to_a_real_eigenvalue():
     rec = find_eigen(1.1, ModelSpec.power_law(3.0))
     assert rec.E.imag == 0.0
-    assert abs(rec.E - 1.1562670719966897) <= 1e-12
+    # the converged root (ShootConfig(rtol=1e-13, atol=1e-15), tol=1e-13);
+    # the default settings land 1.2e-13 from it
+    assert abs(rec.E - 1.1562670719881187) <= 1e-12
 
 
 def test_scan_complex_records_come_in_exact_pairs():
@@ -338,6 +391,16 @@ def test_match_point_independence():
     assert abs(e1 - e2) < 1e-8
 
 
+def test_match_point_keeps_clear_of_the_branch_point():
+    # a Taylor step cannot reach a fractional power's branch point, so a
+    # match point at z = 0 moves down the axis as it would near a turning
+    # point
+    model = ModelSpec.power_law(1.5)
+    at_origin, below = ShootConfig(z_mid=0j), ShootConfig(z_mid=-0.15j)
+    assert _contour(model, E_to_eps(10.0 + 0j, 1.5), at_origin)[2] == -0.15j
+    assert mismatch(10.0, model, at_origin) == mismatch(10.0, model, below)
+
+
 def test_ray_length_follows_eps():
     # rays start where the partner the start excites has decayed below
     # 2^-53, shorter than r_max once E is large, yet eps f'/f at the match
@@ -360,34 +423,24 @@ def test_ray_length_follows_eps():
 
 
 def test_mismatch_work_nearly_flat_in_E(monkeypatch):
-    # the 8th-order pair takes 711 q evaluations at E = 10, one ray mirrored
-    # into the other, 6 of them to place the ray's start (1,416 for both
-    # rays; 837 from the leading-order start and 40 e-folds of asymptotic
-    # decay; Cash-Karp 5(4) took 6,168; rays from r_max = 7, 87,144);
-    # complex E integrates both rays (1,422 at E = 10 + 0.5i); E = 40 costs
-    # 1,151, 1.62 times as much as E = 10.  Each bound is 5% above.
+    # Taylor steps (one q expansion each) per mismatch at p = 3: 7 at E = 10,
+    # one ray mirrored into the other; 11 at E = 40; 14 at E = 10 + 0.5i,
+    # where both rays are integrated.  The DOP853 pair took 711, 1,151 and
+    # 1,422 q evaluations there (Cash-Karp 5(4) 6,168 at E = 10, rays from
+    # r_max = 7 87,144).  Each bound is 5% above, rounded down.
     count = [0]
-    plain = ModelSpec.q_callable
+    plain = ModelSpec.q_series
 
-    def counting(self):
-        inner = plain(self)
+    def counting(self, *args):
+        count[0] += 1
+        return plain(self, *args)
 
-        def q(z):
-            count[0] += 1
-            return inner(z)
-        return q
-
-    monkeypatch.setattr(ModelSpec, "q_callable", counting)
+    monkeypatch.setattr(ModelSpec, "q_series", counting)
     model = ModelSpec.power_law(3.0)
-    mismatch(10.0, model)
-    at_10 = count[0]
-    count[0] = 0
-    mismatch(40.0, model)
-    assert at_10 <= 746
-    assert count[0] <= 1.7 * at_10
-    count[0] = 0
-    mismatch(10.0 + 0.5j, model)
-    assert count[0] <= 1_493
+    for E, bound in ((10.0, 7), (40.0, 11), (10.0 + 0.5j, 14)):
+        count[0] = 0
+        mismatch(E, model)
+        assert 0 < count[0] <= bound
 
 
 def test_muller_step_rejects_coincident_iterates():
