@@ -20,7 +20,7 @@ for a in (0.0, 0.4, 0.8, 1.1838363, 1.4):
 print(f"critical coupling a* = {quartic_critical_a():.6f}")
 print()
 
-cfg = ShootConfig(r_max=5.0, rtol=1e-9)
+cfg = ShootConfig(rtol=1e-9)
 print("condition roots vs shooting (physical coupling A = 0.5):")
 print(f"{'n':>3s} {'condition':>12s} {'shooting':>12s} {'rel gap':>10s}")
 for n in range(5):

@@ -258,26 +258,40 @@ def _seeded_root(f, seed: complex, max_halvings: int | None = None) -> tuple[com
         return _newton_complex(f, seed * (1.0 + 0.05j))
 
 
-def _power_phase(p: float) -> float:
-    """eps times the cosine argument of the power-law conditions, 2 R sin(pi/p)."""
-    return 2.0 * action_scale(p) * math.sin(math.pi / p)
+def _phase(model: ModelSpec, eps: complex) -> float:
+    """eps times the cosine argument of the family's condition, the seed
+    rule's phase: 2 R sin(pi/p), or 2 U(|A eps|) with |A eps| capped at 4."""
+    if model.family == "power":
+        return 2.0 * action_scale(model.p) * math.sin(math.pi / model.p)
+    a = min(abs(model.at(eps).a), 4.0)
+    return 2.0 * quartic_action(a).real if a else _quartic_phase_at_zero()
 
 
-def _quartic_phase(a: complex) -> float:
-    """eps times the quartic cosine argument, 2 U(|a|), with |a| capped at 4."""
-    return 2.0 * quartic_action(min(abs(a), 4.0)).real
+@lru_cache(maxsize=1)
+def _quartic_phase_at_zero() -> float:
+    return 2.0 * quartic_action(0.0).real
+
+
+def _seed(n: int, model: ModelSpec) -> float:
+    """eps of the seed rule _phase(model, eps)/eps = (n + 1/2) pi: at most 7
+    fixed-point steps from eps = 0, to the first repeated iterate (one step
+    for the power law, whose phase is constant)."""
+    seed = _phase(model, 0.0) / ((n + 0.5) * math.pi)
+    for _ in range(6):
+        seed, last = _phase(model, seed) / ((n + 0.5) * math.pi), seed
+        if seed == last:
+            break
+    return seed
 
 
 def cosine_seed(n: int, p: float) -> float:
     """Leading-order root: 2 R sin(pi/p)/eps = (n + 1/2) pi."""
-    return _power_phase(p) / ((n + 0.5) * math.pi)
+    return _seed(n, ModelSpec.power_law(p))
 
 
 def _mode_index(eps: complex, model: ModelSpec) -> int:
-    """Ladder index n: the seed rule 2U/|eps| = (n + 1/2) pi solved for n."""
-    phase = (_power_phase(model.p) if model.family == "power"
-             else _quartic_phase(model.at(eps).a))
-    return max(0, round(phase / abs(eps) / math.pi - 0.5))
+    """Ladder index n: the seed rule solved for n at eps."""
+    return max(0, round(_phase(model, eps) / abs(eps) / math.pi - 0.5))
 
 
 def solve_condition(n: int, p: float, condition: str = "full",
@@ -327,11 +341,11 @@ def condition_spectrum(model: ModelSpec, e_max: float,
     solved, n, seed_e = [], 0, 0.0
     while seed_e < e_max:
         try:
+            seed = _seed(n, model)
             if model.family == "power":
                 seed_e = wkb_eigenvalue(n, model.p)
-                rec = solve_condition(n, model.p, condition)
+                rec = solve_condition(n, model.p, condition, seed)
             else:
-                seed = _quartic_seed(n, model.a)
                 seed_e = seed ** (-4.0 / 3.0)
                 rec = solve_quartic(n, model.a, seed)
             if rec.E.real <= e_max * (1.0 + 1e-9):
@@ -456,24 +470,10 @@ def _quartic_condition(eps: complex, A: float,
     return value, sum(t * (d - dm) for t, d in zip(terms, dx)) / 2
 
 
-@lru_cache(maxsize=1)
-def _quartic_phase_at_zero() -> float:
-    return _quartic_phase(0.0)
-
-
-def _quartic_seed(n: int, A: float) -> float:
-    """eps of the rule 2U(A eps)/eps = (n + 1/2) pi (the one _mode_index
-    inverts), iterated 7 times from a = 0, whose phase is computed once."""
-    seed = _quartic_phase_at_zero() / ((n + 0.5) * math.pi)
-    for _ in range(6):
-        seed = _quartic_phase(A * seed) / ((n + 0.5) * math.pi)
-    return seed
-
-
 def solve_quartic(n: int, A: float, seed: complex | None = None) -> EigRecord:
     """Root of the quartic condition for mode n at physical coupling A.
 
-    Seeds from _quartic_seed unless given.  The real search is a descent on
+    Seeds from _seed unless given.  The real search is a descent on
     |f|, so at a fold it stalls between the two merged roots rather than
     jump to another mode's root, and restarts off the axis from the seed
     (see _seeded_root); the record holds one member of the pair.  A model
@@ -492,7 +492,7 @@ def solve_quartic(n: int, A: float, seed: complex | None = None) -> EigRecord:
     if complex(A).real < 0:
         raise ValueError(f"the quartic condition needs a coupling >= 0, got {A}")
     if seed is None:
-        seed = _quartic_seed(n, A)
+        seed = _seed(n, model)
     eps, res = _seeded_root(lambda e: _quartic_condition(e, A), seed, max_halvings=4)
     return EigRecord(n=n, param=A, eps=eps, E=eps_to_E(eps, model.degree),
                      method="full", residual=res)

@@ -107,11 +107,9 @@ def _grid(lo: float, hi: float, step: float) -> list[float]:
     return vals
 
 
-def _shoot_config(args, **kwargs) -> shooting.ShootConfig:
+def _shoot_config(args) -> shooting.ShootConfig:
     """ShootConfig with the command's --rtol, if one was given."""
-    if args.rtol is not None:
-        kwargs["rtol"] = args.rtol
-    return shooting.ShootConfig(**kwargs)
+    return shooting.ShootConfig() if args.rtol is None else shooting.ShootConfig(rtol=args.rtol)
 
 
 def _record_row(rec) -> dict:
@@ -248,7 +246,7 @@ def cmd_quartic(args) -> int:
         recs = asymptotic.condition_spectrum(model, args.emax)
         if args.numeric:
             try:
-                recs += shooting.scan_spectrum(model, args.emax, _shoot_config(args, r_max=5.0))
+                recs += shooting.scan_spectrum(model, args.emax, _shoot_config(args))
             except shooting.ShootingError as exc:
                 sys.stderr.write(f"warning: scan failed at A={a_phys}: {exc}\n")
         # a folded pair leaves the axis; the modes above it stay real

@@ -28,7 +28,7 @@ two of them, so no step is rejected (see integrate_ray).
 
 The model holds the physical coupling; each eigenvalue E integrates the
 equation at eps = E_to_eps(E, model.degree), model.at(eps).  scan_spectrum
-seeds find_eigen from a Chebyshev collocation on the same contour.
+seeds find_eigen from a Chebyshev collocation on the same rays.
 """
 
 import cmath
@@ -281,35 +281,35 @@ def _collocation_length(k: float, r_tp: float, eps: complex, r_max: float) -> fl
     return min(r_max, max(2 * r_tp, r))
 
 
-def _contour(model: ModelSpec, eps: complex, cfg: ShootConfig,
-             collocation: bool = False) -> tuple[complex, complex, complex]:
-    """Ray endpoints and a match point keeping clear of turning points
-    and of a fractional power's branch point.
-
-    model is the equation at eps (ModelSpec.at).  The left ray runs along
-    the power law's left wedge centre, or the quartic's negative real axis,
-    out past the outermost turning point, which for the power law is taken
-    at radius 1 exactly: |z_A| = |z_B| = 1 only up to rounding.  Its radius
-    is the larger _start_radius of the two rays (one when the right ray is
-    the left one's PT mirror), or _collocation_length for the collocation.
-    z_r = -conj(z_l) (for the power law th_r = -pi - th_l) and the match
-    point stays on the imaginary axis, so the contour is its own PT mirror,
-    and the contour at conj(eps) is the one at eps.
-    """
+def _ray(model: ModelSpec) -> tuple[tuple[complex, ...], float, complex]:
+    """The turning points of model (the equation at eps), the radius of the
+    outermost one (1 exactly for the power law: |z_A| = |z_B| = 1 only up to
+    rounding) and the left ray's direction: the power law's left wedge
+    centre or the quartic's negative real axis."""
     try:
         tps = model.turning_points
     except TraceError as exc:
         raise ShootingError(f"no labelled turning points: {exc}") from exc
     if model.family == "power":
-        r_tp, z_dir, z_mid = 1.0, cmath.exp(1j * wedge_angles(model.p)[0]), cfg.z_mid
-    else:
-        r_tp, z_dir, z_mid = max(abs(tp) for tp in tps), -1 + 0j, 0j
-    if collocation:
-        r = _collocation_length(model.degree + 2.0, r_tp, eps, cfg.r_max)
-    else:
-        r = _start_radius(model, z_dir, r_tp, eps, cfg.r_max)
-        if eps.imag != 0 or not model.pt_mirror:
-            r = max(r, _start_radius(model, -z_dir.conjugate(), r_tp, eps, cfg.r_max))
+        return tps, 1.0, cmath.exp(1j * wedge_angles(model.p)[0])
+    return tps, max(abs(tp) for tp in tps), -1 + 0j
+
+
+def _contour(model: ModelSpec, eps: complex, cfg: ShootConfig) -> tuple[complex, complex, complex]:
+    """Ray endpoints and a match point keeping clear of turning points
+    and of a fractional power's branch point.
+
+    model is the equation at eps (ModelSpec.at), the rays are _ray's.  The
+    left ray's radius is the larger _start_radius of the two rays (one when
+    the right ray is the left one's PT mirror); z_r = -conj(z_l) and the
+    match point stays on the imaginary axis, so the contour is its own PT
+    mirror, and the contour at conj(eps) is the one at eps.
+    """
+    tps, r_tp, z_dir = _ray(model)
+    z_mid = cfg.z_mid if model.family == "power" else 0j
+    r = _start_radius(model, z_dir, r_tp, eps, cfg.r_max)
+    if eps.imag != 0 or not model.pt_mirror:
+        r = max(r, _start_radius(model, -z_dir.conjugate(), r_tp, eps, cfg.r_max))
     z_l = r * z_dir
     z_r = -z_l.conjugate()
     # a fractional power's branch point too: integrate_ray's Taylor steps
@@ -429,7 +429,7 @@ def _record(E: complex, w: complex, model: ModelSpec) -> EigRecord:
 
 
 def _contour_eigenvalues(model: ModelSpec, E_max: float, cfg: ShootConfig) -> np.ndarray:
-    """Eigenvalues of a Chebyshev collocation on mismatch's contour at E0.
+    """Eigenvalues of a Chebyshev collocation on _ray's rays at E0.
 
     At E0 = 1.5 E_max both families read -eps0^2 u'' + (1 - q) u = (E/E0) u
     on the ray 0 -> z_l, with u(z_l) = 0; the right ray carries conj(u).  The
@@ -438,7 +438,8 @@ def _contour_eigenvalues(model: ModelSpec, E_max: float, cfg: ShootConfig) -> np
     E0 = 1.5 * E_max
     eps0 = E_to_eps(complex(E0), model.degree)
     scaled = model.at(eps0)
-    z_l = _contour(scaled, eps0, cfg, collocation=True)[0]
+    _, r_tp, z_dir = _ray(scaled)
+    z_l = _collocation_length(model.degree + 2.0, r_tp, eps0, cfg.r_max) * z_dir
     n, m = _COLLOCATION_POINTS, _COLLOCATION_POINTS - 1
     x = np.cos(np.pi * np.arange(n + 1) / n)
     c = np.hstack([2.0, np.ones(n - 1), 2.0]) * (-1.0) ** np.arange(n + 1)

@@ -9,7 +9,7 @@ from ptspec.action import (action_between, action_scale,
                            action_to_turning_points, quartic_action,
                            quartic_critical_a)
 from ptspec.asymptotic import (SolveError, _mode_index, _newton_complex,
-                               _off_axis, _quartic_condition, _scaled_condition,
+                               _off_axis, _quartic_condition, _scaled_condition, _seed,
                                condition_spectrum, corrected_condition,
                                cosine_seed, delta_estimate, E_to_eps, eps_to_E,
                                lowest_branch_path, quartic_closeoff,
@@ -368,9 +368,13 @@ def test_branch_walk_follows_each_member_of_a_merging_pair():
 
 
 @settings(deadline=None)
-@given(p=st.floats(1.05, 6.0), n=st.integers(0, 60))
-def test_mode_index_inverts_cosine_seed(p, n):
-    assert _mode_index(cosine_seed(n, p), ModelSpec.power_law(p)) == n
+@given(case=st.one_of(
+    st.tuples(st.floats(1.05, 6.0).map(ModelSpec.power_law), st.integers(0, 60)),
+    st.tuples(st.floats(0.0, 5.0).map(ModelSpec.quartic), st.integers(0, 11))))
+def test_mode_index_inverts_cosine_seed(case):
+    # _seed is cosine_seed for the power law and the quartic's seed rule
+    model, n = case
+    assert _mode_index(_seed(n, model), model) == n
 
 
 def test_switched_terms_factorisation():

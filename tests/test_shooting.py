@@ -7,8 +7,8 @@ from ptspec.asymptotic import E_to_eps, _off_axis, condition_spectrum, solve_con
 from ptspec import shooting
 from ptspec.geometry import ModelSpec, wedge_angles
 from ptspec.shooting import (ShootConfig, ShootingError, ShootState, _contour,
-                             _contour_eigenvalues, _muller_step, _start_radius, find_eigen,
-                             integrate_ray, mismatch, scan_spectrum, wkb_init)
+                             _contour_eigenvalues, _muller_step, _ray, _start_radius,
+                             find_eigen, integrate_ray, mismatch, scan_spectrum, wkb_init)
 
 PI = math.pi
 
@@ -58,7 +58,7 @@ def test_start_radius_solves_its_decay_rule():
             eps = E_to_eps(complex(E), model.degree)
             scaled = model.at(eps)
             z_l, z_r, _ = _contour(scaled, eps, ShootConfig(r_max=r_max))
-            r_tp = 1.0 if model.family == "power" else max(map(abs, scaled.turning_points))
+            r_tp = _ray(scaled)[1]
             for z_dir in (z_l / abs(z_l), z_r / abs(z_r)):
                 r = _start_radius(scaled, z_dir, r_tp, eps, r_max)
                 rs = r_tp + (r - r_tp) * u * u
@@ -513,14 +513,42 @@ _P15_SPECTRUM = [1.0869317, 3.1957762, 4.4219980,
                  11.3708501 + 3.0114842j, 11.3708501 - 3.0114842j]
 
 
+# collocation eigenvalues at p = 1.5, E_max = 12
+_P15_COLLOCATION = (1.0869317242441063, 3.1957762599142785, 4.421997912872259,
+                    6.655792912346449 + 0.9514680357007428j)
+
+
 def test_collocation_keeps_its_forty_e_fold_ray():
     # the collocation that seeds scan_spectrum keeps its own ray (40 e-folds
     # of asymptotic action, at least 2 r_tp); the shooting rays' shorter
     # start would move these seeds by about 1e-8
     ev = _contour_eigenvalues(ModelSpec.power_law(1.5), 12.0, ShootConfig())
-    for e in (1.0869317242441063, 3.1957762599142785, 4.421997912872259,
-              6.655792912346449 + 0.9514680357007428j):
+    for e in _P15_COLLOCATION:
         assert np.min(np.abs(ev - e)) <= 1e-11 * abs(e)
+
+
+def test_collocation_needs_no_match_point(monkeypatch):
+    # the collocation takes its ray from _ray alone: no match-point search,
+    # which could raise over a point the collocation never uses, and the
+    # same eigenvalues bit for bit as when its ray came from _contour
+    def refuse(*args, **kwargs):
+        raise AssertionError("the collocation searched for a match point")
+
+    monkeypatch.setattr(shooting, "_contour", refuse)
+    ev = _contour_eigenvalues(ModelSpec.power_law(1.5), 12.0, ShootConfig())
+    assert all(e in ev for e in _P15_COLLOCATION)
+
+
+def test_quartic_ray_cap_never_binds():
+    # quartic rays start below 4.83 for E >= 0.3 at A <= 3, so the default
+    # r_max gives the W of r_max = 5 bit for bit and no caller restates a
+    # cap of 5.  Below E = 0.37 a cap of 5 still clips _start_radius's first
+    # guess (5.15 at E = 0.3) and moves W in its last bits; the quartic's
+    # lowest level is E = 1.06, at A = 0.
+    for A in (0.0, 0.75, 2.0):
+        model = ModelSpec.quartic(A)
+        for E in (0.4, 1.06, 20.0, 4.3 + 0.7j):
+            assert mismatch(E, model) == mismatch(E, model, ShootConfig(r_max=5.0))
 
 
 def test_scan_lists_the_whole_broken_spectrum():
