@@ -1,12 +1,13 @@
 """Branch-continuous Gauss-Legendre quadrature of sqrt(q(z)) along polylines.
 
-Internal engine of geometry._path_action, the one path integral of sqrt(q)
-behind the action integrals and the Stokes tracer, and of the quartic
-action, which integrates several legs in one call (sqrt_leg_integrals).
-One call is one numpy pass over the path or the legs: q is evaluated on
-all Gauss points at once, and the sign of each principal square root s is
-carried from the root r before it by the nearest-sign rule (_signed_roots,
-its one implementation on arrays; each leg restarts from its own seed):
+integrate_legs is the one engine entry.  Its two callers are
+geometry._path_action, the one path integral of sqrt(q) behind the
+action integrals and the Stokes tracer, and the quartic action, which
+integrates several legs in one call.
+One call is one numpy pass over the legs: q is evaluated on all Gauss
+points at once, and the sign of each principal square root s is carried
+from the root r before it by the nearest-sign rule (_signed_roots, its
+one implementation on arrays; each leg restarts from its own seed):
 with d = s conj(r), s is negated iff Re d < -1e-12 |d|, and a near tie,
 |Re d| <= 1e-12 |d|, keeps the principal root, so last-bit differences
 between numpy's and cmath's roots decide nothing.
@@ -27,7 +28,7 @@ import numpy as np
 
 from .special import BRANCH_AMBIGUITY_TOL, BranchAmbiguityError
 
-__all__ = ["sqrt_path_integral", "sqrt_leg_integrals", "powerlaw_origin_piece"]
+__all__ = ["integrate_legs", "powerlaw_origin_piece"]
 
 #: Fraction of a segment mapped through the square-root substitution.
 _SING_FRACTION = 0.1
@@ -112,61 +113,28 @@ def _segment_points(order: int, singular_start: bool,
     return u, wu
 
 
-def sqrt_path_integral(
+def integrate_legs(
     q: Callable[[np.ndarray], np.ndarray],
-    nodes: Sequence[complex],
+    legs: Sequence[tuple[Sequence[complex], complex | None, bool, bool]],
     order: int = 40,
-    seed: complex | None = None,
-    singular_start: bool = False,
-    singular_end: bool = False,
-) -> tuple[complex, complex]:
-    """Integral of sqrt(q) along the polyline, sign-continuous throughout.
-
-    One numpy pass: the Gauss points of every segment form one array, q is
-    called once on it, and the principal roots are signed by the
-    nearest-sign rule of _signed_root (see _signed_roots), each sample
-    taking the sign that puts it nearer the sample before.  seed is the
-    sample before the first (None: +1, the principal branch there).  Every
-    sample, the first included, must lie at least BRANCH_AMBIGUITY_TOL from
-    a zero of q, or BranchAmbiguityError is raised.  singular_start /
-    singular_end declare a simple zero of q at the first / last path node.
-
-    Returns (integral, last sample); the sample lets callers chain further
-    integrals on the same branch.
-    """
-    return _integrate_legs(q, [(nodes, seed, singular_start, singular_end)], order)[0]
-
-
-def sqrt_leg_integrals(
-    q: Callable[[np.ndarray], np.ndarray],
-    legs: Sequence[tuple[Sequence[complex], complex | None]],
-    order: int = 40,
-    singular_end: bool = False,
     moment: bool = False,
-) -> list[complex] | list[tuple[complex, complex]]:
-    """Integrals of sqrt(q) along several polylines (nodes, seed) in one pass.
+) -> list[tuple]:
+    """(integral of sqrt(q), last sample) of each leg, all in one pass.
 
-    Each leg is the integral sqrt_path_integral(q, nodes, order, seed,
-    singular_end=singular_end) would return, bit for bit: q is called once
-    on the samples of all legs, but the sign chain restarts from each leg's
-    own seed at its first sample and each leg is summed on its own.  With
-    moment, each leg gives the pair (that integral, integral of t / sqrt(q)
-    dt) from the same samples; a simple zero of q at a singular end keeps
-    the second integrand integrable, and the substitution keeps it smooth.
+    A leg is (nodes, seed, singular_start, singular_end): a polyline, the
+    sample before its first (None: +1, the principal branch there), and
+    whether q has a simple zero at its first / last node.  q is called
+    once on the Gauss points of every segment of every leg.  The principal
+    roots are signed by the nearest-sign rule of _signed_root (see
+    _signed_roots); the sign chain restarts at each leg's first sample,
+    from the leg's own seed, and each leg is summed on its own, one dot
+    product per segment in path order, so its bits do not depend on the
+    legs beside it.  A sample nearer a zero of q than BRANCH_AMBIGUITY_TOL
+    raises BranchAmbiguityError.  The last sample lets callers chain
+    further integrals on the same branch.  moment appends the integral of
+    t / sqrt(q) from the same signed samples; a simple zero of q at a
+    singular end keeps it integrable, and the substitution smooth.
     """
-    legs = [(nodes, seed, False, singular_end) for nodes, seed in legs]
-    if moment:
-        return [(val, mom) for val, _, mom in _integrate_legs(q, legs, order, moment=True)]
-    return [val for val, _ in _integrate_legs(q, legs, order)]
-
-
-def _integrate_legs(q, legs, order: int, moment: bool = False) -> list[tuple]:
-    """(integral, last sample) of each leg (nodes, seed, singular_start,
-    singular_end), all in one numpy pass: one call of q on every sample,
-    one sign chain restarted at the first sample of each leg, and one dot
-    product per segment, summed per leg in path order.  moment appends the
-    integral of t / sqrt(q) to each tuple: one more division over the
-    samples and one more dot product per segment."""
     legs_segments, starts, seeds, size = [], [], [], 0
     for nodes, seed, singular_start, singular_end in legs:
         nodes = [complex(z) for z in nodes]

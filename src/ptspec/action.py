@@ -5,16 +5,16 @@ eigenvalue condition.  action_between checks that its polyline avoids the
 branch cut and hands it to geometry._path_action, the one path integral of
 sqrt(q) it shares with the Stokes tracer (origin sliver, turning-point
 ends, branch seed).  The quartic action seeds its branch at the segment
-midpoint from the coupling walk and calls the quadrature engine directly,
-one pass for both halves of the segment (and for both actions at complex
-coupling), which can also give its derivative in the coupling: its ends
-are turning points by construction.
+midpoint from the coupling walk and calls the quadrature engine,
+integrate_legs, itself: one pass for both halves of the segment (and for
+both actions at complex coupling), which also gives its derivative in
+the coupling, since its ends are turning points by construction.
 """
 
 import math
 from functools import lru_cache
 
-from ._quadrature import sqrt_leg_integrals
+from ._quadrature import integrate_legs
 from .geometry import ModelSpec, _path_action, _quartic_walk, path_crosses_cut
 
 __all__ = [
@@ -90,8 +90,9 @@ def singulant(z: complex, z_star: complex, model: ModelSpec,
     return 2j * action_between(z_star, z, model, via=via, order=order, seed=seed)
 
 
-def _quartic_end_actions(a: complex, *ends: str, slopes: bool = False) -> tuple:
-    """-integral from z_C to each turning point named in ends ("z_a", "z_b").
+def _quartic_end_actions(a: complex, *ends: str) -> tuple:
+    """(w, dw/da) for each turning point named in ends ("z_a", "z_b"), w
+    the -integral from z_C to it.
 
     Straight segments, branch seeded at their midpoints.  The overall sign
     of the integrand is fixed at a = 0 by the requirement Im(U + iV) > 0
@@ -101,10 +102,9 @@ def _quartic_end_actions(a: complex, *ends: str, slopes: bool = False) -> tuple:
     sample never jumps branch.  The walk memoises the roots and seeds at
     its fixed waypoints, so a call costs one walk (one leg from the nearest
     waypoint for real a) plus one quadrature pass over the legs mid -> z_e
-    and mid -> z_C of every end.  With slopes, each end gives the pair
-    (w, dw/da) from that same pass: q vanishes at both ends of the segment,
-    so dw/da = (i/2) integral from z_C to z_e of t / sqrt(q), q = 1 - t^4 -
-    i a t.
+    and mid -> z_C of every end.  The slope comes from that same pass: q
+    vanishes at both ends of the segment, so dw/da = (i/2) integral from
+    z_C to z_e of t / sqrt(q), q = 1 - t^4 - i a t.
     """
     wp = _quartic_walk(a)
     z_c = wp.roots.z_c
@@ -113,15 +113,12 @@ def _quartic_end_actions(a: complex, *ends: str, slopes: bool = False) -> tuple:
         z_e = getattr(wp.roots, end)
         seed = wp.seed_a if end == "z_a" else wp.seed_b
         mid = 0.5 * (z_c + z_e)
-        legs += [([mid, z_e], seed), ([mid, z_c], seed)]
+        legs += [([mid, z_e], seed, False, True), ([mid, z_c], seed, False, True)]
     q = ModelSpec.quartic(wp.a).q_callable()
-    vals = sqrt_leg_integrals(q, legs, order=DEFAULT_ORDER, singular_end=True,
-                              moment=slopes)
+    vals = integrate_legs(q, legs, DEFAULT_ORDER, moment=True)
     # integral_{z_C}^{z_e} = integral_{mid}^{z_e} - integral_{mid}^{z_C}
-    if slopes:
-        return tuple((-(to_e - to_c), 0.5j * (mom_e - mom_c))
-                     for (to_e, mom_e), (to_c, mom_c) in zip(vals[::2], vals[1::2]))
-    return tuple(-(to_e - to_c) for to_e, to_c in zip(vals[::2], vals[1::2]))
+    return tuple((-(to_e - to_c), 0.5j * (mom_e - mom_c))
+                 for (to_e, _, mom_e), (to_c, _, mom_c) in zip(vals[::2], vals[1::2]))
 
 
 def quartic_action(a: complex) -> complex:
@@ -134,7 +131,7 @@ def quartic_action(a: complex) -> complex:
     The turning points come from the memoised coupling walk: one leg from
     the nearest fixed waypoint, so the result depends on a alone.
     """
-    return _quartic_end_actions(a, "z_a")[0]
+    return _quartic_end_actions(a, "z_a")[0][0]
 
 
 @lru_cache(maxsize=1)

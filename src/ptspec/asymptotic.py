@@ -171,7 +171,7 @@ def _descend(f, x: float, g: float, step: float,
 #: 0:6 --emax 30, bifurcation 1.01:2.5 --step 0.01 --emax 40, and the
 #: perfbench conditions rounds of seeds 1-11) none took more than 9 capped
 #: steps in a row: 9 and 8 only in the step-0.01 sweep, at most 7 elsewhere
-#: (at cosine_seed(3, 1.5) and cosine_seed(10, 1.6)).  The 1,406 quartic
+#: (at the seeds of n = 3, p = 1.5 and n = 10, p = 1.6).  The 1,406 quartic
 #: searches among them, on the condition's own slope, take at most 4, as
 #: they did on central differences.  The off-axis searches that cannot
 #: converge cycle z <-> ~conj z with every step capped and |f| = 1 +- 2e-8;
@@ -284,11 +284,6 @@ def _seed(n: int, model: ModelSpec) -> float:
     return seed
 
 
-def cosine_seed(n: int, p: float) -> float:
-    """Leading-order root: 2 R sin(pi/p)/eps = (n + 1/2) pi."""
-    return _seed(n, ModelSpec.power_law(p))
-
-
 def _mode_index(eps: complex, model: ModelSpec) -> int:
     """Ladder index n: the seed rule solved for n at eps."""
     return max(0, round(_phase(model, eps) / abs(eps) / math.pi - 0.5))
@@ -308,7 +303,7 @@ def solve_condition(n: int, p: float, condition: str = "full",
     if n < 0 or not p > 1.0:
         raise ValueError("solve_condition needs a mode index n >= 0 and p > 1")
     if seed is None:
-        seed = cosine_seed(n, p)
+        seed = _seed(n, ModelSpec.power_law(p))
     eps, res = _seeded_root(lambda e: (_scaled_condition(e, p, condition), None), seed)
     return EigRecord(n=n, param=p, eps=eps, E=eps_to_E(eps, p),
                      method=condition, residual=res)
@@ -329,8 +324,8 @@ def condition_spectrum(model: ModelSpec, e_max: float,
     """Roots of the condition with Re E <= e_max, each once, ordered by n, Im E.
 
     Solves seeds n = 0, 1, ... (skipping a SolveError) through the first
-    whose own energy, wkb_eigenvalue or the quartic seed's eps**(-4/3)
-    (model.a is the physical coupling), reaches e_max.  A root reached from
+    whose own energy, eps_to_E of the seed (model.a is the quartic's
+    physical coupling), reaches e_max.  A root reached from
     several seeds takes the seed nearest its _mode_index (the lower on a
     tie), any other its own; each complex root comes with its conjugate.
     A complex or negative quartic coupling raises ValueError (see
@@ -342,11 +337,10 @@ def condition_spectrum(model: ModelSpec, e_max: float,
     while seed_e < e_max:
         try:
             seed = _seed(n, model)
+            seed_e = eps_to_E(seed, model.degree).real
             if model.family == "power":
-                seed_e = wkb_eigenvalue(n, model.p)
                 rec = solve_condition(n, model.p, condition, seed)
             else:
-                seed_e = seed ** (-4.0 / 3.0)
                 rec = solve_quartic(n, model.a, seed)
             if rec.E.real <= e_max * (1.0 + 1e-9):
                 solved.append(rec)
@@ -434,37 +428,33 @@ def quartic_condition(eps: complex, A: float) -> complex:
     exp(2V/eps) cos(2U/eps) + 1/2 rescaled for real eps.  Complex a
     continues both actions analytically.
     """
-    return _quartic_condition(eps, A, slope=False)[0]
+    return _quartic_condition(eps, A)[0]
 
 
-def _quartic_condition(eps: complex, A: float,
-                       slope: bool = True) -> tuple[complex, complex | None]:
-    """quartic_condition at eps and, if slope, its derivative along real eps.
+def _quartic_condition(eps: complex, A: float) -> tuple[complex, complex]:
+    """quartic_condition at eps and its derivative along real eps.
 
     Both come from one walk and one quadrature pass, which gives each action
     w with dw/da (action._quartic_end_actions).  The exponents X_k =
     -2i w_k/eps are holomorphic, with X_k' = -2i (A w_k' - w_k/eps)/eps,
     but the factor exp(-m) is not: m = Re X_j, j the largest, so along real
     eps, the direction of the central difference it replaces, the slope is
-    sum_k exp(X_k - m) (X_k' - Re X_j') / 2.  The value is quartic_condition
-    bit for bit; the slope is None without slope.
+    sum_k exp(X_k - m) (X_k' - Re X_j') / 2.
     """
     a = A * eps
     real_a = abs(complex(a).imag) < 1e-14
     if real_a:  # a real a hits the walk's memo
-        ends = _quartic_end_actions(complex(a).real, "z_a", slopes=slope)
+        ends = _quartic_end_actions(complex(a).real, "z_a")
     else:  # one walk of the whole ray and one pass for both actions
-        ends = _quartic_end_actions(a, "z_a", "z_b", slopes=slope)
-    ws, dws = zip(*ends) if slope else (ends, ())
+        ends = _quartic_end_actions(a, "z_a", "z_b")
+    ws, dws = zip(*ends)
     if real_a:  # w_B = -conj(w_A) along real a, and so are the slopes
         ws += (-ws[0].conjugate(),)
-        dws += tuple(-d.conjugate() for d in dws)
+        dws += (-dws[0].conjugate(),)
     exponents = (*(-2j * w / eps for w in ws), 0j)
     m = max(x.real for x in exponents)
     terms = [cmath.exp(x - m) for x in exponents]
     value = sum(terms) / 2
-    if not slope:
-        return value, None
     dx = (*(-2j * (A * dw - w / eps) / eps for w, dw in zip(ws, dws)), 0j)
     dm = max(zip(exponents, dx), key=lambda xd: xd[0].real)[1].real
     return value, sum(t * (d - dm) for t, d in zip(terms, dx)) / 2

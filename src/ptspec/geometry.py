@@ -23,7 +23,7 @@ from itertools import combinations
 
 import numpy as np
 
-from ._quadrature import _signed_root, powerlaw_origin_piece, sqrt_path_integral
+from ._quadrature import _signed_root, integrate_legs, powerlaw_origin_piece
 
 __all__ = [
     "ModelSpec",
@@ -450,11 +450,9 @@ def _path_action(model: ModelSpec, nodes, order: int,
         nodes[0] = delta * direction
         if seed is None:
             seed = 1.0 + 0j
-    val, last = sqrt_path_integral(
-        model.q_callable(), nodes, order=order, seed=seed,
-        singular_start=abs(model.q(nodes[0])) < _TURNING_POINT_TOL,
-        singular_end=abs(model.q(nodes[-1])) < _TURNING_POINT_TOL,
-    )
+    leg = (nodes, seed, abs(model.q(nodes[0])) < _TURNING_POINT_TOL,
+           abs(model.q(nodes[-1])) < _TURNING_POINT_TOL)
+    val, last = integrate_legs(model.q_callable(), [leg], order)[0]
     return head + val, last
 
 

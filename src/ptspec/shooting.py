@@ -39,7 +39,7 @@ from operator import mul
 import numpy as np
 
 from .asymptotic import E_to_eps, EigRecord, _mode_index
-from .geometry import ModelSpec, TraceError, path_crosses_cut, wedge_angles
+from .geometry import ModelSpec, TraceError, wedge_angles
 
 __all__ = [
     "ShootConfig",
@@ -79,8 +79,10 @@ class ShootConfig:
     series, which bound its truncation error, stays within 1e-3 (atol +
     rtol max(|f|, |eps f'|)).  z_mid must be finite and lie on the
     imaginary axis, the PT-symmetry axis, so that at real E the right ray
-    is the mirror of the left one (see mismatch).  A ray that takes more
-    than 150,000 steps raises ShootingError.
+    is the mirror of the left one (see mismatch), and at or below 0: the
+    rays end off that axis, so the contour meets it only at z_mid and
+    never crosses a fractional power's branch cut, the positive imaginary
+    axis.  A ray that takes more than 150,000 steps raises ShootingError.
     """
 
     r_max: float = 7.0
@@ -92,9 +94,9 @@ class ShootConfig:
         if not (math.isfinite(self.r_max) and self.r_max > 0):
             raise ValueError(f"r_max must be finite and > 0, got {self.r_max}")
         z_mid = complex(self.z_mid)
-        if not cmath.isfinite(z_mid) or z_mid.real != 0:
-            raise ValueError(f"z_mid must be finite and on the imaginary axis, "
-                             f"got {self.z_mid}")
+        if not cmath.isfinite(z_mid) or z_mid.real != 0 or z_mid.imag > 0:
+            raise ValueError(f"z_mid must be finite and on the imaginary axis "
+                             f"at or below 0, got {self.z_mid}")
         tols = (self.rtol, self.atol)
         if not all(math.isfinite(x) and x >= 0 for x in tols) or not any(tols):
             raise ValueError(f"rtol and atol must be finite, >= 0 and not both 0, "
@@ -318,7 +320,7 @@ def _contour(model: ModelSpec, eps: complex, cfg: ShootConfig) -> tuple[complex,
     for _ in range(8):
         clear = all(_point_segment_distance(w, z_end, z_mid) >= _STANDOFF
                     for w in avoid for z_end in (z_l, z_r))
-        if clear and not path_crosses_cut([z_l, z_mid, z_r], model):
+        if clear:
             return z_l, z_r, z_mid
         z_mid -= 0.15j
     raise ShootingError("could not place the match point away from turning "

@@ -4,7 +4,7 @@ Everything downstream (actions, eigenvalue conditions, Stokes tracing) runs
 on two primitives: the total reciprocal of the standard library's Gamma
 function and the principal complex power.  A square root whose sign is
 carried along a contour follows the nearest-sign rule of the quadrature
-module: sqrt_path_integral applies it to a whole path in one numpy pass,
+module: integrate_legs applies it to whole paths in one numpy pass,
 _signed_root to one sample.  Its ambiguity error and tolerance live
 here.
 """

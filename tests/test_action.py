@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from ptspec import geometry
-from ptspec._quadrature import sqrt_path_integral
+from ptspec._quadrature import integrate_legs
 from ptspec.action import (action_between, action_scale,
                            action_to_turning_points, quartic_action,
                            quartic_critical_a, singulant,
@@ -138,7 +138,7 @@ def test_quartic_z_b_action_mirrors_z_a_at_real_coupling():
     # z_B = -conj(z_A) for real a, so the coupling walk to z_B must land on
     # the mirror image of the z_A action: -conj(U + iV).
     for a in (0.0, 0.3, 0.9, 1.2, 1.7, 2.5, 3.3, 4.0):
-        w_b = _quartic_end_actions(a, "z_b")[0]
+        w_b = _quartic_end_actions(a, "z_b")[0][0]
         assert abs(w_b + quartic_action(a).conjugate()) <= 1e-14, a
 
 
@@ -184,7 +184,7 @@ def test_path_integral_refuses_a_sample_at_a_zero_of_q(order):
     # where the sign of sqrt(q) cannot be carried through; at order 1 it is
     # the first sample, which gets the same check as every later one.
     with pytest.raises(BranchAmbiguityError):
-        sqrt_path_integral(lambda z: z, [-1.0, 1.0], order=order)
+        integrate_legs(lambda z: z, [([-1.0, 1.0], None, False, False)], order)
 
 
 def test_quartic_critical_coupling():
@@ -198,20 +198,20 @@ def test_one_quadrature_pass_per_quartic_condition(monkeypatch):
     # One engine pass for both halves of the z_C -> z_A segment at real
     # coupling, and one for both actions (four legs) at complex coupling,
     # after one walk of the coupling ray.
-    from ptspec import _quadrature
+    from ptspec import action
     from ptspec.asymptotic import quartic_condition
     passes, walks = [], [0]
-    plain_pass, plain_walk = _quadrature._integrate_legs, geometry._walk_leg
+    plain_pass, plain_walk = action.integrate_legs, geometry._walk_leg
 
-    def counting_pass(q, legs, order):
+    def counting_pass(q, legs, *args, **kwargs):
         passes.append(len(legs))
-        return plain_pass(q, legs, order)
+        return plain_pass(q, legs, *args, **kwargs)
 
     def counting_walk(start, a):
         walks[0] += 1
         return plain_walk(start, a)
 
-    monkeypatch.setattr(_quadrature, "_integrate_legs", counting_pass)
+    monkeypatch.setattr(action, "integrate_legs", counting_pass)
     monkeypatch.setattr(geometry, "_walk_leg", counting_walk)
     quartic_condition(0.3, 2.0)
     assert passes == [2]

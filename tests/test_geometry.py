@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ptspec._quadrature import sqrt_path_integral
+from ptspec._quadrature import integrate_legs
 from ptspec.action import singulant
 from ptspec.geometry import (ModelSpec, TraceError, path_crosses_cut,
                              quartic_turning_points, seed_directions,
@@ -332,14 +332,12 @@ def test_stokes_lines_keep_chi_on_the_principal_sheet_up_to_the_cut():
                 continue
             cut_lines += 1
             pts = trace.points
-            chi, last = sqrt_path_integral(model.q, [origin, pts[0]],
-                                           singular_start=True)
+            chi, last = integrate_legs(model.q, [([origin, pts[0]], None, True, False)])[0]
             chi *= 2j
             for z0, z1 in zip(pts, pts[1:]):
                 if path_crosses_cut([z0, z1], model):
                     break
-                val, last = sqrt_path_integral(model.q, [z0, z1], order=8,
-                                               seed=last)
+                val, last = integrate_legs(model.q, [([z0, z1], last, False, False)], 8)[0]
                 chi += 2j * val
                 assert abs(chi.imag) <= 1e-7, (origin, z1, chi)
     assert cut_lines == 2
@@ -383,13 +381,12 @@ def test_stokes_line_points_grow_with_log_chi():
     # to point and compare with the chi the tracer reports.
     trace = escaping[0]
     pts = trace.points
-    chi, last = sqrt_path_integral(model.q, [trace.origin, pts[0]],
-                                   singular_start=True)
+    chi, last = integrate_legs(model.q, [([trace.origin, pts[0]], None, True, False)])[0]
     chi *= 2j
     if chi.real < 0.0:  # the tracer orients chi so that Re chi >= 0
         chi, last = -chi, -last
     for z0, z1, reported in zip(pts, pts[1:], trace.chi[1:]):
-        val, last = sqrt_path_integral(model.q, [z0, z1], order=8, seed=last)
+        val, last = integrate_legs(model.q, [([z0, z1], last, False, False)], 8)[0]
         chi += 2j * val
         bound = 1e-8 * max(1.0, abs(chi))
         assert abs(chi - reported) <= bound, (z1, chi, reported)

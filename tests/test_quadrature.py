@@ -10,7 +10,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from ptspec import geometry
 from ptspec._quadrature import (_segment_points, _signed_root, _signed_roots,
-                               sqrt_leg_integrals, sqrt_path_integral)
+                               integrate_legs)
 from ptspec.geometry import ModelSpec, TraceError
 from ptspec.special import BRANCH_AMBIGUITY_TOL, BranchAmbiguityError
 
@@ -24,6 +24,17 @@ _Q = {
     "quartic a=0.7": ModelSpec.quartic(0.7).q_callable(),
     "quartic a=1+0.5i": ModelSpec.quartic(1.0 + 0.5j).q_callable(),
 }
+
+
+def _path(q, nodes, order=40, seed=None, singular_start=False, singular_end=False):
+    """(integral, last sample) of the one leg nodes."""
+    return integrate_legs(q, [(nodes, seed, singular_start, singular_end)], order)[0]
+
+
+def _integrals(q, legs, order, singular_end=False):
+    """The integrals of the legs (nodes, seed), in one pass."""
+    legs = [(nodes, seed, False, singular_end) for nodes, seed in legs]
+    return [val for val, _ in integrate_legs(q, legs, order)]
 
 
 def _reference(q, nodes, order, seed, singular_start, singular_end):
@@ -72,13 +83,9 @@ def test_engine_matches_the_sample_by_sample_chain(q_name, nodes, order, seed,
         ref, ref_last, scale = _reference(q, *args)
     except (BranchAmbiguityError, ValueError) as err:
         with pytest.raises(type(err)):
-            sqrt_path_integral(q, nodes, order=order, seed=seed,
-                               singular_start=singular_start,
-                               singular_end=singular_end)
+            _path(q, nodes, order, seed, singular_start, singular_end)
         return
-    val, last = sqrt_path_integral(q, nodes, order=order, seed=seed,
-                                   singular_start=singular_start,
-                                   singular_end=singular_end)
+    val, last = _path(q, nodes, order, seed, singular_start, singular_end)
     assert abs(last - ref_last) < abs(last + ref_last), (last, ref_last)
     assert abs(val - ref) <= 1e-13 * scale, (val, ref)
 
@@ -91,7 +98,7 @@ def test_exact_tie_keeps_the_principal_root_after_a_negated_sample():
     q = _Q["z"]
     for order in (2, 4, 8):
         ref, ref_last, _ = _reference(q, [-1.0, 1.0], order, -1j, False, False)
-        val, last = sqrt_path_integral(q, [-1.0, 1.0], order=order, seed=-1j)
+        val, last = _path(q, [-1.0, 1.0], order=order, seed=-1j)
         assert last == ref_last
         assert last.real > 0
         assert abs(val - ref) <= 1e-15
@@ -102,7 +109,7 @@ def test_fractional_power_sample_at_the_origin_raises_without_warning():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(ValueError):
-            sqrt_path_integral(q, [-1.0, 1.0], order=5)
+            _path(q, [-1.0, 1.0], order=5)
         with pytest.raises(ValueError):
             q(np.array([0.5, 0.0, -0.5], dtype=complex))
 
@@ -131,9 +138,8 @@ def _bits(z):
 
 
 def _separately(q, legs, order, singular_end):
-    """The legs as separate sqrt_path_integral calls, in their bits."""
-    return [_bits(sqrt_path_integral(q, nodes, order=order, seed=seed,
-                                     singular_end=singular_end)[0])
+    """The legs as separate one-leg passes, in their bits."""
+    return [_bits(_path(q, nodes, order, seed, singular_end=singular_end)[0])
             for nodes, seed in legs]
 
 
@@ -150,10 +156,32 @@ def test_legs_in_one_pass_equal_separate_integrals(q_name, legs, order, singular
         ref = _separately(q, legs, order, singular_end)
     except (BranchAmbiguityError, ValueError) as err:
         with pytest.raises(type(err)):
-            sqrt_leg_integrals(q, legs, order=order, singular_end=singular_end)
+            _integrals(q, legs, order=order, singular_end=singular_end)
         return
-    one = sqrt_leg_integrals(q, legs, order=order, singular_end=singular_end)
+    one = _integrals(q, legs, order=order, singular_end=singular_end)
     assert list(map(_bits, one)) == ref
+
+
+def _outcome(q, legs, order, moment):
+    """Each leg's integral and last sample in their bits, or the error type."""
+    try:
+        out = integrate_legs(q, legs, order, moment=moment)
+    except (BranchAmbiguityError, ValueError) as err:
+        return type(err)
+    return [(_bits(val), _bits(last)) for val, last, *_ in out]
+
+
+@settings(deadline=None, max_examples=300)
+@given(q_name=st.sampled_from(sorted(_Q)),
+       legs=st.lists(st.tuples(st.lists(_point, min_size=2, max_size=4),
+                               st.none() | _point, st.booleans(), st.booleans()),
+                     min_size=1, max_size=3),
+       order=st.integers(1, 24))
+def test_moment_leaves_the_integrals_bit_for_bit(q_name, legs, order):
+    # The quartic action always asks for the moment: the integral and the
+    # last sample must be those of a pass without it, and so must an error.
+    q = _Q[q_name]
+    assert _outcome(q, legs, order, True) == _outcome(q, legs, order, False)
 
 
 _coupling = (st.floats(-12.0, 12.0).map(complex)
@@ -176,7 +204,7 @@ def test_quartic_legs_in_one_pass_equal_separate_integrals(a):
     for z_e, seed in ((wp.roots.z_a, wp.seed_a), (wp.roots.z_b, wp.seed_b)):
         mid = 0.5 * (z_c + z_e)
         legs += [([mid, z_e], seed), ([mid, z_c], seed)]
-    one = sqrt_leg_integrals(q, legs, order=40, singular_end=True)
+    one = _integrals(q, legs, order=40, singular_end=True)
     assert list(map(_bits, one)) == _separately(q, legs, 40, True)
 
 
@@ -188,14 +216,14 @@ def test_each_leg_restarts_the_sign_chain_from_its_own_seed():
     # test_exact_tie_keeps_the_principal_root_after_a_negated_sample).
     q = _Q["z"]
     flip = ([-1 + 0.5j, -1 - 0.5j], None)
-    _, last = sqrt_path_integral(q, flip[0], order=8)
+    _, last = _path(q, flip[0], order=8)
     assert last.real < 0
     for order in (2, 4, 8):
         tie = ([-1.0, 1.0], -1j)
         for legs in ([flip, tie], [flip, flip], [tie, flip]):
-            one = sqrt_leg_integrals(q, legs, order=order)
+            one = _integrals(q, legs, order=order)
             assert list(map(_bits, one)) == _separately(q, legs, order, False)
-        one = sqrt_leg_integrals(q, [flip, flip], order=order)
+        one = _integrals(q, [flip, flip], order=order)
         assert one[0] == one[1]
 
 
@@ -238,7 +266,7 @@ def test_scalar_sign_rule_matches_the_array_engine(w0, turn, m1, seed):
         with pytest.raises(BranchAmbiguityError):
             _signed_root(w1, _signed_root(w0, start))
         with pytest.raises(BranchAmbiguityError):
-            sqrt_path_integral(q, [0.0, 1.0], order=2, seed=seed)
+            _path(q, [0.0, 1.0], order=2, seed=seed)
         return
     # numpy's and cmath's roots may differ in the last bits: keep clear of
     # the tie tolerance, where that difference could decide.
@@ -250,4 +278,4 @@ def test_scalar_sign_rule_matches_the_array_engine(w0, turn, m1, seed):
     roots = _signed_roots(samples, [0], [seed])
     for s, r in zip((s0, s1), roots.tolist()):
         assert abs(s - r) <= 1e-15 * abs(s), (s, r)
-    assert sqrt_path_integral(q, [0.0, 1.0], order=2, seed=seed)[1] == roots[1]
+    assert _path(q, [0.0, 1.0], order=2, seed=seed)[1] == roots[1]

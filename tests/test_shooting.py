@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from ptspec.asymptotic import E_to_eps, _off_axis, condition_spectrum, solve_condition
 from ptspec import shooting
-from ptspec.geometry import ModelSpec, wedge_angles
+from ptspec.geometry import ModelSpec, path_crosses_cut, wedge_angles
 from ptspec.shooting import (ShootConfig, ShootingError, ShootState, _contour,
                              _contour_eigenvalues, _muller_step, _ray, _start_radius,
                              find_eigen, integrate_ray, mismatch, scan_spectrum, wkb_init)
@@ -156,11 +156,12 @@ def test_shoot_config_rejects_invalid_tolerances():
 
 def test_shoot_config_rejects_unusable_contours():
     # r_max = 0 used to divide by zero in mismatch, r_max < 0 shot rays away
-    # from the wedges, and z_mid off the imaginary axis breaks the mirror
+    # from the wedges, z_mid off the imaginary axis breaks the mirror, and
+    # z_mid above 0 puts the match point on a fractional power's branch cut
     for kwargs in ({"r_max": 0.0}, {"r_max": -7.0}, {"r_max": math.inf},
                    {"r_max": math.nan}, {"z_mid": complex(math.nan, -0.5)},
                    {"z_mid": complex(0.0, -math.inf)}, {"z_mid": 0.3 - 0.5j},
-                   {"z_mid": -0.5}):
+                   {"z_mid": -0.5}, {"z_mid": 0.3j}):
         with pytest.raises(ValueError):
             ShootConfig(**kwargs)
     assert ShootConfig(r_max=4.5, z_mid=-0.8j).z_mid == -0.8j
@@ -399,6 +400,22 @@ def test_match_point_keeps_clear_of_the_branch_point():
     at_origin, below = ShootConfig(z_mid=0j), ShootConfig(z_mid=-0.15j)
     assert _contour(model, E_to_eps(10.0 + 0j, 1.5), at_origin)[2] == -0.15j
     assert mismatch(10.0, model, at_origin) == mismatch(10.0, model, below)
+
+
+def test_contour_never_meets_the_branch_cut():
+    # with z_mid at or below 0 the rays end off the imaginary axis, so the
+    # polyline z_l -> z_mid -> z_r touches it only at z_mid, below the cut
+    cfgs = [ShootConfig(), ShootConfig(z_mid=0j), ShootConfig(z_mid=-3j),
+            ShootConfig(r_max=5.0, z_mid=-1.2j)]
+    models = [ModelSpec.power_law(p) for p in (1.01, 1.2, 1.5, 2.5, 3.7, 6.0, 12.0)]
+    models += [ModelSpec.quartic(a) for a in (0.0, 1.0, 5.0)]
+    for model in models:
+        for E in (0.05, 1.0, 10.0 + 3j, 40.0 - 1j, 400.0):
+            eps = E_to_eps(complex(E), model.degree)
+            scaled = model.at(eps)
+            for cfg in cfgs:
+                z_l, z_r, z_mid = _contour(scaled, eps, cfg)
+                assert not path_crosses_cut([z_l, z_mid, z_r], scaled), (model, E, cfg)
 
 
 def test_ray_length_follows_eps():
