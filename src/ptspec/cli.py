@@ -156,6 +156,15 @@ def cmd_bifurcation(args) -> int:
 
 
 def cmd_stokes(args) -> int:
+    """Stokes lines from every turning point (and a fractional power's
+    branch point z0), plus the wedge annotation rays.
+
+    Line k of an origin leaves at the k-th of its seed_directions.  Under
+    ModelSpec.pt_mirror z_B is -conj z_A, so z_B's lines are z_A's mirrored
+    (StokesTrace.mirrored) rather than traced again: each of z_B's
+    directions takes the z_A line that leaves at its mirror angle.  z_B
+    traces a line itself where that z_A line failed or z_A did not seed.
+    """
     if (args.p is None) == (args.A is None):
         sys.stderr.write("error: give exactly one of --p / --A\n")
         return USAGE_EXIT
@@ -163,8 +172,9 @@ def cmd_stokes(args) -> int:
     traced = 0
 
     def add_trace(kind, origin, trace):
-        o_re, o_im = origin.real, origin.imag
-        rows.extend((o_re, o_im, z.real, z.imag, chi.real, chi.imag, kind)
+        o_re, o_im = origin.real + 0.0, origin.imag + 0.0  # no "-0" fields
+        rows.extend((o_re, o_im, z.real + 0.0, z.imag + 0.0, chi.real + 0.0,
+                     chi.imag + 0.0, kind)
                     for z, chi in zip(trace.points, trace.chi))
 
     # --A draws the quartic equation at eps = 1
@@ -182,20 +192,33 @@ def cmd_stokes(args) -> int:
     origins = [(f"z_{label}", z) for label, z in zip("ABCD", model.turning_points)]
     if model.has_branch_cut:
         origins.append(("z0", 0j))
+    z_a_lines = None  # z_A's (angle, trace or None), kept for z_B alone
     for name, origin in origins:
+        mirror_of = z_a_lines if name == "z_B" and model.pt_mirror else None
+        z_a_lines = [] if name == "z_A" else None
         try:
             dirs = geometry.seed_directions(origin, model)
         except (geometry.TraceError, ValueError) as exc:
             sys.stderr.write(f"warning: seeding failed at {name}: {exc}\n")
             continue
         for k, th in enumerate(dirs):
-            try:
-                trace = geometry.trace_stokes_line(origin, model, th, max_arclen=25.0)
-            except geometry.TraceError as exc:
-                sys.stderr.write(f"warning: trace {name}/{k} failed: {exc}\n")
-                continue
-            add_trace(f"stokes_{name}_{k}", origin, trace)
-            traced += 1
+            trace = None
+            if mirror_of:
+                # z_A's line at angle t mirrors to pi - t, -e^{-it} on the circle
+                u = cmath.exp(1j * th)
+                trace = min(mirror_of, key=lambda line: abs(u + cmath.exp(-1j * line[0])))[1]
+                if trace is not None:
+                    trace = trace.mirrored()
+            if trace is None:
+                try:
+                    trace = geometry.trace_stokes_line(origin, model, th, max_arclen=25.0)
+                except geometry.TraceError as exc:
+                    sys.stderr.write(f"warning: trace {name}/{k} failed: {exc}\n")
+            if z_a_lines is not None:
+                z_a_lines.append((th, trace))
+            if trace is not None:
+                add_trace(f"stokes_{name}_{k}", origin, trace)
+                traced += 1
     if not traced:  # wedge rows alone are no dataset
         sys.stderr.write("error: no Stokes line was traced\n")
         return FAILURE_EXIT

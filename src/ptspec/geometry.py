@@ -124,7 +124,12 @@ class ModelSpec:
     def pt_mirror(self) -> bool:
         """Whether conj f(-conj z) solves the equation at real eps whenever f
         does: iff the family parameter is real, so every power law, and the
-        quartic at a real coupling."""
+        quartic at a real coupling.
+
+        Then q(-conj z) = conj q(z), so shooting integrates one ray at real
+        E and takes the other as its mirror, and the Stokes lines from z_B
+        are those from z_A mirrored (StokesTrace.mirrored, cli stokes).
+        """
         return complex(self.param).imag == 0
 
     @property
@@ -400,6 +405,19 @@ class StokesTrace:
     def residuals(self) -> list[float]:
         """|Im chi| along a Stokes line, |Re chi| along the matching path."""
         return [abs(c.imag if self.hold_imag else c.real) for c in self.chi]
+
+    def mirrored(self) -> "StokesTrace":
+        """The line's PT mirror: origin and points -conj z, chi conj chi.
+
+        Where ModelSpec.pt_mirror holds, q(-conj z) = conj q(z) off the cut
+        (the positive imaginary axis, which the map fixes), so chi from
+        -conj(origin) to -conj z is conj chi: the mirror holds the same part
+        of chi at zero, keeps the sign of Re chi and ends the same way.
+        """
+        return StokesTrace(origin=-self.origin.conjugate(),
+                           points=[-z.conjugate() for z in self.points],
+                           chi=[c.conjugate() for c in self.chi],
+                           terminated=self.terminated, hold_imag=self.hold_imag)
 
 
 def _ray_hit(w0: complex, w1: complex) -> bool:

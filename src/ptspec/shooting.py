@@ -323,8 +323,9 @@ def _contour(model: ModelSpec, eps: complex, cfg: ShootConfig) -> tuple[complex,
         if clear:
             return z_l, z_r, z_mid
         z_mid -= 0.15j
-    raise ShootingError("could not place the match point away from turning "
-                        "points, the branch point and the branch cut")
+    raise ShootingError("could not place the match point: from every candidate a "
+                        f"segment to a ray end passes within {_STANDOFF:g} of a turning "
+                        "point" + (" or the branch point" if model.has_branch_cut else ""))
 
 
 def mismatch(E: complex, model: ModelSpec, cfg: ShootConfig | None = None) -> complex:

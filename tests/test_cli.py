@@ -1,4 +1,5 @@
 import argparse
+import cmath
 import json
 import math
 import os
@@ -89,11 +90,14 @@ def test_stokes_dataset_structure(tmp_path):
 
 def test_stokes_rows_print_no_negative_zero(tmp_path):
     # the r = 0 wedge points are 0.0 * exp(i theta), whose parts carry the
-    # signs of cos and sin theta; the dataset prints them as 0
+    # signs of cos and sin theta; at A = 0 z_C's real part and Im chi on the
+    # real-axis lines are -0, and a mirrored line negates a zero real part:
+    # the dataset prints every one of them as 0
     out = tmp_path / "s.csv"
-    assert main(["stokes", "--p", "1.3", "--out", str(out)]) == 0
-    lines = out.read_text().strip().splitlines()
-    assert all("-0" not in line.split(",") for line in lines[1:])
+    for argv in (["--p", "1.3"], ["--p", "2"], ["--A", "0"], ["--A", "1.0"]):
+        assert main(["stokes", *argv, "--out", str(out)]) == 0
+        lines = out.read_text().strip().splitlines()
+        assert all("-0" not in line.split(",") for line in lines[1:]), argv
 
 
 def test_quartic_dataset_closeoff_column(tmp_path):
@@ -417,3 +421,116 @@ def test_stokes_q_evaluations_per_traced_point_do_not_grow(monkeypatch, capsys):
         capsys.readouterr()
         assert points[0] > 0
         assert count[0] <= 1.01 * per_point * points[0], (argv, count[0] / points[0])
+
+
+# q evaluations per whole command when z_B's lines were traced rather than
+# mirrored from z_A's, and the share of them a command may still spend.
+_STOKES_Q_BEFORE_MIRROR = {("--p", "1.3"): (19915, 0.6),
+                           ("--p", "2.5775"): (30935, 0.6),
+                           ("--A", "1.9312"): (60202, 0.75)}
+
+
+def test_stokes_traces_each_pt_mirror_pair_once(monkeypatch, capsys):
+    # z_B's three lines cost only its seeding: ratios 0.55, 0.54 and 0.71
+    count = [0]
+    plain = geometry.ModelSpec.q_callable
+
+    def q_callable(model):
+        inner = plain(model)
+
+        def q(z):
+            count[0] += 1
+            return inner(z)
+
+        return q
+
+    monkeypatch.setattr(geometry.ModelSpec, "q_callable", q_callable)
+    for argv, (before, share) in _STOKES_Q_BEFORE_MIRROR.items():
+        count[0] = 0
+        assert main(["stokes", *argv]) == 0
+        capsys.readouterr()
+        assert count[0] <= share * before, (argv, count[0] / before)
+
+
+def _stokes_run(argv, tmp_path):
+    """The model of a stokes run, and its traced lines: kind -> rows of
+    (origin_re, origin_im, z_re, z_im, rechi, imchi)."""
+    out = tmp_path / "s.csv"
+    assert main(["stokes", *argv, "--out", str(out)]) == 0
+    lines = {}
+    for line in out.read_text().splitlines()[1:]:
+        *nums, kind = line.split(",")
+        if kind.startswith("stokes_"):
+            lines.setdefault(kind, []).append(tuple(map(float, nums)))
+    value = float(argv[1])
+    spec = geometry.ModelSpec
+    model = spec.power_law(value) if argv[0] == "--p" else spec.quartic(value)
+    return model, lines
+
+
+_MIRROR_RUNS = ([["--p", p] for p in ("1.3", "1.5", "2", "2.5775", "12")]
+                + [["--A", a] for a in ("0.5", "1.0", "1.9312")])
+
+
+@pytest.mark.parametrize("argv", _MIRROR_RUNS)
+def test_stokes_z_b_rows_mirror_z_a_rows_bit_for_bit(tmp_path, argv):
+    # each z_B line is one z_A line taken to -conj z, chi to conj chi, in
+    # its order and under z_B's own origin
+    model, lines = _stokes_run(argv, tmp_path)
+    z_b = model.turning_points[1]
+    mirrors = [[(z_b.real, z_b.imag, -x, y, re, -im) for _, _, x, y, re, im in rows]
+               for rows in (lines[f"stokes_z_A_{j}"] for j in range(3))]
+    partners = [mirrors.index(lines[f"stokes_z_B_{k}"]) for k in range(3)]
+    assert sorted(partners) == [0, 1, 2]
+
+
+@pytest.mark.parametrize("argv", _MIRROR_RUNS)
+def test_mirrored_z_b_lines_match_lines_traced_from_z_b(tmp_path, monkeypatch, argv):
+    # z_B_k is the line leaving z_B at its own k-th seed direction: at p = 2
+    # one of them leaves at angle 0, where sorting the mirrored z_A angles
+    # would wrap; at p = 1.3 one of them ends on the cut
+    emitted = []
+    real = geometry.StokesTrace.mirrored
+
+    def mirrored(trace):
+        emitted.append(real(trace))
+        return emitted[-1]
+
+    monkeypatch.setattr(geometry.StokesTrace, "mirrored", mirrored)
+    model, lines = _stokes_run(argv, tmp_path)
+    z_b = model.turning_points[1]
+    dirs = geometry.seed_directions(z_b, model)
+    assert len(emitted) == len(dirs) == 3
+    for k, (theta, got) in enumerate(zip(dirs, emitted)):
+        want = geometry.trace_stokes_line(z_b, model, theta, max_arclen=25.0)
+        rows = lines[f"stokes_z_B_{k}"]
+        assert got.terminated == want.terminated, (k, got.terminated)
+        assert len(rows) == len(got.points) == len(want.points), k
+        for (_, _, x, y, re, im), z, chi in zip(rows, want.points, want.chi):
+            tol = 1e-12 * max(1.0, abs(chi))
+            assert abs(complex(x, y) - z) <= tol and abs(complex(re, im) - chi) <= tol
+    if argv == ["--p", "1.3"]:
+        assert "cut" in {trace.terminated for trace in emitted}
+
+
+def test_mirror_pairs_directions_on_the_circle_across_angle_zero(tmp_path, monkeypatch):
+    # At p = 2 one z_B direction sits at angle 0 (6e-14 after polishing), as
+    # does the mirror pi - t of z_A's line at t = pi.  Were z_B's rounded
+    # just below 0, it would wrap to 2 pi and sort last, while the mirrored
+    # angle still sorts first: only pairing e^{it} on the circle gives each
+    # z_B_k the line that leaves at its own k-th direction.
+    real = geometry.seed_directions
+    z_b = geometry.turning_points(2.0)[1]
+
+    def seed(origin, model, kind="stokes"):
+        dirs = real(origin, model, kind)
+        return sorted((t - 1e-12) % (2 * math.pi) for t in dirs) if origin == z_b else dirs
+
+    monkeypatch.setattr(geometry, "seed_directions", seed)
+    model, lines = _stokes_run(["--p", "2"], tmp_path)
+    dirs = seed(z_b, model)
+    assert dirs[2] > 6.28
+    for k, theta in enumerate(dirs):
+        x, y = lines[f"stokes_z_B_{k}"][0][2:4]
+        heading = (complex(x, y) - z_b) / geometry._START_RADIUS
+        assert abs(heading - cmath.exp(1j * theta)) < 1e-9, k

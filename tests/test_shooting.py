@@ -402,6 +402,19 @@ def test_match_point_keeps_clear_of_the_branch_point():
     assert mismatch(10.0, model, at_origin) == mismatch(10.0, model, below)
 
 
+def test_match_point_failure_names_what_it_keeps_clear_of():
+    # at p = 2, E = 1000 the ray starts 0.06 from z_A, so the segment to
+    # every candidate passes within the standoff of it; p = 2 has no branch
+    # point, and the cut does not decide where the match point goes
+    with pytest.raises(ShootingError) as info:
+        mismatch(1000.0, ModelSpec.power_law(2.0))
+    assert str(info.value) == ("could not place the match point: from every candidate "
+                               "a segment to a ray end passes within 0.05 of a turning "
+                               "point")
+    with pytest.raises(ShootingError, match="turning point or the branch point$"):
+        mismatch(750.0, ModelSpec.power_law(2.05))
+
+
 def test_contour_never_meets_the_branch_cut():
     # with z_mid at or below 0 the rays end off the imaginary axis, so the
     # polyline z_l -> z_mid -> z_r touches it only at z_mid, below the cut
