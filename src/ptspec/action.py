@@ -30,18 +30,17 @@ DEFAULT_ORDER = 40
 
 
 def action_between(z0: complex, z1: complex, model: ModelSpec,
-                   via=(), order: int = DEFAULT_ORDER,
-                   seed: complex | None = None) -> complex:
+                   via=(), order: int = DEFAULT_ORDER) -> complex:
     """phi(z1) - phi(z0): integral of sqrt(q) from z0 to z1 along a polyline.
 
     The polyline runs z0, then the interior nodes via (none: the straight
     segment), then z1; order is the Gauss order per segment.  A polyline
-    that meets the branch cut raises ValueError.  The branch seed defaults
-    to the principal square root at the first quadrature node, which equals
-    +1 when the path starts at the origin for the power-law family.
-    Endpoints where q vanishes are detected and integrated through the
-    square-root substitution; interior nodes must stay clear of turning
-    points.
+    that meets the branch cut raises ValueError.  The branch is the
+    principal square root at the first quadrature node, and +1 at the
+    branch point z = 0 of a fractional power, where a path ending there is
+    integrated from it and negated.  Endpoints where q vanishes are
+    detected and integrated through the square-root substitution; interior
+    nodes must stay clear of turning points.
     """
     z0, z1 = complex(z0), complex(z1)
     if z0 == z1:
@@ -50,9 +49,8 @@ def action_between(z0: complex, z1: complex, model: ModelSpec,
     if path_crosses_cut(nodes, model):
         raise ValueError("contour crosses the branch cut")
     if model.has_branch_cut and z1 == 0:
-        return -action_between(z1, z0, model, via=nodes[-2:0:-1], order=order,
-                               seed=seed)
-    return _path_action(model, nodes, order, seed)[0]
+        return -action_between(z1, z0, model, via=nodes[-2:0:-1], order=order)
+    return _path_action(model, nodes, order)[0]
 
 
 def action_scale(p: float) -> float:
@@ -77,17 +75,16 @@ def action_to_turning_points(p: float) -> tuple[complex, complex]:
 
 
 def singulant(z: complex, z_star: complex, model: ModelSpec,
-              via=(), order: int = DEFAULT_ORDER,
-              seed: complex | None = None) -> complex:
+              order: int = DEFAULT_ORDER) -> complex:
     """chi(z) = 2i [phi(z) - phi(z_star)], zero at z_star by construction.
 
-    The integral runs from z_star through the interior nodes via to z, as
-    in action_between; a polyline that meets the branch cut raises
-    ValueError.  The square root is two-valued, so chi is defined up to
-    overall sign; the seed picks the branch (the Stokes-relevant one has
-    Re chi >= 0 along the line).
+    The integral runs straight from z_star to z, on action_between's
+    branch; a segment that meets the branch cut raises ValueError.  The
+    square root is two-valued, so chi is defined up to overall sign: the
+    Stokes-relevant branch has Re chi >= 0 along the line, and the tracer
+    orients its own chi so (geometry.trace_stokes_line).
     """
-    return 2j * action_between(z_star, z, model, via=via, order=order, seed=seed)
+    return 2j * action_between(z_star, z, model, order=order)
 
 
 def _quartic_end_actions(a: complex, *ends: str) -> tuple:

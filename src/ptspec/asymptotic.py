@@ -148,11 +148,14 @@ def _scaled_condition(eps: complex, p: float, condition: str) -> complex:
     return cmath.cos(y) * cmath.exp(x - l2) - t2 / abs(t2)
 
 
-def _descend(f, x: float, g: float, step: float,
-             max_halvings: int) -> tuple[float, float, float | None]:
-    """x + step, halved until |f| drops below |g|, with f's value and slope
-    there (f as in _newton_complex); SolveError if it never drops."""
-    for _ in range(max_halvings + 1):
+#: Halvings of a descending Newton step before the descent gives up.
+_DESCENT_HALVINGS = 4
+
+
+def _descend(f, x: float, g: float, step: float) -> tuple[float, float, float | None]:
+    """x + step, halved at most _DESCENT_HALVINGS times until |f| < |g|, with
+    f's value and slope there (f as in _newton_complex); else SolveError."""
+    for _ in range(_DESCENT_HALVINGS + 1):
         xt = x + step
         if xt > 0 and math.isfinite(xt):
             try:
@@ -179,7 +182,7 @@ def _descend(f, x: float, g: float, step: float,
 _FLAT_STEPS = 15
 
 
-def _newton_complex(f, z0: complex, max_halvings: int | None = None) -> tuple[complex, float]:
+def _newton_complex(f, z0: complex, descend: bool = False) -> tuple[complex, float]:
     """Newton to |f| <= 1e-12 in at most 100 iterations.
 
     f(z) returns (value, slope), the slope being the derivative along real
@@ -192,9 +195,9 @@ def _newton_complex(f, z0: complex, max_halvings: int | None = None) -> tuple[co
     every iterate on the positive real axis: the one search finds the real
     and the complex roots.  _FLAT_STEPS capped steps in a row end the
     search: the condition is flat on the scale of |z| there.  Steps are
-    taken as they come unless max_halvings is given (real seeds only); then
-    the search is a descent on |f|, halving each step at most that many
-    times until it lowers |f|, and raising SolveError where it cannot
+    taken as they come unless descend (real seeds only); then the search is
+    a descent on |f|, halving each step at most _DESCENT_HALVINGS times
+    until it lowers |f|, and raising SolveError where it cannot
     (_seeded_root then restarts off the axis).  Each way of failing (zero
     slope, flat condition, out of iterations, stalled descent) raises
     SolveError with its own message.
@@ -225,8 +228,8 @@ def _newton_complex(f, z0: complex, max_halvings: int | None = None) -> tuple[co
                                  f"Newton steps in a row, at z = {z!r}, |f| = {res:.3g}")
         else:
             capped = 0
-        if max_halvings is not None:
-            z, g, dg = _descend(f, z, g, step, max_halvings)
+        if descend:
+            z, g, dg = _descend(f, z, g, step)
             continue
         z, g = z + step, None
         if not cmath.isfinite(z) or abs(z) == 0:
@@ -239,20 +242,20 @@ def _real_parts(g: complex, dg: complex | None) -> tuple[float, float | None]:
     return g.real, None if dg is None else dg.real
 
 
-def _seeded_root(f, seed: complex, max_halvings: int | None = None) -> tuple[complex, float]:
+def _seeded_root(f, seed: complex, descend: bool = False) -> tuple[complex, float]:
     """Root of the scaled condition f near seed, and |f| there.
 
     f returns (value, slope) as _newton_complex takes it.  A complex seed
     goes straight to Newton on f.  A real seed first runs the same Newton
     on the real part of f, which stays on the real axis (a descent on |f|
-    if max_halvings is given); where that fails the root has left the
-    axis, and Newton on f restarts from seed (1 + 0.05i).
+    if descend); where that fails the root has left the axis, and Newton
+    on f restarts from seed (1 + 0.05i).
     """
     seed = complex(seed)
     if abs(seed.imag) >= 1e-14:
         return _newton_complex(f, seed)
     try:
-        x, res = _newton_complex(lambda e: _real_parts(*f(e)), seed.real, max_halvings)
+        x, res = _newton_complex(lambda e: _real_parts(*f(e)), seed.real, descend)
         return complex(x), res
     except SolveError:
         return _newton_complex(f, seed * (1.0 + 0.05j))
@@ -483,7 +486,7 @@ def solve_quartic(n: int, A: float, seed: complex | None = None) -> EigRecord:
         raise ValueError(f"the quartic condition needs a coupling >= 0, got {A}")
     if seed is None:
         seed = _seed(n, model)
-    eps, res = _seeded_root(lambda e: _quartic_condition(e, A), seed, max_halvings=4)
+    eps, res = _seeded_root(lambda e: _quartic_condition(e, A), seed, descend=True)
     return EigRecord(n=n, param=A, eps=eps, E=eps_to_E(eps, model.degree),
                      method="full", residual=res)
 

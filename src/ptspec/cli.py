@@ -112,15 +112,14 @@ def _shoot_config(args) -> shooting.ShootConfig:
     return shooting.ShootConfig() if args.rtol is None else shooting.ShootConfig(rtol=args.rtol)
 
 
+#: The columns of an eigenvalue dataset, one row per EigRecord (_record_row).
+RECORD_COLUMNS = ["param", "n", "method", "re_E", "im_E", "residual"]
+
+
 def _record_row(rec) -> dict:
-    return {
-        "param": float(rec.param),
-        "n": rec.n,
-        "method": rec.method,
-        "re_E": rec.E.real,
-        "im_E": rec.E.imag + 0.0,  # no "-0" for a real root
-        "residual": rec.residual,
-    }
+    # im_E + 0.0: no "-0" for a real root
+    return dict(zip(RECORD_COLUMNS, (float(rec.param), rec.n, rec.method, rec.E.real,
+                                     rec.E.imag + 0.0, rec.residual)))
 
 
 def cmd_bifurcation(args) -> int:
@@ -149,7 +148,7 @@ def cmd_bifurcation(args) -> int:
         sys.stderr.write("error: no branch produced any root\n")
         return FAILURE_EXIT
     rows.sort(key=lambda r: (r["param"], r["method"], r["n"], r["im_E"]))
-    _emit(rows, ["param", "n", "method", "re_E", "im_E", "residual"], args,
+    _emit(rows, RECORD_COLUMNS, args,
           {"command": "bifurcation", "p_range": list(args.range),
            "step": args.step, "emax": args.emax, "methods": methods})
     return 0
@@ -279,9 +278,9 @@ def cmd_quartic(args) -> int:
         sys.stderr.write("error: no eigenvalue at or below --emax\n")
         return FAILURE_EXIT
     rows.sort(key=lambda r: (r["param"], r["method"], r["n"]))
-    _emit(rows, ["param", "n", "method", "re_E", "im_E", "residual", "closeoff"],
-          args, {"command": "quartic", "A_range": list(args.range),
-                 "step": args.step, "emax": args.emax})
+    _emit(rows, [*RECORD_COLUMNS, "closeoff"], args,
+          {"command": "quartic", "A_range": list(args.range),
+           "step": args.step, "emax": args.emax})
     return 0
 
 
@@ -326,8 +325,7 @@ def cmd_eigen(args) -> int:
         except asymptotic.SolveError as exc:
             sys.stderr.write(f"error: {exc}\n")
             return FAILURE_EXIT
-    _emit([_record_row(rec)],
-          ["param", "n", "method", "re_E", "im_E", "residual"], args,
+    _emit([_record_row(rec)], RECORD_COLUMNS, args,
           {"command": "eigen", "p": args.p, "n": args.n, "method": args.method})
     return 0
 

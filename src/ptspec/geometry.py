@@ -154,15 +154,12 @@ class ModelSpec:
         """Only fractional powers of (i z) carry a cut; the quartic is entire."""
         return self.family == "power" and not self.is_integer_power
 
-    def q(self, z):
-        """Eikonal right-hand side: (phi')^2 = q(z), at a point or an array."""
-        if self.has_branch_cut:  # (i z)^p -> 0 at z = 0, where log would raise
-            if isinstance(z, np.ndarray):
-                origin = z == 0
-                return np.where(origin, 1.0 + 0j,
-                                self._q_closure()(np.where(origin, 1.0, z)))
-            if z == 0:
-                return 1.0 + 0j
+    def q(self, z: complex) -> complex:
+        """Eikonal right-hand side: (phi')^2 = q(z), at a point (q_callable
+        takes arrays).  A fractional power gives q(0) = 1, where its
+        closure's log would raise."""
+        if self.has_branch_cut and z == 0:
+            return 1.0 + 0j
         return self._q_closure()(z)
 
     def dq(self, z: complex) -> complex:
@@ -447,27 +444,25 @@ def path_crosses_cut(points, model: ModelSpec) -> bool:
     return any(map(_ray_hit, zs, zs[1:]))
 
 
-def _path_action(model: ModelSpec, nodes, order: int,
-                 seed: complex | None = None) -> tuple[complex, complex]:
+def _path_action(model: ModelSpec, nodes, order: int) -> tuple[complex, complex]:
     """Integral of sqrt(q) along the polyline nodes, plus the last sample.
 
     The one place that decides how: a path from the branch point z = 0 of
     a fractional power starts with the binomial series on a sliver of its
     first segment (the (i t)^p kink there defeats Gauss quadrature) and
     seeds the branch at +1; an end where |q| < _TURNING_POINT_TOL is a
-    turning point and gets the square-root substitution; otherwise the
-    seed (None: the principal root) is the sample before the first.
+    turning point and gets the square-root substitution; any other path
+    starts on the principal root.
     """
     nodes = [complex(z) for z in nodes]
-    head = 0j
+    head, seed = 0j, None
     if model.has_branch_cut and nodes[0] == 0:
         seg = nodes[1] - nodes[0]
         delta = min(0.3, 0.5 * abs(seg))
         direction = seg / abs(seg)
         head = powerlaw_origin_piece(model.p, direction, delta)
         nodes[0] = delta * direction
-        if seed is None:
-            seed = 1.0 + 0j
+        seed = 1.0 + 0j
     leg = (nodes, seed, abs(model.q(nodes[0])) < _TURNING_POINT_TOL,
            abs(model.q(nodes[-1])) < _TURNING_POINT_TOL)
     val, last = integrate_legs(model.q_callable(), [leg], order)[0]
@@ -637,7 +632,8 @@ def trace_stokes_line(origin: complex, model: ModelSpec, seed_direction: float,
     |chi|) after each step (eps the machine epsilon; the relative hold
     acts only above |chi| ~ 7e3, where chi's own rounding exceeds 1e-10).
     Predictor and corrector legs are one fused 3-point Gauss step each,
-    carrying the sign of sqrt(q) from sample to sample.  The step h = min(0.01 max(1, |chi|), 0.1 |chi'| |chi'/chi''|)
+    carrying the sign of sqrt(q) from sample to sample.  The step
+    h = min(0.01 max(1, |chi|), 0.1 |chi'| |chi'/chi''|)
     is at most 1% of max(1, |chi|), so the point count grows with log
     |chi|, and the z-step h/|chi'| is at most 0.1 |chi'/chi''|, so it
     shrinks automatically near turning points.  Stops on |z| > 8, on the

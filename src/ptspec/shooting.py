@@ -70,19 +70,23 @@ class ShootState:
 class ShootConfig:
     """Contour and integrator settings.
 
-    r_max (finite, > 0) is the longest ray allowed (each ray's length is
-    chosen per eps from the decay the WKB start needs), z_mid the power-law
-    match point (shifted down the imaginary axis if a ray would pass within
-    0.05 of a turning point or of a fractional power's branch point z = 0;
-    the quartic always matches at z = 0 and ignores z_mid), rtol/atol the per-step error targets of the Taylor stepper
-    (finite, >= 0 and not both 0): each of the last two terms of a step's
-    series, which bound its truncation error, stays within 1e-3 (atol +
-    rtol max(|f|, |eps f'|)).  z_mid must be finite and lie on the
-    imaginary axis, the PT-symmetry axis, so that at real E the right ray
-    is the mirror of the left one (see mismatch), and at or below 0: the
-    rays end off that axis, so the contour meets it only at z_mid and
-    never crosses a fractional power's branch cut, the positive imaginary
-    axis.  A ray that takes more than 150,000 steps raises ShootingError.
+    r_max (finite, > 0) caps two radii and nothing else: each ray's start,
+    chosen per eps from the decay the WKB start needs (_start_radius), so W
+    does not depend on r_max unless it caps the start, and the collocation
+    ray that seeds scan_spectrum.  z_mid is the power-law match point; the
+    quartic ignores it and matches at z = 0.  Either moves down the
+    imaginary axis in steps of 0.15 while a ray would pass within 0.05 of a
+    turning point (as the quartic's do at A = 0, on the real axis through
+    -1 and 1) or of a fractional power's branch point z = 0.  rtol/atol are
+    the per-step error targets of the Taylor stepper (finite, >= 0 and not
+    both 0): each of the last two terms of a step's series, which bound its
+    truncation error, stays within 1e-3 (atol + rtol max(|f|, |eps f'|)).
+    z_mid must be finite and lie on the imaginary axis, the PT-symmetry
+    axis, so that at real E the right ray is the mirror of the left one
+    (see mismatch), and at or below 0: the rays end off that axis, so the
+    contour meets it only at z_mid and never crosses a fractional power's
+    branch cut, the positive imaginary axis.  A ray that takes more than
+    150,000 steps raises ShootingError.
     """
 
     r_max: float = 7.0
@@ -239,17 +243,18 @@ def _start_radius(model: ModelSpec, z_dir: complex, r_tp: float, eps: complex,
     c = |eps^2 y2| / (2 |y0|) = |eps|^2 |5 q'^2 - 4 q q''| / (64 |q|^3).  On the
     way in from radius r to r_tp the partner decays against the solution by
     D(r) = 2 int_{r_tp}^r |Re(i sqrt(q) z_dir / eps)| dr.  The radius solves
-    D = ln(2^53 c), capped at r_max.  Newton steps start from the radius
-    where the asymptotic action gives ln(2^53) and stop within one e-fold,
-    and a last linear step lands within about 0.1 e-fold.  D comes from the
-    four-point Gauss rule in u, r = r_tp + (r - r_tp) u^2 (smooth at a
-    turning point on the ray), then from the Hermite rule on each step.
+    D = ln(2^53 c), and only the result is capped at r_max.  Newton steps
+    start from the radius where the asymptotic action gives ln(2^53) and
+    stop within one e-fold, and a last linear step lands within about 0.1
+    e-fold.  D comes from the four-point Gauss rule in u, r = r_tp +
+    (r - r_tp) u^2 (smooth at a turning point on the ray), then from the
+    Hermite rule on each step.
     """
     q, dq, d2q = model.q_callable(), model.dq, model.d2q
     w_dir = 2j * z_dir / eps  # dD/dr = |Re(sqrt(q) w_dir)|
     floor = _LN_ULP + math.log(abs(eps) ** 2 / 64.0)
     k = model.degree + 2.0
-    r = min(r_max, (r_tp ** (k / 2) + _LN_ULP * k * abs(eps) / 4) ** (2 / k))
+    r = (r_tp ** (k / 2) + _LN_ULP * k * abs(eps) / 4) ** (2 / k)
     span = r - r_tp
     decay = 0.0
     for u, w in _GAUSS_01:
@@ -268,7 +273,7 @@ def _start_radius(model: ModelSpec, z_dir: complex, r_tp: float, eps: complex,
             dr = r_new - r
             decay += dr * (0.5 * (rho + rho_new) + dr * (slope - slope_new) / 12.0)
         r, rho, slope = r_new, rho_new, slope_new
-        r_new = min(r_max, max(r + (target - decay) / rho, 0.5 * (r + r_tp)))
+        r_new = max(r + (target - decay) / rho, 0.5 * (r + r_tp))
         if abs(target - decay) <= 1.0 or r_new == r:
             break
     return min(r_max, r + (target - decay) / rho)

@@ -111,7 +111,7 @@ def _gamma_sign_log(x: float) -> tuple[float, float]:
     return math.copysign(1.0, g), math.log(abs(g))
 
 
-def _check_h_closed_form(seq: HSequence, rel_tol: float = 1e-10) -> None:
+def _check_h_closed_form(seq: HSequence) -> None:
     p = seq.p
     sg_gp, lg_gp = _gamma_sign_log(-p)
     for n in range(1, len(seq.signs)):
@@ -120,24 +120,23 @@ def _check_h_closed_form(seq: HSequence, rel_tol: float = 1e-10) -> None:
         sign_closed = sg_n * sg_gp
         if seq.signs[n] != sign_closed:
             raise AssertionError(f"h_{n} sign disagrees with the closed form")
-        if abs(seq.log_abs[n] - log_closed) > rel_tol:
+        if abs(seq.log_abs[n] - log_closed) > 1e-10:
             raise AssertionError(f"h_{n} magnitude disagrees with the closed form")
 
 
-def branch_point_prefactor(p: float, n_max: int = 120) -> ConvergenceReport:
-    """Lambda at z = 0 from the recurrence: -(h_n 2^n / Gamma(n-p)) / 2^{p+2}.
+def branch_point_prefactor(p: float) -> ConvergenceReport:
+    """Lambda at z = 0 from the recurrence: -(h_n 2^n / Gamma(n-p)) / 2^{p+2},
+    n = 1..120.
 
     Because h_n solves the recurrence exactly, every finite-n estimate
     already equals -1/(2^{p+2} Gamma(-p)); the report cross-checks that
     constant against the independent reciprocal-Gamma route.
     """
-    if n_max < 50:
-        raise ValueError("use at least 50 terms")
-    seq = h_sequence(p, n_max)
+    seq = h_sequence(p, 120)
     limit = -recip_gamma(-p) / 2.0 ** (p + 2.0)
     pref = -1.0 / 2.0 ** (p + 2.0)
     ests = []
-    ns = list(range(1, n_max + 1))
+    ns = list(range(1, len(seq.signs)))
     for n in ns:
         sg_n, lg_n = _gamma_sign_log(n - p)
         val = seq.signs[n] * sg_n * math.exp(

@@ -62,7 +62,8 @@ def test_start_radius_solves_its_decay_rule():
             for z_dir in (z_l / abs(z_l), z_r / abs(z_r)):
                 r = _start_radius(scaled, z_dir, r_tp, eps, r_max)
                 rs = r_tp + (r - r_tp) * u * u
-                rate = 2 * np.abs((1j * np.sqrt(scaled.q(rs * z_dir)) * z_dir / eps).real)
+                q = scaled.q_callable()(rs * z_dir)
+                rate = 2 * np.abs((1j * np.sqrt(q) * z_dir / eps).real)
                 decay = np.trapezoid(rate * 2 * (r - r_tp) * u, u)
                 z = r * z_dir
                 need = 53 * math.log(2) + math.log(
@@ -572,13 +573,30 @@ def test_collocation_needs_no_match_point(monkeypatch):
 def test_quartic_ray_cap_never_binds():
     # quartic rays start below 4.83 for E >= 0.3 at A <= 3, so the default
     # r_max gives the W of r_max = 5 bit for bit and no caller restates a
-    # cap of 5.  Below E = 0.37 a cap of 5 still clips _start_radius's first
-    # guess (5.15 at E = 0.3) and moves W in its last bits; the quartic's
-    # lowest level is E = 1.06, at A = 0.
+    # cap of 5.  r_max caps only _start_radius's result: at E = 0.3 its
+    # first Newton guess, 5.15, lies above 5 and the start, 4.76-4.80,
+    # below.  The quartic's lowest level is E = 1.06, at A = 0.
     for A in (0.0, 0.75, 2.0):
         model = ModelSpec.quartic(A)
-        for E in (0.4, 1.06, 20.0, 4.3 + 0.7j):
+        for E in (0.3, 0.32, 0.4, 1.06, 20.0, 4.3 + 0.7j):
             assert mismatch(E, model) == mismatch(E, model, ShootConfig(r_max=5.0))
+
+
+def test_power_law_ray_cap_acts_only_where_it_caps_the_start():
+    # W under r_max 7 and 50 is the same bit for bit wherever the start
+    # lies below 7; p = 1.5 at E = 1.0 and p = 2 at E = 0.7 are starts
+    # whose Newton iterates pass above 7
+    cfg, wide = ShootConfig(r_max=7.0), ShootConfig(r_max=50.0)
+    below = []
+    for p in (1.5, 2.0, 3.0):
+        model = ModelSpec.power_law(p)
+        for E in (round(0.4 + 0.1 * k, 10) for k in range(30)):
+            eps = E_to_eps(complex(E), p)
+            _, r_tp, z_dir = _ray(model)
+            if _start_radius(model, z_dir, r_tp, eps, wide.r_max) < cfg.r_max:
+                below.append((p, E))
+                assert mismatch(E, model, cfg) == mismatch(E, model, wide), (p, E)
+    assert (1.5, 1.0) in below and (2.0, 0.7) in below
 
 
 def test_scan_lists_the_whole_broken_spectrum():
