@@ -19,6 +19,8 @@ import cmath
 import json
 import math
 import sys
+from collections import Counter
+from dataclasses import dataclass
 
 from . import asymptotic, geometry, shooting, verify
 from .geometry import ModelSpec
@@ -36,32 +38,95 @@ class _Parser(argparse.ArgumentParser):
         sys.exit(USAGE_EXIT)
 
 
-def _emit(rows: list, columns: list[str], args, meta: dict) -> None:
-    """Write rows, dicts keyed by column or tuples in column order.
+@dataclass(eq=False)
+class _Line:
+    """A traced line of a stokes dataset, one unit for _emit: its origin
+    cells, its kind, its trace and, for a line emitted as the PT mirror of
+    an earlier one, that line (its trace is then mirror_of.trace.mirrored()).
+    Hashed by identity: _write_lines keys its kept text by line."""
+
+    o_re: float
+    o_im: float
+    kind: str
+    trace: geometry.StokesTrace
+    mirror_of: "_Line | None"
+
+
+def _negated(cell: str) -> str:
+    """The %.17g text of -x + 0.0 from that of x + 0.0: its sign flipped,
+    except that 0 and nan print without one."""
+    if cell[0] == "-":
+        return cell[1:]
+    return cell if cell == "0" or cell == "nan" else "-" + cell
+
+
+def _write_lines(out, lines: list[_Line]) -> None:
+    """Write the CSV rows of each line, origin_re, origin_im, z_re, z_im,
+    rechi, imchi, kind, as soon as they are rendered (see _emit)."""
+    owed = Counter(line.mirror_of for line in lines)  # line -> mirrors still to write
+    kept = {}  # line -> its point cells, until its last mirror is written
+    for line in lines:
+        partner = line.mirror_of
+        if partner is None:
+            cells = ["%.17g,%.17g,%.17g,%.17g" % (z.real + 0.0, z.imag + 0.0,
+                                                  chi.real + 0.0, chi.imag + 0.0)
+                     for z, chi in zip(line.trace.points, line.trace.chi)]
+        else:
+            # -conj z, conj chi: z_re and imchi change sign, z_im and rechi stay
+            cells = []
+            for cell in kept[partner]:
+                x, y, re, im = cell.split(",")
+                cells.append(f"{_negated(x)},{y},{re},{_negated(im)}")
+            owed[partner] -= 1
+            if not owed[partner]:
+                del kept[partner]
+        if owed[line]:
+            kept[line] = cells
+        if cells:
+            head = "%.17g,%.17g," % (line.o_re, line.o_im)
+            tail = f",{line.kind}\n"
+            out.write(head + (tail + head).join(cells) + tail)
+
+
+def _emit(rows: list, columns: list[str], args, meta: dict, lines: list[_Line] = ()) -> None:
+    """Write rows, dicts keyed by column or tuples in column order, then the
+    rows of each traced line in lines (stokes' columns).
 
     CSV renders a float (numpy.float64 included) as %.17g and anything else
-    as str: one %-template per distinct tuple of cell types, one join.
+    as str: one %-template per distinct tuple of cell types, one join.  A
+    line's rows are rendered as one unit: its origin cells and kind are
+    filled in once around the four point cells of each row, and its text
+    is written as soon as it is rendered, so only the point cells of a line
+    that a later line mirrors are kept, until that mirror is written.  A
+    mirror's rows come from those cells as text: %.17g of -x + 0.0 is that
+    of x + 0.0 with its sign flipped (_negated), since the + 0.0 that every
+    cell carries leaves no -0 and nan prints without a sign.  JSON takes
+    every line's rows from its trace.
     """
     rows = [r if isinstance(r, tuple) else tuple(map(r.__getitem__, columns))
             for r in rows]
     out = open(args.out, "w") if args.out else sys.stdout
     try:
         if args.format == "json":
+            rows += [(line.o_re, line.o_im, z.real + 0.0, z.imag + 0.0, chi.real + 0.0,
+                      chi.imag + 0.0, line.kind)
+                     for line in lines for z, chi in zip(line.trace.points, line.trace.chi)]
             payload = {"meta": meta, "rows": [dict(zip(columns, r)) for r in rows]}
             json.dump(payload, out, indent=1, sort_keys=True)
             out.write("\n")
         else:
             templates = {}
-            lines = [",".join(columns)]
+            text = [",".join(columns)]
             for row in rows:
                 shape = tuple(map(type, row))
                 tmpl = templates.get(shape)
                 if tmpl is None:
                     tmpl = templates[shape] = ",".join(
                         "%.17g" if isinstance(x, float) else "%s" for x in row)
-                lines.append(tmpl % row)
-            lines.append("")
-            out.write("\n".join(lines))
+                text.append(tmpl % row)
+            text.append("")
+            out.write("\n".join(text))
+            _write_lines(out, lines)
     finally:
         if args.out:
             out.close()
@@ -163,19 +228,14 @@ def cmd_stokes(args) -> int:
     (StokesTrace.mirrored) rather than traced again: each of z_B's
     directions takes the z_A line that leaves at its mirror angle.  z_B
     traces a line itself where that z_A line failed or z_A did not seed.
+    Each traced line reaches _emit as one _Line, a mirrored one naming its
+    z_A partner, so that the CSV renders its rows from the partner's text.
     """
     if (args.p is None) == (args.A is None):
         sys.stderr.write("error: give exactly one of --p / --A\n")
         return USAGE_EXIT
     rows = []
-    traced = 0
-
-    def add_trace(kind, origin, trace):
-        o_re, o_im = origin.real + 0.0, origin.imag + 0.0  # no "-0" fields
-        rows.extend((o_re, o_im, z.real + 0.0, z.imag + 0.0, chi.real + 0.0,
-                     chi.imag + 0.0, kind)
-                    for z, chi in zip(trace.points, trace.chi))
-
+    lines = []
     # --A draws the quartic equation at eps = 1
     model = ModelSpec.power_law(args.p) if args.A is None else ModelSpec.quartic(args.A)
     if args.p is not None:
@@ -191,38 +251,40 @@ def cmd_stokes(args) -> int:
     origins = [(f"z_{label}", z) for label, z in zip("ABCD", model.turning_points)]
     if model.has_branch_cut:
         origins.append(("z0", 0j))
-    z_a_lines = None  # z_A's (angle, trace or None), kept for z_B alone
+    z_a_lines = None  # z_A's (angle, _Line or None), kept for z_B alone
     for name, origin in origins:
         mirror_of = z_a_lines if name == "z_B" and model.pt_mirror else None
         z_a_lines = [] if name == "z_A" else None
+        o_re, o_im = origin.real + 0.0, origin.imag + 0.0  # no "-0" fields
         try:
             dirs = geometry.seed_directions(origin, model)
         except (geometry.TraceError, ValueError) as exc:
             sys.stderr.write(f"warning: seeding failed at {name}: {exc}\n")
             continue
         for k, th in enumerate(dirs):
-            trace = None
+            trace = partner = None
             if mirror_of:
                 # z_A's line at angle t mirrors to pi - t, -e^{-it} on the circle
                 u = cmath.exp(1j * th)
-                trace = min(mirror_of, key=lambda line: abs(u + cmath.exp(-1j * line[0])))[1]
-                if trace is not None:
-                    trace = trace.mirrored()
+                partner = min(mirror_of, key=lambda entry: abs(u + cmath.exp(-1j * entry[0])))[1]
+                if partner is not None:
+                    trace = partner.trace.mirrored()
             if trace is None:
                 try:
                     trace = geometry.trace_stokes_line(origin, model, th, max_arclen=25.0)
                 except geometry.TraceError as exc:
                     sys.stderr.write(f"warning: trace {name}/{k} failed: {exc}\n")
+            line = None if trace is None else _Line(o_re, o_im, f"stokes_{name}_{k}",
+                                                    trace, partner)
             if z_a_lines is not None:
-                z_a_lines.append((th, trace))
-            if trace is not None:
-                add_trace(f"stokes_{name}_{k}", origin, trace)
-                traced += 1
-    if not traced:  # wedge rows alone are no dataset
+                z_a_lines.append((th, line))
+            if line is not None:
+                lines.append(line)
+    if not lines:  # wedge rows alone are no dataset
         sys.stderr.write("error: no Stokes line was traced\n")
         return FAILURE_EXIT
     _emit(rows, ["origin_re", "origin_im", "z_re", "z_im", "rechi", "imchi", "kind"],
-          args, {"command": "stokes", "p": args.p, "A": args.A})
+          args, {"command": "stokes", "p": args.p, "A": args.A}, lines)
     return 0
 
 

@@ -118,6 +118,11 @@ _TRUNCATION = 1e-3
 _BRANCH_FRACTION = 0.5
 _MIN_STEP = 1e-9
 _MAX_STEPS = 150_000
+# Fewest steps per radian of phase that integrate_ray is taken to need.  A
+# real-E mismatch takes 0.145 to 0.36 at p from 1.2 to 4 and E up to 1e4,
+# but only 0.061 to 0.089 at p = 20 to 40: the phase is estimated from q's
+# largest value, at the ray's start, and q falls off faster for larger p.
+_MIN_STEPS_PER_RADIAN = 0.05
 # 1 / ((k + 1)(k + 2)), the factor of a_{k+2} in the coefficient recurrence
 _INV_PAIRS = tuple(1.0 / ((k + 1) * (k + 2)) for k in range(_ORDER - 1))
 
@@ -172,7 +177,10 @@ def integrate_ray(start: ShootState, seg: tuple[complex, complex], eps: complex,
     from Horner's rule.  The state is renormalized to unit magnitude
     whenever it leaves [1e-6, 1e6], with the factor accumulated in
     log_scale.  A non-finite coefficient, a step shorter than 1e-9 of the
-    segment or more than _MAX_STEPS steps raise ShootingError.
+    segment or more than _MAX_STEPS steps raise ShootingError; so does,
+    before the first step, a segment whose phase |d| max|sqrt q| / |eps|
+    (max at the ray's start, one q evaluation) would overrun _MAX_STEPS at
+    _MIN_STEPS_PER_RADIAN, fewer steps per radian than any ray takes.
     """
     z0, z1 = seg
     d = z1 - z0
@@ -186,6 +194,10 @@ def integrate_ray(start: ShootState, seg: tuple[complex, complex], eps: complex,
     f, g = start.f, start.df
     log_scale = start.log_scale
     rtol, atol = cfg.rtol, cfg.atol
+    phase = abs(d_eps) * math.sqrt(abs(model.q(z0)))
+    if _MIN_STEPS_PER_RADIAN * phase > _MAX_STEPS:
+        raise ShootingError(f"step budget of {_MAX_STEPS} steps cannot cover the "
+                            f"{phase:.3g} radians along {z0:.3g} -> {z1:.3g}")
     t = 0.0
     steps = 0
     while t < 1.0:

@@ -10,6 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import ptspec
 from ptspec import cli, geometry, shooting
@@ -366,6 +367,40 @@ def test_emit_renders_every_cell_as_the_per_cell_writer_did(tmp_path):
     cli._emit([], columns, argparse.Namespace(format="csv", out=str(out)), meta)
     assert out.read_text() == "a,b,c,d\n"
 
+    # traced lines as units, after plain rows: each line's rows must read as
+    # the rows of its trace, and a mirrored line's (rendered from its
+    # partner's text) as those of the partner's trace.mirrored()
+    edge = [0.0, -0.0, 5e-324, -5e-324, math.inf, -math.inf, math.nan, 1e22,
+            -1e22, 2.0 / 3.0, -2.0 / 3.0, 1.5]
+    columns = ["origin_re", "origin_im", "z_re", "z_im", "rechi", "imchi", "kind"]
+    trace = geometry.StokesTrace(
+        origin=0j, points=[complex(x, y) for x in edge for y in edge[::5]],
+        chi=[complex(y, x) for x in edge for y in edge[::-5]])
+    bare = geometry.StokesTrace(origin=0j)
+    a = cli._Line(-0.0, 2.0 / 3.0, "stokes_z_A_0", trace, None)
+    empty = cli._Line(1.5, 0.0, "stokes_z_A_1", bare, None)
+    lines = [a, empty, cli._Line(0.0, 1e22, "stokes_z_C_0", trace, None),
+             cli._Line(5e-324, 2.0 / 3.0, "stokes_z_B_0", trace.mirrored(), a),
+             cli._Line(-1.5, math.nan, "stokes_z_B_1", bare.mirrored(), empty),
+             cli._Line(math.inf, 0.0, "stokes_z_B_2", trace.mirrored(), a)]
+    plain = [(0.0, 0.0, 8.0, -0.0, 0.0, 0.0, "wedge_centre_left")]
+    rows = [dict(zip(columns, r)) for r in plain]
+    rows += [dict(zip(columns, (line.o_re, line.o_im, z.real + 0.0, z.imag + 0.0,
+                                chi.real + 0.0, chi.imag + 0.0, line.kind)))
+             for line in lines for z, chi in zip(line.trace.points, line.trace.chi)]
+    for form, want in (("csv", _rendered_by_cell(rows, columns)),
+                       ("json", json.dumps({"meta": meta, "rows": rows},
+                                           indent=1, sort_keys=True) + "\n")):
+        out = tmp_path / f"lines.{form}"
+        cli._emit(plain, columns, argparse.Namespace(format=form, out=str(out)), meta, lines)
+        assert out.read_text() == want, form
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.floats(allow_nan=True, allow_infinity=True))
+def test_negated_text_is_the_text_of_the_negated_cell(x):
+    assert cli._negated("%.17g" % (x + 0.0)) == "%.17g" % (-x + 0.0)
+
 
 @pytest.mark.parametrize("p", ["12", "40"])
 def test_stokes_traces_every_line_at_large_p(tmp_path, capsys, p):
@@ -511,6 +546,23 @@ def test_mirrored_z_b_lines_match_lines_traced_from_z_b(tmp_path, monkeypatch, a
             assert abs(complex(x, y) - z) <= tol and abs(complex(re, im) - chi) <= tol
     if argv == ["--p", "1.3"]:
         assert "cut" in {trace.terminated for trace in emitted}
+
+
+@pytest.mark.parametrize("argv", [["--p", "1.3"], ["--p", "2"], ["--p", "12"],
+                                  ["--A", "0"], ["--A", "1.0"], ["--A", "1.9312"]])
+def test_stokes_csv_is_its_json_rendered_cell_by_cell(tmp_path, argv):
+    # The CSV renders a mirrored line's rows from its partner's text, the
+    # JSON takes them from StokesTrace.mirrored: the two must agree.  At
+    # p = 1.3 a line ends on the cut, at p = 2 a z_B direction sits at angle
+    # 0, at A = 0 z_C and z_D mirror themselves and carry -0 candidates.
+    c, j = tmp_path / "s.csv", tmp_path / "s.json"
+    assert main(["stokes", *argv, "--out", str(c)]) == 0
+    assert main(["stokes", *argv, "--format", "json", "--out", str(j)]) == 0
+    rows = json.loads(j.read_text())["rows"]
+    columns = ["origin_re", "origin_im", "z_re", "z_im", "rechi", "imchi", "kind"]
+    assert any(r["kind"].startswith("stokes_z_B_") for r in rows)
+    want = _rendered_by_cell(rows, columns).splitlines(keepends=True)
+    assert c.read_text().splitlines(keepends=True) == want  # lists: a short diff
 
 
 def test_mirror_pairs_directions_on_the_circle_across_angle_zero(tmp_path, monkeypatch):

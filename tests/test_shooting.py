@@ -234,6 +234,8 @@ def test_integration_failures_are_shooting_errors(case, monkeypatch):
         match, run = "non-finite", lambda: integrate_ray(
             ShootState(complex(math.nan), 1.0), (-3 + 0j, -0.5j), 0.1, p3, ShootConfig())
     elif case == "overflow":  # eps ~ 2e-17: the Taylor coefficients overflow
+        # (past the budget check, which fails this ray before its first step)
+        monkeypatch.setattr(shooting, "_MIN_STEPS_PER_RADIAN", 0.0)
         match, run = "non-finite", lambda: mismatch(1e20, p3)
     elif case == "collapse":  # toward a fractional power's branch point
         match, run = "step collapsed", lambda: integrate_ray(
@@ -245,6 +247,41 @@ def test_integration_failures_are_shooting_errors(case, monkeypatch):
         match, run = "underflows", lambda: mismatch(1e300, ModelSpec.power_law(1.5))
     with pytest.raises(ShootingError, match=match):
         run()
+
+
+def test_a_ray_past_the_step_budget_fails_before_its_first_step(monkeypatch):
+    # p = 1.5, E = 1e6: the ray turns through 8e6 radians, and the budget
+    # used to run out only after 150,000 steps (6.7 s); at E = 1e20 (3.5e16
+    # radians) the Taylor coefficients would overflow
+    def q_series(model, z, d, n):
+        raise AssertionError("a step was taken")
+
+    monkeypatch.setattr(ModelSpec, "q_series", q_series)
+    for E, model in ((1e6, ModelSpec.power_law(1.5)), (1e20, ModelSpec.power_law(3.0))):
+        with pytest.raises(ShootingError, match="step budget"):
+            mismatch(E, model)
+
+
+class _Stepped(Exception):
+    """Raised by a stubbed q_series: integrate_ray reached its first step."""
+
+
+@pytest.mark.parametrize("p", [1.2, 1.5, 2.0, 3.0, 4.0])
+def test_budget_check_lets_every_ray_within_the_budget_through(monkeypatch, p):
+    # The check raises or does nothing, so where every ray reaches its first
+    # step W keeps its bits.  These rays take 0.145 to 0.36 steps per radian,
+    # at least 2.9 times _MIN_STEPS_PER_RADIAN.
+    def q_series(model, z, d, n):
+        raise _Stepped
+
+    monkeypatch.setattr(ModelSpec, "q_series", q_series)
+    for E in (1.0, 10.0, 100.0, 1e3, 1e4):
+        try:
+            mismatch(E, ModelSpec.power_law(p))
+        except _Stepped:
+            continue
+        except ShootingError as exc:  # p = 2, E >= 1e3: no match point
+            assert p == 2.0 and "match point" in str(exc), (E, exc)
 
 
 def _match_ratios(model, cfg, E):
