@@ -15,7 +15,7 @@ import math
 from functools import lru_cache
 
 from ._quadrature import integrate_legs
-from .geometry import ModelSpec, _path_action, _quartic_walk, path_crosses_cut
+from .geometry import ModelSpec, _path_action, _quartic_q, _quartic_walk, path_crosses_cut
 
 __all__ = [
     "action_between",
@@ -111,8 +111,7 @@ def _quartic_end_actions(a: complex, *ends: str) -> tuple:
         seed = wp.seed_a if end == "z_a" else wp.seed_b
         mid = 0.5 * (z_c + z_e)
         legs += [([mid, z_e], seed, False, True), ([mid, z_c], seed, False, True)]
-    q = ModelSpec.quartic(wp.a).q_callable()
-    vals = integrate_legs(q, legs, DEFAULT_ORDER, moment=True)
+    vals = integrate_legs(_quartic_q(1j * wp.a), legs, DEFAULT_ORDER, moment=True)
     # integral_{z_C}^{z_e} = integral_{mid}^{z_e} - integral_{mid}^{z_C}
     return tuple((-(to_e - to_c), 0.5j * (mom_e - mom_c))
                  for (to_e, _, mom_e), (to_c, _, mom_c) in zip(vals[::2], vals[1::2]))

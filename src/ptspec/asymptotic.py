@@ -14,7 +14,8 @@ which stays meaningful for 1 < p < 2 where the extra term takes over and
 the real spectrum terminates.  The quartic oscillator gets the analogous
 three-exponential condition 2 exp(2V/eps) cos(2U/eps) + 1 = 0.  Solvers
 work on an overflow-safe rescaling of these conditions; the quartic one
-gives its Newton slope from the quadrature pass that gives its value.
+gives its Newton slope from the quadrature pass that gives its value, as
+does the seed rule (_phase) that its seeds solve by Newton (_seed).
 condition_spectrum lists each root below an energy once, real roots and
 the conjugate pairs merged branches leave in the complex plane alike;
 lowest_branch_path continues a real branch in p.
@@ -25,7 +26,7 @@ import math
 from dataclasses import dataclass, replace
 from functools import lru_cache
 
-from .action import (action_scale, action_to_turning_points, quartic_action,
+from .action import (action_scale, action_to_turning_points,
                      quartic_critical_a, action_between,
                      _quartic_end_actions)
 from .geometry import ModelSpec
@@ -102,25 +103,18 @@ def wkb_eigenvalue(n: int, p: float) -> float:
 
 
 @lru_cache(maxsize=256)
-def _p_constants(p: float) -> tuple[float, float, float, float]:
-    """The factors of _condition_parts that depend on p alone."""
-    r = action_scale(p)
-    return (2.0 * r * math.cos(math.pi / p), 2.0 * r * math.sin(math.pi / p),
-            recip_gamma(-p), 2.0 ** (p + 2.0))
-
-
-def _condition_parts(eps: complex, p: float) -> tuple[complex, complex, complex]:
-    """X, Y, T2 with the condition written as 2i [exp(X) cos(Y) - T2]."""
-    x_num, y_num, rg, t2_den = _p_constants(p)
-    x = x_num / eps
-    y = y_num / eps
-    t2 = math.pi * principal_power(eps, p) * rg / t2_den
-    return x, y, t2
+def _condition_parts(p: float):
+    """eps -> (X, Y, T2), the condition as 2i [exp(X) cos(Y) - T2], p's factors bound."""
+    r, pi, clog, cexp = action_scale(p), math.pi, cmath.log, cmath.exp
+    x_num, y_num = 2.0 * r * math.cos(pi / p), 2.0 * r * math.sin(pi / p)
+    rg, t2_den = recip_gamma(-p), 2.0 ** (p + 2.0)
+    # eps**p as principal_power takes it; eps = 0 fails first, in x_num / eps
+    return lambda eps: (x_num / eps, y_num / eps, pi * cexp(p * clog(eps)) * rg / t2_den)
 
 
 def wkb_condition(eps: complex, p: float) -> complex:
     """The classical two-exponential solvability condition (unscaled)."""
-    x, y, _ = _condition_parts(eps, p)
+    x, y, _ = _condition_parts(p)(eps)
     return 2j * cmath.exp(x) * cmath.cos(y)
 
 
@@ -129,23 +123,26 @@ def corrected_condition(eps: complex, p: float) -> complex:
 
     Identical to wkb_condition at integer p, where 1/Gamma(-p) = 0.
     """
-    x, y, t2 = _condition_parts(eps, p)
+    x, y, t2 = _condition_parts(p)(eps)
     return 2j * (cmath.exp(x) * cmath.cos(y) - t2)
 
 
-def _scaled_condition(eps: complex, p: float, condition: str) -> complex:
-    """Condition divided by its dominant term magnitude; overflow-safe.
+def _scaled_condition(p: float, condition: str):
+    """eps -> the condition divided by its dominant term magnitude;
+    overflow-safe.  Roots are unchanged; the value is O(1) near a root, so
+    the solver tolerance 1e-12 is meaningful for every (eps, p)."""
+    parts, wkb, cos, exp = _condition_parts(p), condition == "wkb", cmath.cos, cmath.exp
 
-    Roots are unchanged; the returned value is O(1) near a root, so the
-    solver tolerance 1e-12 is meaningful for every (eps, p).
-    """
-    x, y, t2 = _condition_parts(eps, p)
-    if condition == "wkb" or t2 == 0:
-        return cmath.cos(y)
-    l2 = math.log(abs(t2))
-    if x.real >= l2:
-        return cmath.cos(y) - t2 * cmath.exp(-x)
-    return cmath.cos(y) * cmath.exp(x - l2) - t2 / abs(t2)
+    def scaled(eps):
+        x, y, t2 = parts(eps)
+        if wkb or t2 == 0:
+            return cos(y)
+        l2 = math.log(abs(t2))
+        if x.real >= l2:
+            return cos(y) - t2 * exp(-x)
+        return cos(y) * exp(x - l2) - t2 / abs(t2)
+
+    return scaled
 
 
 #: Halvings of a descending Newton step before the descent gives up.
@@ -261,35 +258,41 @@ def _seeded_root(f, seed: complex, descend: bool = False) -> tuple[complex, floa
         return _newton_complex(f, seed * (1.0 + 0.05j))
 
 
-def _phase(model: ModelSpec, eps: complex) -> float:
+def _phase(model: ModelSpec, eps: complex) -> tuple[float, float]:
     """eps times the cosine argument of the family's condition, the seed
-    rule's phase: 2 R sin(pi/p), or 2 U(|A eps|) with |A eps| capped at 4."""
+    rule's phase, and its slope in |eps|: 2 R sin(pi/p) and 0, or, from one
+    pass, 2 U(a) and 2 |A| U'(a) at a = |A eps| capped at 4 (slope 0 there)."""
     if model.family == "power":
-        return 2.0 * action_scale(model.p) * math.sin(math.pi / model.p)
+        return 2.0 * action_scale(model.p) * math.sin(math.pi / model.p), 0.0
     a = min(abs(model.at(eps).a), 4.0)
-    return 2.0 * quartic_action(a).real if a else _quartic_phase_at_zero()
+    w, dw = _quartic_end_actions(a, "z_a")[0] if a else _quartic_action_at_zero()
+    return 2.0 * w.real, 2.0 * abs(model.a) * dw.real if a < 4.0 else 0.0
 
 
 @lru_cache(maxsize=1)
-def _quartic_phase_at_zero() -> float:
-    return 2.0 * quartic_action(0.0).real
+def _quartic_action_at_zero() -> tuple[complex, complex]:
+    return _quartic_end_actions(0.0, "z_a")[0]
 
 
 def _seed(n: int, model: ModelSpec) -> float:
-    """eps of the seed rule _phase(model, eps)/eps = (n + 1/2) pi: at most 7
-    fixed-point steps from eps = 0, to the first repeated iterate (one step
-    for the power law, whose phase is constant)."""
-    seed = _phase(model, 0.0) / ((n + 0.5) * math.pi)
-    for _ in range(6):
-        seed, last = _phase(model, seed) / ((n + 0.5) * math.pi), seed
-        if seed == last:
-            break
+    """eps of the seed rule (n + 1/2) pi eps = _phase(model, eps): the root
+    _phase(model, 0) / ((n + 1/2) pi) of a constant phase, else Newton from
+    there to a step of <= 1e-14 relative (at most 8; 5 for A <= 8, n <= 11)."""
+    k = (n + 0.5) * math.pi
+    seed = _phase(model, 0.0)[0] / k
+    if model.family == "quartic" and model.a:
+        for _ in range(8):
+            phase, slope = _phase(model, seed)
+            step = (k * seed - phase) / (k - slope)
+            seed -= step
+            if abs(step) <= 1e-14 * seed:
+                break
     return seed
 
 
 def _mode_index(eps: complex, model: ModelSpec) -> int:
     """Ladder index n: the seed rule solved for n at eps."""
-    return max(0, round(_phase(model, eps) / abs(eps) / math.pi - 0.5))
+    return max(0, round(_phase(model, eps)[0] / abs(eps) / math.pi - 0.5))
 
 
 def solve_condition(n: int, p: float, condition: str = "full",
@@ -307,7 +310,11 @@ def solve_condition(n: int, p: float, condition: str = "full",
         raise ValueError("solve_condition needs a mode index n >= 0 and p > 1")
     if seed is None:
         seed = _seed(n, ModelSpec.power_law(p))
-    eps, res = _seeded_root(lambda e: (_scaled_condition(e, p, condition), None), seed)
+    try:
+        f = _scaled_condition(p, condition)
+    except OverflowError:  # 1/Gamma(-p) is no finite double
+        raise SolveError(f"condition overflows at p = {p}") from None
+    eps, res = _seeded_root(lambda e: (f(e), None), seed)
     return EigRecord(n=n, param=p, eps=eps, E=eps_to_E(eps, p),
                      method=condition, residual=res)
 
@@ -334,17 +341,17 @@ def condition_spectrum(model: ModelSpec, e_max: float,
     A complex or negative quartic coupling raises ValueError (see
     solve_quartic).
     """
-    if model.family == "quartic" and condition != "full":
-        raise ValueError("the quartic has only the full condition")
+    if model.family == "quartic":
+        if condition != "full":
+            raise ValueError("the quartic has only the full condition")
+        _quartic_model(model.a)  # refuse a coupling before the first seed
     solved, n, seed_e = [], 0, 0.0
     while seed_e < e_max:
         try:
             seed = _seed(n, model)
             seed_e = eps_to_E(seed, model.degree).real
-            if model.family == "power":
-                rec = solve_condition(n, model.p, condition, seed)
-            else:
-                rec = solve_quartic(n, model.a, seed)
+            rec = (solve_condition(n, model.p, condition, seed) if model.family == "power"
+                   else solve_quartic(n, model.a, seed))
             if rec.E.real <= e_max * (1.0 + 1e-9):
                 solved.append(rec)
         except SolveError:
@@ -479,16 +486,20 @@ def solve_quartic(n: int, A: float, seed: complex | None = None) -> EigRecord:
     """
     if n < 0:
         raise ValueError("mode index must be >= 0")
-    model = ModelSpec.quartic(A)
-    if not model.pt_mirror:
-        raise ValueError(f"the quartic condition needs a real coupling, got {A}")
-    if complex(A).real < 0:
-        raise ValueError(f"the quartic condition needs a coupling >= 0, got {A}")
+    model = _quartic_model(A)
     if seed is None:
         seed = _seed(n, model)
     eps, res = _seeded_root(lambda e: _quartic_condition(e, A), seed, descend=True)
     return EigRecord(n=n, param=A, eps=eps, E=eps_to_E(eps, model.degree),
                      method="full", residual=res)
+
+
+def _quartic_model(A: float) -> ModelSpec:
+    """ModelSpec.quartic(A); ValueError where solve_quartic refuses A."""
+    model = ModelSpec.quartic(A)
+    if not model.pt_mirror or complex(A).real < 0:
+        raise ValueError(f"the quartic condition needs a real coupling >= 0, got {A}")
+    return model
 
 
 def quartic_closeoff(A: float) -> float:

@@ -221,8 +221,7 @@ class ModelSpec:
                     return 1.0 + np.exp(p * np.log(1j * z))
 
             return q
-        ia = 1j * self.a
-        return lambda z: 1.0 - z * (z * z * z + ia)
+        return _quartic_q(1j * self.a)
 
     def _dq_closure(self):
         """Specialised scalar dq/dz closure for hot loops: the one formula."""
@@ -246,6 +245,11 @@ class ModelSpec:
 
     # q bypasses q_callable, so a counter wrapped around both sees each q(z) once.
     q_callable = _q_closure
+
+
+def _quartic_q(ia: complex):
+    """The quartic's q at ia = i a, a point or an array: the one formula."""
+    return lambda z: 1.0 - z * (z * z * z + ia)
 
 
 def wedge_angles(p: float) -> tuple[float, float, float]:
@@ -307,7 +311,8 @@ class _Waypoint:
 def _polish_turning_point(z: complex, ia: complex) -> complex:
     """Newton-polish z toward a root of z^4 + ia z - 1 (ia = i a)."""
     for _ in range(50):
-        dz = (z * (z * z * z + ia) - 1.0) / (4.0 * z * z * z + ia)
+        z3 = z * z * z
+        dz = (z * (z3 + ia) - 1.0) / (4.0 * z3 + ia)
         z -= dz
         if abs(dz) < 1e-14:
             break
@@ -319,18 +324,23 @@ def _walk_leg(start: _Waypoint, a: complex) -> _Waypoint:
 
     Each root is polished from its value at start and each seed takes the
     sign nearest its value there, so labels and branches are carried by
-    continuity.  A leg on which two roots meet raises TraceError:
-    continuity cannot tell their labels apart there.
+    continuity; at real a, where the polish commutes with z -> -conj z bit
+    for bit, a z_b that mirrors z_a at start is mirrored, not polished.  A
+    leg on which two roots meet raises TraceError: continuity cannot tell
+    their labels apart there.
     """
     ia = 1j * a
-    roots = [_polish_turning_point(z, ia) for z in start.roots.all]
+    z_a, z_b, z_c, z_d = start.roots.all
+    mirror = a.imag == 0 and z_b == -z_a.conjugate()
+    z_a, z_c, z_d = [_polish_turning_point(z, ia) for z in (z_a, z_c, z_d)]
+    z_b = -z_a.conjugate() if mirror else _polish_turning_point(z_b, ia)
+    roots = (z_a, z_b, z_c, z_d)
     for z in roots:
         if abs(z * (z * z * z + ia) - 1.0) > 1e-12:
             raise TraceError(f"turning point polish failed at a = {a:.6g}")
     if min(abs(u - v) for u, v in combinations(roots, 2)) < 1e-6:
         raise TraceError(f"two turning points meet near a = {a:.6g}")
-    z_a, z_b, z_c, _ = roots
-    q = ModelSpec.quartic(a).q_callable()
+    q = _quartic_q(ia)
     seeds = [_signed_root(q(0.5 * (z_c + z_e)), prev)
              for z_e, prev in ((z_a, start.seed_a), (z_b, start.seed_b))]
     return _Waypoint(a, QuarticRoots(*roots), *seeds)

@@ -163,8 +163,9 @@ def test_quartic_action_is_a_pure_function_of_the_coupling(monkeypatch):
 
 
 def test_warm_quartic_action_polishes_one_leg(monkeypatch):
-    # 3.5 lies 0.1 past the waypoint 3.4: a warm call polishes the four
-    # roots on that one leg, not on every step of the walk from a = 0.
+    # 3.5 lies 0.1 past the waypoint 3.4: a warm call polishes the roots on
+    # that one leg, not on every step of the walk from a = 0.  At real a it
+    # polishes three of them: z_b is z_a mirrored.
     quartic_action(3.5)
     calls = [0]
     plain = geometry._polish_turning_point
@@ -175,7 +176,48 @@ def test_warm_quartic_action_polishes_one_leg(monkeypatch):
 
     monkeypatch.setattr(geometry, "_polish_turning_point", counting)
     quartic_action(3.5)
-    assert calls[0] == 4
+    assert calls[0] == 3
+
+
+def _walked_legs(monkeypatch, couplings):
+    """(start, end) of every leg that cold walks to the couplings take."""
+    origin = geometry._ORIGIN_WAYPOINT
+    monkeypatch.setattr(geometry, "_WAYPOINT_MEMO", {1.0: [origin], -1.0: [origin]})
+    legs, plain = [], geometry._walk_leg
+
+    def recording(start, a):
+        legs.append((start, plain(start, a)))
+        return legs[-1][1]
+
+    monkeypatch.setattr(geometry, "_walk_leg", recording)
+    for a in couplings:
+        geometry._quartic_walk(a)
+    return legs
+
+
+def test_walked_z_b_is_the_mirror_and_the_polish_at_real_coupling(monkeypatch):
+    # The polish commutes with z -> -conj z bit for bit at real a, so the
+    # mirrored z_b is the root a direct polish of the start's z_b finds.
+    couplings = [s * 0.013 * k for k in range(1, 1000) for s in (1, -1)]
+    legs = _walked_legs(monkeypatch, couplings)
+    assert len(legs) > 2000
+    for start, end in legs:
+        z_a, z_b = end.roots.z_a, end.roots.z_b
+        polished = geometry._polish_turning_point(start.roots.z_b, 1j * end.a)
+        assert repr(z_b) == repr(-z_a.conjugate()) == repr(polished), end.a
+
+
+def test_complex_coupling_polishes_four_roots_per_leg(monkeypatch):
+    calls = [0]
+    plain = geometry._polish_turning_point
+
+    def counting(z, ia):
+        calls[0] += 1
+        return plain(z, ia)
+
+    monkeypatch.setattr(geometry, "_polish_turning_point", counting)
+    legs = _walked_legs(monkeypatch, [1.1 + 0.3j])  # five waypoints, then a
+    assert len(legs) == 6 and calls[0] == 4 * len(legs)
 
 
 @pytest.mark.parametrize("order", [1, 5, 41])

@@ -9,7 +9,8 @@ from ptspec.action import (action_between, action_scale,
                            action_to_turning_points, quartic_action,
                            quartic_critical_a)
 from ptspec.asymptotic import (SolveError, _mode_index, _newton_complex,
-                               _off_axis, _quartic_condition, _scaled_condition, _seed,
+                               _off_axis, _phase, _quartic_condition,
+                               _scaled_condition, _seed,
                                condition_spectrum, corrected_condition,
                                delta_estimate, E_to_eps, eps_to_E,
                                lowest_branch_path, quartic_closeoff,
@@ -17,7 +18,7 @@ from ptspec.asymptotic import (SolveError, _mode_index, _newton_complex,
                                solve_quartic, switched_terms, wkb_condition,
                                wkb_eigenvalue)
 from ptspec.geometry import ModelSpec
-from ptspec.special import principal_power
+from ptspec.special import principal_power, recip_gamma
 
 PI = math.pi
 
@@ -146,7 +147,7 @@ def test_flat_newton_search_stops_early():
     # The restart seed of p = 1.05, n = 1: off the axis the condition is
     # flat, and Newton cycles z <-> ~conj z with every step capped.  It
     # used to run all 100 iterations (300 evaluations).
-    f, seen = _counting(lambda e: _scaled_condition(e, 1.05, "full"))
+    f, seen = _counting(_scaled_condition(1.05, "full"))
     with pytest.raises(SolveError, match="flat on the scale of"):
         _newton_complex(lambda z: (f(z), None), 0.042744751223068006 * (1 + 0.05j))
     assert len(seen) <= 48
@@ -156,7 +157,7 @@ def test_flat_newton_search_stops_early():
 def test_newton_converges_after_seven_capped_steps(n, p):
     # The longest run of capped steps measured on a converging search: the
     # stop rule must leave these roots in place.
-    f, seen = _counting(lambda e: _scaled_condition(e, p, "full").real)
+    f, seen = _counting(lambda e: _scaled_condition(p, "full")(e).real)
     x, res = _newton_complex(lambda z: (f(z), None), _seed(n, ModelSpec.power_law(p)))
     assert res <= 1e-12 and abs(f(x)) <= 1e-12
     assert _longest_capped_run(seen[::3]) == 7  # three evaluations per step
@@ -165,7 +166,7 @@ def test_newton_converges_after_seven_capped_steps(n, p):
 def test_each_way_newton_fails_has_its_own_message():
     messages = []
     for f, z0 in [(lambda z: 1.0 + 0j, 1.0),  # zero slope
-                  (lambda e: _scaled_condition(e, 1.05, "full"),
+                  (_scaled_condition(1.05, "full"),
                    0.042744751223068006 * (1 + 0.05j)),
                   (lambda z: (z - 2.0) ** 2 + 1.0, 1.0)]:  # no real root
         with pytest.raises(SolveError) as err:
@@ -184,13 +185,61 @@ def test_condition_spectrum_work_is_bounded(monkeypatch):
     plain = asymptotic._scaled_condition
 
     def counting(*args):
-        calls[0] += 1
-        return plain(*args)
+        scaled = plain(*args)
+
+        def counted(eps):
+            calls[0] += 1
+            return scaled(eps)
+
+        return counted
 
     monkeypatch.setattr(asymptotic, "_scaled_condition", counting)
     recs = condition_spectrum(ModelSpec.power_law(1.2), 30.0)
     assert calls[0] <= 1300
     assert [(r.n, r.eps) for r in recs] == [(0, 0.5567693675470603 + 0j)]
+
+
+def _condition_parts_reference(eps, p):
+    """X, Y, T2 as one function of (eps, p), the formula before p's factors
+    were bound once per solve."""
+    r = action_scale(p)
+    x = 2.0 * r * math.cos(math.pi / p) / eps
+    y = 2.0 * r * math.sin(math.pi / p) / eps
+    return x, y, math.pi * principal_power(eps, p) * recip_gamma(-p) / 2.0 ** (p + 2.0)
+
+
+def _scaled_condition_reference(eps, p, condition):
+    x, y, t2 = _condition_parts_reference(eps, p)
+    if condition == "wkb" or t2 == 0:
+        return cmath.cos(y)
+    l2 = math.log(abs(t2))
+    if x.real >= l2:
+        return cmath.cos(y) - t2 * cmath.exp(-x)
+    return cmath.cos(y) * cmath.exp(x - l2) - t2 / abs(t2)
+
+
+def _outcome(f):
+    try:
+        return repr(f())
+    except (OverflowError, ValueError, ZeroDivisionError) as err:
+        return type(err).__name__
+
+
+@settings(deadline=None, max_examples=300)
+@given(p=st.one_of(st.floats(1.0, 6.0, exclude_min=True), st.sampled_from([2.0, 3.0, 6.0])),
+       x=st.floats(-5.0, 5.0), t=st.one_of(st.just(None), st.floats(-1.0, 1.0)),
+       condition=st.sampled_from(["wkb", "full"]))
+def test_conditions_are_the_reference_formulas_bit_for_bit(p, x, t, condition):
+    # Binding p's factors once per solve moves no bit and no error.
+    eps = x if t is None else complex(x, x * t)
+    assert (_outcome(lambda: _scaled_condition(p, condition)(eps))
+            == _outcome(lambda: _scaled_condition_reference(eps, p, condition)))
+    parts = lambda: _condition_parts_reference(eps, p)
+    assert (_outcome(lambda: wkb_condition(eps, p))
+            == _outcome(lambda: 2j * cmath.exp(parts()[0]) * cmath.cos(parts()[1])))
+    assert (_outcome(lambda: corrected_condition(eps, p))
+            == _outcome(lambda: 2j * (cmath.exp(parts()[0]) * cmath.cos(parts()[1])
+                                      - parts()[2])))
 
 
 def test_condition_beyond_the_gamma_range_is_a_solve_error():
@@ -205,7 +254,7 @@ def test_newton_on_the_real_part_stays_on_the_axis():
     # lands on the root solve_condition reports
     for p in (1.5, 2.5, 3.0):
         for n in range(4):
-            f = lambda e: _scaled_condition(e, p, "full").real
+            f = lambda e: _scaled_condition(p, "full")(e).real
             seed = complex(_seed(n, ModelSpec.power_law(p)))
             z, res = _newton_complex(lambda z: (f(z), None), seed)
             assert z.imag == 0.0 and res <= 1e-12
@@ -267,7 +316,7 @@ def ladder_problems(recs, residual):
 def test_condition_spectrum_lists_each_root_once_with_its_conjugate(p, e_max):
     recs = condition_spectrum(ModelSpec.power_law(p), e_max)
     assert recs and all(r.E.real <= e_max * (1 + 1e-9) for r in recs)
-    assert ladder_problems(recs, lambda e: abs(_scaled_condition(e, p, "full"))) == []
+    assert ladder_problems(recs, lambda e: abs(_scaled_condition(p, "full")(e))) == []
 
 
 def test_condition_spectrum_labels_a_root_from_several_seeds_by_its_mode():
@@ -290,7 +339,7 @@ def real_roots_by_real_newton(p, e_max):
         n_top += 1
     for n in range(n_top + 1):
         try:
-            x, _ = _newton_complex(lambda e: (_scaled_condition(e, p, "full").real, None),
+            x, _ = _newton_complex(lambda e: (_scaled_condition(p, "full")(e).real, None),
                                    _seed(n, ModelSpec.power_law(p)))
         except SolveError:
             continue
@@ -526,22 +575,48 @@ def test_quartic_condition_slope_matches_the_central_difference(A, x, t, real):
     assert abs(slope - central) <= 1e-6 * abs(central)
 
 
-def test_quartic_spectrum_takes_one_quadrature_pass_per_newton_step(monkeypatch):
-    # Deterministic work count: with central-difference slopes (three
-    # condition evaluations per Newton step) this listing took 88 passes.
+def _counting_passes(monkeypatch):
+    """A counter of quadrature passes, the cached pass at a = 0 taken first."""
     from ptspec import action, asymptotic
-    asymptotic._quartic_phase_at_zero()  # a cached pass, taken before counting
-    passes = [0]
-    plain = action.integrate_legs
+    asymptotic._quartic_action_at_zero()
+    passes, plain = [0], action.integrate_legs
 
     def counting(*args, **kwargs):
         passes[0] += 1
         return plain(*args, **kwargs)
 
     monkeypatch.setattr(action, "integrate_legs", counting)
+    return passes
+
+
+def test_quartic_spectrum_takes_one_quadrature_pass_per_newton_step(monkeypatch):
+    # Deterministic work count: with central-difference slopes (three
+    # condition evaluations per Newton step) this listing took 88 passes,
+    # and 58 with fixed-point seeds (up to seven passes per seed).
+    passes = _counting_passes(monkeypatch)
     recs = condition_spectrum(ModelSpec.quartic(2.0), 20.0)
-    assert passes[0] <= 60
+    assert passes[0] <= 42
     assert [r.n for r in recs] == [0, 1, 2, 3, 4]
+
+
+@pytest.mark.parametrize("A", [-1 + 0j, 1 + 0.5j, np.complex128(-2)], ids=repr)
+def test_quartic_spectrum_refuses_a_coupling_before_its_first_seed(A, monkeypatch):
+    passes = _counting_passes(monkeypatch)
+    with pytest.raises(ValueError, match="real|>= 0"):
+        condition_spectrum(ModelSpec.quartic(A), 10.0)
+    assert passes[0] == 0
+
+
+def test_quartic_seed_meets_its_rule_in_at_most_five_passes(monkeypatch):
+    passes = _counting_passes(monkeypatch)
+    for A in [0.0, 0.01, 0.1, *(0.25 * k for k in range(1, 33)), 3.64, 1 + 0j]:
+        model = ModelSpec.quartic(A)
+        for n in range(12):
+            passes[0] = 0
+            eps = _seed(n, model)
+            assert passes[0] <= 5, (A, n)
+            k = (n + 0.5) * PI
+            assert abs(k * eps - _phase(model, eps)[0]) <= 1e-15 * k * eps, (A, n)
 
 
 def test_quartic_closeoff_values():

@@ -2,6 +2,7 @@
 
     python3 tools/output_digests.py
     python3 tools/output_digests.py --stokes-grid
+    python3 tools/output_digests.py --conditions-grid [--rows]
 
 Runs each `ptspec ...` line of the README's "Command line" block (as
 `python -m ptspec ...`) and each `demos/*.py`, with PYTHONPATH pointing at
@@ -15,6 +16,13 @@ shows whether a change kept every output byte-identical.
 each in CSV and in JSON, in this process through ptspec.cli.main (stdout and
 stderr captured as text, exit code returned), so the grid takes under a
 minute rather than one interpreter start per run.
+
+--conditions-grid digests, the same way, the condition sweeps of
+conditions_grid.  --rows follows each in-process digest line with the run's
+stdout, each line indented by two spaces, so that the output of two
+checkouts can be diffed number by number.  The tool itself needs only the
+standard library; the in-process modes import ptspec (and, for the
+benchmark's argvs, perfbench/workloads.py) from this checkout.
 """
 
 import argparse
@@ -70,8 +78,25 @@ def stokes_grid() -> list[str]:
     return [f"ptspec stokes {flag} {value}" for flag, value in values]
 
 
-def run_in_process(label: str, argv: list[str]) -> str:
-    """Run ptspec.cli.main(argv) here; its digest line."""
+def conditions_grid() -> list[str]:
+    """The README bifurcation wkb,full sweep, bifurcation --range 1.01:2.5
+    --step 0.01 --emax 40, quartic --range 0:6 --step 0.05 --emax 30, and
+    the `conditions` workload's argvs for benchmark seeds 1-4."""
+    sys.path.insert(0, str(ROOT / "perfbench"))
+    from workloads import Conditions
+
+    cmds = [cmd for cmd in readme_commands()
+            if cmd.startswith("ptspec bifurcation") and "wkb,full" in cmd]
+    cmds += ["ptspec bifurcation --range 1.01:2.5 --step 0.01 --emax 40 --method wkb,full",
+             "ptspec quartic --range 0:6 --step 0.05 --emax 30"]
+    cmds += [" ".join(["ptspec", *argv]) for seed in range(1, 5)
+             for argv in Conditions(seed).argvs]
+    return list(dict.fromkeys(cmds))
+
+
+def run_in_process(label: str, argv: list[str], rows: bool = False) -> str:
+    """Run ptspec.cli.main(argv) here; its digest line, then its stdout
+    indented if rows."""
     from ptspec import cli
 
     out, err = io.StringIO(), io.StringIO()
@@ -80,20 +105,27 @@ def run_in_process(label: str, argv: list[str]) -> str:
             code = cli.main(argv)
         except SystemExit as exc:  # usage errors exit from argparse
             code = exc.code
-    return (f"{sha(out.getvalue().encode())} {sha(err.getvalue().encode())} "
+    line = (f"{sha(out.getvalue().encode())} {sha(err.getvalue().encode())} "
             f"{code} {label}")
+    return "\n".join([line, *("  " + row for row in out.getvalue().splitlines())]
+                     if rows else [line])
 
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--stokes-grid", action="store_true",
                         help="digest the stokes grid in-process instead")
-    if parser.parse_args().stokes_grid:
+    parser.add_argument("--conditions-grid", action="store_true",
+                        help="digest the condition sweeps in-process instead")
+    parser.add_argument("--rows", action="store_true",
+                        help="print each in-process run's stdout after its digest")
+    args = parser.parse_args()
+    if args.stokes_grid or args.conditions_grid:
         sys.path.insert(0, str(ROOT / "src"))
-        for cmd in stokes_grid():
-            for form in ("csv", "json"):
-                label = f"{cmd} --format {form}"
-                print(run_in_process(label, label.split()[1:]), flush=True)
+        labels = [f"{cmd} --format {form}" for cmd in stokes_grid()
+                  for form in ("csv", "json")] if args.stokes_grid else conditions_grid()
+        for label in labels:
+            print(run_in_process(label, label.split()[1:], args.rows), flush=True)
         return 0
     runs = [(cmd, [sys.executable, "-m", "ptspec", *cmd.split()[1:]])
             for cmd in readme_commands()]
