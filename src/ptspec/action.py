@@ -7,8 +7,9 @@ sqrt(q) it shares with the Stokes tracer (origin sliver, turning-point
 ends, branch seed).  The quartic action seeds its branch at the segment
 midpoint from the coupling walk and calls the quadrature engine,
 integrate_legs, itself: one pass for both halves of the segment (and for
-both actions at complex coupling), which also gives its derivative in
-the coupling, since its ends are turning points by construction.
+the z_B action at complex coupling; at real coupling it is the z_A
+action's PT mirror), which also gives its derivative in the coupling,
+since its ends are turning points by construction.
 """
 
 import math
@@ -87,9 +88,8 @@ def singulant(z: complex, z_star: complex, model: ModelSpec,
     return 2j * action_between(z_star, z, model, order=order)
 
 
-def _quartic_end_actions(a: complex, *ends: str) -> tuple:
-    """(w, dw/da) for each turning point named in ends ("z_a", "z_b"), w
-    the -integral from z_C to it.
+def _quartic_end_actions(a: complex) -> tuple[tuple[complex, complex], ...]:
+    """(w, dw/da) at z_a and at z_b, w the -integral from z_C to the end.
 
     Straight segments, branch seeded at their midpoints.  The overall sign
     of the integrand is fixed at a = 0 by the requirement Im(U + iV) > 0
@@ -99,22 +99,26 @@ def _quartic_end_actions(a: complex, *ends: str) -> tuple:
     sample never jumps branch.  The walk memoises the roots and seeds at
     its fixed waypoints, so a call costs one walk (one leg from the nearest
     waypoint for real a) plus one quadrature pass over the legs mid -> z_e
-    and mid -> z_C of every end.  The slope comes from that same pass: q
-    vanishes at both ends of the segment, so dw/da = (i/2) integral from
-    z_C to z_e of t / sqrt(q), q = 1 - t^4 - i a t.
+    and mid -> z_C of z_a, and of z_b at complex a: at real a, where the
+    walk takes z_b as -conj(z_a), z_b's pair is (-conj w, -conj dw) of
+    z_a's.  The slope comes from the same pass: q vanishes at both ends of
+    the segment, so dw/da = (i/2) integral from z_C to z_e of t / sqrt(q),
+    q = 1 - t^4 - i a t.
     """
     wp = _quartic_walk(a)
+    mirror = wp.a.imag == 0
     z_c = wp.roots.z_c
     legs = []
-    for end in ends:
-        z_e = getattr(wp.roots, end)
-        seed = wp.seed_a if end == "z_a" else wp.seed_b
+    for z_e, seed in [(wp.roots.z_a, wp.seed_a)] + ([] if mirror else [(wp.roots.z_b, wp.seed_b)]):
         mid = 0.5 * (z_c + z_e)
         legs += [([mid, z_e], seed, False, True), ([mid, z_c], seed, False, True)]
     vals = integrate_legs(_quartic_q(1j * wp.a), legs, DEFAULT_ORDER, moment=True)
     # integral_{z_C}^{z_e} = integral_{mid}^{z_e} - integral_{mid}^{z_C}
-    return tuple((-(to_e - to_c), 0.5j * (mom_e - mom_c))
-                 for (to_e, _, mom_e), (to_c, _, mom_c) in zip(vals[::2], vals[1::2]))
+    ends = [(-(to_e - to_c), 0.5j * (mom_e - mom_c))
+            for (to_e, _, mom_e), (to_c, _, mom_c) in zip(vals[::2], vals[1::2])]
+    if mirror:
+        ends.append((-ends[0][0].conjugate(), -ends[0][1].conjugate()))
+    return tuple(ends)
 
 
 def quartic_action(a: complex) -> complex:
@@ -127,7 +131,7 @@ def quartic_action(a: complex) -> complex:
     The turning points come from the memoised coupling walk: one leg from
     the nearest fixed waypoint, so the result depends on a alone.
     """
-    return _quartic_end_actions(a, "z_a")[0][0]
+    return _quartic_end_actions(a)[0][0]
 
 
 @lru_cache(maxsize=1)

@@ -265,13 +265,13 @@ def _phase(model: ModelSpec, eps: complex) -> tuple[float, float]:
     if model.family == "power":
         return 2.0 * action_scale(model.p) * math.sin(math.pi / model.p), 0.0
     a = min(abs(model.at(eps).a), 4.0)
-    w, dw = _quartic_end_actions(a, "z_a")[0] if a else _quartic_action_at_zero()
+    w, dw = _quartic_end_actions(a)[0] if a else _quartic_action_at_zero()
     return 2.0 * w.real, 2.0 * abs(model.a) * dw.real if a < 4.0 else 0.0
 
 
 @lru_cache(maxsize=1)
 def _quartic_action_at_zero() -> tuple[complex, complex]:
-    return _quartic_end_actions(0.0, "z_a")[0]
+    return _quartic_end_actions(0.0)[0]
 
 
 def _seed(n: int, model: ModelSpec) -> float:
@@ -445,22 +445,17 @@ def _quartic_condition(eps: complex, A: float) -> tuple[complex, complex]:
     """quartic_condition at eps and its derivative along real eps.
 
     Both come from one walk and one quadrature pass, which gives each action
-    w with dw/da (action._quartic_end_actions).  The exponents X_k =
-    -2i w_k/eps are holomorphic, with X_k' = -2i (A w_k' - w_k/eps)/eps,
-    but the factor exp(-m) is not: m = Re X_j, j the largest, so along real
-    eps, the direction of the central difference it replaces, the slope is
-    sum_k exp(X_k - m) (X_k' - Re X_j') / 2.
+    w with dw/da (action._quartic_end_actions, which mirrors w_A into w_B at
+    real a).  The exponents X_k = -2i w_k/eps are holomorphic, with X_k' =
+    -2i (A w_k' - w_k/eps)/eps, but the factor exp(-m) is not: m = Re X_j,
+    j the largest, so along real eps, the direction of the central
+    difference it replaces, the slope is sum_k exp(X_k - m) (X_k' - Re
+    X_j') / 2.
     """
     a = A * eps
-    real_a = abs(complex(a).imag) < 1e-14
-    if real_a:  # a real a hits the walk's memo
-        ends = _quartic_end_actions(complex(a).real, "z_a")
-    else:  # one walk of the whole ray and one pass for both actions
-        ends = _quartic_end_actions(a, "z_a", "z_b")
-    ws, dws = zip(*ends)
-    if real_a:  # w_B = -conj(w_A) along real a, and so are the slopes
-        ws += (-ws[0].conjugate(),)
-        dws += (-dws[0].conjugate(),)
+    if abs(complex(a).imag) < 1e-14:  # a real a hits the walk's memo
+        a = complex(a).real
+    ws, dws = zip(*_quartic_end_actions(a))
     exponents = (*(-2j * w / eps for w in ws), 0j)
     m = max(x.real for x in exponents)
     terms = [cmath.exp(x - m) for x in exponents]

@@ -40,15 +40,16 @@ class _Parser(argparse.ArgumentParser):
 
 @dataclass(eq=False)
 class _Line:
-    """A traced line of a stokes dataset, one unit for _emit: its origin
-    cells, its kind, its trace and, for a line emitted as the PT mirror of
-    an earlier one, that line (its trace is then mirror_of.trace.mirrored()).
-    Hashed by identity: _write_lines keys its kept text by line."""
+    """A line of a stokes dataset, one unit for _emit: its origin cells, its
+    kind and either its trace or, for a line emitted as the PT mirror of an
+    earlier one, that line (mirror_of) and no trace: its points are the
+    partner's -conj z and its chi the partner's conj chi.  Hashed by
+    identity: _write_lines keys its kept text by line."""
 
     o_re: float
     o_im: float
     kind: str
-    trace: geometry.StokesTrace
+    trace: geometry.StokesTrace | None
     mirror_of: "_Line | None"
 
 
@@ -100,17 +101,20 @@ def _emit(rows: list, columns: list[str], args, meta: dict, lines: list[_Line] =
     that a later line mirrors are kept, until that mirror is written.  A
     mirror's rows come from those cells as text: %.17g of -x + 0.0 is that
     of x + 0.0 with its sign flipped (_negated), since the + 0.0 that every
-    cell carries leaves no -0 and nan prints without a sign.  JSON takes
-    every line's rows from its trace.
+    cell carries leaves no -0 and nan prints without a sign.  JSON takes a
+    mirror's rows from its partner's trace with z_re and imchi negated, the
+    bits of (-conj z).real + 0.0 and conj(chi).imag + 0.0.
     """
     rows = [r if isinstance(r, tuple) else tuple(map(r.__getitem__, columns))
             for r in rows]
     out = open(args.out, "w") if args.out else sys.stdout
     try:
         if args.format == "json":
-            rows += [(line.o_re, line.o_im, z.real + 0.0, z.imag + 0.0, chi.real + 0.0,
-                      chi.imag + 0.0, line.kind)
-                     for line in lines for z, chi in zip(line.trace.points, line.trace.chi)]
+            for line in lines:
+                trace, sign = (line.mirror_of.trace, -1.0) if line.mirror_of else (line.trace, 1.0)
+                rows += [(line.o_re, line.o_im, sign * z.real + 0.0, z.imag + 0.0,
+                          chi.real + 0.0, sign * chi.imag + 0.0, line.kind)
+                         for z, chi in zip(trace.points, trace.chi)]
             payload = {"meta": meta, "rows": [dict(zip(columns, r)) for r in rows]}
             json.dump(payload, out, indent=1, sort_keys=True)
             out.write("\n")
@@ -225,11 +229,11 @@ def cmd_stokes(args) -> int:
 
     Line k of an origin leaves at the k-th of its seed_directions.  Under
     ModelSpec.pt_mirror z_B is -conj z_A, so z_B's lines are z_A's mirrored
-    (StokesTrace.mirrored) rather than traced again: each of z_B's
-    directions takes the z_A line that leaves at its mirror angle.  z_B
-    traces a line itself where that z_A line failed or z_A did not seed.
-    Each traced line reaches _emit as one _Line, a mirrored one naming its
-    z_A partner, so that the CSV renders its rows from the partner's text.
+    rather than traced again: each of z_B's directions takes the z_A line
+    that leaves at its mirror angle.  z_B traces a line itself where that
+    z_A line failed or z_A did not seed.  Each line reaches _emit as one
+    _Line; a mirrored one holds no trace, only its z_A partner, and _emit
+    renders its rows from the partner's (text for CSV, trace for JSON).
     """
     if (args.p is None) == (args.A is None):
         sys.stderr.write("error: give exactly one of --p / --A\n")
@@ -267,15 +271,13 @@ def cmd_stokes(args) -> int:
                 # z_A's line at angle t mirrors to pi - t, -e^{-it} on the circle
                 u = cmath.exp(1j * th)
                 partner = min(mirror_of, key=lambda entry: abs(u + cmath.exp(-1j * entry[0])))[1]
-                if partner is not None:
-                    trace = partner.trace.mirrored()
-            if trace is None:
+            if partner is None:
                 try:
                     trace = geometry.trace_stokes_line(origin, model, th, max_arclen=25.0)
                 except geometry.TraceError as exc:
                     sys.stderr.write(f"warning: trace {name}/{k} failed: {exc}\n")
-            line = None if trace is None else _Line(o_re, o_im, f"stokes_{name}_{k}",
-                                                    trace, partner)
+            line = (None if trace is None and partner is None
+                    else _Line(o_re, o_im, f"stokes_{name}_{k}", trace, partner))
             if z_a_lines is not None:
                 z_a_lines.append((th, line))
             if line is not None:

@@ -126,9 +126,11 @@ class ModelSpec:
         does: iff the family parameter is real, so every power law, and the
         quartic at a real coupling.
 
-        Then q(-conj z) = conj q(z), so shooting integrates one ray at real
-        E and takes the other as its mirror, and the Stokes lines from z_B
-        are those from z_A mirrored (StokesTrace.mirrored, cli stokes).
+        Then q(-conj z) = conj q(z) off the cut (the positive imaginary
+        axis, which the map fixes).  Each mirror is taken once, by the code
+        that uses it: shooting's right ray at real E (mismatch), the
+        quartic's z_b and w_B at real a (_walk_leg, _quartic_end_actions)
+        and z_B's Stokes lines, rendered by the writer (cli stokes, _emit).
         """
         return complex(self.param).imag == 0
 
@@ -413,19 +415,6 @@ class StokesTrace:
         """|Im chi| along a Stokes line, |Re chi| along the matching path."""
         return [abs(c.imag if self.hold_imag else c.real) for c in self.chi]
 
-    def mirrored(self) -> "StokesTrace":
-        """The line's PT mirror: origin and points -conj z, chi conj chi.
-
-        Where ModelSpec.pt_mirror holds, q(-conj z) = conj q(z) off the cut
-        (the positive imaginary axis, which the map fixes), so chi from
-        -conj(origin) to -conj z is conj chi: the mirror holds the same part
-        of chi at zero, keeps the sign of Re chi and ends the same way.
-        """
-        return StokesTrace(origin=-self.origin.conjugate(),
-                           points=[-z.conjugate() for z in self.points],
-                           chi=[c.conjugate() for c in self.chi],
-                           terminated=self.terminated, hold_imag=self.hold_imag)
-
 
 def _ray_hit(w0: complex, w1: complex) -> bool:
     """True iff the segment w0 -> w1 meets the cut, the positive imaginary axis."""
@@ -570,18 +559,21 @@ def _trace(model: ModelSpec, origin: complex, theta: float, hold_imag: bool,
         sq = signed_root(q(z), last)
         turn = -1j if (1j / (2j * sq) * cmath.exp(-1j * theta)).real < 0.0 else 1j
     has_cut = model.has_branch_cut
-    trace = StokesTrace(origin=origin, points=[z], chi=[chi], hold_imag=hold_imag)
-    add_point, add_chi = trace.points.append, trace.chi.append
+    points, chis = [z], [chi]
+    add_point, add_chi = points.append, chis.append
+
+    def ended(how: str) -> StokesTrace:
+        return StokesTrace(origin=origin, points=points, chi=chis, terminated=how,
+                           hold_imag=hold_imag)
+
     arclen = _START_RADIUS
     for _ in range(_MAX_POINTS):
         qv = q(z)
         if target is None:
             if abs(qv) < tp_tol:
-                trace.terminated = "singularity"
-                return trace
+                return ended("singularity")
         elif abs(qv) < 1e-5 or abs(z - target) < 0.02:
-            trace.terminated = "target"
-            return trace
+            return ended("target")
         last = signed_root(qv, last)
         chi_p = 2j * last
         curv = abs(dq(z)) / (2.0 * abs(qv))
@@ -615,21 +607,17 @@ def _trace(model: ModelSpec, origin: complex, theta: float, hold_imag: bool,
         if has_cut:
             hit_cut = _ray_hit(legs[0], legs[-1])
             if not hit_cut and any(map(_ray_hit, legs, legs[1:])):
-                trace.terminated = "cut"
-                return trace
+                return ended("cut")
         arclen += abs(z_new - z)
         z, chi = z_new, chi_new
         add_point(z)
         add_chi(chi)
         if hit_cut:
-            trace.terminated = "cut"
-            return trace
+            return ended("cut")
         if abs(z) > _ESCAPE_RADIUS:
-            trace.terminated = "escape"
-            return trace
+            return ended("escape")
         if arclen > max_arclen:
-            trace.terminated = "arclen"
-            return trace
+            return ended("arclen")
     raise TraceError("step budget exhausted")
 
 

@@ -33,7 +33,7 @@ seeds find_eigen from a Chebyshev collocation on the same rays.
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from operator import mul
 
 import numpy as np
@@ -118,11 +118,13 @@ _TRUNCATION = 1e-3
 _BRANCH_FRACTION = 0.5
 _MIN_STEP = 1e-9
 _MAX_STEPS = 150_000
-# Fewest steps per radian of phase that integrate_ray is taken to need.  A
-# real-E mismatch takes 0.145 to 0.36 at p from 1.2 to 4 and E up to 1e4,
-# but only 0.061 to 0.089 at p = 20 to 40: the phase is estimated from q's
-# largest value, at the ray's start, and q falls off faster for larger p.
-_MIN_STEPS_PER_RADIAN = 0.05
+# Fewest steps per radian of phase that integrate_ray is taken to need, the
+# phase from the four-point Gauss rule of sqrt|q| along the segment.  At
+# the default tolerances a mismatch takes 0.225 to 0.61 at p from 1.05 to
+# 100 and the quartic at A = 0, 1, 3, E from 1 to 1e4, real or complex,
+# tending to 0.24 at large E for every p.  Looser tolerances take fewer
+# (0.14 at rtol 1e-3), so a ray of such a run near the budget may be refused.
+_MIN_STEPS_PER_RADIAN = 0.2
 # 1 / ((k + 1)(k + 2)), the factor of a_{k+2} in the coefficient recurrence
 _INV_PAIRS = tuple(1.0 / ((k + 1) * (k + 2)) for k in range(_ORDER - 1))
 
@@ -178,9 +180,10 @@ def integrate_ray(start: ShootState, seg: tuple[complex, complex], eps: complex,
     whenever it leaves [1e-6, 1e6], with the factor accumulated in
     log_scale.  A non-finite coefficient, a step shorter than 1e-9 of the
     segment or more than _MAX_STEPS steps raise ShootingError; so does,
-    before the first step, a segment whose phase |d| max|sqrt q| / |eps|
-    (max at the ray's start, one q evaluation) would overrun _MAX_STEPS at
-    _MIN_STEPS_PER_RADIAN, fewer steps per radian than any ray takes.
+    before the first step, a segment whose phase, |d| / |eps| times the
+    mean of |sqrt q| over it (the four-point Gauss rule, four q
+    evaluations), would overrun _MAX_STEPS at _MIN_STEPS_PER_RADIAN, fewer
+    steps per radian than a ray takes at the default tolerances.
     """
     z0, z1 = seg
     d = z1 - z0
@@ -194,7 +197,8 @@ def integrate_ray(start: ShootState, seg: tuple[complex, complex], eps: complex,
     f, g = start.f, start.df
     log_scale = start.log_scale
     rtol, atol = cfg.rtol, cfg.atol
-    phase = abs(d_eps) * math.sqrt(abs(model.q(z0)))
+    q = model.q_callable()
+    phase = abs(d_eps) * sum(w * math.sqrt(abs(q(z0 + u * d))) for u, w in _GAUSS_01)
     if _MIN_STEPS_PER_RADIAN * phase > _MAX_STEPS:
         raise ShootingError(f"step budget of {_MAX_STEPS} steps cannot cover the "
                             f"{phase:.3g} radians along {z0:.3g} -> {z1:.3g}")
@@ -256,17 +260,16 @@ def _start_radius(model: ModelSpec, z_dir: complex, r_tp: float, eps: complex,
     way in from radius r to r_tp the partner decays against the solution by
     D(r) = 2 int_{r_tp}^r |Re(i sqrt(q) z_dir / eps)| dr.  The radius solves
     D = ln(2^53 c), and only the result is capped at r_max.  Newton steps
-    start from the radius where the asymptotic action gives ln(2^53) and
-    stop within one e-fold, and a last linear step lands within about 0.1
-    e-fold.  D comes from the four-point Gauss rule in u, r = r_tp +
-    (r - r_tp) u^2 (smooth at a turning point on the ray), then from the
-    Hermite rule on each step.
+    start from the radius where the asymptotic decay gives ln(2^53)
+    (_efold_radius) and stop within one e-fold, and a last linear step
+    lands within about 0.1 e-fold.  D comes from the four-point Gauss rule
+    in u, r = r_tp + (r - r_tp) u^2 (smooth at a turning point on the ray),
+    then from the Hermite rule on each step.
     """
     q, dq, d2q = model.q_callable(), model.dq, model.d2q
     w_dir = 2j * z_dir / eps  # dD/dr = |Re(sqrt(q) w_dir)|
     floor = _LN_ULP + math.log(abs(eps) ** 2 / 64.0)
-    k = model.degree + 2.0
-    r = (r_tp ** (k / 2) + _LN_ULP * k * abs(eps) / 4) ** (2 / k)
+    r = _efold_radius(model.degree + 2.0, r_tp, eps, _LN_ULP)
     span = r - r_tp
     decay = 0.0
     for u, w in _GAUSS_01:
@@ -291,13 +294,18 @@ def _start_radius(model: ModelSpec, z_dir: complex, r_tp: float, eps: complex,
     return min(r_max, r + (target - decay) / rho)
 
 
+def _efold_radius(k: float, r_tp: float, eps: complex, efolds: float) -> float:
+    """Radius at which the asymptotic decay 2 S / |eps| from r_tp, S =
+    (2/k)(r^(k/2) - r_tp^(k/2)) the action, k the model's degree + 2,
+    reaches efolds."""
+    return (r_tp ** (k / 2) + efolds * k * abs(eps) / 4) ** (2 / k)
+
+
 def _collocation_length(k: float, r_tp: float, eps: complex, r_max: float) -> float:
-    """Ray of the collocation that seeds scan_spectrum: 40 e-folds of the
-    asymptotic action S = (2/k)(r^(k/2) - r_tp^(k/2)), k the model's degree
-    + 2, at least 2 r_tp and at most r_max.  Kept apart from _start_radius:
-    the collocation's seeds move with its ray."""
-    r = (r_tp ** (k / 2) + 40.0 * k * abs(eps) / 4) ** (2 / k)
-    return min(r_max, max(2 * r_tp, r))
+    """Ray of the collocation that seeds scan_spectrum: 40 e-folds
+    (_efold_radius), at least 2 r_tp and at most r_max.  Kept apart from
+    _start_radius: the collocation's seeds move with its ray."""
+    return min(r_max, max(2 * r_tp, _efold_radius(k, r_tp, eps, 40.0)))
 
 
 def _ray(model: ModelSpec) -> tuple[tuple[complex, ...], float, complex]:
@@ -510,7 +518,7 @@ def scan_spectrum(model: ModelSpec, E_max: float,
             continue
         records.append(rec)
         if rec.E.imag:  # W(conj E) = conj W(E): the conjugate root, same residual
-            records.append(_record(rec.E.conjugate(), rec.residual, model))
+            records.append(replace(rec, eps=rec.eps.conjugate(), E=rec.E.conjugate()))
     records.sort(key=lambda r: (r.E.imag != 0, r.E.real, r.E.imag))
     for idx, r in enumerate(r for r in records if r.E.imag == 0):
         r.n = idx

@@ -91,11 +91,7 @@ def h_sequence(p: float, n_max: int) -> HSequence:
     signs = [1.0]
     log_abs = [0.0]
     for n in range(n_max):
-        factor = (n - p) / 2.0
-        if factor == 0.0:
-            signs.append(0.0)
-            log_abs.append(-math.inf)
-            continue
+        factor = (n - p) / 2.0  # never 0: integer p is refused above
         signs.append(signs[-1] * math.copysign(1.0, factor))
         log_abs.append(log_abs[-1] + math.log(abs(factor)))
     seq = HSequence(p=p, signs=signs, log_abs=log_abs)
@@ -145,20 +141,26 @@ def branch_point_prefactor(p: float) -> ConvergenceReport:
     return ConvergenceReport.from_estimates(ns, ests, limit)
 
 
+def _gamma_ratio(n_max: int, offsets: tuple[float, float, float]) -> ConvergenceReport:
+    """Gamma(3n+1/2) / (27^n Gamma(n+c1) Gamma(n+c2) Gamma(n+c3)), offsets
+    (c1, c2, c3), for n = 1..n_max against its limit 1/(2 pi)."""
+    ns = list(range(1, n_max + 1))
+    c1, c2, c3 = offsets
+    ests = [
+        math.exp(math.lgamma(3 * n + 0.5) - n * math.log(27.0)
+                 - math.lgamma(n + c1) - math.lgamma(n + c2) - math.lgamma(n + c3))
+        for n in ns
+    ]
+    return ConvergenceReport.from_estimates(ns, ests, 1.0 / _TWO_PI)
+
+
 def turning_point_prefactor(n_max: int = 60) -> ConvergenceReport:
     """Lambda at a turning point: the regularised Gamma ratio, exactly 1/(2 pi).
 
     Gamma(3n+1/2) = 3^{3n} Gamma(n+1/6) Gamma(n+1/2) Gamma(n+5/6) / (2 pi)
     by triplication, so every term of the sequence equals the limit.
     """
-    ns = list(range(1, n_max + 1))
-    ests = [
-        math.exp(math.lgamma(3 * n + 0.5) - n * math.log(27.0)
-                 - math.lgamma(n + 1.0 / 6.0) - math.lgamma(n + 0.5)
-                 - math.lgamma(n + 5.0 / 6.0))
-        for n in ns
-    ]
-    return ConvergenceReport.from_estimates(ns, ests, 1.0 / _TWO_PI)
+    return _gamma_ratio(n_max, (1.0 / 6.0, 0.5, 5.0 / 6.0))
 
 
 def turning_point_matching_ratio(n_max: int = 60) -> ConvergenceReport:
@@ -168,13 +170,7 @@ def turning_point_matching_ratio(n_max: int = 60) -> ConvergenceReport:
     Approaches 1/(2 pi) like 1 - 5/(36 n): this is the sequence the
     inner-to-outer matching actually produces, constant only in the limit.
     """
-    ns = list(range(1, n_max + 1))
-    ests = [
-        math.exp(math.lgamma(3 * n + 0.5) - n * math.log(27.0)
-                 - math.lgamma(n) - math.lgamma(n + 1.0) - math.lgamma(n + 0.5))
-        for n in ns
-    ]
-    return ConvergenceReport.from_estimates(ns, ests, 1.0 / _TWO_PI)
+    return _gamma_ratio(n_max, (0.0, 1.0, 0.5))
 
 
 def quantization_equivalence(p: float, n_range=range(5, 16)) -> float:

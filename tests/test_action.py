@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from ptspec import geometry
+from ptspec import action as action_module, geometry
 from ptspec._quadrature import integrate_legs
 from ptspec.action import (action_between, action_scale,
                            action_to_turning_points, quartic_action,
@@ -135,11 +135,38 @@ def test_quartic_v_monotone():
 
 
 def test_quartic_z_b_action_mirrors_z_a_at_real_coupling():
-    # z_B = -conj(z_A) for real a, so the coupling walk to z_B must land on
-    # the mirror image of the z_A action: -conj(U + iV).
+    # z_B = -conj(z_A) for real a, so the z_B action integrated on the
+    # coupling walk's own z_b leg and seed must land on the mirror image of
+    # the z_A action, -conj(U + iV): the pair _quartic_end_actions returns.
     for a in (0.0, 0.3, 0.9, 1.2, 1.7, 2.5, 3.3, 4.0):
-        w_b = _quartic_end_actions(a, "z_b")[0][0]
-        assert abs(w_b + quartic_action(a).conjugate()) <= 1e-14, a
+        wp = geometry._quartic_walk(a)
+        z_b, z_c = wp.roots.z_b, wp.roots.z_c
+        mid = 0.5 * (z_c + z_b)
+        (to_b, _, mom_b), (to_c, _, mom_c) = integrate_legs(
+            geometry._quartic_q(1j * wp.a), [([mid, z_b], wp.seed_b, False, True),
+                                             ([mid, z_c], wp.seed_b, False, True)],
+            40, moment=True)
+        (w_a, dw_a), (w_b, dw_b) = _quartic_end_actions(a)
+        assert w_a == quartic_action(a)
+        assert (w_b, dw_b) == (-w_a.conjugate(), -dw_a.conjugate()), a
+        assert abs(-(to_b - to_c) - w_b) <= 1e-14, a
+        assert abs(0.5j * (mom_b - mom_c) - dw_b) <= 1e-14, a
+
+
+@pytest.mark.parametrize("a, legs", [(0.0, 2), (1.3, 2), (-0.7, 2), (1.1 + 0.3j, 4),
+                                     (0.5j, 4)])
+def test_quartic_end_actions_integrate_z_b_only_off_the_real_axis(monkeypatch, a, legs):
+    # at real a z_b's pair is z_a's mirrored, not integrated
+    counts = []
+    plain = action_module.integrate_legs
+
+    def counting(q, given, *args, **kwargs):
+        counts.append(len(given))
+        return plain(q, given, *args, **kwargs)
+
+    monkeypatch.setattr(action_module, "integrate_legs", counting)
+    ends = _quartic_end_actions(a)
+    assert counts == [legs] and len(ends) == 2
 
 
 def test_quartic_action_is_a_pure_function_of_the_coupling(monkeypatch):
@@ -149,8 +176,7 @@ def test_quartic_action_is_a_pure_function_of_the_coupling(monkeypatch):
     couplings = [0.0, 0.2 * 1, 0.9, 0.2 * 5, 0.2 * 17, 3.45, 3.5, 1.1 + 0.3j]
 
     def evaluate(a):
-        return (quartic_action(a), _quartic_end_actions(a, "z_b")[0],
-                quartic_turning_points(a))
+        return quartic_action(a), _quartic_end_actions(a), quartic_turning_points(a)
 
     cold = {}
     for a in couplings:

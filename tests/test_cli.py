@@ -369,7 +369,8 @@ def test_emit_renders_every_cell_as_the_per_cell_writer_did(tmp_path):
 
     # traced lines as units, after plain rows: each line's rows must read as
     # the rows of its trace, and a mirrored line's (rendered from its
-    # partner's text) as those of the partner's trace.mirrored()
+    # partner's text or, for JSON, its partner's trace) as those of the
+    # partner's trace taken to -conj z and conj chi
     edge = [0.0, -0.0, 5e-324, -5e-324, math.inf, -math.inf, math.nan, 1e22,
             -1e22, 2.0 / 3.0, -2.0 / 3.0, 1.5]
     columns = ["origin_re", "origin_im", "z_re", "z_im", "rechi", "imchi", "kind"]
@@ -380,14 +381,20 @@ def test_emit_renders_every_cell_as_the_per_cell_writer_did(tmp_path):
     a = cli._Line(-0.0, 2.0 / 3.0, "stokes_z_A_0", trace, None)
     empty = cli._Line(1.5, 0.0, "stokes_z_A_1", bare, None)
     lines = [a, empty, cli._Line(0.0, 1e22, "stokes_z_C_0", trace, None),
-             cli._Line(5e-324, 2.0 / 3.0, "stokes_z_B_0", trace.mirrored(), a),
-             cli._Line(-1.5, math.nan, "stokes_z_B_1", bare.mirrored(), empty),
-             cli._Line(math.inf, 0.0, "stokes_z_B_2", trace.mirrored(), a)]
+             cli._Line(5e-324, 2.0 / 3.0, "stokes_z_B_0", None, a),
+             cli._Line(-1.5, math.nan, "stokes_z_B_1", None, empty),
+             cli._Line(math.inf, 0.0, "stokes_z_B_2", None, a)]
     plain = [(0.0, 0.0, 8.0, -0.0, 0.0, 0.0, "wedge_centre_left")]
     rows = [dict(zip(columns, r)) for r in plain]
-    rows += [dict(zip(columns, (line.o_re, line.o_im, z.real + 0.0, z.imag + 0.0,
-                                chi.real + 0.0, chi.imag + 0.0, line.kind)))
-             for line in lines for z, chi in zip(line.trace.points, line.trace.chi)]
+    for line in lines:
+        if line.mirror_of is None:
+            points, chis = line.trace.points, line.trace.chi
+        else:
+            points = [-z.conjugate() for z in line.mirror_of.trace.points]
+            chis = [c.conjugate() for c in line.mirror_of.trace.chi]
+        rows += [dict(zip(columns, (line.o_re, line.o_im, z.real + 0.0, z.imag + 0.0,
+                                    chi.real + 0.0, chi.imag + 0.0, line.kind)))
+                 for z, chi in zip(points, chis)]
     for form, want in (("csv", _rendered_by_cell(rows, columns)),
                        ("json", json.dumps({"meta": meta, "rows": rows},
                                            indent=1, sort_keys=True) + "\n")):
@@ -519,24 +526,32 @@ def test_stokes_z_b_rows_mirror_z_a_rows_bit_for_bit(tmp_path, argv):
     assert sorted(partners) == [0, 1, 2]
 
 
+def _emitted_lines(monkeypatch):
+    """The _Lines each later stokes run hands to cli._emit, one list per run."""
+    emitted, plain = [], cli._emit
+
+    def emit(rows, columns, args, meta, lines=()):
+        emitted.append(list(lines))
+        return plain(rows, columns, args, meta, lines)
+
+    monkeypatch.setattr(cli, "_emit", emit)
+    return emitted
+
+
 @pytest.mark.parametrize("argv", _MIRROR_RUNS)
 def test_mirrored_z_b_lines_match_lines_traced_from_z_b(tmp_path, monkeypatch, argv):
     # z_B_k is the line leaving z_B at its own k-th seed direction: at p = 2
     # one of them leaves at angle 0, where sorting the mirrored z_A angles
     # would wrap; at p = 1.3 one of them ends on the cut
-    emitted = []
-    real = geometry.StokesTrace.mirrored
-
-    def mirrored(trace):
-        emitted.append(real(trace))
-        return emitted[-1]
-
-    monkeypatch.setattr(geometry.StokesTrace, "mirrored", mirrored)
+    emitted = _emitted_lines(monkeypatch)
     model, lines = _stokes_run(argv, tmp_path)
+    mirrors = [line for line in emitted[0] if line.mirror_of is not None]
     z_b = model.turning_points[1]
     dirs = geometry.seed_directions(z_b, model)
-    assert len(emitted) == len(dirs) == 3
-    for k, (theta, got) in enumerate(zip(dirs, emitted)):
+    assert len(mirrors) == len(dirs) == 3
+    for k, (theta, line) in enumerate(zip(dirs, mirrors)):
+        assert line.kind == f"stokes_z_B_{k}" and line.trace is None
+        got = line.mirror_of.trace
         want = geometry.trace_stokes_line(z_b, model, theta, max_arclen=25.0)
         rows = lines[f"stokes_z_B_{k}"]
         assert got.terminated == want.terminated, (k, got.terminated)
@@ -545,16 +560,36 @@ def test_mirrored_z_b_lines_match_lines_traced_from_z_b(tmp_path, monkeypatch, a
             tol = 1e-12 * max(1.0, abs(chi))
             assert abs(complex(x, y) - z) <= tol and abs(complex(re, im) - chi) <= tol
     if argv == ["--p", "1.3"]:
-        assert "cut" in {trace.terminated for trace in emitted}
+        assert "cut" in {line.mirror_of.trace.terminated for line in mirrors}
+
+
+@pytest.mark.parametrize("argv", [["--p", "1.3"], ["--A", "1.0"]])
+def test_stokes_traces_only_the_lines_that_mirror_no_other(tmp_path, monkeypatch, argv):
+    # each z_B line is z_A's rendered mirrored: no trace is built for it
+    origins, plain = [], geometry.trace_stokes_line
+
+    def trace(origin, *args, **kwargs):
+        origins.append(origin)
+        return plain(origin, *args, **kwargs)
+
+    monkeypatch.setattr(geometry, "trace_stokes_line", trace)
+    emitted = _emitted_lines(monkeypatch)
+    model, _ = _stokes_run(argv, tmp_path)
+    own = [line for line in emitted[0] if line.mirror_of is None]
+    assert len(emitted[0]) - len(own) == 3
+    assert all((line.trace is None) == (line.mirror_of is not None) for line in emitted[0])
+    assert len(origins) == len(own)
+    assert model.turning_points[1] not in origins
 
 
 @pytest.mark.parametrize("argv", [["--p", "1.3"], ["--p", "2"], ["--p", "12"],
                                   ["--A", "0"], ["--A", "1.0"], ["--A", "1.9312"]])
 def test_stokes_csv_is_its_json_rendered_cell_by_cell(tmp_path, argv):
     # The CSV renders a mirrored line's rows from its partner's text, the
-    # JSON takes them from StokesTrace.mirrored: the two must agree.  At
-    # p = 1.3 a line ends on the cut, at p = 2 a z_B direction sits at angle
-    # 0, at A = 0 z_C and z_D mirror themselves and carry -0 candidates.
+    # JSON from its partner's trace, negating z_re and imchi: the two must
+    # agree.  At p = 1.3 a line ends on the cut, at p = 2 a z_B direction
+    # sits at angle 0, at A = 0 z_C and z_D mirror themselves and carry -0
+    # candidates.
     c, j = tmp_path / "s.csv", tmp_path / "s.json"
     assert main(["stokes", *argv, "--out", str(c)]) == 0
     assert main(["stokes", *argv, "--format", "json", "--out", str(j)]) == 0

@@ -250,27 +250,29 @@ def test_integration_failures_are_shooting_errors(case, monkeypatch):
 
 
 def test_a_ray_past_the_step_budget_fails_before_its_first_step(monkeypatch):
-    # p = 1.5, E = 1e6: the ray turns through 8e6 radians, and the budget
-    # used to run out only after 150,000 steps (6.7 s); at E = 1e20 (3.5e16
-    # radians) the Taylor coefficients would overflow
+    # p = 1.5, E = 1e6: the ray turns through 1.1e7 radians, and the budget
+    # used to run out only after 150,000 steps (6.7 s); at E = 1e20 the
+    # Taylor coefficients would overflow.  (1.05, 1e4), (1.2, 3e4) and
+    # (1.5, 2e5) turn through 0.89e6, 1.21e6 and 1.75e6 radians, about 0.24
+    # steps each, and ran 7 to 10 s before the budget ran out.
     def q_series(model, z, d, n):
         raise AssertionError("a step was taken")
 
     monkeypatch.setattr(ModelSpec, "q_series", q_series)
-    for E, model in ((1e6, ModelSpec.power_law(1.5)), (1e20, ModelSpec.power_law(3.0))):
+    for p, E in ((1.5, 1e6), (3.0, 1e20), (1.05, 1e4), (1.2, 3e4), (1.5, 2e5)):
         with pytest.raises(ShootingError, match="step budget"):
-            mismatch(E, model)
+            mismatch(E, ModelSpec.power_law(p))
 
 
 class _Stepped(Exception):
     """Raised by a stubbed q_series: integrate_ray reached its first step."""
 
 
-@pytest.mark.parametrize("p", [1.2, 1.5, 2.0, 3.0, 4.0])
+@pytest.mark.parametrize("p", [1.2, 1.5, 2.0, 3.0, 4.0, 8.0, 20.0, 40.0])
 def test_budget_check_lets_every_ray_within_the_budget_through(monkeypatch, p):
     # The check raises or does nothing, so where every ray reaches its first
-    # step W keeps its bits.  These rays take 0.145 to 0.36 steps per radian,
-    # at least 2.9 times _MIN_STEPS_PER_RADIAN.
+    # step W keeps its bits.  These rays take 0.226 to 0.60 steps per radian
+    # of the Gauss-rule phase, at least 1.13 times _MIN_STEPS_PER_RADIAN.
     def q_series(model, z, d, n):
         raise _Stepped
 
@@ -392,13 +394,17 @@ def test_real_seed_polishes_to_a_real_eigenvalue():
 
 
 def test_scan_complex_records_come_in_exact_pairs():
-    recs = scan_spectrum(ModelSpec.power_law(1.5), 12.0)
+    model = ModelSpec.power_law(1.5)
+    recs = scan_spectrum(model, 12.0)
     cplx = [r for r in recs if r.E.imag != 0]
     assert len(cplx) >= 2
     for rec in cplx:
         mates = [r for r in cplx if r.E == rec.E.conjugate()]
         assert len(mates) == 1
         assert mates[0].residual == rec.residual
+        # the conjugate record is the one its own E would give, field by
+        # field: E_to_eps and the mode label commute with conj
+        assert rec == shooting._record(rec.E, rec.residual, model)
 
 
 def test_mismatch_harmonic_anchor():
