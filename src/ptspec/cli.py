@@ -10,8 +10,9 @@ Subcommands
 
 Datasets are plot-ready columns (no plotting in-process), CSV or JSON, with
 deterministic ordering and 17-significant-digit floats so identical runs
-produce identical bytes.  Exit codes: 0 success, 2 computation failure,
-64 usage error.
+produce identical bytes.  Exit codes: 0 success; 64 usage error, from the
+parser (usage line, then an error: line); 2 computation failure, any
+exception a command raises (one error: line from main) or a FAIL in verify.
 """
 
 import argparse
@@ -136,17 +137,32 @@ def _emit(rows: list, columns: list[str], args, meta: dict, lines: list[_Line] =
             out.close()
 
 
-def _parse_range(text: str) -> tuple[float, float]:
-    try:
-        lo, hi = text.split(":")
-        lo, hi = float(lo), float(hi)
-    except ValueError:
-        raise argparse.ArgumentTypeError("range must look like LO:HI")
-    if not (math.isfinite(lo) and math.isfinite(hi)):
-        raise argparse.ArgumentTypeError("range ends must be finite")
-    if not lo < hi:
-        raise argparse.ArgumentTypeError("range must be ordered LO < HI")
-    return lo, hi
+def _range(floor: float, need: str, strict: bool):
+    """argparse type: finite LO:HI with LO < HI and LO above floor (strict)
+    or at least floor, else the message need."""
+
+    def parse(text: str) -> tuple[float, float]:
+        try:
+            lo, hi = map(float, text.split(":"))
+        except ValueError:
+            raise argparse.ArgumentTypeError("range must look like LO:HI")
+        if not (math.isfinite(lo) and math.isfinite(hi)):
+            raise argparse.ArgumentTypeError("range ends must be finite")
+        if not lo < hi:
+            raise argparse.ArgumentTypeError("range must be ordered LO < HI")
+        if not (lo > floor if strict else lo >= floor):
+            raise argparse.ArgumentTypeError(need)
+        return lo, hi
+
+    return parse
+
+
+def _methods(text: str) -> list[str]:
+    """argparse type: the comma list of bifurcation --method."""
+    methods = [m.strip() for m in text.split(",") if m.strip()]
+    if not methods or any(m not in ("wkb", "full", "numeric") for m in methods):
+        raise argparse.ArgumentTypeError("must list wkb, full and/or numeric")
+    return methods
 
 
 def _bounded(kind, what: str, lo: float, strict: bool):
@@ -192,18 +208,10 @@ def _record_row(rec) -> dict:
 
 
 def cmd_bifurcation(args) -> int:
-    methods = [m.strip() for m in args.method.split(",") if m.strip()]
-    if not methods or any(m not in ("wkb", "full", "numeric") for m in methods):
-        sys.stderr.write("error: --method must list wkb, full and/or numeric\n")
-        return USAGE_EXIT
-    lo, hi = args.range
-    if lo <= 1.0:
-        sys.stderr.write("error: p-range must stay above 1\n")
-        return USAGE_EXIT
     rows = []
-    for p in _grid(lo, hi, args.step):
+    for p in _grid(*args.range, args.step):
         model = ModelSpec.power_law(p)
-        for method in methods:
+        for method in args.method:
             if method == "numeric":
                 try:
                     recs = shooting.scan_spectrum(model, args.emax, _shoot_config(args))
@@ -214,12 +222,11 @@ def cmd_bifurcation(args) -> int:
                 recs = asymptotic.condition_spectrum(model, args.emax, method)
             rows.extend(_record_row(r) for r in recs)
     if not rows:
-        sys.stderr.write("error: no branch produced any root\n")
-        return FAILURE_EXIT
+        raise RuntimeError("no branch produced any root")
     rows.sort(key=lambda r: (r["param"], r["method"], r["n"], r["im_E"]))
     _emit(rows, RECORD_COLUMNS, args,
           {"command": "bifurcation", "p_range": list(args.range),
-           "step": args.step, "emax": args.emax, "methods": methods})
+           "step": args.step, "emax": args.emax, "methods": args.method})
     return 0
 
 
@@ -235,9 +242,6 @@ def cmd_stokes(args) -> int:
     _Line; a mirrored one holds no trace, only its z_A partner, and _emit
     renders its rows from the partner's (text for CSV, trace for JSON).
     """
-    if (args.p is None) == (args.A is None):
-        sys.stderr.write("error: give exactly one of --p / --A\n")
-        return USAGE_EXIT
     rows = []
     lines = []
     # --A draws the quartic equation at eps = 1
@@ -283,8 +287,7 @@ def cmd_stokes(args) -> int:
             if line is not None:
                 lines.append(line)
     if not lines:  # wedge rows alone are no dataset
-        sys.stderr.write("error: no Stokes line was traced\n")
-        return FAILURE_EXIT
+        raise RuntimeError("no Stokes line was traced")
     _emit(rows, ["origin_re", "origin_im", "z_re", "z_im", "rechi", "imchi", "kind"],
           args, {"command": "stokes", "p": args.p, "A": args.A}, lines)
     return 0
@@ -310,8 +313,7 @@ def cmd_p1_scaling(args) -> int:
                 "predicted_scaled": 8.0 * e ** 1.5 / math.pi,
             })
     if not rows:
-        sys.stderr.write("error: no branch row with p - 1 in [--floor, 0.5]\n")
-        return FAILURE_EXIT
+        raise RuntimeError("no branch row with p - 1 in [--floor, 0.5]")
     rows.sort(key=lambda r: (r["branch"], -r["delta"]))
     _emit(rows, ["branch", "p", "delta", "E", "loglog_delta", "delta_exp_scaled",
                  "predicted_delta", "predicted_loglog", "predicted_scaled"],
@@ -321,12 +323,8 @@ def cmd_p1_scaling(args) -> int:
 
 
 def cmd_quartic(args) -> int:
-    lo, hi = args.range
-    if lo < 0:
-        sys.stderr.write("error: coupling range must be nonnegative\n")
-        return USAGE_EXIT
     rows = []
-    for a_phys in _grid(lo, hi, args.step):
+    for a_phys in _grid(*args.range, args.step):
         model = ModelSpec.quartic(a_phys)
         closeoff = asymptotic.quartic_closeoff(a_phys) if a_phys > 0 else 0.0
         recs = asymptotic.condition_spectrum(model, args.emax)
@@ -339,8 +337,7 @@ def cmd_quartic(args) -> int:
         rows.extend(dict(_record_row(r), closeoff=closeoff) for r in recs
                     if not asymptotic._off_axis(r.eps))
     if not rows:
-        sys.stderr.write("error: no eigenvalue at or below --emax\n")
-        return FAILURE_EXIT
+        raise RuntimeError("no eigenvalue at or below --emax")
     rows.sort(key=lambda r: (r["param"], r["method"], r["n"]))
     _emit(rows, [*RECORD_COLUMNS, "closeoff"], args,
           {"command": "quartic", "A_range": list(args.range),
@@ -372,23 +369,14 @@ def cmd_verify(args) -> int:
 
 def cmd_eigen(args) -> int:
     if args.method == "numeric":
-        model = ModelSpec.power_law(args.p)
         seed = asymptotic.wkb_eigenvalue(args.n, args.p)
-        try:
-            rec = shooting.find_eigen(seed, model, _shoot_config(args))
-        except shooting.ShootingError as exc:
-            sys.stderr.write(f"error: {exc}\n")
-            return FAILURE_EXIT
+        rec = shooting.find_eigen(seed, ModelSpec.power_law(args.p), _shoot_config(args))
         if rec.n != args.n:
-            sys.stderr.write(f"error: shooting from the n = {args.n} seed converged "
-                             f"to the n = {rec.n} eigenvalue E = {rec.E.real:.10g}\n")
-            return FAILURE_EXIT
+            raise shooting.ShootingError(
+                f"shooting from the n = {args.n} seed converged to the n = {rec.n} "
+                f"eigenvalue E = {rec.E.real:.10g}")
     else:
-        try:
-            rec = asymptotic.solve_condition(args.n, args.p, args.method)
-        except asymptotic.SolveError as exc:
-            sys.stderr.write(f"error: {exc}\n")
-            return FAILURE_EXIT
+        rec = asymptotic.solve_condition(args.n, args.p, args.method)
     _emit([_record_row(rec)], RECORD_COLUMNS, args,
           {"command": "eigen", "p": args.p, "n": args.n, "method": args.method})
     return 0
@@ -411,19 +399,20 @@ def build_parser() -> _Parser:
         sp.set_defaults(shoots=shoots)
 
     sp = sub.add_parser("bifurcation", help="eigenvalue branches over a p-range")
-    sp.add_argument("--range", type=_parse_range, required=True, metavar="PMIN:PMAX")
+    sp.add_argument("--range", metavar="PMIN:PMAX", required=True,
+                    type=_range(1, "p-range must stay above 1", strict=True))
     sp.add_argument("--step", type=_bounded(float, "step", 0, strict=True), default=0.05)
     sp.add_argument("--emax", type=_bounded(float, "emax", 0, strict=True), default=30.0)
-    sp.add_argument("--method", default="wkb,full",
+    sp.add_argument("--method", type=_methods, default="wkb,full",
                     help="comma list from wkb,full,numeric")
     dataset(sp)
-    shooting_tolerance(
-        sp, lambda a: "numeric" in (m.strip() for m in a.method.split(",")))
+    shooting_tolerance(sp, lambda a: "numeric" in a.method)
     sp.set_defaults(func=cmd_bifurcation)
 
     sp = sub.add_parser("stokes", help="Stokes line traces")
-    sp.add_argument("--p", type=_bounded(float, "p", 1, strict=False), default=None)
-    sp.add_argument("--A", type=_bounded(float, "A", 0, strict=False), default=None)
+    family = sp.add_mutually_exclusive_group(required=True)
+    family.add_argument("--p", type=_bounded(float, "p", 1, strict=False))
+    family.add_argument("--A", type=_bounded(float, "A", 0, strict=False))
     dataset(sp)
     sp.set_defaults(func=cmd_stokes)
 
@@ -436,7 +425,8 @@ def build_parser() -> _Parser:
     sp.set_defaults(func=cmd_p1_scaling)
 
     sp = sub.add_parser("quartic", help="quartic oscillator branches")
-    sp.add_argument("--range", type=_parse_range, required=True, metavar="AMIN:AMAX")
+    sp.add_argument("--range", metavar="AMIN:AMAX", required=True,
+                    type=_range(0, "coupling range must be nonnegative", strict=False))
     sp.add_argument("--step", type=_bounded(float, "step", 0, strict=True), default=0.5)
     sp.add_argument("--emax", type=_bounded(float, "emax", 0, strict=True), default=20.0)
     sp.add_argument("--numeric", action="store_true",
@@ -459,6 +449,9 @@ def build_parser() -> _Parser:
 
 
 def main(argv=None) -> int:
+    """Run argv (default sys.argv[1:]); return its exit code, or exit with it
+    if argv is None.  The parser decides every usage error (64, SystemExit in
+    process too); any exception a command raises is reported here (2)."""
     parser = build_parser()
     args = parser.parse_args(argv)
     if getattr(args, "rtol", None) is not None and not args.shoots(args):

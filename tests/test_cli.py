@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import ptspec
-from ptspec import cli, geometry, shooting
+from ptspec import asymptotic, cli, geometry, shooting, verify
 from ptspec.asymptotic import EigRecord
 from ptspec.cli import build_parser, main
 
@@ -31,8 +31,13 @@ def test_usage_errors_exit_64():
     assert run_cli().returncode == 64
     assert run_cli("bifurcation").returncode == 64
     assert run_cli("bifurcation", "--range", "3:2").returncode == 64
-    assert run_cli("bifurcation", "--range", "2.4:2.6", "--method", "").returncode == 64
-    assert run_cli("stokes").returncode == 64
+    # each from the parser: its usage line, then one error: line
+    for argv in (["bifurcation", "--range", "2.4:2.6", "--method", ""], ["stokes"]):
+        proc = run_cli(*argv)
+        assert proc.returncode == 64 and proc.stdout == "", argv
+        assert proc.stderr.startswith(f"usage: ptspec {argv[0]} "), argv
+        errors = [line for line in proc.stderr.splitlines() if line.startswith("error: ")]
+        assert len(errors) == 1 and proc.stderr.endswith(errors[0] + "\n"), argv
 
 
 def test_eigen_csv_roundtrip(tmp_path):
@@ -196,12 +201,30 @@ def test_verify_exits_zero(capsys):
     assert "PASS" in txt and "FAIL" not in txt
 
 
-def test_total_failure_exit_2(tmp_path):
+def test_total_failure_exit_2(tmp_path, monkeypatch, capsys):
     # emax far below every root: no rows, computation failure
     code = main(["bifurcation", "--range", "2.4:2.5", "--step", "0.1",
                  "--emax", "0.1", "--method", "wkb",
                  "--out", str(tmp_path / "x.csv")])
     assert code == 2
+    assert capsys.readouterr().err == "error: no branch produced any root\n"
+    # main reports every failed computation as one error: line
+    for argv, err in (
+            (["eigen", "--p", "3.05", "--n", "0", "--method", "numeric"],
+             "shooting from the n = 0 seed converged to the n = 1 eigenvalue "
+             "E = 4.187286222"),
+            (["eigen", "--p", "1.0001", "--n", "0"],
+             "condition flat on the scale of |z|: 15 capped Newton steps in a row, "
+             "at z = (0.000266647476568562+6.008341459480822e-05j), |f| = 1")):
+        assert main(argv) == 2
+        assert capsys.readouterr() == ("", f"error: {err}\n")
+
+    def fail(*args, **kwargs):
+        raise shooting.ShootingError("step budget exhausted")
+
+    monkeypatch.setattr(shooting, "find_eigen", fail)
+    assert main(["eigen", "--p", "3", "--n", "2", "--method", "numeric"]) == 2
+    assert capsys.readouterr() == ("", "error: step budget exhausted\n")
 
 
 def test_stokes_exits_2_when_no_line_is_traced(monkeypatch, capsys):
@@ -214,6 +237,7 @@ def test_stokes_exits_2_when_no_line_is_traced(monkeypatch, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "warning: trace z_A/0 failed" in captured.err
+    assert captured.err.endswith("failed: corrector stalled\nerror: no Stokes line was traced\n")
 
 
 def test_stokes_warns_past_a_failed_seed_and_stops_on_a_bug(monkeypatch, capsys):
@@ -288,12 +312,12 @@ def test_readme_commands_parse():
 
 
 def test_empty_datasets_say_why(capsys):
-    for args in (["p1-scaling", "--floor", "0.6"],
-                 ["quartic", "--range", "0:1", "--emax", "0.5"]):
+    for args, why in ((["p1-scaling", "--floor", "0.6"],
+                       "no branch row with p - 1 in [--floor, 0.5]"),
+                      (["quartic", "--range", "0:1", "--emax", "0.5"],
+                       "no eigenvalue at or below --emax")):
         assert main(args) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err.startswith("error: ")
+        assert capsys.readouterr() == ("", f"error: {why}\n")
 
 
 @pytest.mark.parametrize("argv", [
@@ -327,17 +351,29 @@ def test_empty_datasets_say_why(capsys):
     ["bifurcation", "--range", "2.4:2.5", "--step", "0.1", "--emax", "5",
      "--method", "wkb", "--rtol", "1e-9"],
     ["quartic", "--range", "0:0.5", "--step", "0.5", "--emax", "5", "--rtol", "1e-9"],
+    # each was checked by its command, and the parser now rejects it
+    ["stokes"],
+    ["stokes", "--p", "2", "--A", "1"],
+    ["bifurcation", "--range", "0.5:2"],
+    ["bifurcation", "--range", "1.5:2", "--method", "foo"],
+    ["quartic", "--range=-1:2"],  # without "=", -1:2 reads as an option
 ])
-def test_out_of_range_arguments_are_usage_errors(argv, capsys):
-    try:
-        code = main(argv)
-    except SystemExit as exc:
-        code = exc.code
-    assert code == 64
+def test_out_of_range_arguments_are_usage_errors(argv, monkeypatch, capsys):
+    def computed(*args, **kwargs):
+        raise AssertionError("a usage error ran a computation")
+
+    for module, name in ((asymptotic, "condition_spectrum"), (asymptotic, "solve_condition"),
+                         (asymptotic, "lowest_branch_path"), (shooting, "find_eigen"),
+                         (geometry, "seed_directions"), (verify, "turning_point_prefactor")):
+        monkeypatch.setattr(module, name, computed)
+    with pytest.raises(SystemExit) as exit_:
+        main(argv)
+    assert exit_.value.code == 64
     captured = capsys.readouterr()
     assert captured.out == ""
+    assert captured.err.startswith("usage: ptspec")
     errors = [line for line in captured.err.splitlines() if line.startswith("error: ")]
-    assert errors and errors[0] != "error: "
+    assert len(errors) == 1 and errors[0] != "error: "
 
 
 def _rendered_by_cell(rows, columns):

@@ -264,6 +264,19 @@ def test_a_ray_past_the_step_budget_fails_before_its_first_step(monkeypatch):
             mismatch(E, ModelSpec.power_law(p))
 
 
+def test_budget_check_allows_for_a_loose_tolerance(monkeypatch):
+    # p = 1.2, E = 1000: the ray turns through 12,966 radians.  At rtol 1e-3
+    # it takes 1,787 steps, within a budget of 2,000, though the default
+    # tolerances' 0.2 steps per radian would ask for 2,593; at the default
+    # tolerances it is refused before its first step.
+    monkeypatch.setattr(shooting, "_MAX_STEPS", 2000)
+    model = ModelSpec.power_law(1.2)
+    assert cmath.isfinite(mismatch(1000.0, model, ShootConfig(rtol=1e-3)))
+    monkeypatch.setattr(ModelSpec, "q_series", lambda *args: pytest.fail("a step was taken"))
+    with pytest.raises(ShootingError, match="step budget of 2000 steps cannot cover"):
+        mismatch(1000.0, model)
+
+
 class _Stepped(Exception):
     """Raised by a stubbed q_series: integrate_ray reached its first step."""
 

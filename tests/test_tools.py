@@ -16,3 +16,10 @@ def test_every_setting_is_set_by_some_call():
     assert match, count
     total, used, passed, unused = map(int, match.groups())
     assert unused == 0 and total == used + passed, count
+
+
+def test_every_error_run_fails_as_a_usage_error_or_a_computation_failure():
+    out = subprocess.run([sys.executable, str(TOOLS / "output_digests.py"), "--errors"],
+                         capture_output=True, text=True, check=True).stdout
+    codes = [line.split()[2] for line in out.splitlines()]
+    assert codes == ["64"] * 8 + ["2"] * 8, out

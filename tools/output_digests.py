@@ -3,6 +3,7 @@
     python3 tools/output_digests.py
     python3 tools/output_digests.py --stokes-grid
     python3 tools/output_digests.py --conditions-grid [--rows]
+    python3 tools/output_digests.py --errors [--rows]
 
 Runs each `ptspec ...` line of the README's "Command line" block (as
 `python -m ptspec ...`) and each `demos/*.py`, with PYTHONPATH pointing at
@@ -18,8 +19,9 @@ stderr captured as text, exit code returned), so the grid takes under a
 minute rather than one interpreter start per run.
 
 --conditions-grid digests, the same way, the condition sweeps of
-conditions_grid.  --rows follows each in-process digest line with the run's
-stdout, each line indented by two spaces, so that the output of two
+conditions_grid, and --errors the failing runs of error_runs.  --rows
+follows each in-process digest line with the run's stdout (with --errors,
+its stderr), each line indented by two spaces, so that the output of two
 checkouts can be diffed number by number.  The tool itself needs only the
 standard library; the in-process modes import ptspec (and, for the
 benchmark's argvs, perfbench/workloads.py) from this checkout.
@@ -34,6 +36,7 @@ import subprocess
 import sys
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -94,9 +97,38 @@ def conditions_grid() -> list[str]:
     return list(dict.fromkeys(cmds))
 
 
-def run_in_process(label: str, argv: list[str], rows: bool = False) -> str:
+def error_runs() -> list[tuple[str, str | None, Exception | None]]:
+    """Failing runs, (command, stub, error): the CLI's usage errors, among
+    them --rtol on a run that never shoots, and its computation failures.
+    A run with a stub has the ptspec function of that dotted name raise
+    error when called."""
+    from ptspec.geometry import TraceError
+    from ptspec.shooting import ShootingError
+
+    usage = ["ptspec stokes", "ptspec stokes --p 2 --A 1",
+             "ptspec bifurcation --range 0.5:2",
+             "ptspec bifurcation --range 1.5:2 --method foo",
+             "ptspec bifurcation --range 2.4:2.6 --method=",
+             "ptspec quartic --range=-1:2",
+             "ptspec bifurcation --range 3:2",
+             "ptspec eigen --p 3 --n 2 --method full --rtol 1e-9"]
+    failures = ["ptspec eigen --p 3.05 --n 0 --method numeric",  # converges to n = 1
+                "ptspec eigen --p 1.0001 --n 0",  # flat condition
+                "ptspec eigen --p 1.5 --n 2000000 --method numeric",  # step budget
+                "ptspec bifurcation --range 2.4:2.5 --step 0.1 --emax 0.1 --method wkb",
+                "ptspec p1-scaling --floor 0.6",
+                "ptspec quartic --range 0:1 --emax 0.5"]
+    return ([(cmd, None, None) for cmd in usage + failures]
+            + [("ptspec eigen --p 3 --n 2 --method numeric", "shooting.find_eigen",
+                ShootingError("step budget exhausted")),
+               ("ptspec stokes --p 1.3", "geometry.trace_stokes_line",
+                TraceError("corrector stalled"))])
+
+
+def run_in_process(label: str, argv: list[str], rows: bool = False,
+                   errors: bool = False) -> str:
     """Run ptspec.cli.main(argv) here; its digest line, then its stdout
-    indented if rows."""
+    (stderr if errors) indented if rows."""
     from ptspec import cli
 
     out, err = io.StringIO(), io.StringIO()
@@ -107,7 +139,8 @@ def run_in_process(label: str, argv: list[str], rows: bool = False) -> str:
             code = exc.code
     line = (f"{sha(out.getvalue().encode())} {sha(err.getvalue().encode())} "
             f"{code} {label}")
-    return "\n".join([line, *("  " + row for row in out.getvalue().splitlines())]
+    shown = (err if errors else out).getvalue()
+    return "\n".join([line, *("  " + row for row in shown.splitlines())]
                      if rows else [line])
 
 
@@ -117,9 +150,21 @@ def main() -> int:
                         help="digest the stokes grid in-process instead")
     parser.add_argument("--conditions-grid", action="store_true",
                         help="digest the condition sweeps in-process instead")
+    parser.add_argument("--errors", action="store_true",
+                        help="digest the failing runs in-process instead")
     parser.add_argument("--rows", action="store_true",
-                        help="print each in-process run's stdout after its digest")
+                        help="print each in-process run's stdout (with --errors, "
+                             "stderr) after its digest")
     args = parser.parse_args()
+    if args.errors:
+        sys.path.insert(0, str(ROOT / "src"))
+        for cmd, stub, error in error_runs():
+            label = cmd if stub is None else f"{cmd}  [{stub} raises {error!r}]"
+            with (mock.patch(f"ptspec.{stub}", side_effect=error) if stub
+                  else contextlib.nullcontext()):
+                print(run_in_process(label, cmd.split()[1:], args.rows, errors=True),
+                      flush=True)
+        return 0
     if args.stokes_grid or args.conditions_grid:
         sys.path.insert(0, str(ROOT / "src"))
         labels = [f"{cmd} --format {form}" for cmd in stokes_grid()
