@@ -39,9 +39,10 @@ def action_between(z0: complex, z1: complex, model: ModelSpec,
     that meets the branch cut raises ValueError.  The branch is the
     principal square root at the first quadrature node, and +1 at the
     branch point z = 0 of a fractional power, where a path ending there is
-    integrated from it and negated.  Endpoints where q vanishes are
-    detected and integrated through the square-root substitution; interior
-    nodes must stay clear of turning points.
+    integrated from it and negated, and a path through it is split there,
+    so that no Gauss rule spans the kink of (i t)^p.  Endpoints where q
+    vanishes are detected and integrated through the square-root
+    substitution; interior nodes must stay clear of turning points.
     """
     z0, z1 = complex(z0), complex(z1)
     if z0 == z1:
@@ -49,6 +50,10 @@ def action_between(z0: complex, z1: complex, model: ModelSpec,
     nodes = [z0, *map(complex, via), z1]
     if path_crosses_cut(nodes, model):
         raise ValueError("contour crosses the branch cut")
+    if model.has_branch_cut and 0 in nodes[1:-1]:
+        k = nodes.index(0, 1)
+        return (action_between(z0, 0, model, via=nodes[1:k], order=order)
+                + action_between(0, z1, model, via=nodes[k + 1:-1], order=order))
     if model.has_branch_cut and z1 == 0:
         return -action_between(z1, z0, model, via=nodes[-2:0:-1], order=order)
     return _path_action(model, nodes, order)[0]

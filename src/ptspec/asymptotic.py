@@ -23,6 +23,7 @@ lowest_branch_path continues a real branch in p.
 
 import cmath
 import math
+import operator
 from dataclasses import dataclass, replace
 from functools import lru_cache
 
@@ -85,17 +86,26 @@ def E_to_eps(E: complex, p: float) -> complex:
     return principal_power(E, -(p + 2.0) / (2.0 * p))
 
 
+def _mode(n: int) -> int:
+    """n as a mode index: an integer (numpy's too, via operator.index, else
+    TypeError) >= 0 (else ValueError)."""
+    n = operator.index(n)
+    if n < 0:
+        raise ValueError("mode index must be >= 0")
+    return n
+
+
 def wkb_eigenvalue(n: int, p: float) -> float:
     """Closed-form large-n eigenvalue of the classical WKB quantisation.
 
     E_n = [sqrt(pi) (n + 1/2) Gamma(3/2 + 1/p) / (Gamma(1 + 1/p)
     sin(pi/p))]^(2p/(p+2)); collapses to the harmonic ladder 2n + 1 at
-    p = 2.  Diverges at p = 1 where sin(pi/p) vanishes.
+    p = 2.  Diverges at p = 1 where sin(pi/p) vanishes; p <= 1 and a mode
+    index that is no integer >= 0 raise (see _mode).
     """
-    if n < 0:
-        raise ValueError("mode index must be >= 0")
-    if p == 1.0:
-        raise ValueError("closed-form eigenvalue has a pole at p = 1")
+    n = _mode(n)
+    if not p > 1.0:  # the pole at p = 1, and no ladder below
+        raise ValueError(f"closed-form eigenvalue needs p > 1, got {p}")
     rp = 1.0 / p
     base = (math.sqrt(math.pi) * (n + 0.5) * math.gamma(1.5 + rp)
             / (math.gamma(1.0 + rp) * math.sin(math.pi / p)))
@@ -280,7 +290,7 @@ def _seed(n: int, model: ModelSpec) -> float:
     there to a step of <= 1e-14 relative (at most 8; 5 for A <= 8, n <= 11)."""
     k = (n + 0.5) * math.pi
     seed = _phase(model, 0.0)[0] / k
-    if model.family == "quartic" and model.a:
+    if model.a:  # a quartic's nonzero coupling; the power law has none
         for _ in range(8):
             phase, slope = _phase(model, seed)
             step = (k * seed - phase) / (k - slope)
@@ -295,6 +305,40 @@ def _mode_index(eps: complex, model: ModelSpec) -> int:
     return max(0, round(_phase(model, eps)[0] / abs(eps) / math.pi - 0.5))
 
 
+def _solver(model: ModelSpec, condition: str = "full"):
+    """solve(n, seed=None) -> the EigRecord of mode n's root of model's
+    condition, seeded by _seed unless given.  The one place where a
+    condition route asks the model: which condition and slope, which real
+    search (Newton; a descent for the quartic, see solve_quartic) and what
+    it refuses, by ValueError before any seed."""
+    if condition not in ("wkb", "full"):
+        raise ValueError("condition must be 'wkb' or 'full'")
+    if model.family == "power":
+        if not model.p > 1.0:
+            raise ValueError(f"the power-law conditions need p > 1, got {model.p}")
+        try:
+            scaled = _scaled_condition(model.p, condition)
+            f, descend = (lambda e: (scaled(e), None)), False
+        except OverflowError:  # 1/Gamma(-p) is no finite double: no root to seek
+            f = None
+    elif condition != "full":
+        raise ValueError("the quartic has only the full condition")
+    elif not model.pt_mirror or complex(model.a).real < 0:
+        raise ValueError(f"the quartic condition needs a real coupling >= 0, got {model.a}")
+    else:
+        f, descend = (lambda e: _quartic_condition(e, model.a)), True
+
+    def solve(n: int, seed: complex | None = None) -> EigRecord:
+        n = _mode(n)
+        if f is None:
+            raise SolveError(f"condition overflows at p = {model.p}")
+        eps, res = _seeded_root(f, _seed(n, model) if seed is None else seed, descend)
+        return EigRecord(n=n, param=model.param, eps=eps, E=eps_to_E(eps, model.degree),
+                         method=condition, residual=res)
+
+    return solve
+
+
 def solve_condition(n: int, p: float, condition: str = "full",
                     seed: complex | None = None) -> EigRecord:
     """Root of the chosen eigenvalue condition for mode n.
@@ -302,21 +346,10 @@ def solve_condition(n: int, p: float, condition: str = "full",
     Seeds from the cosine-zero rule unless given.  Newton runs on the real
     part of the condition first, which keeps it on the real axis, and
     restarts from a complex point when that search fails (the root has left
-    the axis in the broken region); see _seeded_root.
+    the axis in the broken region); see _seeded_root.  p must be > 1 and n
+    an integer >= 0 (ValueError, TypeError).
     """
-    if condition not in ("wkb", "full"):
-        raise ValueError("condition must be 'wkb' or 'full'")
-    if n < 0 or not p > 1.0:
-        raise ValueError("solve_condition needs a mode index n >= 0 and p > 1")
-    if seed is None:
-        seed = _seed(n, ModelSpec.power_law(p))
-    try:
-        f = _scaled_condition(p, condition)
-    except OverflowError:  # 1/Gamma(-p) is no finite double
-        raise SolveError(f"condition overflows at p = {p}") from None
-    eps, res = _seeded_root(lambda e: (f(e), None), seed)
-    return EigRecord(n=n, param=p, eps=eps, E=eps_to_E(eps, p),
-                     method=condition, residual=res)
+    return _solver(ModelSpec.power_law(p), condition)(n, seed)
 
 
 def _off_axis(eps: complex) -> bool:
@@ -338,20 +371,18 @@ def condition_spectrum(model: ModelSpec, e_max: float,
     physical coupling), reaches e_max.  A root reached from
     several seeds takes the seed nearest its _mode_index (the lower on a
     tie), any other its own; each complex root comes with its conjugate.
-    A complex or negative quartic coupling raises ValueError (see
-    solve_quartic).
+    A model or condition that _solver refuses, and an e_max that is not
+    finite and > 0, raise ValueError before the first seed.
     """
-    if model.family == "quartic":
-        if condition != "full":
-            raise ValueError("the quartic has only the full condition")
-        _quartic_model(model.a)  # refuse a coupling before the first seed
+    if not (math.isfinite(e_max) and e_max > 0):
+        raise ValueError(f"e_max must be finite and > 0, got {e_max}")
+    solve = _solver(model, condition)
     solved, n, seed_e = [], 0, 0.0
     while seed_e < e_max:
         try:
             seed = _seed(n, model)
             seed_e = eps_to_E(seed, model.degree).real
-            rec = (solve_condition(n, model.p, condition, seed) if model.family == "power"
-                   else solve_quartic(n, model.a, seed))
+            rec = solve(n, seed)
             if rec.E.real <= e_max * (1.0 + 1e-9):
                 solved.append(rec)
         except SolveError:
@@ -479,22 +510,7 @@ def solve_quartic(n: int, A: float, seed: complex | None = None) -> EigRecord:
     condition does not reproduce (at A = -1 its ground state read 0.93505,
     not 1.16243).
     """
-    if n < 0:
-        raise ValueError("mode index must be >= 0")
-    model = _quartic_model(A)
-    if seed is None:
-        seed = _seed(n, model)
-    eps, res = _seeded_root(lambda e: _quartic_condition(e, A), seed, descend=True)
-    return EigRecord(n=n, param=A, eps=eps, E=eps_to_E(eps, model.degree),
-                     method="full", residual=res)
-
-
-def _quartic_model(A: float) -> ModelSpec:
-    """ModelSpec.quartic(A); ValueError where solve_quartic refuses A."""
-    model = ModelSpec.quartic(A)
-    if not model.pt_mirror or complex(A).real < 0:
-        raise ValueError(f"the quartic condition needs a real coupling >= 0, got {A}")
-    return model
+    return _solver(ModelSpec.quartic(A))(n, seed)
 
 
 def quartic_closeoff(A: float) -> float:

@@ -207,20 +207,24 @@ def _record_row(rec) -> dict:
                                      rec.E.imag + 0.0, rec.residual)))
 
 
+def _spectrum(model: ModelSpec, method: str, args, failed: str) -> list:
+    """model's records to --emax by method; a failed numeric scan warns "failed: error"."""
+    if method != "numeric":
+        return asymptotic.condition_spectrum(model, args.emax, method)
+    try:
+        return shooting.scan_spectrum(model, args.emax, _shoot_config(args))
+    except shooting.ShootingError as exc:
+        sys.stderr.write(f"warning: {failed}: {exc}\n")
+        return []
+
+
 def cmd_bifurcation(args) -> int:
     rows = []
     for p in _grid(*args.range, args.step):
         model = ModelSpec.power_law(p)
         for method in args.method:
-            if method == "numeric":
-                try:
-                    recs = shooting.scan_spectrum(model, args.emax, _shoot_config(args))
-                except shooting.ShootingError as exc:
-                    sys.stderr.write(f"warning: numeric scan failed at p={p}: {exc}\n")
-                    continue
-            else:
-                recs = asymptotic.condition_spectrum(model, args.emax, method)
-            rows.extend(_record_row(r) for r in recs)
+            rows.extend(map(_record_row, _spectrum(model, method, args,
+                                                   f"numeric scan failed at p={p}")))
     if not rows:
         raise RuntimeError("no branch produced any root")
     rows.sort(key=lambda r: (r["param"], r["method"], r["n"], r["im_E"]))
@@ -327,15 +331,11 @@ def cmd_quartic(args) -> int:
     for a_phys in _grid(*args.range, args.step):
         model = ModelSpec.quartic(a_phys)
         closeoff = asymptotic.quartic_closeoff(a_phys) if a_phys > 0 else 0.0
-        recs = asymptotic.condition_spectrum(model, args.emax)
-        if args.numeric:
-            try:
-                recs += shooting.scan_spectrum(model, args.emax, _shoot_config(args))
-            except shooting.ShootingError as exc:
-                sys.stderr.write(f"warning: scan failed at A={a_phys}: {exc}\n")
-        # a folded pair leaves the axis; the modes above it stay real
-        rows.extend(dict(_record_row(r), closeoff=closeoff) for r in recs
-                    if not asymptotic._off_axis(r.eps))
+        for method in ("full", "numeric") if args.numeric else ("full",):
+            recs = _spectrum(model, method, args, f"scan failed at A={a_phys}")
+            # a folded pair leaves the axis; the modes above it stay real
+            rows.extend(dict(_record_row(r), closeoff=closeoff) for r in recs
+                        if not asymptotic._off_axis(r.eps))
     if not rows:
         raise RuntimeError("no eigenvalue at or below --emax")
     rows.sort(key=lambda r: (r["param"], r["method"], r["n"]))

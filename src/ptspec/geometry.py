@@ -94,8 +94,6 @@ class ModelSpec:
         elif self.family == "quartic":
             if self.a is None or not cmath.isfinite(self.a):
                 raise ValueError("quartic family needs a finite coupling")
-            if isinstance(self.a, (int, float)) and self.a < 0:
-                raise ValueError("quartic coupling must be >= 0")
         else:
             raise ValueError(f"unknown family {self.family!r}")
 

@@ -310,32 +310,33 @@ def _collocation_length(k: float, r_tp: float, eps: complex, r_max: float) -> fl
     return min(r_max, max(2 * r_tp, _efold_radius(k, r_tp, eps, 40.0)))
 
 
-def _ray(model: ModelSpec) -> tuple[tuple[complex, ...], float, complex]:
+def _ray(model: ModelSpec,
+         cfg: ShootConfig) -> tuple[tuple[complex, ...], float, complex, complex]:
     """The turning points of model (the equation at eps), the radius of the
     outermost one (1 exactly for the power law: |z_A| = |z_B| = 1 only up to
-    rounding) and the left ray's direction: the power law's left wedge
-    centre or the quartic's negative real axis."""
+    rounding), the left ray's direction and the first match point: the power
+    law's left wedge centre and cfg.z_mid, or the quartic's -1 and 0."""
     try:
         tps = model.turning_points
     except TraceError as exc:
         raise ShootingError(f"no labelled turning points: {exc}") from exc
     if model.family == "power":
-        return tps, 1.0, cmath.exp(1j * wedge_angles(model.p)[0])
-    return tps, max(abs(tp) for tp in tps), -1 + 0j
+        return tps, 1.0, cmath.exp(1j * wedge_angles(model.p)[0]), cfg.z_mid
+    return tps, max(abs(tp) for tp in tps), -1 + 0j, 0j
 
 
 def _contour(model: ModelSpec, eps: complex, cfg: ShootConfig) -> tuple[complex, complex, complex]:
     """Ray endpoints and a match point keeping clear of turning points
     and of a fractional power's branch point.
 
-    model is the equation at eps (ModelSpec.at), the rays are _ray's.  The
-    left ray's radius is the larger _start_radius of the two rays (one when
-    the right ray is the left one's PT mirror); z_r = -conj(z_l) and the
-    match point stays on the imaginary axis, so the contour is its own PT
-    mirror, and the contour at conj(eps) is the one at eps.
+    model is the equation at eps (ModelSpec.at); the rays and the first
+    match point are _ray's.  The left ray's radius is the larger
+    _start_radius of the two rays (one when the right ray is the left one's
+    PT mirror); z_r = -conj(z_l) and the match point stays on the imaginary
+    axis, so the contour is its own PT mirror, and the contour at conj(eps)
+    is the one at eps.
     """
-    tps, r_tp, z_dir = _ray(model)
-    z_mid = cfg.z_mid if model.family == "power" else 0j
+    tps, r_tp, z_dir, z_mid = _ray(model, cfg)
     r = _start_radius(model, z_dir, r_tp, eps, cfg.r_max)
     if eps.imag != 0 or not model.pt_mirror:
         r = max(r, _start_radius(model, -z_dir.conjugate(), r_tp, eps, cfg.r_max))
@@ -366,10 +367,12 @@ def mismatch(E: complex, model: ModelSpec, cfg: ShootConfig | None = None) -> co
     conj f(-conj z) solves the same equation, so the right ray is the
     mirror of the left one and only the left ray is integrated.  W is then
     exactly real.  Complex E and a complex quartic coupling integrate both
-    rays.
+    rays.  An E that is zero or not finite raises ShootingError.
     """
     cfg = cfg or ShootConfig()
     E = complex(E)
+    if E == 0 or not cmath.isfinite(E):
+        raise ShootingError(f"no contour at E = {E}: E must be finite and nonzero")
     eps = E_to_eps(E, model.degree)
     if eps == 0:
         raise ShootingError(f"eps underflows to 0 at E = {E:.4g}")
@@ -392,7 +395,8 @@ def find_eigen(seed_E: complex, model: ModelSpec, cfg: ShootConfig | None = None
                tol: float = 1e-9) -> EigRecord:
     """Refine a seed to |W| <= tol: one Newton step, then at most 60 secant
     steps, with a Muller fallback when the secant stalls.  tol must be
-    finite and > 0 (ValueError).
+    finite and > 0 (ValueError); a seed that is zero or not finite raises
+    ShootingError (mismatch).
     """
     if not (math.isfinite(tol) and tol > 0):
         raise ValueError(f"tol must be finite and > 0, got {tol}")
@@ -468,7 +472,7 @@ def _contour_eigenvalues(model: ModelSpec, E_max: float, cfg: ShootConfig) -> np
     E0 = 1.5 * E_max
     eps0 = E_to_eps(complex(E0), model.degree)
     scaled = model.at(eps0)
-    _, r_tp, z_dir = _ray(scaled)
+    _, r_tp, z_dir, _ = _ray(scaled, cfg)
     z_l = _collocation_length(model.degree + 2.0, r_tp, eps0, cfg.r_max) * z_dir
     n, m = _COLLOCATION_POINTS, _COLLOCATION_POINTS - 1
     x = np.cos(np.pi * np.arange(n + 1) / n)

@@ -63,6 +63,21 @@ def test_path_additivity():
     assert abs(whole - (first + second)) < 1e-12
 
 
+def test_path_through_the_branch_point_is_split_there():
+    # Gauss across the kink of (i t)^p at an interior z = 0 was 5.5e-10 off
+    model = ModelSpec.power_law(1.5)
+    z0, z1 = -0.7 - 0.4j, 0.3 - 0.9j
+    via = action_between(z0, z1, model, via=[0])
+    assert abs(via - (action_between(0, z1, model) - action_between(0, z0, model))) <= 1e-13
+
+
+def test_path_ending_at_the_branch_point_is_the_reversed_path_negated():
+    model = ModelSpec.power_law(1.5)
+    z0, node = 0.3 - 0.9j, 0.5 - 0.2j
+    assert (action_between(z0, 0, model, via=[node])
+            == -action_between(0, z0, model, via=[node]))
+
+
 def test_quadrature_order_convergence():
     for p in (1.3, 2.0, 3.0):
         model = ModelSpec.power_law(p)

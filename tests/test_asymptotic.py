@@ -108,6 +108,40 @@ def test_solve_condition_rejects_p_at_most_one(p):
         solve_condition(0, p)
 
 
+@pytest.mark.parametrize("p", [1.0, 0.5, -2.0, math.nan])
+def test_wkb_eigenvalue_rejects_p_at_most_one(p):
+    # below p = 1 the closed form read 633289.79 + 1949065.56i at p = 0.5
+    # and divided by zero at p = -2
+    with pytest.raises(ValueError, match="p > 1"):
+        wkb_eigenvalue(0, p)
+
+
+@pytest.mark.parametrize("solve", [lambda n: solve_condition(n, 3.0),
+                                   lambda n: solve_quartic(n, 1.0),
+                                   lambda n: wkb_eigenvalue(n, 3.0)],
+                         ids=["solve_condition", "solve_quartic", "wkb_eigenvalue"])
+def test_mode_index_is_an_integer(solve):
+    # solve_condition(1.5, 3.0) returned a root labelled n = 1.5
+    for n in (1.5, 2.0, "2"):
+        with pytest.raises(TypeError):
+            solve(n)
+    assert solve(np.int64(2)) == solve(2)
+
+
+def test_condition_overflow_lists_no_root_and_solves_none():
+    # 1/Gamma(-p) is no finite double at p = 200.5: every solve fails
+    with pytest.raises(SolveError, match="condition overflows at p = 200.5"):
+        solve_condition(0, 200.5)
+    assert condition_spectrum(ModelSpec.power_law(200.5), 30.0) == []
+
+
+@pytest.mark.parametrize("e_max", [math.inf, math.nan, 0.0, -1.0])
+def test_condition_spectrum_refuses_an_e_max_that_is_not_finite_and_positive(e_max):
+    # e_max = inf never left the seed loop, and nan listed no root
+    with pytest.raises(ValueError, match="e_max must be finite and > 0"):
+        condition_spectrum(ModelSpec.power_law(3.0), e_max)
+
+
 def test_newton_budget_is_100_iterations():
     # (z - 2)^2 + 1 has no real root; from a real seed every iterate stays
     # on the positive axis, and each iteration costs three evaluations
@@ -535,13 +569,14 @@ def test_quartic_condition_solvers_refuse_a_complex_coupling():
         solve_quartic(0, 1 + 0.5j)
 
 
-@pytest.mark.parametrize("A", [-1 + 0j, complex(-1.0, -0.0), np.complex128(-1)], ids=repr)
+@pytest.mark.parametrize("A", [-1.0, np.float64(-1), -1 + 0j, complex(-1.0, -0.0),
+                               np.complex128(-1)], ids=repr)
 def test_quartic_condition_solvers_refuse_a_negative_coupling(A):
     # z -> -z maps the quartic at -A onto the one at A, but the condition
     # does not reproduce that: at A = -1 + 0j its ground state read 0.93505,
-    # where A = 1 gives 1.16243.  ModelSpec.quartic refuses a negative float;
-    # a negative real complex coupling is a valid equation (the coupling
-    # walk takes it), so the condition solvers refuse it themselves.
+    # where A = 1 gives 1.16243.  A negative coupling of any numeric type is
+    # a valid equation (ModelSpec.quartic takes it, and so does the
+    # coupling walk), so the condition solvers refuse it themselves.
     with pytest.raises(ValueError, match=">= 0"):
         condition_spectrum(ModelSpec.quartic(A), 10.0)
     with pytest.raises(ValueError, match=">= 0"):

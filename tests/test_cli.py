@@ -320,6 +320,24 @@ def test_empty_datasets_say_why(capsys):
         assert capsys.readouterr() == ("", f"error: {why}\n")
 
 
+def test_a_failed_scan_is_a_warning_per_grid_point(monkeypatch, capsys):
+    def fail(*args, **kwargs):
+        raise shooting.ShootingError("step budget exhausted")
+
+    monkeypatch.setattr(shooting, "scan_spectrum", fail)
+    for argv, err in (
+            ("bifurcation --range 1.5:1.6 --step 0.1 --emax 12 --method numeric",
+             "warning: numeric scan failed at p=1.5: step budget exhausted\n"
+             "warning: numeric scan failed at p=1.6: step budget exhausted\n"
+             "error: no branch produced any root\n"),
+            ("quartic --range 0:0.5 --step 0.5 --emax 0.5 --numeric",
+             "warning: scan failed at A=0.0: step budget exhausted\n"
+             "warning: scan failed at A=0.5: step budget exhausted\n"
+             "error: no eigenvalue at or below --emax\n")):
+        assert main(argv.split()) == 2
+        assert capsys.readouterr() == ("", err)
+
+
 @pytest.mark.parametrize("argv", [
     # each printed a wrong row with exit 0: a negative mode index, the
     # closed form's pole at p = 1, a p below the model's range

@@ -58,7 +58,7 @@ def test_start_radius_solves_its_decay_rule():
             eps = E_to_eps(complex(E), model.degree)
             scaled = model.at(eps)
             z_l, z_r, _ = _contour(scaled, eps, ShootConfig(r_max=r_max))
-            r_tp = _ray(scaled)[1]
+            r_tp = _ray(scaled, ShootConfig())[1]
             for z_dir in (z_l / abs(z_l), z_r / abs(z_r)):
                 r = _start_radius(scaled, z_dir, r_tp, eps, r_max)
                 rs = r_tp + (r - r_tp) * u * u
@@ -398,6 +398,43 @@ def test_scan_refuses_an_E_max_that_is_not_finite_and_positive(E_max):
         scan_spectrum(ModelSpec.power_law(1.5), E_max)
 
 
+@pytest.mark.parametrize("E", [0.0, math.nan, complex(math.nan, 1.0), math.inf], ids=repr)
+def test_mismatch_refuses_an_E_that_is_zero_or_not_finite(E):
+    # nan raised UnboundLocalError from _start_radius, 0 ValueError from
+    # principal_power
+    model = ModelSpec.power_law(3.0)
+    for run in (lambda: mismatch(E, model), lambda: find_eigen(E, model)):
+        with pytest.raises(ShootingError, match="E must be finite and nonzero"):
+            run()
+
+
+def test_scan_drops_a_seed_whose_polish_fails_or_strays(monkeypatch):
+    # harmonic seeds near 1, 3, 5, 7: the polish from 3 fails, the one
+    # from 5 lands 1 away; the seeds from 1 and 7 are kept and relabelled
+    seeds = []
+
+    def polish(seed, model, cfg):
+        seeds.append(seed)
+        if round(seed.real) == 3:
+            raise ShootingError("step budget exhausted")
+        return shooting._record(seed + (1.0 if round(seed.real) == 5 else 0.0), 0.0, model)
+
+    monkeypatch.setattr(shooting, "find_eigen", polish)
+    recs = scan_spectrum(ModelSpec.power_law(2.0), 8.0)
+    assert sorted(round(s.real) for s in seeds) == [1, 3, 5, 7]
+    assert [r.E for r in recs] == sorted((s for s in seeds if round(s.real) in (1, 7)),
+                                         key=lambda s: s.real)
+    assert [r.n for r in recs] == [0, 1]
+
+
+def test_scan_of_a_negative_coupling_is_that_of_its_mirror():
+    # z -> -z maps the quartic at -A onto the one at A
+    want = [r.E for r in scan_spectrum(ModelSpec.quartic(1.0), 8.0)]
+    assert len(want) == 3
+    for A in (-1.0, np.float64(-1), -1 + 0j):
+        assert [r.E for r in scan_spectrum(ModelSpec.quartic(A), 8.0)] == want
+
+
 def test_real_seed_polishes_to_a_real_eigenvalue():
     rec = find_eigen(1.1, ModelSpec.power_law(3.0))
     assert rec.E.imag == 0.0
@@ -648,7 +685,7 @@ def test_power_law_ray_cap_acts_only_where_it_caps_the_start():
         model = ModelSpec.power_law(p)
         for E in (round(0.4 + 0.1 * k, 10) for k in range(30)):
             eps = E_to_eps(complex(E), p)
-            _, r_tp, z_dir = _ray(model)
+            _, r_tp, z_dir, _ = _ray(model, cfg)
             if _start_radius(model, z_dir, r_tp, eps, wide.r_max) < cfg.r_max:
                 below.append((p, E))
                 assert mismatch(E, model, cfg) == mismatch(E, model, wide), (p, E)

@@ -122,7 +122,11 @@ def error_runs() -> list[tuple[str, str | None, Exception | None]]:
             + [("ptspec eigen --p 3 --n 2 --method numeric", "shooting.find_eigen",
                 ShootingError("step budget exhausted")),
                ("ptspec stokes --p 1.3", "geometry.trace_stokes_line",
-                TraceError("corrector stalled"))])
+                TraceError("corrector stalled")),
+               ("ptspec bifurcation --range 1.5:1.6 --step 0.1 --emax 12 --method numeric",
+                "shooting.scan_spectrum", ShootingError("step budget exhausted")),
+               ("ptspec quartic --range 0:0.5 --step 0.5 --emax 0.5 --numeric",
+                "shooting.scan_spectrum", ShootingError("step budget exhausted"))])
 
 
 def run_in_process(label: str, argv: list[str], rows: bool = False,
