@@ -20,8 +20,6 @@ import cmath
 import json
 import math
 import sys
-from collections import Counter
-from dataclasses import dataclass
 
 from . import asymptotic, geometry, shooting, verify
 from .geometry import ModelSpec
@@ -39,21 +37,6 @@ class _Parser(argparse.ArgumentParser):
         sys.exit(USAGE_EXIT)
 
 
-@dataclass(eq=False)
-class _Line:
-    """A line of a stokes dataset, one unit for _emit: its origin cells, its
-    kind and either its trace or, for a line emitted as the PT mirror of an
-    earlier one, that line (mirror_of) and no trace: its points are the
-    partner's -conj z and its chi the partner's conj chi.  Hashed by
-    identity: _write_lines keys its kept text by line."""
-
-    o_re: float
-    o_im: float
-    kind: str
-    trace: geometry.StokesTrace | None
-    mirror_of: "_Line | None"
-
-
 def _negated(cell: str) -> str:
     """The %.17g text of -x + 0.0 from that of x + 0.0: its sign flipped,
     except that 0 and nan print without one."""
@@ -62,59 +45,59 @@ def _negated(cell: str) -> str:
     return cell if cell == "0" or cell == "nan" else "-" + cell
 
 
-def _write_lines(out, lines: list[_Line]) -> None:
+def _write_lines(out, lines: list[tuple]) -> None:
     """Write the CSV rows of each line, origin_re, origin_im, z_re, z_im,
     rechi, imchi, kind, as soon as they are rendered (see _emit)."""
-    owed = Counter(line.mirror_of for line in lines)  # line -> mirrors still to write
-    kept = {}  # line -> its point cells, until its last mirror is written
-    for line in lines:
-        partner = line.mirror_of
-        if partner is None:
-            cells = ["%.17g,%.17g,%.17g,%.17g" % (z.real + 0.0, z.imag + 0.0,
-                                                  chi.real + 0.0, chi.imag + 0.0)
-                     for z, chi in zip(line.trace.points, line.trace.chi)]
-        else:
+    # id of each trace that a line mirrors -> its point cells, until that mirror is written
+    kept = {id(trace): None for _, _, trace, mirrored in lines if mirrored}
+    for origin, kind, trace, mirrored in lines:
+        if mirrored:
             # -conj z, conj chi: z_re and imchi change sign, z_im and rechi stay
             cells = []
-            for cell in kept[partner]:
+            for cell in kept.pop(id(trace)):
                 x, y, re, im = cell.split(",")
                 cells.append(f"{_negated(x)},{y},{re},{_negated(im)}")
-            owed[partner] -= 1
-            if not owed[partner]:
-                del kept[partner]
-        if owed[line]:
-            kept[line] = cells
+        else:
+            cells = ["%.17g,%.17g,%.17g,%.17g" % (z.real + 0.0, z.imag + 0.0,
+                                                  chi.real + 0.0, chi.imag + 0.0)
+                     for z, chi in zip(trace.points, trace.chi)]
+            if id(trace) in kept:
+                kept[id(trace)] = cells
         if cells:
-            head = "%.17g,%.17g," % (line.o_re, line.o_im)
-            tail = f",{line.kind}\n"
+            head = "%.17g,%.17g," % (origin.real + 0.0, origin.imag + 0.0)
+            tail = f",{kind}\n"
             out.write(head + (tail + head).join(cells) + tail)
 
 
-def _emit(rows: list, columns: list[str], args, meta: dict, lines: list[_Line] = ()) -> None:
+def _emit(rows: list, columns: list[str], args, meta: dict, lines: list[tuple] = ()) -> None:
     """Write rows, dicts keyed by column or tuples in column order, then the
-    rows of each traced line in lines (stokes' columns).
+    rows of each traced line in lines (stokes' columns), a record (origin,
+    kind, trace, mirrored): a mirrored line's rows are those of its trace
+    taken to -conj z and conj chi, and no trace is mirrored twice.
 
     CSV renders a float (numpy.float64 included) as %.17g and anything else
     as str: one %-template per distinct tuple of cell types, one join.  A
     line's rows are rendered as one unit: its origin cells and kind are
     filled in once around the four point cells of each row, and its text
-    is written as soon as it is rendered, so only the point cells of a line
-    that a later line mirrors are kept, until that mirror is written.  A
-    mirror's rows come from those cells as text: %.17g of -x + 0.0 is that
-    of x + 0.0 with its sign flipped (_negated), since the + 0.0 that every
-    cell carries leaves no -0 and nan prints without a sign.  JSON takes a
-    mirror's rows from its partner's trace with z_re and imchi negated, the
-    bits of (-conj z).real + 0.0 and conj(chi).imag + 0.0.
+    is written as soon as it is rendered, so only the point cells of a
+    trace that a later line mirrors are kept, until that mirror is written.
+    A mirror's rows come from those cells as text: %.17g of -x + 0.0 is
+    that of x + 0.0 with its sign flipped (_negated), since the + 0.0 that
+    every cell of a line carries, its origin's too, leaves no -0 and nan
+    prints without a sign.  JSON takes a mirror's rows from the trace with
+    z_re and imchi negated, the bits of (-conj z).real + 0.0 and
+    conj(chi).imag + 0.0.
     """
     rows = [r if isinstance(r, tuple) else tuple(map(r.__getitem__, columns))
             for r in rows]
     out = open(args.out, "w") if args.out else sys.stdout
     try:
         if args.format == "json":
-            for line in lines:
-                trace, sign = (line.mirror_of.trace, -1.0) if line.mirror_of else (line.trace, 1.0)
-                rows += [(line.o_re, line.o_im, sign * z.real + 0.0, z.imag + 0.0,
-                          chi.real + 0.0, sign * chi.imag + 0.0, line.kind)
+            for origin, kind, trace, mirrored in lines:
+                o_re, o_im = origin.real + 0.0, origin.imag + 0.0
+                sign = -1.0 if mirrored else 1.0
+                rows += [(o_re, o_im, sign * z.real + 0.0, z.imag + 0.0,
+                          chi.real + 0.0, sign * chi.imag + 0.0, kind)
                          for z, chi in zip(trace.points, trace.chi)]
             payload = {"meta": meta, "rows": [dict(zip(columns, r)) for r in rows]}
             json.dump(payload, out, indent=1, sort_keys=True)
@@ -240,11 +223,12 @@ def cmd_stokes(args) -> int:
 
     Line k of an origin leaves at the k-th of its seed_directions.  Under
     ModelSpec.pt_mirror z_B is -conj z_A, so z_B's lines are z_A's mirrored
-    rather than traced again: each of z_B's directions takes the z_A line
-    that leaves at its mirror angle.  z_B traces a line itself where that
-    z_A line failed or z_A did not seed.  Each line reaches _emit as one
-    _Line; a mirrored one holds no trace, only its z_A partner, and _emit
-    renders its rows from the partner's (text for CSV, trace for JSON).
+    rather than traced again: each of z_B's directions takes, of the z_A
+    lines not yet taken, the one that leaves at its mirror angle.  z_B
+    traces a line itself where that z_A line failed or z_A did not seed.
+    Each line reaches _emit as one record (origin, kind, trace, mirrored);
+    a mirrored one carries its z_A partner's trace, and _emit renders its
+    rows from the partner's (text for CSV, trace for JSON).
     """
     rows = []
     lines = []
@@ -263,33 +247,31 @@ def cmd_stokes(args) -> int:
     origins = [(f"z_{label}", z) for label, z in zip("ABCD", model.turning_points)]
     if model.has_branch_cut:
         origins.append(("z0", 0j))
-    z_a_lines = None  # z_A's (angle, _Line or None), kept for z_B alone
+    z_a = []  # z_A's (angle, trace or None) not yet taken by a z_B line
     for name, origin in origins:
-        mirror_of = z_a_lines if name == "z_B" and model.pt_mirror else None
-        z_a_lines = [] if name == "z_A" else None
-        o_re, o_im = origin.real + 0.0, origin.imag + 0.0  # no "-0" fields
         try:
             dirs = geometry.seed_directions(origin, model)
         except (geometry.TraceError, ValueError) as exc:
             sys.stderr.write(f"warning: seeding failed at {name}: {exc}\n")
             continue
+        mirrors = name == "z_B" and model.pt_mirror
         for k, th in enumerate(dirs):
-            trace = partner = None
-            if mirror_of:
+            trace = None
+            if mirrors and z_a:
                 # z_A's line at angle t mirrors to pi - t, -e^{-it} on the circle
                 u = cmath.exp(1j * th)
-                partner = min(mirror_of, key=lambda entry: abs(u + cmath.exp(-1j * entry[0])))[1]
-            if partner is None:
+                j = min(range(len(z_a)), key=lambda i: abs(u + cmath.exp(-1j * z_a[i][0])))
+                trace = z_a.pop(j)[1]
+            mirrored = trace is not None
+            if not mirrored:
                 try:
                     trace = geometry.trace_stokes_line(origin, model, th, max_arclen=25.0)
                 except geometry.TraceError as exc:
                     sys.stderr.write(f"warning: trace {name}/{k} failed: {exc}\n")
-            line = (None if trace is None and partner is None
-                    else _Line(o_re, o_im, f"stokes_{name}_{k}", trace, partner))
-            if z_a_lines is not None:
-                z_a_lines.append((th, line))
-            if line is not None:
-                lines.append(line)
+            if name == "z_A":
+                z_a.append((th, trace))
+            if trace is not None:
+                lines.append((origin, f"stokes_{name}_{k}", trace, mirrored))
     if not lines:  # wedge rows alone are no dataset
         raise RuntimeError("no Stokes line was traced")
     _emit(rows, ["origin_re", "origin_im", "z_re", "z_im", "rechi", "imchi", "kind"],

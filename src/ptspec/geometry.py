@@ -128,7 +128,8 @@ class ModelSpec:
         axis, which the map fixes).  Each mirror is taken once, by the code
         that uses it: shooting's right ray at real E (mismatch), the
         quartic's z_b and w_B at real a (_walk_leg, _quartic_end_actions)
-        and z_B's Stokes lines, rendered by the writer (cli stokes, _emit).
+        and z_B's Stokes lines: each takes the trace of one z_A line, none
+        taken twice, and the writer renders it mirrored (cli stokes, _emit).
         """
         return complex(self.param).imag == 0
 

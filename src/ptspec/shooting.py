@@ -124,6 +124,8 @@ _MAX_STEPS = 150_000
 # at p from 1.05 to 100 and the quartic at A = 0, 1, 3, E from 1 to 1e4,
 # real or complex, tending to 0.24 at large E for every p.
 _MIN_STEPS_PER_RADIAN = 0.2
+# Steps between the checks that the rate so far can still cover the segment.
+_PROJECT_EVERY = 1024
 # 1 / ((k + 1)(k + 2)), the factor of a_{k+2} in the coefficient recurrence
 _INV_PAIRS = tuple(1.0 / ((k + 1) * (k + 2)) for k in range(_ORDER - 1))
 
@@ -148,13 +150,17 @@ def wkb_init(z: complex, eps: complex, model: ModelSpec) -> ShootState:
     The square-root branch of phi' = sqrt(q) is the one whose exponential
     grows toward the interior (equivalently decays toward |z| -> infinity),
     selected by the sign of Re(i phi' * inward direction / eps) so the
-    choice stays correct for complex eigenvalues.
+    choice stays correct for complex eigenvalues.  z = 0, eps = 0 and a z
+    where that sign is ambiguous, a zero of q among them, raise
+    ShootingError.
     """
+    if z == 0 or eps == 0:
+        raise ShootingError(f"no WKB start at z = {z:.3g}, eps = {eps:.3g}: both must be nonzero")
     q = model.q(z)
     s = cmath.sqrt(q)
     inward = -z / abs(z)
     growth = (1j * s * inward / eps).real * abs(eps)
-    if abs(growth) < 1e-12 * abs(s):
+    if abs(growth) <= 1e-12 * abs(s):  # at a zero of q too
         raise ShootingError(f"ambiguous decay branch at z = {z:.4g}")
     if growth < 0:
         s = -s
@@ -185,9 +191,16 @@ def integrate_ray(start: ShootState, seg: tuple[complex, complex], eps: complex,
     loose^(1/29): at any |f| the error target is at most loose = max(1,
     rtol / 1e-10, atol / 1e-12) times the default one, and a step, a root of
     order 29 or 30 of it (_ORDER - 1, _ORDER), grows at most as loose^(1/29).
+    Every _PROJECT_EVERY steps the same refusal meets a ray whose steps so
+    far, per radian of the Gauss rule over [0, t], would overrun _MAX_STEPS
+    on the whole segment.  A zero-length segment or eps = 0 raise
+    ShootingError.
     """
     z0, z1 = seg
     d = z1 - z0
+    if d == 0 or eps == 0:
+        raise ShootingError(f"no ray from {z0:.3g} to {z1:.3g} at eps = {eps:.3g}: "
+                            "the segment's length and eps must be nonzero")
     d_eps = d / eps
     kappa = -d_eps * d_eps
     g_fac = eps / d
@@ -199,16 +212,26 @@ def integrate_ray(start: ShootState, seg: tuple[complex, complex], eps: complex,
     log_scale = start.log_scale
     rtol, atol = cfg.rtol, cfg.atol
     q = model.q_callable()
-    phase = abs(d_eps) * sum(w * math.sqrt(abs(q(z0 + u * d))) for u, w in _GAUSS_01)
+
+    def phase_to(s):  # radians from t = 0 to s, by the Gauss rule of sqrt|q|
+        return s * abs(d_eps) * sum(w * math.sqrt(abs(q(z0 + u * s * d))) for u, w in _GAUSS_01)
+
+    def over_budget():
+        return ShootingError(f"step budget of {_MAX_STEPS} steps cannot cover the "
+                             f"{phase:.3g} radians along {z0:.3g} -> {z1:.3g}")
+
+    phase = phase_to(1.0)
     loose = max(1.0, rtol / ShootConfig.rtol, atol / ShootConfig.atol)
     if _MIN_STEPS_PER_RADIAN * phase > _MAX_STEPS * loose ** (1 / (_ORDER - 1)):
-        raise ShootingError(f"step budget of {_MAX_STEPS} steps cannot cover the "
-                            f"{phase:.3g} radians along {z0:.3g} -> {z1:.3g}")
+        raise over_budget()
     t = 0.0
     steps = 0
     while t < 1.0:
         if steps == _MAX_STEPS:
             raise ShootingError("step budget exhausted")
+        # the steps so far, at their own rate, over the whole segment's phase
+        if steps and not steps % _PROJECT_EVERY and steps * phase > _MAX_STEPS * phase_to(t):
+            raise over_budget()
         steps += 1
         z = z0 + t * d
         kq = [kappa * c for c in q_series(z, d, n - 1)]

@@ -451,6 +451,16 @@ def test_branch_walk_follows_each_member_of_a_merging_pair():
     assert abs(nxt.eps.imag) > 1e-3 * abs(nxt.eps)
 
 
+def test_branch_walk_stops_where_the_root_search_fails():
+    # branch 1 is real at p = 1.5 (E = 3.2081); from that root the search
+    # at p = 1.3 fails, and the walk ends there rather than skip a point
+    deltas = [0.5, 0.3, 0.2]
+    recs = lowest_branch_path(deltas, 1)
+    assert [r.param for r in recs] == [1.5] and abs(recs[0].E - 3.2081) < 1e-4
+    with pytest.raises(SolveError):
+        solve_condition(1, 1.3, "full", seed=recs[0].eps.real)
+
+
 @settings(deadline=None)
 @given(case=st.one_of(
     st.tuples(st.floats(1.05, 6.0).map(ModelSpec.power_law), st.integers(0, 60)),

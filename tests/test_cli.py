@@ -6,6 +6,7 @@ import os
 import shlex
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -432,22 +433,23 @@ def test_emit_renders_every_cell_as_the_per_cell_writer_did(tmp_path):
         origin=0j, points=[complex(x, y) for x in edge for y in edge[::5]],
         chi=[complex(y, x) for x in edge for y in edge[::-5]])
     bare = geometry.StokesTrace(origin=0j)
-    a = cli._Line(-0.0, 2.0 / 3.0, "stokes_z_A_0", trace, None)
-    empty = cli._Line(1.5, 0.0, "stokes_z_A_1", bare, None)
-    lines = [a, empty, cli._Line(0.0, 1e22, "stokes_z_C_0", trace, None),
-             cli._Line(5e-324, 2.0 / 3.0, "stokes_z_B_0", None, a),
-             cli._Line(-1.5, math.nan, "stokes_z_B_1", None, empty),
-             cli._Line(math.inf, 0.0, "stokes_z_B_2", None, a)]
+    twin = replace(trace)  # each trace is mirrored at most once
+    lines = [(complex(-0.0, 2.0 / 3.0), "stokes_z_A_0", trace, False),
+             (complex(1.5, 0.0), "stokes_z_A_1", bare, False),
+             (complex(0.0, 1e22), "stokes_z_C_0", twin, False),
+             (complex(5e-324, 2.0 / 3.0), "stokes_z_B_0", trace, True),
+             (complex(-1.5, math.nan), "stokes_z_B_1", bare, True),
+             (complex(math.inf, 0.0), "stokes_z_B_2", twin, True)]
     plain = [(0.0, 0.0, 8.0, -0.0, 0.0, 0.0, "wedge_centre_left")]
     rows = [dict(zip(columns, r)) for r in plain]
-    for line in lines:
-        if line.mirror_of is None:
-            points, chis = line.trace.points, line.trace.chi
+    for origin, kind, line_trace, mirrored in lines:
+        if mirrored:
+            points = [-z.conjugate() for z in line_trace.points]
+            chis = [c.conjugate() for c in line_trace.chi]
         else:
-            points = [-z.conjugate() for z in line.mirror_of.trace.points]
-            chis = [c.conjugate() for c in line.mirror_of.trace.chi]
-        rows += [dict(zip(columns, (line.o_re, line.o_im, z.real + 0.0, z.imag + 0.0,
-                                    chi.real + 0.0, chi.imag + 0.0, line.kind)))
+            points, chis = line_trace.points, line_trace.chi
+        rows += [dict(zip(columns, (origin.real + 0.0, origin.imag + 0.0, z.real + 0.0,
+                                    z.imag + 0.0, chi.real + 0.0, chi.imag + 0.0, kind)))
                  for z, chi in zip(points, chis)]
     for form, want in (("csv", _rendered_by_cell(rows, columns)),
                        ("json", json.dumps({"meta": meta, "rows": rows},
@@ -581,7 +583,8 @@ def test_stokes_z_b_rows_mirror_z_a_rows_bit_for_bit(tmp_path, argv):
 
 
 def _emitted_lines(monkeypatch):
-    """The _Lines each later stokes run hands to cli._emit, one list per run."""
+    """The line records each later stokes run hands to cli._emit, one list
+    per run."""
     emitted, plain = [], cli._emit
 
     def emit(rows, columns, args, meta, lines=()):
@@ -599,13 +602,13 @@ def test_mirrored_z_b_lines_match_lines_traced_from_z_b(tmp_path, monkeypatch, a
     # would wrap; at p = 1.3 one of them ends on the cut
     emitted = _emitted_lines(monkeypatch)
     model, lines = _stokes_run(argv, tmp_path)
-    mirrors = [line for line in emitted[0] if line.mirror_of is not None]
+    mirrors = [line for line in emitted[0] if line[3]]
     z_b = model.turning_points[1]
     dirs = geometry.seed_directions(z_b, model)
+    z_a = [trace for _, kind, trace, _ in emitted[0] if kind.startswith("stokes_z_A_")]
     assert len(mirrors) == len(dirs) == 3
-    for k, (theta, line) in enumerate(zip(dirs, mirrors)):
-        assert line.kind == f"stokes_z_B_{k}" and line.trace is None
-        got = line.mirror_of.trace
+    for k, (theta, (_, kind, got, _)) in enumerate(zip(dirs, mirrors)):
+        assert kind == f"stokes_z_B_{k}" and any(got is trace for trace in z_a)
         want = geometry.trace_stokes_line(z_b, model, theta, max_arclen=25.0)
         rows = lines[f"stokes_z_B_{k}"]
         assert got.terminated == want.terminated, (k, got.terminated)
@@ -614,7 +617,7 @@ def test_mirrored_z_b_lines_match_lines_traced_from_z_b(tmp_path, monkeypatch, a
             tol = 1e-12 * max(1.0, abs(chi))
             assert abs(complex(x, y) - z) <= tol and abs(complex(re, im) - chi) <= tol
     if argv == ["--p", "1.3"]:
-        assert "cut" in {line.mirror_of.trace.terminated for line in mirrors}
+        assert "cut" in {trace.terminated for _, _, trace, _ in mirrors}
 
 
 @pytest.mark.parametrize("argv", [["--p", "1.3"], ["--A", "1.0"]])
@@ -629,11 +632,64 @@ def test_stokes_traces_only_the_lines_that_mirror_no_other(tmp_path, monkeypatch
     monkeypatch.setattr(geometry, "trace_stokes_line", trace)
     emitted = _emitted_lines(monkeypatch)
     model, _ = _stokes_run(argv, tmp_path)
-    own = [line for line in emitted[0] if line.mirror_of is None]
+    own = [line for line in emitted[0] if not line[3]]
     assert len(emitted[0]) - len(own) == 3
-    assert all((line.trace is None) == (line.mirror_of is not None) for line in emitted[0])
+    mirrored = [trace for _, _, trace, is_mirror in emitted[0] if is_mirror]
+    assert all(any(trace is other[2] for other in own) for trace in mirrored)
     assert len(origins) == len(own)
     assert model.turning_points[1] not in origins
+
+
+@pytest.mark.parametrize("argv", [["--p", "1.3"], ["--A", "1.0"]])
+def test_z_b_traces_the_line_whose_z_a_partner_failed(tmp_path, monkeypatch, capsys, argv):
+    # z_A/1 fails: z_B traces its mirror of that line itself, at its own
+    # direction, and still mirrors the other two bit for bit
+    model, plain = _stokes_run(argv, tmp_path)
+    z_a, z_b = model.turning_points[:2]
+    lost = geometry.seed_directions(z_a, model)[1]
+    mirrored = [(z_b.real, z_b.imag, -x, y, re, -im)
+                for _, _, x, y, re, im in plain["stokes_z_A_1"]]
+    k = [plain[f"stokes_z_B_{j}"] for j in range(3)].index(mirrored)
+    traced, real = [], geometry.trace_stokes_line
+
+    def trace(origin, model, theta, **kwargs):
+        if origin == z_a and theta == lost:
+            raise geometry.TraceError("corrector stalled")
+        traced.append((origin, theta))
+        return real(origin, model, theta, **kwargs)
+
+    monkeypatch.setattr(geometry, "trace_stokes_line", trace)
+    capsys.readouterr()
+    _, lines = _stokes_run(argv, tmp_path)
+    assert capsys.readouterr().err == "warning: trace z_A/1 failed: corrector stalled\n"
+    assert [theta for origin, theta in traced if origin == z_b] == [
+        geometry.seed_directions(z_b, model)[k]]
+    assert "stokes_z_A_1" not in lines
+    for j in range(3):
+        if j != k:
+            assert lines[f"stokes_z_B_{j}"] == plain[f"stokes_z_B_{j}"], j
+    got = lines[f"stokes_z_B_{k}"]
+    assert len(got) == len(mirrored)
+    assert all(max(map(abs, (a - b for a, b in zip(r, m)))) <= 1e-9 * max(1.0, abs(m[4]))
+               for r, m in zip(got, mirrored))
+
+
+def test_stokes_into_a_closed_pipe_exits_quietly():
+    # ptspec stokes --p 1.3 | head -1: the reader leaves after one line
+    proc = subprocess.Popen(CMD + ["stokes", "--p", "1.3"], stdout=subprocess.PIPE,
+                            stderr=subprocess.PIPE, env=ENV)
+    assert proc.stdout.readline() == b"origin_re,origin_im,z_re,z_im,rechi,imchi,kind\n"
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait() == 0 and err == b""
+
+
+def test_grid_ends_at_the_upper_end_of_its_range():
+    # a step that does not divide the range still ends the grid at hi
+    assert cli._grid(0.0, 1.0, 0.3) == pytest.approx([0.0, 0.3, 0.6, 0.9, 1.0])
+    assert cli._grid(0.0, 1.0, 0.3)[-1] == 1.0
+    assert cli._grid(1.0, 2.0, 0.25) == [1.0, 1.25, 1.5, 1.75, 2.0]
 
 
 @pytest.mark.parametrize("argv", [["--p", "1.3"], ["--p", "2"], ["--p", "12"],

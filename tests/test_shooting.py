@@ -225,7 +225,10 @@ def test_q_series_matches_q_and_its_derivatives():
         ModelSpec.power_law(1.5).q_series(0j, 1.0, 30)
 
 
-@pytest.mark.parametrize("case", ["nan start", "overflow", "collapse", "budget", "eps underflow"])
+@pytest.mark.parametrize("case", ["nan start", "overflow", "collapse", "budget",
+                                  "budget run out", "eps underflow", "zero-length segment",
+                                  "ray at eps = 0", "start at z = 0", "start at eps = 0",
+                                  "start at a zero of q"])
 def test_integration_failures_are_shooting_errors(case, monkeypatch):
     # each must raise ShootingError at once: no hang, no OverflowError or
     # ZeroDivisionError
@@ -243,8 +246,26 @@ def test_integration_failures_are_shooting_errors(case, monkeypatch):
     elif case == "budget":
         monkeypatch.setattr(shooting, "_MAX_STEPS", 3)
         match, run = "step budget", lambda: mismatch(10.0, p3)
-    else:
+    elif case == "budget run out":
+        # p = 1.5, E = 300: 220 steps over 905 radians, within a budget of 200
+        # at the 0.2 steps per radian checked before the first step
+        monkeypatch.setattr(shooting, "_MAX_STEPS", 200)
+        match, run = "step budget exhausted", lambda: mismatch(300.0, ModelSpec.power_law(1.5))
+    elif case == "eps underflow":
         match, run = "underflows", lambda: mismatch(1e300, ModelSpec.power_law(1.5))
+    elif case == "zero-length segment":
+        match, run = "no ray from -3", lambda: integrate_ray(
+            ShootState(1.0, 1.0), (-3 + 0j, -3 + 0j), 0.1, p3, ShootConfig())
+    elif case == "ray at eps = 0":
+        match, run = "at eps = 0", lambda: integrate_ray(
+            ShootState(1.0, 1.0), (-3 + 0j, -0.5j), 0.0, p3, ShootConfig())
+    elif case == "start at z = 0":
+        match, run = "no WKB start at z = 0", lambda: wkb_init(0j, 0.1, p3)
+    elif case == "start at eps = 0":
+        match, run = "no WKB start at z = -3.*eps = 0", lambda: wkb_init(-3 + 0j, 0.0, p3)
+    else:  # q(1) = 0 exactly at p = 2
+        match, run = "ambiguous decay branch", lambda: wkb_init(
+            1 + 0j, 0.1, ModelSpec.power_law(2.0))
     with pytest.raises(ShootingError, match=match):
         run()
 
@@ -275,6 +296,27 @@ def test_budget_check_allows_for_a_loose_tolerance(monkeypatch):
     monkeypatch.setattr(ModelSpec, "q_series", lambda *args: pytest.fail("a step was taken"))
     with pytest.raises(ShootingError, match="step budget of 2000 steps cannot cover"):
         mismatch(1000.0, model)
+
+
+def test_a_ray_that_its_steps_so_far_cannot_finish_fails_partway(monkeypatch):
+    # p = 1.2: E = 1000 takes 3,114 steps over 12,966 radians and E = 1250
+    # 4,192 over 17,454, both within a budget of 4,096 at 0.2 steps per
+    # radian; after 1,024 steps the second is projected past the budget.
+    monkeypatch.setattr(shooting, "_MAX_STEPS", 4096)
+    model = ModelSpec.power_law(1.2)
+    steps, plain = [0], ModelSpec.q_series
+
+    def q_series(*args):
+        steps[0] += 1
+        return plain(*args)
+
+    monkeypatch.setattr(ModelSpec, "q_series", q_series)
+    assert cmath.isfinite(mismatch(1000.0, model))
+    assert steps[0] == 3114
+    steps[0] = 0
+    with pytest.raises(ShootingError, match="step budget of 4096 steps cannot cover"):
+        mismatch(1250.0, model)
+    assert steps[0] <= 1024
 
 
 class _Stepped(Exception):

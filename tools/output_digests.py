@@ -115,6 +115,7 @@ def error_runs() -> list[tuple[str, str | None, Exception | None]]:
     failures = ["ptspec eigen --p 3.05 --n 0 --method numeric",  # converges to n = 1
                 "ptspec eigen --p 1.0001 --n 0",  # flat condition
                 "ptspec eigen --p 1.5 --n 2000000 --method numeric",  # step budget
+                "ptspec eigen --p 1.05 --n 30000 --method numeric",  # budget, partway
                 "ptspec bifurcation --range 2.4:2.5 --step 0.1 --emax 0.1 --method wkb",
                 "ptspec p1-scaling --floor 0.6",
                 "ptspec quartic --range 0:1 --emax 0.5"]
