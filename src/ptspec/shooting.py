@@ -73,58 +73,48 @@ class ShootConfig:
     r_max (finite, > 0) caps two radii and nothing else: each ray's start,
     chosen per eps from the decay the WKB start needs (_start_radius), so W
     does not depend on r_max unless it caps the start, and the collocation
-    ray that seeds scan_spectrum.  z_mid is the power-law match point; the
-    quartic ignores it and matches at z = 0.  Either moves down the
-    imaginary axis in steps of 0.15 while a ray would pass within 0.05 of a
-    turning point (as the quartic's do at A = 0, on the real axis through
-    -1 and 1) or of a fractional power's branch point z = 0.  rtol/atol are
-    the per-step error targets of the Taylor stepper (finite, >= 0 and not
-    both 0): each of the last two terms of a step's series, which bound its
-    truncation error, stays within 1e-3 (atol + rtol max(|f|, |eps f'|)).
-    z_mid must be finite and lie on the imaginary axis, the PT-symmetry
-    axis, so that at real E the right ray is the mirror of the left one
-    (see mismatch), and at or below 0: the rays end off that axis, so the
-    contour meets it only at z_mid and never crosses a fractional power's
-    branch cut, the positive imaginary axis.  A ray that takes more than
-    150,000 steps raises ShootingError.
+    ray that seeds scan_spectrum.  rtol/atol are the per-step error targets
+    of the Taylor stepper (finite, >= 0 and not both 0): each of the last
+    two terms of a step's series, which bound its truncation error, stays
+    within 1e-3 (atol + rtol max(|f|, |eps f'|)).  The match point is the
+    constant _Z_MID, not a setting.  A ray that takes more than 150,000
+    steps raises ShootingError.
     """
 
     r_max: float = 7.0
-    z_mid: complex = -0.5j
     rtol: float = 1e-10
     atol: float = 1e-12
 
     def __post_init__(self):
         if not (math.isfinite(self.r_max) and self.r_max > 0):
             raise ValueError(f"r_max must be finite and > 0, got {self.r_max}")
-        z_mid = complex(self.z_mid)
-        if not cmath.isfinite(z_mid) or z_mid.real != 0 or z_mid.imag > 0:
-            raise ValueError(f"z_mid must be finite and on the imaginary axis "
-                             f"at or below 0, got {self.z_mid}")
         tols = (self.rtol, self.atol)
         if not all(math.isfinite(x) and x >= 0 for x in tols) or not any(tols):
             raise ValueError(f"rtol and atol must be finite, >= 0 and not both 0, "
                              f"got rtol={self.rtol}, atol={self.atol}")
 
 
-# Closest a ray may pass to a turning point before the match point moves.
+# The power law's first match point; the quartic matches at z = 0.  It lies
+# on the imaginary axis, the PT-symmetry axis, so that at real E the right
+# ray is the mirror of the left one (see mismatch), and below 0: the rays
+# end off that axis, so the contour meets it only at the match point and
+# never crosses a fractional power's branch cut, the positive imaginary
+# axis.  _contour moves it down the axis in steps of 0.15 while a ray would
+# pass within _STANDOFF of a turning point (as the quartic's do at A = 0, on
+# the real axis through -1 and 1) or of a fractional power's branch point.
+_Z_MID = -0.5j
 _STANDOFF = 0.05
 # Taylor stepper of integrate_ray: the series order, the share of the
 # per-step error target that each of the last two terms may take, the
 # longest step as a share of the distance to a fractional power's branch
-# point, the shortest step (of a segment) and the step budget of one ray.
+# point, the shortest step (of a segment), the step budget of one ray and
+# the steps between the checks that the rate so far can still cover the
+# segment within that budget.
 _ORDER = 30
 _TRUNCATION = 1e-3
 _BRANCH_FRACTION = 0.5
 _MIN_STEP = 1e-9
 _MAX_STEPS = 150_000
-# Fewest steps per radian of phase that integrate_ray is taken to need at
-# the default tolerances (looser ones lower it), the phase from the Gauss
-# rule of sqrt|q| along the segment.  There a mismatch takes 0.225 to 0.61
-# at p from 1.05 to 100 and the quartic at A = 0, 1, 3, E from 1 to 1e4,
-# real or complex, tending to 0.24 at large E for every p.
-_MIN_STEPS_PER_RADIAN = 0.2
-# Steps between the checks that the rate so far can still cover the segment.
 _PROJECT_EVERY = 1024
 # 1 / ((k + 1)(k + 2)), the factor of a_{k+2} in the coefficient recurrence
 _INV_PAIRS = tuple(1.0 / ((k + 1) * (k + 2)) for k in range(_ORDER - 1))
@@ -185,16 +175,11 @@ def integrate_ray(start: ShootState, seg: tuple[complex, complex], eps: complex,
     whenever it leaves [1e-6, 1e6], with the factor accumulated in
     log_scale.  A non-finite coefficient, a step shorter than 1e-9 of the
     segment or more than _MAX_STEPS steps raise ShootingError; so does,
-    before the first step, a segment whose phase, |d| / |eps| times the
-    mean of |sqrt q| over it (the four-point Gauss rule, four q
-    evaluations), would overrun _MAX_STEPS at _MIN_STEPS_PER_RADIAN over
-    loose^(1/29): at any |f| the error target is at most loose = max(1,
-    rtol / 1e-10, atol / 1e-12) times the default one, and a step, a root of
-    order 29 or 30 of it (_ORDER - 1, _ORDER), grows at most as loose^(1/29).
-    Every _PROJECT_EVERY steps the same refusal meets a ray whose steps so
-    far, per radian of the Gauss rule over [0, t], would overrun _MAX_STEPS
-    on the whole segment.  A zero-length segment or eps = 0 raise
-    ShootingError.
+    every _PROJECT_EVERY steps, a ray whose steps so far, per radian of
+    phase over [0, t], would overrun _MAX_STEPS on the whole segment.  The
+    phase is |d| / |eps| times the mean of |sqrt q| (the four-point Gauss
+    rule, four q evaluations), taken only for a ray that reaches its first
+    checkpoint.  A zero-length segment or eps = 0 raise ShootingError.
     """
     z0, z1 = seg
     d = z1 - z0
@@ -216,22 +201,18 @@ def integrate_ray(start: ShootState, seg: tuple[complex, complex], eps: complex,
     def phase_to(s):  # radians from t = 0 to s, by the Gauss rule of sqrt|q|
         return s * abs(d_eps) * sum(w * math.sqrt(abs(q(z0 + u * s * d))) for u, w in _GAUSS_01)
 
-    def over_budget():
-        return ShootingError(f"step budget of {_MAX_STEPS} steps cannot cover the "
-                             f"{phase:.3g} radians along {z0:.3g} -> {z1:.3g}")
-
-    phase = phase_to(1.0)
-    loose = max(1.0, rtol / ShootConfig.rtol, atol / ShootConfig.atol)
-    if _MIN_STEPS_PER_RADIAN * phase > _MAX_STEPS * loose ** (1 / (_ORDER - 1)):
-        raise over_budget()
     t = 0.0
     steps = 0
     while t < 1.0:
         if steps == _MAX_STEPS:
             raise ShootingError("step budget exhausted")
         # the steps so far, at their own rate, over the whole segment's phase
-        if steps and not steps % _PROJECT_EVERY and steps * phase > _MAX_STEPS * phase_to(t):
-            raise over_budget()
+        if steps and not steps % _PROJECT_EVERY:
+            if steps == _PROJECT_EVERY:
+                phase = phase_to(1.0)
+            if steps * phase > _MAX_STEPS * phase_to(t):
+                raise ShootingError(f"step budget of {_MAX_STEPS} steps cannot cover the "
+                                    f"{phase:.3g} radians along {z0:.3g} -> {z1:.3g}")
         steps += 1
         z = z0 + t * d
         kq = [kappa * c for c in q_series(z, d, n - 1)]
@@ -333,18 +314,17 @@ def _collocation_length(k: float, r_tp: float, eps: complex, r_max: float) -> fl
     return min(r_max, max(2 * r_tp, _efold_radius(k, r_tp, eps, 40.0)))
 
 
-def _ray(model: ModelSpec,
-         cfg: ShootConfig) -> tuple[tuple[complex, ...], float, complex, complex]:
+def _ray(model: ModelSpec) -> tuple[tuple[complex, ...], float, complex, complex]:
     """The turning points of model (the equation at eps), the radius of the
     outermost one (1 exactly for the power law: |z_A| = |z_B| = 1 only up to
     rounding), the left ray's direction and the first match point: the power
-    law's left wedge centre and cfg.z_mid, or the quartic's -1 and 0."""
+    law's left wedge centre and _Z_MID, or the quartic's -1 and 0."""
     try:
         tps = model.turning_points
     except TraceError as exc:
         raise ShootingError(f"no labelled turning points: {exc}") from exc
     if model.family == "power":
-        return tps, 1.0, cmath.exp(1j * wedge_angles(model.p)[0]), cfg.z_mid
+        return tps, 1.0, cmath.exp(1j * wedge_angles(model.p)[0]), _Z_MID
     return tps, max(abs(tp) for tp in tps), -1 + 0j, 0j
 
 
@@ -353,13 +333,13 @@ def _contour(model: ModelSpec, eps: complex, cfg: ShootConfig) -> tuple[complex,
     and of a fractional power's branch point.
 
     model is the equation at eps (ModelSpec.at); the rays and the first
-    match point are _ray's.  The left ray's radius is the larger
-    _start_radius of the two rays (one when the right ray is the left one's
-    PT mirror); z_r = -conj(z_l) and the match point stays on the imaginary
-    axis, so the contour is its own PT mirror, and the contour at conj(eps)
-    is the one at eps.
+    match point are _ray's, and cfg.r_max caps the start radii.  The left
+    ray's radius is the larger _start_radius of the two rays (one when the
+    right ray is the left one's PT mirror); z_r = -conj(z_l) and the match
+    point moves only down the imaginary axis (see _Z_MID), so the contour is
+    its own PT mirror, and the contour at conj(eps) is the one at eps.
     """
-    tps, r_tp, z_dir, z_mid = _ray(model, cfg)
+    tps, r_tp, z_dir, z_mid = _ray(model)
     r = _start_radius(model, z_dir, r_tp, eps, cfg.r_max)
     if eps.imag != 0 or not model.pt_mirror:
         r = max(r, _start_radius(model, -z_dir.conjugate(), r_tp, eps, cfg.r_max))
@@ -495,7 +475,7 @@ def _contour_eigenvalues(model: ModelSpec, E_max: float, cfg: ShootConfig) -> np
     E0 = 1.5 * E_max
     eps0 = E_to_eps(complex(E0), model.degree)
     scaled = model.at(eps0)
-    _, r_tp, z_dir, _ = _ray(scaled, cfg)
+    _, r_tp, z_dir, _ = _ray(scaled)
     z_l = _collocation_length(model.degree + 2.0, r_tp, eps0, cfg.r_max) * z_dir
     n, m = _COLLOCATION_POINTS, _COLLOCATION_POINTS - 1
     x = np.cos(np.pi * np.arange(n + 1) / n)

@@ -1,5 +1,6 @@
 import cmath
 import math
+import re
 
 import numpy as np
 import pytest
@@ -208,6 +209,28 @@ def test_each_way_newton_fails_has_its_own_message():
         messages.append(str(err.value))
     assert ["zero slope" in messages[0], "flat on the scale of |z|" in messages[1],
             "100 iterations" in messages[2]] == [True] * 3
+
+
+def _overflowing(z):
+    raise OverflowError("math range error")
+
+
+# (condition as (value, slope), seed) for each way _newton_complex fails
+# that the conditions themselves have not shown
+_NEWTON_FAILURES = {
+    "condition overflowed during Newton": (_overflowing, 1.0),
+    "slope not finite in Newton at z = 1.0": (lambda z: (1.0 + 0j, complex(math.inf)), 1.0),
+    # the step, 1e308, is capped at half of |z|, which carries z past the
+    # largest double
+    "Newton diverged": (lambda z: (-1.0 + 0j, 1e-308), 1.5e308),
+}
+
+
+@pytest.mark.parametrize("failure", list(_NEWTON_FAILURES))
+def test_newton_overflow_and_divergence_have_their_own_messages(failure):
+    f, z0 = _NEWTON_FAILURES[failure]
+    with pytest.raises(SolveError, match=f"^{re.escape(failure)}$"):
+        _newton_complex(f, z0)
 
 
 def test_condition_spectrum_work_is_bounded(monkeypatch):

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ptspec import geometry
 from ptspec._quadrature import integrate_legs
 from ptspec.action import singulant
 from ptspec.geometry import (ModelSpec, TraceError, path_crosses_cut,
@@ -363,6 +364,17 @@ def test_matching_path_residuals_are_re_chi():
         trace = trace_matching_path(ModelSpec.power_law(p))
         assert max(trace.residuals) <= 1e-8
         assert max(abs(c.imag) for c in trace.chi) > 0.5
+
+
+def test_matching_path_refuses_the_quartic():
+    with pytest.raises(ValueError, match="^matching path is defined for the power-law family$"):
+        trace_matching_path(ModelSpec.quartic(1.0))
+
+
+def test_tracer_past_its_step_budget_is_a_trace_error(monkeypatch):
+    monkeypatch.setattr(geometry, "_MAX_POINTS", 3)
+    with pytest.raises(TraceError, match="^step budget exhausted$"):
+        trace_matching_path(ModelSpec.power_law(3.0))
 
 
 def test_stokes_line_points_grow_with_log_chi():

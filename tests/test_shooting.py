@@ -1,5 +1,6 @@
 import cmath
 import math
+import re
 
 import numpy as np
 import pytest
@@ -58,7 +59,7 @@ def test_start_radius_solves_its_decay_rule():
             eps = E_to_eps(complex(E), model.degree)
             scaled = model.at(eps)
             z_l, z_r, _ = _contour(scaled, eps, ShootConfig(r_max=r_max))
-            r_tp = _ray(scaled, ShootConfig())[1]
+            r_tp = _ray(scaled)[1]
             for z_dir in (z_l / abs(z_l), z_r / abs(z_r)):
                 r = _start_radius(scaled, z_dir, r_tp, eps, r_max)
                 rs = r_tp + (r - r_tp) * u * u
@@ -77,7 +78,7 @@ def test_wkb_init_decays_outward_grows_inward():
     cfg = ShootConfig()
     th_l, _, _ = wedge_angles(2.0)
     z0 = cfg.r_max * cmath.exp(1j * th_l)
-    unit_in = (cfg.z_mid - z0) / abs(cfg.z_mid - z0)
+    unit_in = (shooting._Z_MID - z0) / abs(shooting._Z_MID - z0)
     state = wkb_init(z0, 1.0 / 3.0, model)
     out = integrate_ray(state, (z0, z0 + unit_in), 1.0 / 3.0, model, cfg)
     grown = out.log_scale + math.log(max(abs(out.f), abs(out.df)))
@@ -123,8 +124,8 @@ def test_integrate_ray_scale_invariance():
     eps = 1.0 / 3.0
     base = wkb_init(z0, eps, model)
     big = ShootState(f=1000.0 * base.f, df=1000.0 * base.df)
-    out1 = integrate_ray(base, (z0, cfg.z_mid), eps, model, cfg)
-    out2 = integrate_ray(big, (z0, cfg.z_mid), eps, model, cfg)
+    out1 = integrate_ray(base, (z0, -0.5j), eps, model, cfg)
+    out2 = integrate_ray(big, (z0, -0.5j), eps, model, cfg)
     ratio1 = out1.df / out1.f
     ratio2 = out2.df / out2.f
     assert abs(ratio1 - ratio2) < 1e-12 * abs(ratio1)
@@ -157,15 +158,12 @@ def test_shoot_config_rejects_invalid_tolerances():
 
 def test_shoot_config_rejects_unusable_contours():
     # r_max = 0 used to divide by zero in mismatch, r_max < 0 shot rays away
-    # from the wedges, z_mid off the imaginary axis breaks the mirror, and
-    # z_mid above 0 puts the match point on a fractional power's branch cut
+    # from the wedges
     for kwargs in ({"r_max": 0.0}, {"r_max": -7.0}, {"r_max": math.inf},
-                   {"r_max": math.nan}, {"z_mid": complex(math.nan, -0.5)},
-                   {"z_mid": complex(0.0, -math.inf)}, {"z_mid": 0.3 - 0.5j},
-                   {"z_mid": -0.5}, {"z_mid": 0.3j}):
+                   {"r_max": math.nan}):
         with pytest.raises(ValueError):
             ShootConfig(**kwargs)
-    assert ShootConfig(r_max=4.5, z_mid=-0.8j).z_mid == -0.8j
+    assert ShootConfig(r_max=4.5).r_max == 4.5
 
 
 def _hermite_state(n, eps, z):
@@ -237,8 +235,6 @@ def test_integration_failures_are_shooting_errors(case, monkeypatch):
         match, run = "non-finite", lambda: integrate_ray(
             ShootState(complex(math.nan), 1.0), (-3 + 0j, -0.5j), 0.1, p3, ShootConfig())
     elif case == "overflow":  # eps ~ 2e-17: the Taylor coefficients overflow
-        # (past the budget check, which fails this ray before its first step)
-        monkeypatch.setattr(shooting, "_MIN_STEPS_PER_RADIAN", 0.0)
         match, run = "non-finite", lambda: mismatch(1e20, p3)
     elif case == "collapse":  # toward a fractional power's branch point
         match, run = "step collapsed", lambda: integrate_ray(
@@ -247,8 +243,8 @@ def test_integration_failures_are_shooting_errors(case, monkeypatch):
         monkeypatch.setattr(shooting, "_MAX_STEPS", 3)
         match, run = "step budget", lambda: mismatch(10.0, p3)
     elif case == "budget run out":
-        # p = 1.5, E = 300: 220 steps over 905 radians, within a budget of 200
-        # at the 0.2 steps per radian checked before the first step
+        # p = 1.5, E = 300: 220 steps, past a budget of 200 before the first
+        # projection at 1,024 steps
         monkeypatch.setattr(shooting, "_MAX_STEPS", 200)
         match, run = "step budget exhausted", lambda: mismatch(300.0, ModelSpec.power_law(1.5))
     elif case == "eps underflow":
@@ -270,38 +266,46 @@ def test_integration_failures_are_shooting_errors(case, monkeypatch):
         run()
 
 
-def test_a_ray_past_the_step_budget_fails_before_its_first_step(monkeypatch):
+def test_a_ray_past_the_step_budget_fails_at_its_first_projection(monkeypatch):
     # p = 1.5, E = 1e6: the ray turns through 1.1e7 radians, and the budget
-    # used to run out only after 150,000 steps (6.7 s); at E = 1e20 the
-    # Taylor coefficients would overflow.  (1.05, 1e4), (1.2, 3e4) and
-    # (1.5, 2e5) turn through 0.89e6, 1.21e6 and 1.75e6 radians, about 0.24
-    # steps each, and ran 7 to 10 s before the budget ran out.
-    def q_series(model, z, d, n):
-        raise AssertionError("a step was taken")
+    # used to run out only after 150,000 steps (6.7 s).  (1.05, 1e4),
+    # (1.2, 3e4) and (1.5, 2e5) turn through 0.89e6, 1.21e6 and 1.75e6
+    # radians, about 0.24 steps each, and ran 7 to 10 s before the budget ran
+    # out.  Each is refused at the first projection, after 1,024 steps.
+    steps, plain = [0], ModelSpec.q_series
+
+    def q_series(*args):
+        steps[0] += 1
+        return plain(*args)
 
     monkeypatch.setattr(ModelSpec, "q_series", q_series)
-    for p, E in ((1.5, 1e6), (3.0, 1e20), (1.05, 1e4), (1.2, 3e4), (1.5, 2e5)):
-        with pytest.raises(ShootingError, match="step budget"):
+    for p, E, radians, z_l in ((1.5, 1e6, "1.14e+07", "-0.975+0.223j"),
+                               (1.05, 1e4, "8.91e+05", "-0.883+0.47j"),
+                               (1.2, 3e4, "1.21e+06", "-0.924+0.383j"),
+                               (1.5, 2e5, "1.75e+06", "-0.975+0.223j")):
+        steps[0] = 0
+        text = (f"step budget of 150000 steps cannot cover the {radians} radians "
+                f"along {z_l} -> -0-0.5j")
+        with pytest.raises(ShootingError, match=f"^{re.escape(text)}$"):
             mismatch(E, ModelSpec.power_law(p))
+        assert steps[0] == 1024, (p, E)
 
 
 def test_budget_check_allows_for_a_loose_tolerance(monkeypatch):
     # p = 1.2, E = 1000: the ray turns through 12,966 radians.  At rtol 1e-3
-    # it takes 1,787 steps, within a budget of 2,000, though the default
-    # tolerances' 0.2 steps per radian would ask for 2,593; at the default
-    # tolerances it is refused before its first step.
+    # it takes 1,787 steps, within a budget of 2,000; at the default
+    # tolerances it takes 3,114 and is refused at the first projection.
     monkeypatch.setattr(shooting, "_MAX_STEPS", 2000)
     model = ModelSpec.power_law(1.2)
     assert cmath.isfinite(mismatch(1000.0, model, ShootConfig(rtol=1e-3)))
-    monkeypatch.setattr(ModelSpec, "q_series", lambda *args: pytest.fail("a step was taken"))
     with pytest.raises(ShootingError, match="step budget of 2000 steps cannot cover"):
         mismatch(1000.0, model)
 
 
 def test_a_ray_that_its_steps_so_far_cannot_finish_fails_partway(monkeypatch):
     # p = 1.2: E = 1000 takes 3,114 steps over 12,966 radians and E = 1250
-    # 4,192 over 17,454, both within a budget of 4,096 at 0.2 steps per
-    # radian; after 1,024 steps the second is projected past the budget.
+    # 4,192 over 17,454; after 1,024 steps the second is projected past a
+    # budget of 4,096, the first not.
     monkeypatch.setattr(shooting, "_MAX_STEPS", 4096)
     model = ModelSpec.power_law(1.2)
     steps, plain = [0], ModelSpec.q_series
@@ -325,9 +329,9 @@ class _Stepped(Exception):
 
 @pytest.mark.parametrize("p", [1.2, 1.5, 2.0, 3.0, 4.0, 8.0, 20.0, 40.0])
 def test_budget_check_lets_every_ray_within_the_budget_through(monkeypatch, p):
-    # The check raises or does nothing, so where every ray reaches its first
-    # step W keeps its bits.  These rays take 0.226 to 0.60 steps per radian
-    # of the Gauss-rule phase, at least 1.13 times _MIN_STEPS_PER_RADIAN.
+    # No ray is refused before its first step: the budget is checked only
+    # against the steps a ray has taken, so these rays, at 0.226 to 0.60
+    # steps per radian of the Gauss-rule phase, keep the bits of W.
     def q_series(model, z, d, n):
         raise _Stepped
 
@@ -434,6 +438,35 @@ def test_find_eigen_refuses_a_tolerance_that_is_not_finite_and_positive(tol, mon
         find_eigen(1.1, ModelSpec.power_law(3.0), tol=tol)
 
 
+def test_mismatch_refuses_a_match_point_where_both_solutions_vanish(monkeypatch):
+    monkeypatch.setattr(shooting, "integrate_ray", lambda *args: ShootState(0j, 0j))
+    with pytest.raises(ShootingError, match="both solutions vanished at the match point"):
+        mismatch(10.0, ModelSpec.power_law(3.0))
+
+
+# Mismatches in the order find_eigen asks for them: at the seed, at the seed
+# plus the difference step h, then one per secant or Muller step.
+_ROOT_SEARCH_FAILURES = {
+    "flat mismatch at seed": (1.1, [0.5, 0.5]),
+    "secant stalled on equal mismatches": (1.1, [0.5, 0.25, 0.5]),
+    # h = 1.5e302: the first secant step overshoots, and its cap, half of
+    # |E|, carries E past the largest double
+    "root search diverged": (1.5e308, [1.0, 2.0, 1.0 + 1e-10]),
+    # |W| falls as 1 / k and never reaches tol: the secant never stalls
+    "no convergence from seed 1.1": (1.1, [1.0, 2.0] + [1 / k for k in range(2, 62)]),
+}
+
+
+@pytest.mark.parametrize("failure", list(_ROOT_SEARCH_FAILURES))
+def test_each_way_the_root_search_fails_has_its_own_message(failure, monkeypatch):
+    seed, values = _ROOT_SEARCH_FAILURES[failure]
+    values = iter(values)
+    monkeypatch.setattr(shooting, "mismatch", lambda E, model, cfg: next(values))
+    with pytest.raises(ShootingError, match=f"^{re.escape(failure)}$"):
+        find_eigen(seed, ModelSpec.power_law(3.0))
+    assert next(values, None) is None
+
+
 @pytest.mark.parametrize("E_max", [0.0, -1.0, math.nan, math.inf])
 def test_scan_refuses_an_E_max_that_is_not_finite_and_positive(E_max):
     with pytest.raises(ValueError, match="E_max must be finite and > 0"):
@@ -521,21 +554,25 @@ def test_scan_finds_exactly_the_harmonic_ladder():
         assert abs(rec.E - (2 * k + 1)) <= 1e-5
 
 
-def test_match_point_independence():
+def test_match_point_independence(monkeypatch):
     model = ModelSpec.power_law(2.0)
-    e1 = find_eigen(3.01, model, ShootConfig(z_mid=-0.5j), tol=5e-12).E
-    e2 = find_eigen(3.01, model, ShootConfig(z_mid=-0.8j), tol=5e-12).E
-    assert abs(e1 - e2) < 1e-8
+    roots = []
+    for z_mid in (-0.5j, -0.8j):
+        monkeypatch.setattr(shooting, "_Z_MID", z_mid)
+        roots.append(find_eigen(3.01, model, tol=5e-12).E)
+    assert abs(roots[0] - roots[1]) < 1e-8
 
 
-def test_match_point_keeps_clear_of_the_branch_point():
+def test_match_point_keeps_clear_of_the_branch_point(monkeypatch):
     # a Taylor step cannot reach a fractional power's branch point, so a
     # match point at z = 0 moves down the axis as it would near a turning
     # point
     model = ModelSpec.power_law(1.5)
-    at_origin, below = ShootConfig(z_mid=0j), ShootConfig(z_mid=-0.15j)
-    assert _contour(model, E_to_eps(10.0 + 0j, 1.5), at_origin)[2] == -0.15j
-    assert mismatch(10.0, model, at_origin) == mismatch(10.0, model, below)
+    monkeypatch.setattr(shooting, "_Z_MID", -0.15j)
+    below = mismatch(10.0, model)
+    monkeypatch.setattr(shooting, "_Z_MID", 0j)
+    assert _contour(model, E_to_eps(10.0 + 0j, 1.5), ShootConfig())[2] == -0.15j
+    assert mismatch(10.0, model) == below
 
 
 def test_match_point_failure_names_what_it_keeps_clear_of():
@@ -551,20 +588,22 @@ def test_match_point_failure_names_what_it_keeps_clear_of():
         mismatch(750.0, ModelSpec.power_law(2.05))
 
 
-def test_contour_never_meets_the_branch_cut():
-    # with z_mid at or below 0 the rays end off the imaginary axis, so the
-    # polyline z_l -> z_mid -> z_r touches it only at z_mid, below the cut
-    cfgs = [ShootConfig(), ShootConfig(z_mid=0j), ShootConfig(z_mid=-3j),
-            ShootConfig(r_max=5.0, z_mid=-1.2j)]
+def test_contour_never_meets_the_branch_cut(monkeypatch):
+    # with the first match point at or below 0 the rays end off the
+    # imaginary axis, so the polyline z_l -> z_mid -> z_r touches it only at
+    # z_mid, below the cut
+    cases = [(-0.5j, ShootConfig()), (0j, ShootConfig()), (-3j, ShootConfig()),
+             (-1.2j, ShootConfig(r_max=5.0))]
     models = [ModelSpec.power_law(p) for p in (1.01, 1.2, 1.5, 2.5, 3.7, 6.0, 12.0)]
     models += [ModelSpec.quartic(a) for a in (0.0, 1.0, 5.0)]
     for model in models:
         for E in (0.05, 1.0, 10.0 + 3j, 40.0 - 1j, 400.0):
             eps = E_to_eps(complex(E), model.degree)
             scaled = model.at(eps)
-            for cfg in cfgs:
+            for first, cfg in cases:
+                monkeypatch.setattr(shooting, "_Z_MID", first)
                 z_l, z_r, z_mid = _contour(scaled, eps, cfg)
-                assert not path_crosses_cut([z_l, z_mid, z_r], scaled), (model, E, cfg)
+                assert not path_crosses_cut([z_l, z_mid, z_r], scaled), (model, E, first, cfg)
 
 
 def test_ray_length_follows_eps():
@@ -727,7 +766,7 @@ def test_power_law_ray_cap_acts_only_where_it_caps_the_start():
         model = ModelSpec.power_law(p)
         for E in (round(0.4 + 0.1 * k, 10) for k in range(30)):
             eps = E_to_eps(complex(E), p)
-            _, r_tp, z_dir, _ = _ray(model, cfg)
+            _, r_tp, z_dir, _ = _ray(model)
             if _start_radius(model, z_dir, r_tp, eps, wide.r_max) < cfg.r_max:
                 below.append((p, E))
                 assert mismatch(E, model, cfg) == mismatch(E, model, wide), (p, E)

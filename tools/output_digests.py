@@ -114,7 +114,10 @@ def error_runs() -> list[tuple[str, str | None, Exception | None]]:
              "ptspec eigen --p 3 --n 2 --method full --rtol 1e-9"]
     failures = ["ptspec eigen --p 3.05 --n 0 --method numeric",  # converges to n = 1
                 "ptspec eigen --p 1.0001 --n 0",  # flat condition
-                "ptspec eigen --p 1.5 --n 2000000 --method numeric",  # step budget
+                # step budget, refused at the first projection
+                "ptspec eigen --p 1.5 --n 2000000 --method numeric",
+                # the Taylor coefficients overflow at the first step
+                "ptspec eigen --p 3 --n 100000000000000000 --method numeric",
                 "ptspec eigen --p 1.05 --n 30000 --method numeric",  # budget, partway
                 "ptspec bifurcation --range 2.4:2.5 --step 0.1 --emax 0.1 --method wkb",
                 "ptspec p1-scaling --floor 0.6",

@@ -13,9 +13,11 @@ body calls that class.  A call that hands on a variable of the
 parameter's own name, from inside a function whose parameter of that
 name has a default, is a pass-through and is listed apart: it sets only
 what its own caller set.  The scan covers src/, tests/, demos/,
-perfbench/ and tools/.  Prints a Markdown table, one row per setting, and
-the count of settings: those some call sets, those only passed through,
-and those neither.
+perfbench/ and tools/.  Prints a Markdown table, one row per setting, the
+settings that only tests/ and demos/ set (knobs that no caller of the
+package turns), and the count of settings: those some call sets, of them
+those set only in tests/ and demos/, those only passed through, and those
+neither.
 """
 
 import ast
@@ -26,6 +28,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "ptspec"
 SCANNED = ("src", "tests", "demos", "perfbench", "tools")
+EXAMPLES = ("tests", "demos")
 
 
 def _is_dataclass(cls: ast.ClassDef) -> bool:
@@ -163,14 +166,19 @@ def main() -> int:
     print("| setting | default | set in | passed through in |")
     print("|---|---|---|---|")
     set_count = through_count = 0
+    examples_only = []
     for s in found:
         setting, passing = hits[(s["owner"], s["name"])]
         set_count += bool(setting)
         through_count += bool(passing) and not setting
+        if setting and all(rel.split("/")[0] in EXAMPLES for rel in setting):
+            examples_only.append(f"`{s['owner']}({s['name']})`")
         print(f"| `{s['owner']}({s['name']})` | `{s['default']}` | "
               f"{', '.join(sorted(setting)) or '—'} | {', '.join(sorted(passing)) or '—'} |")
-    print(f"\n{len(found)} settings: {set_count} set by some call, {through_count} only "
-          f"passed through, {len(found) - set_count - through_count} neither")
+    print(f"\nSet only in tests/ and demos/: {', '.join(examples_only) or '—'}")
+    print(f"\n{len(found)} settings: {set_count} set by some call ({len(examples_only)} only "
+          f"in tests/ and demos/), {through_count} only passed through, "
+          f"{len(found) - set_count - through_count} neither")
     return 0
 
 
