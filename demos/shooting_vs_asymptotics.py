@@ -15,7 +15,9 @@ from ptspec import (ModelSpec, ShootConfig, condition_spectrum, find_eigen,
 
 P = 1.7
 model = ModelSpec.power_law(P)
-cfg = ShootConfig(rtol=1e-9)
+# A tight polish: W is so flat in E near n = 4 that find_eigen's default
+# tol (|W| <= 1e-9) stops about 4e-7 relative short of 7.9889207.
+cfg = ShootConfig(rtol=1e-13, atol=1e-15)
 
 print(f"p = {P}: corrected condition vs plain WKB vs shooting")
 print(f"{'n':>3s} {'wkb':>11s} {'corrected':>11s} {'shooting':>11s} "
@@ -23,7 +25,7 @@ print(f"{'n':>3s} {'wkb':>11s} {'corrected':>11s} {'shooting':>11s} "
 for n in range(5):
     wkb = wkb_eigenvalue(n, P)
     full = solve_condition(n, P, "full").E.real
-    num = find_eigen(full, model, cfg).E.real
+    num = find_eigen(full, model, cfg, tol=1e-13).E.real
     print(f"{n:3d} {wkb:11.6f} {full:11.6f} {num:11.6f} "
           f"{abs(wkb - num):12.2e} {abs(full - num):13.2e}")
 

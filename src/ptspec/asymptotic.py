@@ -24,6 +24,7 @@ lowest_branch_path continues a real branch in p.
 import cmath
 import math
 import operator
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, replace
 from functools import lru_cache
 
@@ -358,8 +359,45 @@ def _off_axis(eps: complex) -> bool:
 
 
 def _same_root(a: complex, b: complex) -> bool:
-    """The duplicate test for condition roots: eps equal to 1e-8 relative."""
+    """The duplicate test for condition roots: eps equal to 1e-8 relative.
+    Then |Re a - Re b| <= |a - b| <= 1e-8 (|a| + |a - b|), so
+    |Re a - Re b| <= 1.00000001e-8 |a|: every b that passes lies in the
+    window |Re a - Re b| <= 2.1e-8 |a| that _near_roots scans (2.1, not 1,
+    so rounding in the window's ends cannot drop one)."""
     return abs(a - b) <= 1e-8 * max(abs(a), abs(b))
+
+
+def _near_roots(roots: list[complex]):
+    """near(z) -> the indices of roots, ascending, whose real part lies
+    within 2.1e-8 |z| of z's: a superset of the i with _same_root(roots[i],
+    z).  The roots are sorted by real part once, each query bisects."""
+    order = sorted(range(len(roots)), key=lambda i: roots[i].real)
+    reals = [roots[i].real for i in order]
+
+    def near(z: complex) -> list[int]:
+        w = 2.1e-8 * abs(z)
+        return sorted(order[bisect_left(reals, z.real - w):bisect_right(reals, z.real + w)])
+
+    return near
+
+
+def _distinct(solved: list[EigRecord], model: ModelSpec) -> list[EigRecord]:
+    """One record per root of solved (_same_root), in order of its first
+    solve: of the records that reached it, the one nearest its _mode_index
+    (the lower n on a tie), a root reached once its own; then the conjugate
+    of each complex one whose conjugate is not among them."""
+    near = _near_roots([r.eps for r in solved])
+    records = []
+    for rec in solved:
+        twins = [solved[i] for i in near(rec.eps) if _same_root(solved[i].eps, rec.eps)]
+        if twins[0] is rec:  # the first solve of this root
+            m = _mode_index(rec.eps, model) if twins[1:] else rec.n
+            records.append(min(twins, key=lambda r: (abs(r.n - m), r.n)))
+    near = _near_roots([r.eps for r in records])
+    return records + [replace(r, eps=r.eps.conjugate(), E=r.E.conjugate()) for r in records
+                      if _off_axis(r.eps)
+                      and not any(_same_root(r.eps.conjugate(), records[i].eps)
+                                  for i in near(r.eps.conjugate()))]
 
 
 def condition_spectrum(model: ModelSpec, e_max: float,
@@ -370,7 +408,11 @@ def condition_spectrum(model: ModelSpec, e_max: float,
     whose own energy, eps_to_E of the seed (model.a is the quartic's
     physical coupling), reaches e_max.  A root reached from
     several seeds takes the seed nearest its _mode_index (the lower on a
-    tie), any other its own; each complex root comes with its conjugate.
+    tie), any other its own; each complex root comes with its conjugate
+    (_distinct).  Duplicates are found by sorting the roots on Re eps once
+    and testing _same_root only inside each root's window of
+    |Re eps - Re eps'| <= 2.1e-8 |eps| (bisected), so that scan grows as
+    n log n in the roots, not n^2.
     A model or condition that _solver refuses, and an e_max that is not
     finite and > 0, raise ValueError before the first seed.
     """
@@ -388,16 +430,7 @@ def condition_spectrum(model: ModelSpec, e_max: float,
         except SolveError:
             pass
         n += 1
-    records = []
-    for rec in solved:
-        twins = [r for r in solved if _same_root(r.eps, rec.eps)]
-        if twins[0] is rec:  # the first solve of this root
-            m = _mode_index(rec.eps, model) if twins[1:] else rec.n
-            records.append(min(twins, key=lambda r: (abs(r.n - m), r.n)))
-    records += [replace(r, eps=r.eps.conjugate(), E=r.E.conjugate()) for r in records
-                if _off_axis(r.eps)
-                and not any(_same_root(r.eps.conjugate(), s.eps) for s in records)]
-    return sorted(records, key=lambda r: (r.n, r.E.imag))
+    return sorted(_distinct(solved, model), key=lambda r: (r.n, r.E.imag))
 
 
 def lowest_branch_path(deltas: list[float], n: int = 0) -> list[EigRecord]:

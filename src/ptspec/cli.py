@@ -13,10 +13,13 @@ deterministic ordering and 17-significant-digit floats so identical runs
 produce identical bytes.  Exit codes: 0 success; 64 usage error, from the
 parser (usage line, then an error: line); 2 computation failure, any
 exception a command raises (one error: line from main) or a FAIL in verify.
+The parser is built on main's first call in a process (not at import) and
+reused by every later call.
 """
 
 import argparse
 import cmath
+import functools
 import json
 import math
 import sys
@@ -430,11 +433,19 @@ def build_parser() -> _Parser:
     return parser
 
 
+@functools.cache
+def _parser() -> _Parser:
+    """The parser main uses: built by its first call, reused by every later one."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
     """Run argv (default sys.argv[1:]); return its exit code, or exit with it
     if argv is None.  The parser decides every usage error (64, SystemExit in
-    process too); any exception a command raises is reported here (2)."""
-    parser = build_parser()
+    process too); any exception a command raises is reported here (2).  The
+    parser is built on the first call and reused by every later one in the
+    process: a parse leaves it as it was."""
+    parser = _parser()
     args = parser.parse_args(argv)
     if getattr(args, "rtol", None) is not None and not args.shoots(args):
         parser.error("--rtol needs the shooting route (bifurcation --method "

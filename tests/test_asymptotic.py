@@ -1,6 +1,7 @@
 import cmath
 import math
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,8 +10,9 @@ from hypothesis import given, settings, strategies as st
 from ptspec.action import (action_between, action_scale,
                            action_to_turning_points, quartic_action,
                            quartic_critical_a)
-from ptspec.asymptotic import (SolveError, _mode_index, _newton_complex,
-                               _off_axis, _phase, _quartic_condition,
+from ptspec.asymptotic import (EigRecord, SolveError, _distinct, _mode_index,
+                               _newton_complex, _off_axis, _phase,
+                               _quartic_condition, _same_root,
                                _scaled_condition, _seed,
                                condition_spectrum, corrected_condition,
                                delta_estimate, E_to_eps, eps_to_E,
@@ -254,6 +256,79 @@ def test_condition_spectrum_work_is_bounded(monkeypatch):
     recs = condition_spectrum(ModelSpec.power_law(1.2), 30.0)
     assert calls[0] <= 1300
     assert [(r.n, r.eps) for r in recs] == [(0, 0.5567693675470603 + 0j)]
+
+
+def test_duplicate_scan_work_is_linear_in_the_roots(monkeypatch):
+    # Deterministic work count: comparing every solved root with every other
+    # took 577 _same_root calls here, for 21 solved roots and 23 records;
+    # the sorted scan takes 63.
+    from ptspec import asymptotic
+    calls = [0]
+
+    def counting(a, b):
+        calls[0] += 1
+        return _same_root(a, b)
+
+    monkeypatch.setattr(asymptotic, "_same_root", counting)
+    recs = condition_spectrum(ModelSpec.power_law(1.5), 30.0)
+    assert len(recs) == 23
+    assert calls[0] <= 3 * len(recs)
+
+
+def _distinct_reference(solved, model):
+    """The duplicate rule as every solved root compared with every other."""
+    records = []
+    for rec in solved:
+        twins = [r for r in solved if _same_root(r.eps, rec.eps)]
+        if twins[0] is rec:
+            m = _mode_index(rec.eps, model) if twins[1:] else rec.n
+            records.append(min(twins, key=lambda r: (abs(r.n - m), r.n)))
+    records += [replace(r, eps=r.eps.conjugate(), E=r.E.conjugate()) for r in records
+                if _off_axis(r.eps)
+                and not any(_same_root(r.eps.conjugate(), s.eps) for s in records)]
+    return records
+
+
+_DUPLICATE_MODEL = ModelSpec.power_law(1.5)
+
+
+@st.composite
+def _solved_roots(draw):
+    """Condition-root records in clusters at the edge of _same_root: offsets
+    of 0.99e-8 and 1.01e-8 relative and chains of them (three-way near-ties,
+    the ends apart), along the real or the imaginary axis (equal real parts),
+    with the cluster's conjugates, labelled around each root's mode index."""
+    eps = []
+    for _ in range(draw(st.integers(1, 5))):
+        z = complex(draw(st.floats(0.05, 2.0)),
+                    draw(st.one_of(st.just(0.0), st.floats(-0.5, 0.5))))
+        cluster = [z]
+        for _ in range(draw(st.integers(0, 3))):
+            rel = draw(st.sampled_from([0.0, 0.5e-8, 0.99e-8, 1.01e-8, 2e-8, 2.2e-8]))
+            unit = draw(st.sampled_from([1, -1, 1j, -1j, (1 + 1j) / abs(1 + 1j)]))
+            base = draw(st.sampled_from(cluster))
+            cluster.append(base + rel * abs(base) * unit)
+        if draw(st.booleans()):
+            cluster += [w.conjugate() for w in cluster if draw(st.booleans())]
+        eps += cluster
+    solved = []
+    for z in draw(st.permutations(eps)):
+        n = max(0, _mode_index(z, _DUPLICATE_MODEL) + draw(st.integers(-2, 2)))
+        solved.append(EigRecord(n=n, param=1.5, eps=z, E=eps_to_E(z, 1.5),
+                                method="full", residual=0.0))
+    return solved
+
+
+@settings(deadline=None, max_examples=300)
+@given(solved=_solved_roots())
+def test_sorted_duplicate_scan_selects_what_the_all_pairs_scan_did(solved):
+    got = _distinct(solved, _DUPLICATE_MODEL)
+    want = _distinct_reference(solved, _DUPLICATE_MODEL)
+    assert got == want
+    # the same records, not equal copies; the conjugates added are new
+    assert [any(r is s for s in solved) for r in got] == [
+        any(r is s for s in solved) for r in want]
+    assert all(r is w for r, w in zip(got, want) if any(r is s for s in solved))
 
 
 def _condition_parts_reference(eps, p):

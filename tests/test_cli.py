@@ -62,6 +62,48 @@ def test_output_determinism(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
+def test_importing_the_cli_builds_no_parser():
+    # count every argparse parser made while ptspec.cli is imported
+    code = ("import argparse\n"
+            "made = []\n"
+            "init = argparse.ArgumentParser.__init__\n"
+            "def counting(self, *args, **kwargs):\n"
+            "    made.append(self)\n"
+            "    init(self, *args, **kwargs)\n"
+            "argparse.ArgumentParser.__init__ = counting\n"
+            "import ptspec.cli\n"
+            "print(len(made))\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=ENV)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "0\n", "")
+
+
+def test_main_builds_its_parser_once_and_reuses_it(monkeypatch, capsys):
+    builds = []
+
+    def counting():
+        builds.append(1)
+        return build_parser()
+
+    monkeypatch.setattr(cli, "build_parser", counting)
+    cli._parser.cache_clear()  # as in a process that has not called main yet
+    bif = ["bifurcation", "--range", "2.4:2.6", "--step", "0.1", "--emax", "8"]
+    usage_errors = (["stokes", "--p", "2", "--A", "1"],
+                    ["eigen", "--p", "3", "--n", "2", "--rtol", "1e-9"])
+    assert main(bif) == 0
+    first = capsys.readouterr()
+    for argv in usage_errors:
+        with pytest.raises(SystemExit) as exit_:
+            main(argv)
+        err = capsys.readouterr()
+        fresh = run_cli(*argv)
+        assert exit_.value.code == fresh.returncode == 64
+        assert (err.out, err.err) == (fresh.stdout, fresh.stderr)
+    assert main(bif) == 0
+    assert capsys.readouterr() == first and first.err == "" and first.out
+    assert len(builds) == 1
+
+
 def test_json_matches_csv(tmp_path):
     c, j = tmp_path / "d.csv", tmp_path / "d.json"
     args = ["p1-scaling", "--branches", "2", "--floor", "0.1"]

@@ -22,3 +22,15 @@ def test_demo_runs_clean(demo):
     assert res.returncode == 0, res.stderr
     assert res.stderr == ""
     assert res.stdout.strip()
+
+
+def test_shooting_demo_prints_the_converged_n4_eigenvalue():
+    # p = 1.7, n = 4 is 7.98892073; a polish that stopped at |W| <= 1e-9,
+    # where W is flat in E, printed 7.988917.  The cell has six decimals, so
+    # it must be that value rounded: within half a unit of the last digit.
+    res = subprocess.run([sys.executable, str(DEMO_DIR / "shooting_vs_asymptotics.py")],
+                         capture_output=True, text=True, env=ENV)
+    assert res.returncode == 0, res.stderr
+    row = next(line.split() for line in res.stdout.splitlines()
+               if line.split()[:1] == ["4"])
+    assert abs(float(row[3]) - 7.98892073) <= 5e-7
