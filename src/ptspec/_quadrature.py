@@ -2,8 +2,10 @@
 
 integrate_legs is the one engine entry.  Its two callers are
 geometry._path_action, the one path integral of sqrt(q) behind the
-action integrals and the Stokes tracer, and the quartic action, which
-integrates several legs in one call.
+action integrals and the Stokes tracer (one leg, the model's own q), and
+the quartic end actions (action._quartic_end_actions_batch), which
+integrate the legs of many couplings in one call: each leg carries its
+coupling, and the radicand of each sample is that of its leg's coupling.
 One call is one numpy pass over the legs: q is evaluated on all Gauss
 points at once, and the sign of each principal square root s is carried
 from the root r before it by the nearest-sign rule (_signed_roots, its
@@ -22,7 +24,7 @@ along a path.
 
 import cmath
 from functools import lru_cache
-from typing import Callable, Sequence
+from typing import Any, Callable, Sequence
 
 import numpy as np
 
@@ -114,29 +116,33 @@ def _segment_points(order: int, singular_start: bool,
 
 
 def integrate_legs(
-    q: Callable[[np.ndarray], np.ndarray],
-    legs: Sequence[tuple[Sequence[complex], complex | None, bool, bool]],
+    q: Callable[[Any], Callable[[np.ndarray], np.ndarray]],
+    legs: Sequence[tuple[Sequence[complex], complex | None, bool, bool, Any]],
     order: int = 40,
     moment: bool = False,
 ) -> list[tuple]:
     """(integral of sqrt(q), last sample) of each leg, all in one pass.
 
-    A leg is (nodes, seed, singular_start, singular_end): a polyline, the
-    sample before its first (None: +1, the principal branch there), and
-    whether q has a simple zero at its first / last node.  q is called
-    once on the Gauss points of every segment of every leg.  The principal
-    roots are signed by the nearest-sign rule of _signed_root (see
-    _signed_roots); the sign chain restarts at each leg's first sample,
-    from the leg's own seed, and each leg is summed on its own, one dot
-    product per segment in path order, so its bits do not depend on the
-    legs beside it.  A sample nearer a zero of q than BRANCH_AMBIGUITY_TOL
-    raises BranchAmbiguityError.  The last sample lets callers chain
-    further integrals on the same branch.  moment appends the integral of
+    A leg is (nodes, seed, singular_start, singular_end, c): a polyline,
+    the sample before its first (None: +1, the principal branch there),
+    whether the radicand has a simple zero at its first / last node, and
+    its coupling c.  q(c) is the radicand at coupling c, a callable of the
+    sample points; it is called once per pass, with the legs' coupling when
+    they share one (None for a model's own q), else with the array that
+    holds each sample's leg coupling, and evaluated once on the Gauss
+    points of every segment of every leg.  The principal roots are signed
+    by the nearest-sign rule of _signed_root (see _signed_roots); the sign
+    chain restarts at each leg's first sample, from the leg's own seed, and
+    each leg is summed on its own, one dot product per segment in path
+    order, so its bits do not depend on the legs beside it.  A sample
+    nearer a zero of the radicand than BRANCH_AMBIGUITY_TOL raises
+    BranchAmbiguityError.  The last sample lets callers chain further
+    integrals on the same branch.  moment appends the integral of
     t / sqrt(q) from the same signed samples; a simple zero of q at a
     singular end keeps it integrable, and the substitution smooth.
     """
-    legs_segments, starts, seeds, size = [], [], [], 0
-    for nodes, seed, singular_start, singular_end in legs:
+    legs_segments, starts, seeds, sizes, size = [], [], [], [], 0
+    for nodes, seed, singular_start, singular_end, _ in legs:
         nodes = [complex(z) for z in nodes]
         if len(nodes) < 2:
             raise ValueError("path needs at least two nodes")
@@ -152,10 +158,15 @@ def integrate_legs(
                                     singular_end and i == last_seg)
             segments.append((z0, d, u, wu))
             size += wu.size
+        sizes.append(size - starts[-1])
         legs_segments.append(segments)
+    couplings = [leg[4] for leg in legs]
+    c = couplings[0]
+    if couplings.count(c) < len(couplings):
+        c = np.repeat(couplings, sizes)
     points = [z0 + u * d for segments in legs_segments for z0, d, u, _ in segments]
     z = np.concatenate(points) if len(points) > 1 else points[0]
-    w = q(z)
+    w = q(c)(z)
     modulus = np.abs(w)
     if modulus.min() < BRANCH_AMBIGUITY_TOL:
         first = modulus[np.argmax(modulus < BRANCH_AMBIGUITY_TOL)]

@@ -9,13 +9,16 @@ midpoint from the coupling walk and calls the quadrature engine,
 integrate_legs, itself: one pass for both halves of the segment (and for
 the z_B action at complex coupling; at real coupling it is the z_A
 action's PT mirror), which also gives its derivative in the coupling,
-since its ends are turning points by construction.
+since its ends are turning points by construction.  The end actions of
+many couplings share a pass (_quartic_end_actions_batch, each leg with
+its own coupling), in passes of fewer than 2**14 samples, and each keeps
+the bits of its single pass.
 """
 
 import math
 from functools import lru_cache
 
-from ._quadrature import integrate_legs
+from ._quadrature import _segment_points, integrate_legs
 from .geometry import ModelSpec, _path_action, _quartic_q, _quartic_walk, path_crosses_cut
 
 __all__ = [
@@ -108,22 +111,85 @@ def _quartic_end_actions(a: complex) -> tuple[tuple[complex, complex], ...]:
     walk takes z_b as -conj(z_a), z_b's pair is (-conj w, -conj dw) of
     z_a's.  The slope comes from the same pass: q vanishes at both ends of
     the segment, so dw/da = (i/2) integral from z_C to z_e of t / sqrt(q),
-    q = 1 - t^4 - i a t.
+    q = 1 - t^4 - i a t.  This is _quartic_end_actions_batch of the one
+    coupling; its exception is raised.
     """
-    wp = _quartic_walk(a)
-    mirror = wp.a.imag == 0
-    z_c = wp.roots.z_c
-    legs = []
-    for z_e, seed in [(wp.roots.z_a, wp.seed_a)] + ([] if mirror else [(wp.roots.z_b, wp.seed_b)]):
-        mid = 0.5 * (z_c + z_e)
-        legs += [([mid, z_e], seed, False, True), ([mid, z_c], seed, False, True)]
-    vals = integrate_legs(_quartic_q(1j * wp.a), legs, DEFAULT_ORDER, moment=True)
-    # integral_{z_C}^{z_e} = integral_{mid}^{z_e} - integral_{mid}^{z_C}
-    ends = [(-(to_e - to_c), 0.5j * (mom_e - mom_c))
-            for (to_e, _, mom_e), (to_c, _, mom_c) in zip(vals[::2], vals[1::2])]
-    if mirror:
-        ends.append((-ends[0][0].conjugate(), -ends[0][1].conjugate()))
-    return tuple(ends)
+    ends, = _quartic_end_actions_batch([a])
+    if isinstance(ends, Exception):
+        raise ends
+    return ends
+
+
+#: A pass holds fewer samples than this: from 2**14 complex samples (256 KiB)
+#: numpy elides temporaries, and the in-place loops it runs then round
+#: differently, so a batched lane would lose the bits of its own pass.
+_PASS_SAMPLES = 2 ** 14
+
+
+def _quartic_end_actions_batch(couplings) -> list:
+    """[_quartic_end_actions(a) for a in couplings], bit for bit, side by side.
+
+    Each coupling walks on its own (geometry._quartic_walk); then the legs
+    of as many couplings as fit below _PASS_SAMPLES samples go through
+    the quadrature in one pass (integrate_legs, each leg with its own
+    coupling), and each coupling's legs are summed on their own there, so
+    its bits are those of its single pass.  A coupling whose walk or pass
+    fails gets that exception in its place, the one its single call
+    raises: a failed pass of several couplings is taken again coupling by
+    coupling.
+    """
+    out, lanes = [None] * len(couplings), []
+    for i, a in enumerate(couplings):
+        try:
+            wp = _quartic_walk(a)
+        except Exception as exc:  # this coupling's failure alone
+            out[i] = exc
+            continue
+        mirror, z_c, ia = wp.a.imag == 0, wp.roots.z_c, 1j * wp.a
+        legs, ends = [], [(wp.roots.z_a, wp.seed_a)]
+        if not mirror:
+            ends.append((wp.roots.z_b, wp.seed_b))
+        for z_e, seed in ends:
+            mid = 0.5 * (z_c + z_e)
+            legs += [([mid, z_e], seed, False, True, ia), ([mid, z_c], seed, False, True, ia)]
+        lanes.append((i, mirror, legs))
+    # samples of one leg mid -> z_e: Gauss points, square root at the end
+    leg_samples = _segment_points(DEFAULT_ORDER, False, True)[0].size
+    chunk, size = [], 0
+    for lane in lanes:
+        grow = len(lane[2]) * leg_samples
+        if chunk and size + grow >= _PASS_SAMPLES:
+            _end_actions_pass(chunk, out)
+            chunk, size = [], 0
+        chunk.append(lane)
+        size += grow
+    if chunk:
+        _end_actions_pass(chunk, out)
+    return out
+
+
+def _end_actions_pass(lanes, out: list) -> None:
+    """One quadrature pass over the legs of lanes (index, mirror, legs); each
+    lane's end actions, or the exception its own pass raises, into out."""
+    try:
+        vals = integrate_legs(_quartic_q, [leg for _, _, legs in lanes for leg in legs],
+                              DEFAULT_ORDER, moment=True)
+    except Exception as exc:
+        if len(lanes) == 1:
+            out[lanes[0][0]] = exc
+        else:
+            for lane in lanes:
+                _end_actions_pass([lane], out)
+        return
+    lo = 0
+    for i, mirror, legs in lanes:
+        mine, lo = vals[lo:lo + len(legs)], lo + len(legs)
+        # integral_{z_C}^{z_e} = integral_{mid}^{z_e} - integral_{mid}^{z_C}
+        ends = [(-(to_e - to_c), 0.5j * (mom_e - mom_c))
+                for (to_e, _, mom_e), (to_c, _, mom_c) in zip(mine[::2], mine[1::2])]
+        if mirror:
+            ends.append((-ends[0][0].conjugate(), -ends[0][1].conjugate()))
+        out[i] = tuple(ends)
 
 
 def quartic_action(a: complex) -> complex:

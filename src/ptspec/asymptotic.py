@@ -18,7 +18,17 @@ gives its Newton slope from the quadrature pass that gives its value, as
 does the seed rule (_phase) that its seeds solve by Newton (_seed).
 condition_spectrum lists each root below an energy once, real roots and
 the conjugate pairs merged branches leave in the complex plane alike;
-lowest_branch_path continues a real branch in p.
+quartic_spectra lists those of many couplings; lowest_branch_path
+continues a real branch in p.
+
+The root searches are generators (_newton_complex, the one set of Newton
+rules, and _seeded_root, _seed, _phase, _quartic_condition around it):
+each yields what it needs evaluated and is sent its value.  _drive runs
+one search on one function, as every power-law solve and every single
+solve runs.  A quartic search yields the couplings whose action pass it
+needs, so _lockstep runs every mode of every coupling of a spectrum side
+by side: one pass per round for all of them (_quartic_end_actions_batch),
+each mode with the bits it has alone.
 """
 
 import cmath
@@ -26,11 +36,11 @@ import math
 import operator
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, replace
-from functools import lru_cache
+from functools import lru_cache, partial
 
 from .action import (action_scale, action_to_turning_points,
                      quartic_critical_a, action_between,
-                     _quartic_end_actions)
+                     _quartic_end_actions, _quartic_end_actions_batch)
 from .geometry import ModelSpec
 from .special import principal_power, recip_gamma
 
@@ -44,6 +54,7 @@ __all__ = [
     "lowest_branch_path",
     "quartic_closeoff",
     "quartic_condition",
+    "quartic_spectra",
     "solve_condition",
     "solve_quartic",
     "switched_terms",
@@ -160,22 +171,6 @@ def _scaled_condition(p: float, condition: str):
 _DESCENT_HALVINGS = 4
 
 
-def _descend(f, x: float, g: float, step: float) -> tuple[float, float, float | None]:
-    """x + step, halved at most _DESCENT_HALVINGS times until |f| < |g|, with
-    f's value and slope there (f as in _newton_complex); else SolveError."""
-    for _ in range(_DESCENT_HALVINGS + 1):
-        xt = x + step
-        if xt > 0 and math.isfinite(xt):
-            try:
-                gt, dgt = f(xt)
-            except (OverflowError, ValueError):
-                gt = math.inf
-            if abs(gt) < abs(g):
-                return xt, gt, dgt
-        step *= 0.5
-    raise SolveError(f"real search stalled at {x!r} with |f| = {abs(g):.3g}")
-
-
 #: Consecutive steps capped at half of |z| after which Newton gives up: the
 #: condition is flat on the scale of |z|.  Of 31,589 converging searches
 #: (the README bifurcation wkb,full and quartic sweeps, quartic 3.5:6 and
@@ -190,39 +185,50 @@ def _descend(f, x: float, g: float, step: float) -> tuple[float, float, float | 
 _FLAT_STEPS = 15
 
 
-def _newton_complex(f, z0: complex, descend: bool = False) -> tuple[complex, float]:
-    """Newton to |f| <= 1e-12 in at most 100 iterations.
+def _newton_complex(z0: complex, descend: bool = False):
+    """Newton to |f| <= 1e-12 in at most 100 iterations, as a generator.
 
-    f(z) returns (value, slope), the slope being the derivative along real
-    z (which a holomorphic f shares with every direction).  A slope of
-    None makes the step take the central difference (f(z + h) - f(z - h))
-    / 2h, h = 1e-7 |z|: three evaluations per step, where an f that gives
-    its slope from the work that gives its value costs one.
+    The search yields each point z where it needs the condition f and is
+    sent f(z) = (value, slope), the slope being the derivative along real
+    z (which a holomorphic f shares with every direction), or has the
+    exception f(z) raised thrown in at that yield; it returns (root, |f|)
+    or raises SolveError.  _drive runs it on one f, _lockstep runs the
+    searches of a quartic spectrum side by side (through _answered).  A
+    slope of None makes the step take the central difference (f(z + h) -
+    f(z - h)) / 2h, h = 1e-7 |z|: three points per step, where an f that
+    gives its slope from the work that gives its value costs one.
 
-    Every step is capped at half of |z|, so a real f from a real seed keeps
-    every iterate on the positive real axis: the one search finds the real
-    and the complex roots.  _FLAT_STEPS capped steps in a row end the
+    From a real z0 (a float) the search zeroes the real part of f, which it
+    takes from each value sent; every step is capped at half of |z|, so
+    every iterate stays on the positive real axis: the one search finds the
+    real and the complex roots.  _FLAT_STEPS capped steps in a row end the
     search: the condition is flat on the scale of |z| there.  Steps are
     taken as they come unless descend (real seeds only); then the search is
     a descent on |f|, halving each step at most _DESCENT_HALVINGS times
     until it lowers |f|, and raising SolveError where it cannot
-    (_seeded_root then restarts off the axis).  Each way of failing (zero
-    slope, flat condition, out of iterations, stalled descent) raises
-    SolveError with its own message.
+    (_seeded_root then restarts off the axis); a point of the descent where
+    f overflows or raises ValueError counts as |f| = inf.  Each way of
+    failing (f overflowing or raising ValueError at an iterate, zero slope,
+    flat condition, out of iterations, stalled descent) raises SolveError
+    with its own message; any other exception of f passes through.
     """
+    real = isinstance(z0, float)
     z, g, dg, capped = z0, None, None, 0
     for _ in range(100):
         if g is None:
             try:
-                g, dg = f(z)
+                g, dg = yield z
             except (OverflowError, ValueError):
                 raise SolveError("condition overflowed during Newton")
+            if real:
+                g, dg = g.real, None if dg is None else dg.real
         z_res, res = z, abs(g)
         if res <= 1e-12:
             return z, res
         if dg is None:
             h = 1e-7 * max(abs(z), 1e-12)
-            dg = (f(z + h)[0] - f(z - h)[0]) / (2.0 * h)
+            up, down = (yield z + h)[0], (yield z - h)[0]
+            dg = ((up.real - down.real) if real else (up - down)) / (2.0 * h)
         if dg == 0:
             raise SolveError(f"zero slope in Newton at z = {z!r}, |f| = {res:.3g}")
         if not cmath.isfinite(dg):
@@ -237,7 +243,20 @@ def _newton_complex(f, z0: complex, descend: bool = False) -> tuple[complex, flo
         else:
             capped = 0
         if descend:
-            z, g, dg = _descend(f, z, g, step)
+            for _ in range(_DESCENT_HALVINGS + 1):
+                zt = z + step
+                if zt > 0 and math.isfinite(zt):
+                    try:
+                        gt, dgt = yield zt
+                        gt, dgt = gt.real, None if dgt is None else dgt.real
+                    except (OverflowError, ValueError):
+                        gt = math.inf
+                    if abs(gt) < abs(g):
+                        z, g, dg = zt, gt, dgt
+                        break
+                step *= 0.5
+            else:
+                raise SolveError(f"real search stalled at {z!r} with |f| = {abs(g):.3g}")
             continue
         z, g = z + step, None
         if not cmath.isfinite(z) or abs(z) == 0:
@@ -245,39 +264,110 @@ def _newton_complex(f, z0: complex, descend: bool = False) -> tuple[complex, flo
     raise SolveError(f"Newton out of its 100 iterations, |f| = {res:.3g} at z = {z_res!r}")
 
 
-def _real_parts(g: complex, dg: complex | None) -> tuple[float, float | None]:
-    """(value, slope) of the real part of a condition along the real axis."""
-    return g.real, None if dg is None else dg.real
+def _drive(search, answer):
+    """Run the generator search alone to its return value, sending it
+    answer(x) for each x it yields; an exception of answer is thrown into
+    the search at that yield."""
+    try:
+        x = next(search)
+        while True:
+            try:
+                value = answer(x)
+            except Exception as exc:
+                x = search.throw(exc)
+            else:
+                x = search.send(value)
+    except StopIteration as stop:
+        return stop.value
 
 
-def _seeded_root(f, seed: complex, descend: bool = False) -> tuple[complex, float]:
-    """Root of the scaled condition f near seed, and |f| there.
+def _answered(search, answer):
+    """search with each point it yields answered by the generator answer(z),
+    whose own yields pass out (_drive for generators: a quartic search
+    answered by _quartic_condition, so that its lane yields couplings)."""
+    try:
+        z = next(search)
+        while True:
+            try:
+                value = yield from answer(z)
+            except Exception as exc:
+                z = search.throw(exc)
+            else:
+                z = search.send(value)
+    except StopIteration as stop:
+        return stop.value
 
-    f returns (value, slope) as _newton_complex takes it.  A complex seed
-    goes straight to Newton on f.  A real seed first runs the same Newton
-    on the real part of f, which stays on the real axis (a descent on |f|
-    if descend); where that fails the root has left the axis, and Newton
-    on f restarts from seed (1 + 0.05i).
+
+def _lockstep(lanes) -> list:
+    """Run quartic lanes side by side; each lane's return value or exception.
+
+    A lane is a generator that yields a coupling a and is sent
+    _quartic_end_actions(a), or has its exception thrown in.  Each round
+    takes the couplings that every unfinished lane asks for through one
+    _quartic_end_actions_batch, whose values carry the bits of single
+    calls, so each lane ends as _drive(lane, _quartic_end_actions) would.
+    """
+    outcomes, asked = [None] * len(lanes), {}
+
+    def resume(i, step, value):
+        try:
+            asked[i] = step(value)
+        except StopIteration as stop:
+            outcomes[i] = stop.value
+        except Exception as exc:  # this lane's failure alone
+            outcomes[i] = exc
+
+    for i, lane in enumerate(lanes):
+        resume(i, lane.send, None)
+    while asked:
+        round_ = list(asked.items())
+        asked.clear()
+        for (i, _), ends in zip(round_, _quartic_end_actions_batch([a for _, a in round_])):
+            lane = lanes[i]
+            resume(i, lane.throw if isinstance(ends, Exception) else lane.send, ends)
+    return outcomes
+
+
+def _seeded_root(seed: complex, descend: bool = False):
+    """Root of the scaled condition near seed, and |f| there: a generator of
+    the points where it needs f, as _newton_complex.
+
+    A complex seed goes straight to Newton on f.  A real seed first runs
+    the same Newton on the real part of f, which stays on the real axis (a
+    descent on |f| if descend); where that fails the root has left the
+    axis, and Newton on f restarts from seed (1 + 0.05i).
     """
     seed = complex(seed)
     if abs(seed.imag) >= 1e-14:
-        return _newton_complex(f, seed)
+        return (yield from _newton_complex(seed))
     try:
-        x, res = _newton_complex(lambda e: _real_parts(*f(e)), seed.real, descend)
+        x, res = yield from _newton_complex(seed.real, descend)
         return complex(x), res
     except SolveError:
-        return _newton_complex(f, seed * (1.0 + 0.05j))
+        return (yield from _newton_complex(seed * (1.0 + 0.05j)))
 
 
-def _phase(model: ModelSpec, eps: complex) -> tuple[float, float]:
+def _phase(model: ModelSpec, eps: complex):
     """eps times the cosine argument of the family's condition, the seed
     rule's phase, and its slope in |eps|: 2 R sin(pi/p) and 0, or, from one
-    pass, 2 U(a) and 2 |A| U'(a) at a = |A eps| capped at 4 (slope 0 there)."""
+    pass, 2 U(a) and 2 |A| U'(a) at a = |A eps| capped at 4 (slope 0 there).
+    A generator: a quartic at a > 0 yields a and is sent
+    _quartic_end_actions(a); a constant phase (_constant_phase) yields
+    nothing."""
+    a = 0.0 if model.family == "power" else min(abs(model.at(eps).a), 4.0)
+    if not a:
+        return _constant_phase(model)
+    w, dw = (yield a)[0]
+    return 2.0 * w.real, 2.0 * abs(model.a) * dw.real if a < 4.0 else 0.0
+
+
+def _constant_phase(model: ModelSpec) -> tuple[float, float]:
+    """_phase where it needs no pass: the power law's, and the quartic's at
+    a = 0, whose pass is cached."""
     if model.family == "power":
         return 2.0 * action_scale(model.p) * math.sin(math.pi / model.p), 0.0
-    a = min(abs(model.at(eps).a), 4.0)
-    w, dw = _quartic_end_actions(a)[0] if a else _quartic_action_at_zero()
-    return 2.0 * w.real, 2.0 * abs(model.a) * dw.real if a < 4.0 else 0.0
+    w, dw = _quartic_action_at_zero()
+    return 2.0 * w.real, 2.0 * abs(model.a) * dw.real
 
 
 @lru_cache(maxsize=1)
@@ -285,15 +375,17 @@ def _quartic_action_at_zero() -> tuple[complex, complex]:
     return _quartic_end_actions(0.0)[0]
 
 
-def _seed(n: int, model: ModelSpec) -> float:
+def _seed(n: int, model: ModelSpec):
     """eps of the seed rule (n + 1/2) pi eps = _phase(model, eps): the root
     _phase(model, 0) / ((n + 1/2) pi) of a constant phase, else Newton from
-    there to a step of <= 1e-14 relative (at most 8; 5 for A <= 8, n <= 11)."""
+    there to a step of <= 1e-14 relative (at most 8; 5 for A <= 8, n <=
+    11).  A generator, as _phase: _drive(_seed(n, model),
+    _quartic_end_actions) is the seed."""
     k = (n + 0.5) * math.pi
-    seed = _phase(model, 0.0)[0] / k
+    seed = _constant_phase(model)[0] / k
     if model.a:  # a quartic's nonzero coupling; the power law has none
         for _ in range(8):
-            phase, slope = _phase(model, seed)
+            phase, slope = yield from _phase(model, seed)
             step = (k * seed - phase) / (k - slope)
             seed -= step
             if abs(step) <= 1e-14 * seed:
@@ -303,41 +395,59 @@ def _seed(n: int, model: ModelSpec) -> float:
 
 def _mode_index(eps: complex, model: ModelSpec) -> int:
     """Ladder index n: the seed rule solved for n at eps."""
-    return max(0, round(_phase(model, eps)[0] / abs(eps) / math.pi - 0.5))
+    phase = _drive(_phase(model, eps), _quartic_end_actions)[0]
+    return max(0, round(phase / abs(eps) / math.pi - 0.5))
 
 
 def _solver(model: ModelSpec, condition: str = "full"):
-    """solve(n, seed=None) -> the EigRecord of mode n's root of model's
-    condition, seeded by _seed unless given.  The one place where a
-    condition route asks the model: which condition and slope, which real
-    search (Newton; a descent for the quartic, see solve_quartic) and what
-    it refuses, by ValueError before any seed."""
+    """(solve, search, record) for model's condition.
+
+    solve(n, seed) is the EigRecord of mode n's root, seeded by _seed if
+    seed is None.  search(seed) is that root search as a generator: for
+    the power law it yields the points where it needs the scaled
+    condition, for the quartic the couplings whose end actions it needs
+    (_quartic_end_actions), so that _lockstep can run many side by side;
+    it returns (eps, |f|), and record(n, root) makes mode n's EigRecord of
+    it.  The one place where a condition route asks the model: which
+    condition and slope, which real search (Newton; a descent for the
+    quartic, see solve_quartic) and what it refuses, by ValueError before
+    any seed.
+    """
     if condition not in ("wkb", "full"):
         raise ValueError("condition must be 'wkb' or 'full'")
     if model.family == "power":
         if not model.p > 1.0:
             raise ValueError(f"the power-law conditions need p > 1, got {model.p}")
+        refused = None
         try:
             scaled = _scaled_condition(model.p, condition)
-            f, descend = (lambda e: (scaled(e), None)), False
         except OverflowError:  # 1/Gamma(-p) is no finite double: no root to seek
-            f = None
+            refused = f"condition overflows at p = {model.p}"
+        search, answer = _seeded_root, (lambda e: (scaled(e), None))
     elif condition != "full":
         raise ValueError("the quartic has only the full condition")
     elif not model.pt_mirror or complex(model.a).real < 0:
         raise ValueError(f"the quartic condition needs a real coupling >= 0, got {model.a}")
     else:
-        f, descend = (lambda e: _quartic_condition(e, model.a)), True
+        refused, answer = None, _quartic_end_actions
 
-    def solve(n: int, seed: complex | None = None) -> EigRecord:
-        n = _mode(n)
-        if f is None:
-            raise SolveError(f"condition overflows at p = {model.p}")
-        eps, res = _seeded_root(f, _seed(n, model) if seed is None else seed, descend)
+        def search(seed):
+            return _answered(_seeded_root(seed, True), lambda e: _quartic_condition(e, model.a))
+
+    def record(n: int, root: tuple[complex, float]) -> EigRecord:
+        eps, res = root
         return EigRecord(n=n, param=model.param, eps=eps, E=eps_to_E(eps, model.degree),
                          method=condition, residual=res)
 
-    return solve
+    def solve(n: int, seed: complex | None) -> EigRecord:
+        n = _mode(n)
+        if refused:
+            raise SolveError(refused)
+        if seed is None:
+            seed = _drive(_seed(n, model), _quartic_end_actions)
+        return record(n, _drive(search(seed), answer))
+
+    return solve, search, record
 
 
 def solve_condition(n: int, p: float, condition: str = "full",
@@ -350,7 +460,7 @@ def solve_condition(n: int, p: float, condition: str = "full",
     the axis in the broken region); see _seeded_root.  p must be > 1 and n
     an integer >= 0 (ValueError, TypeError).
     """
-    return _solver(ModelSpec.power_law(p), condition)(n, seed)
+    return _solver(ModelSpec.power_law(p), condition)[0](n, seed)
 
 
 def _off_axis(eps: complex) -> bool:
@@ -400,6 +510,43 @@ def _distinct(solved: list[EigRecord], model: ModelSpec) -> list[EigRecord]:
                                   for i in near(r.eps.conjugate()))]
 
 
+def _check_e_max(e_max: float) -> None:
+    if not (math.isfinite(e_max) and e_max > 0):
+        raise ValueError(f"e_max must be finite and > 0, got {e_max}")
+
+
+def _seeded(model: ModelSpec, e_max: float, seeds):
+    """(n, seed) of each mode condition_spectrum solves, in order: n = 0,
+    1, ... through the first whose own energy, eps_to_E of seeds(n), reaches
+    e_max; a seed that raises SolveError is skipped."""
+    n, seed_e = 0, 0.0
+    while seed_e < e_max:
+        try:
+            seed = seeds(n)
+            seed_e = eps_to_E(seed, model.degree).real
+        except SolveError:
+            pass
+        else:
+            yield n, seed
+        n += 1
+
+
+def _listed(model: ModelSpec, e_max: float, seeds, solves) -> list[EigRecord]:
+    """condition_spectrum from seeds(n), the seed of mode n, and solves(n,
+    seed), its record: both are called in the order a scalar run takes,
+    seed n, then its solve, then seed n + 1, so the first exception that is
+    no SolveError is the one that run raises."""
+    solved = []
+    for n, seed in _seeded(model, e_max, seeds):
+        try:
+            rec = solves(n, seed)
+        except SolveError:
+            continue
+        if rec.E.real <= e_max * (1.0 + 1e-9):
+            solved.append(rec)
+    return sorted(_distinct(solved, model), key=lambda r: (r.n, r.E.imag))
+
+
 def condition_spectrum(model: ModelSpec, e_max: float,
                        condition: str = "full") -> list[EigRecord]:
     """Roots of the condition with Re E <= e_max, each once, ordered by n, Im E.
@@ -412,25 +559,85 @@ def condition_spectrum(model: ModelSpec, e_max: float,
     (_distinct).  Duplicates are found by sorting the roots on Re eps once
     and testing _same_root only inside each root's window of
     |Re eps - Re eps'| <= 2.1e-8 |eps| (bisected), so that scan grows as
-    n log n in the roots, not n^2.
+    n log n in the roots, not n^2.  A quartic's modes are solved side by
+    side (quartic_spectra of the one coupling), a power law's one by one.
     A model or condition that _solver refuses, and an e_max that is not
     finite and > 0, raise ValueError before the first seed.
     """
-    if not (math.isfinite(e_max) and e_max > 0):
-        raise ValueError(f"e_max must be finite and > 0, got {e_max}")
-    solve = _solver(model, condition)
-    solved, n, seed_e = [], 0, 0.0
-    while seed_e < e_max:
-        try:
-            seed = _seed(n, model)
-            seed_e = eps_to_E(seed, model.degree).real
-            rec = solve(n, seed)
-            if rec.E.real <= e_max * (1.0 + 1e-9):
-                solved.append(rec)
-        except SolveError:
-            pass
-        n += 1
-    return sorted(_distinct(solved, model), key=lambda r: (r.n, r.E.imag))
+    _check_e_max(e_max)
+    solve = _solver(model, condition)[0]
+    if model.family == "quartic":
+        return next(_quartic_spectra([model], e_max))
+    return _listed(model, e_max, lambda n: _drive(_seed(n, model), _quartic_end_actions), solve)
+
+
+def quartic_spectra(couplings, e_max: float):
+    """condition_spectrum(ModelSpec.quartic(A), e_max) for each A of
+    couplings, in order, as a generator; the whole grid is solved in
+    lockstep before the first yield (_quartic_spectra).  Every coupling
+    is checked first, as condition_spectrum checks it (ValueError); an
+    exception that would stop condition_spectrum at a coupling is raised
+    when the generator reaches it."""
+    _check_e_max(e_max)
+    models = [ModelSpec.quartic(A) for A in couplings]
+    for model in models:
+        _solver(model)
+    return _quartic_spectra(models, e_max)
+
+
+class _Unseeded(Exception):
+    """A mode whose seed is not computed yet."""
+
+
+def _taken(table, key):
+    """table[key], raised if it is an exception; _Unseeded if it is missing."""
+    if key not in table:
+        raise _Unseeded
+    out = table[key]
+    if isinstance(out, Exception):
+        raise out
+    return out
+
+
+def _quartic_spectra(models: list[ModelSpec], e_max: float):
+    """Yield condition_spectrum(model, e_max) of each checked quartic model.
+
+    Every mode of every model runs its seed (_seed) side by side in one
+    _lockstep, for n up to the first whose constant-phase seed, an upper
+    bound on its own, reaches e_max (more modes follow while a model's
+    seeds fall short); then every mode that condition_spectrum would solve
+    runs its root search (_solver's solve) in a second _lockstep.  Each
+    model's list is _listed from those outcomes, in the order of a scalar
+    run, so its records and its first error are that run's.
+    """
+    solvers = [_solver(model) for model in models]
+    seeds = [{} for _ in models]
+    wave = []
+    for i, model in enumerate(models):
+        phase = _constant_phase(model)[0]
+        top = math.ceil(phase / (math.pi * E_to_eps(e_max, model.degree).real) - 0.5)
+        wave += [(i, n) for n in range(max(top, 0) + 1)]
+    while wave:
+        for (i, n), out in zip(wave, _lockstep([_seed(n, models[i]) for i, n in wave])):
+            seeds[i][n] = out
+        wave, todo = [], []
+        for i, model in enumerate(models):
+            modes = []
+            try:
+                modes.extend(_seeded(model, e_max, partial(_taken, seeds[i])))
+            except _Unseeded:
+                wave += [(i, n) for n in range(len(seeds[i]), 2 * len(seeds[i]))]
+            except Exception:  # _listed raises it in its turn
+                pass
+            todo += [(i, n, seed) for n, seed in modes]
+    outcomes = _lockstep([solvers[i][1](seed) for i, _, seed in todo])
+    roots = [{} for _ in models]
+    for (i, n, _), out in zip(todo, outcomes):
+        roots[i][n] = out
+    for i, model in enumerate(models):
+        record, table = solvers[i][2], roots[i]
+        yield _listed(model, e_max, partial(_taken, seeds[i]),
+                      lambda n, _: record(n, _taken(table, n)))
 
 
 def lowest_branch_path(deltas: list[float], n: int = 0) -> list[EigRecord]:
@@ -502,11 +709,13 @@ def quartic_condition(eps: complex, A: float) -> complex:
     exp(2V/eps) cos(2U/eps) + 1/2 rescaled for real eps.  Complex a
     continues both actions analytically.
     """
-    return _quartic_condition(eps, A)[0]
+    return _drive(_quartic_condition(eps, A), _quartic_end_actions)[0]
 
 
-def _quartic_condition(eps: complex, A: float) -> tuple[complex, complex]:
-    """quartic_condition at eps and its derivative along real eps.
+def _quartic_condition(eps: complex, A: float):
+    """quartic_condition at eps and its derivative along real eps, as a
+    generator: it yields the coupling a = A eps and is sent
+    _quartic_end_actions(a).
 
     Both come from one walk and one quadrature pass, which gives each action
     w with dw/da (action._quartic_end_actions, which mirrors w_A into w_B at
@@ -519,7 +728,7 @@ def _quartic_condition(eps: complex, A: float) -> tuple[complex, complex]:
     a = A * eps
     if abs(complex(a).imag) < 1e-14:  # a real a hits the walk's memo
         a = complex(a).real
-    ws, dws = zip(*_quartic_end_actions(a))
+    ws, dws = zip(*(yield a))
     exponents = (*(-2j * w / eps for w in ws), 0j)
     m = max(x.real for x in exponents)
     terms = [cmath.exp(x - m) for x in exponents]
@@ -543,7 +752,7 @@ def solve_quartic(n: int, A: float, seed: complex | None = None) -> EigRecord:
     condition does not reproduce (at A = -1 its ground state read 0.93505,
     not 1.16243).
     """
-    return _solver(ModelSpec.quartic(A))(n, seed)
+    return _solver(ModelSpec.quartic(A))[0](n, seed)
 
 
 def quartic_closeoff(A: float) -> float:

@@ -312,12 +312,15 @@ def cmd_p1_scaling(args) -> int:
 
 
 def cmd_quartic(args) -> int:
-    rows = []
-    for a_phys in _grid(*args.range, args.step):
+    rows, grid = [], _grid(*args.range, args.step)
+    # the condition's spectra of the whole grid, solved side by side
+    spectra = asymptotic.quartic_spectra(grid, args.emax)
+    for a_phys in grid:
         model = ModelSpec.quartic(a_phys)
         closeoff = asymptotic.quartic_closeoff(a_phys) if a_phys > 0 else 0.0
         for method in ("full", "numeric") if args.numeric else ("full",):
-            recs = _spectrum(model, method, args, f"scan failed at A={a_phys}")
+            recs = (next(spectra) if method == "full"
+                    else _spectrum(model, method, args, f"scan failed at A={a_phys}"))
             # a folded pair leaves the axis; the modes above it stay real
             rows.extend(dict(_record_row(r), closeoff=closeoff) for r in recs
                         if not asymptotic._off_axis(r.eps))

@@ -249,7 +249,10 @@ class ModelSpec:
 
 
 def _quartic_q(ia: complex):
-    """The quartic's q at ia = i a, a point or an array: the one formula."""
+    """The quartic's q at ia = i a, on a point or an array: the one formula.
+
+    ia may also be an array, each point's own i a (integrate_legs with a
+    coupling per leg)."""
     return lambda z: 1.0 - z * (z * z * z + ia)
 
 
@@ -462,8 +465,9 @@ def _path_action(model: ModelSpec, nodes, order: int) -> tuple[complex, complex]
         nodes[0] = delta * direction
         seed = 1.0 + 0j
     leg = (nodes, seed, abs(model.q(nodes[0])) < _TURNING_POINT_TOL,
-           abs(model.q(nodes[-1])) < _TURNING_POINT_TOL)
-    val, last = integrate_legs(model.q_callable(), [leg], order)[0]
+           abs(model.q(nodes[-1])) < _TURNING_POINT_TOL, None)
+    q = model.q_callable()
+    val, last = integrate_legs(lambda _: q, [leg], order)[0]
     return head + val, last
 
 

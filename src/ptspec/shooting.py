@@ -34,6 +34,7 @@ seeds find_eigen from a Chebyshev collocation on the same rays.
 import cmath
 import math
 from dataclasses import dataclass, replace
+from functools import lru_cache
 from operator import mul
 
 import numpy as np
@@ -118,6 +119,9 @@ _MAX_STEPS = 150_000
 _PROJECT_EVERY = 1024
 # 1 / ((k + 1)(k + 2)), the factor of a_{k+2} in the coefficient recurrence
 _INV_PAIRS = tuple(1.0 / ((k + 1) * (k + 2)) for k in range(_ORDER - 1))
+# The longest series of q whose recurrence runs on a sliding window
+# (_recurrence): the quartic's, and an integer p <= 4's.
+_WINDOW = 5
 
 # Decay, in e-folds, that takes the partner solution the WKB start excites
 # below 2^-53, one rounding unit: a longer ray changes W only by rounding.
@@ -192,7 +196,7 @@ def integrate_ray(start: ShootState, seg: tuple[complex, complex], eps: complex,
     q_series = model.q_series
     # a fractional power's longest step (in t) from z, per unit of |z|
     branch_cap = _BRANCH_FRACTION / abs(d) if model.has_branch_cut else None
-    n, inv_pairs = _ORDER, _INV_PAIRS
+    n = _ORDER
     f, g = start.f, start.df
     log_scale = start.log_scale
     rtol, atol = cfg.rtol, cfg.atol
@@ -215,10 +219,7 @@ def integrate_ray(start: ShootState, seg: tuple[complex, complex], eps: complex,
                                     f"{phase:.3g} radians along {z0:.3g} -> {z1:.3g}")
         steps += 1
         z = z0 + t * d
-        kq = [kappa * c for c in q_series(z, d, n - 1)]
-        a = [f, d_eps * g]
-        for k, inv in enumerate(inv_pairs):  # map stops at the shorter of kq and a_k..a_0
-            a.append(sum(map(mul, kq, a[k::-1])) * inv)
+        a = _recurrence([kappa * c for c in q_series(z, d, n - 1)], f, d_eps * g)
         h = span = 1.0 - t
         if branch_cap is not None:
             h = min(h, branch_cap * abs(z))
@@ -230,9 +231,9 @@ def integrate_ray(start: ShootState, seg: tuple[complex, complex], eps: complex,
         if h < span and not h >= _MIN_STEP:
             raise ShootingError(f"step collapsed at t = {t:.4f} along {z0:.3g} -> {z1:.3g}")
         f, df = a[n], n * a[n]
-        for k in range(n - 1, 0, -1):
-            f = f * h + a[k]
-            df = df * h + k * a[k]
+        for k, ak in zip(range(n - 1, 0, -1), a[n - 1:0:-1]):
+            f = f * h + ak
+            df = df * h + k * ak
         f = f * h + a[0]
         g = g_fac * df
         size_f, size_g = abs(f), abs(g)
@@ -246,6 +247,38 @@ def integrate_ray(start: ShootState, seg: tuple[complex, complex], eps: complex,
             g /= m
             log_scale += math.log(m)
     return ShootState(f=f, df=g, log_scale=log_scale)
+
+
+def _recurrence(kq: list[complex], a0: complex, a1: complex) -> list[complex]:
+    """[a_0, ..., a_ORDER]: a_{k+2} = sum_j kq_j a_{k-j} / ((k + 1)(k + 2)).
+
+    Each sum runs in sum's order, 0 + kq_0 a_k + kq_1 a_{k-1} + ..., so
+    every coefficient has the bits of sum(map(mul, kq, a[k::-1])), the full
+    convolution that a fractional power's long series takes.  A series of
+    2 to _WINDOW terms takes it while a_k..a_0 are fewer than its terms,
+    then runs over a sliding window of the last terms, held in locals.
+    """
+    a = [a0, a1]
+    size = len(kq)
+    full = len(_INV_PAIRS) if not 2 <= size <= _WINDOW else size - 1
+    for k, inv in enumerate(_INV_PAIRS[:full]):  # map stops at the shorter
+        a.append(sum(map(mul, kq, a[k::-1])) * inv)
+    if full == len(_INV_PAIRS):
+        return a
+    q0, q1, q2, q3, q4 = (*kq, 0j, 0j, 0j)[:_WINDOW]
+    w0, w1, w2, w3, w4 = (*a[size - 1::-1], 0j, 0j, 0j)[:_WINDOW]
+    nxt = a[-1]
+    for inv in _INV_PAIRS[full:]:
+        s = 0 + q0 * w0 + q1 * w1
+        if size > 2:
+            s += q2 * w2
+            if size > 3:
+                s += q3 * w3
+                if size > 4:
+                    s += q4 * w4
+        w0, w1, w2, w3, w4, nxt = nxt, w0, w1, w2, w3, s * inv
+        a.append(nxt)
+    return a
 
 
 def _point_segment_distance(w: complex, z0: complex, z1: complex) -> float:
@@ -478,11 +511,7 @@ def _contour_eigenvalues(model: ModelSpec, E_max: float, cfg: ShootConfig) -> np
     _, r_tp, z_dir, _ = _ray(scaled)
     z_l = _collocation_length(model.degree + 2.0, r_tp, eps0, cfg.r_max) * z_dir
     n, m = _COLLOCATION_POINTS, _COLLOCATION_POINTS - 1
-    x = np.cos(np.pi * np.arange(n + 1) / n)
-    c = np.hstack([2.0, np.ones(n - 1), 2.0]) * (-1.0) ** np.arange(n + 1)
-    d = np.outer(c, 1.0 / c) / (x[:, None] - x[None, :] + np.eye(n + 1))
-    d -= np.diag(d.sum(axis=1))
-    d2 = d @ d  # node 0 is z_l, node n is 0, node k is z_l (1 + x_k) / 2
+    x, d, d2 = _chebyshev(n)  # node 0 is z_l, node n is 0, node k is z_l (1 + x_k) / 2
     k = -eps0 ** 2 * (2.0 / z_l) ** 2
     v = np.array([1.0 - scaled.q(z_l * (1.0 + xk) / 2.0) for xk in x[1:n]])
     # u(0) = 2 Re(w.u), w = -(1 + i t) r / 2, r = d[n, 1:n] / d[n, n]
@@ -497,6 +526,21 @@ def _contour_eigenvalues(model: ModelSpec, E_max: float, cfg: ShootConfig) -> np
         blk += b * rc
         blk[np.diag_indices(m)] += dv
     return np.linalg.eigvals(h) * E0
+
+
+@lru_cache(maxsize=1)
+def _chebyshev(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Chebyshev points x_k = cos(pi k / n), k = 0..n, their differentiation
+    matrix d and d2 = d @ d (Trefethen, SIAM 2000): built once per process,
+    read-only."""
+    x = np.cos(np.pi * np.arange(n + 1) / n)
+    c = np.hstack([2.0, np.ones(n - 1), 2.0]) * (-1.0) ** np.arange(n + 1)
+    d = np.outer(c, 1.0 / c) / (x[:, None] - x[None, :] + np.eye(n + 1))
+    d -= np.diag(d.sum(axis=1))
+    d2 = d @ d
+    for matrix in (x, d, d2):
+        matrix.flags.writeable = False
+    return x, d, d2
 
 
 def scan_spectrum(model: ModelSpec, E_max: float,

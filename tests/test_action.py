@@ -3,14 +3,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ptspec import action as action_module, geometry
 from ptspec._quadrature import integrate_legs
 from ptspec.action import (action_between, action_scale,
                            action_to_turning_points, quartic_action,
                            quartic_critical_a, singulant,
-                           _quartic_end_actions)
-from ptspec.geometry import ModelSpec, quartic_turning_points, turning_points
+                           _quartic_end_actions, _quartic_end_actions_batch)
+from ptspec.geometry import ModelSpec, TraceError, quartic_turning_points, turning_points
 from ptspec.special import BranchAmbiguityError
 
 PI = math.pi
@@ -158,8 +159,8 @@ def test_quartic_z_b_action_mirrors_z_a_at_real_coupling():
         z_b, z_c = wp.roots.z_b, wp.roots.z_c
         mid = 0.5 * (z_c + z_b)
         (to_b, _, mom_b), (to_c, _, mom_c) = integrate_legs(
-            geometry._quartic_q(1j * wp.a), [([mid, z_b], wp.seed_b, False, True),
-                                             ([mid, z_c], wp.seed_b, False, True)],
+            geometry._quartic_q, [([mid, z_b], wp.seed_b, False, True, 1j * wp.a),
+                                  ([mid, z_c], wp.seed_b, False, True, 1j * wp.a)],
             40, moment=True)
         (w_a, dw_a), (w_b, dw_b) = _quartic_end_actions(a)
         assert w_a == quartic_action(a)
@@ -267,7 +268,7 @@ def test_path_integral_refuses_a_sample_at_a_zero_of_q(order):
     # where the sign of sqrt(q) cannot be carried through; at order 1 it is
     # the first sample, which gets the same check as every later one.
     with pytest.raises(BranchAmbiguityError):
-        integrate_legs(lambda z: z, [([-1.0, 1.0], None, False, False)], order)
+        integrate_legs(lambda _: lambda z: z, [([-1.0, 1.0], None, False, False, None)], order)
 
 
 def test_quartic_critical_coupling():
@@ -304,3 +305,81 @@ def test_one_quadrature_pass_per_quartic_condition(monkeypatch):
     quartic_condition(eps, 2.0)
     assert passes == [4]
     assert walks[0] == 4
+
+
+def _end_bits(ends):
+    """The end actions of one coupling in their bits, or its error's type and text."""
+    if isinstance(ends, Exception):
+        return type(ends), str(ends)
+    return [(w.real.hex(), w.imag.hex(), dw.real.hex(), dw.imag.hex()) for w, dw in ends]
+
+
+def _single(a):
+    try:
+        return _quartic_end_actions(a)
+    except Exception as exc:
+        return exc
+
+
+#: Couplings of every kind a lane asks for: zero, real (beyond the phase's
+#: cap of 4 too), and complex, near the turning points' meeting included.
+_lane_coupling = (st.sampled_from([0.0, 0j, -0.0, 4.0, 1.2408 + 1.2408j])
+                  | st.floats(-12.0, 12.0)
+                  | st.builds(lambda r, t: r * cmath.exp(1j * t),
+                              st.floats(0.0, 12.0), st.floats(-math.pi, math.pi)))
+
+
+@settings(deadline=None, max_examples=40)
+@given(base=st.lists(_lane_coupling, min_size=1, max_size=6), lanes=st.integers(1, 200))
+def test_batched_end_actions_equal_single_passes(base, lanes):
+    # Up to 200 lanes, so that a batch spans several passes: each lane must
+    # carry the bits of its own single pass, or the error that pass raises.
+    couplings = [base[k % len(base)] + 0.01 * k for k in range(lanes)]
+    batch = _quartic_end_actions_batch(couplings)
+    assert list(map(_end_bits, batch)) == [_end_bits(_single(a)) for a in couplings]
+
+
+def test_a_failing_lane_fails_alone(monkeypatch):
+    # One coupling's walk raises TraceError, another's samples hit a zero
+    # of q (BranchAmbiguityError): each fails with the text of its single
+    # call, and every other lane of their passes keeps its bits.
+    couplings = [0.05 * k + (0.02j if k % 3 == 0 else 0) for k in range(150)]
+    bad_walk, bad_samples = couplings[40], couplings[121]
+    plain_walk, plain_q = action_module._quartic_walk, action_module._quartic_q
+
+    def walk(a):
+        if a == bad_walk:
+            raise TraceError(f"two turning points meet near a = {a:.6g}")
+        return plain_walk(a)
+
+    def q(ia):
+        radicand = plain_q(ia)
+        return lambda z: radicand(z) * np.where(np.asarray(ia) == 1j * bad_samples, 0.0, 1.0)
+
+    monkeypatch.setattr(action_module, "_quartic_walk", walk)
+    monkeypatch.setattr(action_module, "_quartic_q", q)
+    batch = _quartic_end_actions_batch(couplings)
+    assert [k for k, ends in enumerate(batch) if isinstance(ends, Exception)] == [40, 121]
+    assert isinstance(batch[40], TraceError) and isinstance(batch[121], BranchAmbiguityError)
+    assert list(map(_end_bits, batch)) == [_end_bits(_single(a)) for a in couplings]
+
+
+def test_no_pass_reaches_the_elision_size(monkeypatch):
+    # From 2**14 complex samples numpy elides temporaries and rounds
+    # differently: a batch of 300 complex couplings (four legs each) takes
+    # several passes, each below that size.
+    sizes, plain_q = [], action_module._quartic_q
+
+    def counted_q(ia):
+        radicand = plain_q(ia)
+
+        def q(z):
+            sizes.append(z.size)
+            return radicand(z)
+
+        return q
+
+    monkeypatch.setattr(action_module, "_quartic_q", counted_q)
+    _quartic_end_actions_batch([0.01 * k + 0.1j for k in range(300)])
+    assert len(sizes) > 1 and max(sizes) < 2 ** 14
+    assert sum(sizes) == 300 * 4 * 80  # four legs of 40 + 40 samples each

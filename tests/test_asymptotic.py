@@ -7,23 +7,33 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ptspec.action import (action_between, action_scale,
+from ptspec.action import (_quartic_end_actions, action_between, action_scale,
                            action_to_turning_points, quartic_action,
                            quartic_critical_a)
-from ptspec.asymptotic import (EigRecord, SolveError, _distinct, _mode_index,
-                               _newton_complex, _off_axis, _phase,
+from ptspec.asymptotic import (EigRecord, SolveError, _distinct, _drive, _listed,
+                               _mode_index, _newton_complex, _off_axis, _phase,
                                _quartic_condition, _same_root,
-                               _scaled_condition, _seed,
+                               _scaled_condition, _seed, _solver, quartic_spectra,
                                condition_spectrum, corrected_condition,
                                delta_estimate, E_to_eps, eps_to_E,
                                lowest_branch_path, quartic_closeoff,
                                quartic_condition, solve_condition,
                                solve_quartic, switched_terms, wkb_condition,
                                wkb_eigenvalue)
-from ptspec.geometry import ModelSpec
+from ptspec.geometry import ModelSpec, TraceError
 from ptspec.special import principal_power, recip_gamma
 
 PI = math.pi
+
+
+def _seed_of(n, model):
+    """The seed rule's eps for mode n, its action passes taken one by one."""
+    return _drive(_seed(n, model), _quartic_end_actions)
+
+
+def _newton(f, z0):
+    """_newton_complex from z0, run on f alone."""
+    return _drive(_newton_complex(z0), f)
 
 
 def test_wkb_eigenvalue_harmonic_ladder():
@@ -41,7 +51,7 @@ def test_wkb_eigenvalue_monotone_and_pole():
 def test_wkb_condition_cosine_zeros():
     for p in (2.0, 3.0, 1.6):
         for n in (0, 2, 7):
-            eps = _seed(n, ModelSpec.power_law(p))
+            eps = _seed_of(n, ModelSpec.power_law(p))
             assert abs(wkb_condition(eps, p)) < 1e-9 * math.exp(
                 2 * action_scale(p) * abs(math.cos(PI / p)) / eps)
 
@@ -155,7 +165,7 @@ def test_newton_budget_is_100_iterations():
         return (z - 2.0) ** 2 + 1.0
 
     with pytest.raises(SolveError):
-        _newton_complex(lambda z: (f(z), None), 1.0)
+        _newton(lambda z: (f(z), None), 1.0)
     assert len(seen) <= 300
     assert all(complex(z).imag == 0.0 and z > 0 for z in seen)
 
@@ -186,7 +196,7 @@ def test_flat_newton_search_stops_early():
     # used to run all 100 iterations (300 evaluations).
     f, seen = _counting(_scaled_condition(1.05, "full"))
     with pytest.raises(SolveError, match="flat on the scale of"):
-        _newton_complex(lambda z: (f(z), None), 0.042744751223068006 * (1 + 0.05j))
+        _newton(lambda z: (f(z), None), 0.042744751223068006 * (1 + 0.05j))
     assert len(seen) <= 48
 
 
@@ -195,7 +205,7 @@ def test_newton_converges_after_seven_capped_steps(n, p):
     # The longest run of capped steps measured on a converging search: the
     # stop rule must leave these roots in place.
     f, seen = _counting(lambda e: _scaled_condition(p, "full")(e).real)
-    x, res = _newton_complex(lambda z: (f(z), None), _seed(n, ModelSpec.power_law(p)))
+    x, res = _newton(lambda z: (f(z), None), _seed_of(n, ModelSpec.power_law(p)))
     assert res <= 1e-12 and abs(f(x)) <= 1e-12
     assert _longest_capped_run(seen[::3]) == 7  # three evaluations per step
 
@@ -207,7 +217,7 @@ def test_each_way_newton_fails_has_its_own_message():
                    0.042744751223068006 * (1 + 0.05j)),
                   (lambda z: (z - 2.0) ** 2 + 1.0, 1.0)]:  # no real root
         with pytest.raises(SolveError) as err:
-            _newton_complex(lambda z: (f(z), None), z0)
+            _newton(lambda z: (f(z), None), z0)
         messages.append(str(err.value))
     assert ["zero slope" in messages[0], "flat on the scale of |z|" in messages[1],
             "100 iterations" in messages[2]] == [True] * 3
@@ -232,7 +242,7 @@ _NEWTON_FAILURES = {
 def test_newton_overflow_and_divergence_have_their_own_messages(failure):
     f, z0 = _NEWTON_FAILURES[failure]
     with pytest.raises(SolveError, match=f"^{re.escape(failure)}$"):
-        _newton_complex(f, z0)
+        _newton(f, z0)
 
 
 def test_condition_spectrum_work_is_bounded(monkeypatch):
@@ -387,8 +397,8 @@ def test_newton_on_the_real_part_stays_on_the_axis():
     for p in (1.5, 2.5, 3.0):
         for n in range(4):
             f = lambda e: _scaled_condition(p, "full")(e).real
-            seed = complex(_seed(n, ModelSpec.power_law(p)))
-            z, res = _newton_complex(lambda z: (f(z), None), seed)
+            seed = complex(_seed_of(n, ModelSpec.power_law(p)))
+            z, res = _newton(lambda z: (f(z), None), seed)
             assert z.imag == 0.0 and res <= 1e-12
             assert z == solve_condition(n, p).eps
 
@@ -471,8 +481,8 @@ def real_roots_by_real_newton(p, e_max):
         n_top += 1
     for n in range(n_top + 1):
         try:
-            x, _ = _newton_complex(lambda e: (_scaled_condition(p, "full")(e).real, None),
-                                   _seed(n, ModelSpec.power_law(p)))
+            x, _ = _newton(lambda e: (_scaled_condition(p, "full")(e).real, None),
+                           _seed_of(n, ModelSpec.power_law(p)))
         except SolveError:
             continue
         if not any(abs(x - u) < 1e-9 * max(1.0, abs(u)) for u in found):
@@ -567,7 +577,7 @@ def test_mode_index_inverts_cosine_seed(case):
     # _seed is the cosine-zero rule for the power law and the quartic's seed
     # rule
     model, n = case
-    assert _mode_index(_seed(n, model), model) == n
+    assert _mode_index(_seed_of(n, model), model) == n
 
 
 def test_switched_terms_factorisation():
@@ -712,7 +722,7 @@ def test_quartic_condition_slope_matches_the_central_difference(A, x, t, real):
     # The slope comes from the quadrature pass that gives the value: the
     # derivative along real eps that Newton's central difference measures.
     eps = complex(x) if real else x * complex(1.0, t)
-    slope = _quartic_condition(eps, A)[1]
+    slope = _drive(_quartic_condition(eps, A), _quartic_end_actions)[1]
     h = 1e-7 * abs(eps)
     central = (quartic_condition(eps + h, A) - quartic_condition(eps - h, A)) / (2 * h)
     assert abs(slope - central) <= 1e-6 * abs(central)
@@ -756,10 +766,11 @@ def test_quartic_seed_meets_its_rule_in_at_most_five_passes(monkeypatch):
         model = ModelSpec.quartic(A)
         for n in range(12):
             passes[0] = 0
-            eps = _seed(n, model)
+            eps = _seed_of(n, model)
             assert passes[0] <= 5, (A, n)
             k = (n + 0.5) * PI
-            assert abs(k * eps - _phase(model, eps)[0]) <= 1e-15 * k * eps, (A, n)
+            phase = _drive(_phase(model, eps), _quartic_end_actions)[0]
+            assert abs(k * eps - phase) <= 1e-15 * k * eps, (A, n)
 
 
 def test_quartic_closeoff_values():
@@ -768,3 +779,54 @@ def test_quartic_closeoff_values():
     assert abs(quartic_closeoff(2 * a_star) - 2.0 ** (4.0 / 3.0)) < 1e-12
     vals = [quartic_closeoff(a) for a in (0.5, 1.0, 1.5, 2.0)]
     assert all(b > a for a, b in zip(vals, vals[1:]))
+
+
+def _record_bits(rec):
+    return (rec.n, rec.param, rec.method, rec.eps.real.hex(), rec.eps.imag.hex(),
+            rec.E.real.hex(), rec.E.imag.hex(), rec.residual.hex())
+
+
+def _one_by_one(A, e_max):
+    """condition_spectrum of the quartic at A with every seed and root search
+    run alone, one action pass at a time (_drive), not side by side."""
+    model = ModelSpec.quartic(A)
+    return _listed(model, e_max, lambda n: _seed_of(n, model), _solver(model)[0])
+
+
+def test_quartic_spectra_equal_condition_spectrum_record_for_record():
+    # The README-style sweep quartic --range 0:6 --step 0.05 --emax 30: the
+    # whole grid solved side by side lists, coupling by coupling, the bits
+    # of condition_spectrum, and of modes solved one at a time.
+    grid = [0.05 * k for k in range(121)]
+    spectra = list(quartic_spectra(grid, 30.0))
+    assert len(spectra) == len(grid)
+    for A, recs in zip(grid, spectra):
+        got = list(map(_record_bits, recs))
+        assert got == list(map(_record_bits, condition_spectrum(ModelSpec.quartic(A), 30.0))), A
+        if A in grid[::12]:
+            assert got == list(map(_record_bits, _one_by_one(A, 30.0))), A
+
+
+def test_quartic_spectra_raise_where_condition_spectrum_raises():
+    # At A = 7.8, E_max = 60 an off-axis restart walks its coupling into
+    # the meeting of two turning points: condition_spectrum raises that
+    # TraceError, and the side-by-side entry raises the same text when it
+    # reaches that coupling, after the couplings before it.
+    with pytest.raises(TraceError) as alone:
+        condition_spectrum(ModelSpec.quartic(7.8), 60.0)
+    spectra = quartic_spectra([1.0, 7.8, 2.0], 60.0)
+    first = next(spectra)
+    assert list(map(_record_bits, first)) == list(map(_record_bits, _one_by_one(1.0, 60.0)))
+    with pytest.raises(TraceError) as batched:
+        next(spectra)
+    assert str(batched.value) == str(alone.value)
+    with pytest.raises(TraceError) as scalar:
+        _one_by_one(7.8, 60.0)
+    assert str(scalar.value) == str(alone.value)
+
+
+def test_quartic_spectra_check_every_coupling_first():
+    with pytest.raises(ValueError, match=">= 0"):
+        quartic_spectra([1.0, -0.5], 10.0)
+    with pytest.raises(ValueError, match="e_max"):
+        quartic_spectra([1.0], math.inf)

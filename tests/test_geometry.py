@@ -333,12 +333,14 @@ def test_stokes_lines_keep_chi_on_the_principal_sheet_up_to_the_cut():
                 continue
             cut_lines += 1
             pts = trace.points
-            chi, last = integrate_legs(q, [([origin, pts[0]], None, True, False)])[0]
+            chi, last = integrate_legs(lambda _: q,
+                                       [([origin, pts[0]], None, True, False, None)])[0]
             chi *= 2j
             for z0, z1 in zip(pts, pts[1:]):
                 if path_crosses_cut([z0, z1], model):
                     break
-                val, last = integrate_legs(q, [([z0, z1], last, False, False)], 8)[0]
+                val, last = integrate_legs(lambda _: q,
+                                           [([z0, z1], last, False, False, None)], 8)[0]
                 chi += 2j * val
                 assert abs(chi.imag) <= 1e-7, (origin, z1, chi)
     assert cut_lines == 2
@@ -394,12 +396,13 @@ def test_stokes_line_points_grow_with_log_chi():
     trace = escaping[0]
     pts = trace.points
     q = model.q_callable()
-    chi, last = integrate_legs(q, [([trace.origin, pts[0]], None, True, False)])[0]
+    chi, last = integrate_legs(lambda _: q, [([trace.origin, pts[0]], None, True, False,
+                                                  None)])[0]
     chi *= 2j
     if chi.real < 0.0:  # the tracer orients chi so that Re chi >= 0
         chi, last = -chi, -last
     for z0, z1, reported in zip(pts, pts[1:], trace.chi[1:]):
-        val, last = integrate_legs(q, [([z0, z1], last, False, False)], 8)[0]
+        val, last = integrate_legs(lambda _: q, [([z0, z1], last, False, False, None)], 8)[0]
         chi += 2j * val
         bound = 1e-8 * max(1.0, abs(chi))
         assert abs(chi - reported) <= bound, (z1, chi, reported)

@@ -28,13 +28,14 @@ _Q = {
 
 def _path(q, nodes, order=40, seed=None, singular_start=False, singular_end=False):
     """(integral, last sample) of the one leg nodes."""
-    return integrate_legs(q, [(nodes, seed, singular_start, singular_end)], order)[0]
+    return integrate_legs(lambda _: q, [(nodes, seed, singular_start, singular_end, None)],
+                          order)[0]
 
 
 def _integrals(q, legs, order, singular_end=False):
     """The integrals of the legs (nodes, seed), in one pass."""
-    legs = [(nodes, seed, False, singular_end) for nodes, seed in legs]
-    return [val for val, _ in integrate_legs(q, legs, order)]
+    legs = [(nodes, seed, False, singular_end, None) for nodes, seed in legs]
+    return [val for val, _ in integrate_legs(lambda _: q, legs, order)]
 
 
 def _reference(q, nodes, order, seed, singular_start, singular_end):
@@ -165,7 +166,7 @@ def test_legs_in_one_pass_equal_separate_integrals(q_name, legs, order, singular
 def _outcome(q, legs, order, moment):
     """Each leg's integral and last sample in their bits, or the error type."""
     try:
-        out = integrate_legs(q, legs, order, moment=moment)
+        out = integrate_legs(lambda _: q, [(*leg, None) for leg in legs], order, moment=moment)
     except (BranchAmbiguityError, ValueError) as err:
         return type(err)
     return [(_bits(val), _bits(last)) for val, last, *_ in out]

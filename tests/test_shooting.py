@@ -1,9 +1,11 @@
 import cmath
 import math
 import re
+from operator import mul
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 from ptspec.asymptotic import E_to_eps, _off_axis, condition_spectrum, solve_condition
 from ptspec import shooting
 from ptspec.geometry import ModelSpec, path_crosses_cut, wedge_angles
@@ -838,3 +840,41 @@ def test_quartic_spectrum_matches_fd_oracle():
         assert abs(g - f) <= 5e-3 * f
     for r in recs:
         assert abs(r.E.imag) <= 1e-8
+
+
+def _full_convolution(kq, a0, a1):
+    """The coefficient recurrence as sum(map(mul, ...)) over a_k..a_0."""
+    a = [a0, a1]
+    for k, inv in enumerate(shooting._INV_PAIRS):
+        a.append(sum(map(mul, kq, a[k::-1])) * inv)
+    return a
+
+
+_coefficient = st.builds(complex, st.floats(-1e3, 1e3), st.floats(-1e3, 1e3))
+#: Some large enough that the series overflows to inf and nan partway.
+_huge = st.builds(complex, st.sampled_from([1e200, -1e300, 0.0, -0.0]),
+                  st.sampled_from([1e250, -1e308, 0.0, -0.0]))
+#: Signed zeros, where only sum's leading 0 + decides a sign.
+_unit = st.builds(complex, st.sampled_from([0.0, -0.0, 1.0, -1.0]),
+                  st.sampled_from([0.0, -0.0, 1.0, -1.0]))
+_term = _coefficient | _huge | _unit
+
+
+@settings(deadline=None, max_examples=300)
+@given(kq=st.lists(_term, min_size=1, max_size=7), a0=_term, a1=_term)
+@example(kq=[0j, 0j], a0=complex(-0.0, 0.0), a1=0j)
+def test_sliding_window_recurrence_equals_the_full_convolution(kq, a0, a1):
+    # Series of up to five terms run over a sliding window; every
+    # coefficient must keep the bits of the full convolution, signed zeros,
+    # inf and nan included.
+    hexes = lambda a: [(x.real.hex(), x.imag.hex()) for x in a]
+    assert hexes(shooting._recurrence(kq, a0, a1)) == hexes(_full_convolution(kq, a0, a1))
+
+
+def test_sliding_window_recurrence_overflows_as_the_convolution_does():
+    kq = [-4e200 + 1e150j, 3e100, -2.5e250j, 1e300, -7e307]
+    a = shooting._recurrence(kq, 1e300 + 1e300j, -1e300)
+    assert not all(map(cmath.isfinite, a))
+    hexes = [(x.real.hex(), x.imag.hex()) for x in a]
+    assert hexes == [(x.real.hex(), x.imag.hex())
+                     for x in _full_convolution(kq, 1e300 + 1e300j, -1e300)]

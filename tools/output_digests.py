@@ -83,7 +83,9 @@ def stokes_grid() -> list[str]:
 
 def conditions_grid() -> list[str]:
     """The README bifurcation wkb,full sweep, bifurcation --range 1.01:2.5
-    --step 0.01 --emax 40, quartic --range 0:6 --step 0.05 --emax 30, and
+    --step 0.01 --emax 40, quartic --range 0:6 --step 0.05 --emax 30,
+    quartic --range 0:6 --step 0.1 --emax 60 (about 800 modes, so each
+    round of its side-by-side solve spans several quadrature passes), and
     the `conditions` workload's argvs for benchmark seeds 1-4."""
     sys.path.insert(0, str(ROOT / "perfbench"))
     from workloads import Conditions
@@ -91,7 +93,8 @@ def conditions_grid() -> list[str]:
     cmds = [cmd for cmd in readme_commands()
             if cmd.startswith("ptspec bifurcation") and "wkb,full" in cmd]
     cmds += ["ptspec bifurcation --range 1.01:2.5 --step 0.01 --emax 40 --method wkb,full",
-             "ptspec quartic --range 0:6 --step 0.05 --emax 30"]
+             "ptspec quartic --range 0:6 --step 0.05 --emax 30",
+             "ptspec quartic --range 0:6 --step 0.1 --emax 60"]
     cmds += [" ".join(["ptspec", *argv]) for seed in range(1, 5)
              for argv in Conditions(seed).argvs]
     return list(dict.fromkeys(cmds))
