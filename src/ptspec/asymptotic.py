@@ -13,9 +13,11 @@ eigenvalues, and the corrected condition carrying the branch-point term
 which stays meaningful for 1 < p < 2 where the extra term takes over and
 the real spectrum terminates.  The quartic oscillator gets the analogous
 three-exponential condition 2 exp(2V/eps) cos(2U/eps) + 1 = 0.  Solvers
-work on an overflow-safe rescaling of these conditions; the quartic one
-gives its Newton slope from the quadrature pass that gives its value, as
-does the seed rule (_phase) that its seeds solve by Newton (_seed).
+work on an overflow-safe rescaling of these conditions, each of which
+gives its Newton slope from the work that gives its value, so a Newton
+step costs one evaluation: the power law's in closed form, the quartic's
+from its quadrature pass, as does the seed rule (_phase) that its seeds
+solve by Newton (_seed).
 condition_spectrum lists each root below an energy once, real roots and
 the conjugate pairs merged branches leave in the complex plane alike;
 quartic_spectra lists those of many couplings; lowest_branch_path
@@ -23,7 +25,10 @@ continues a real branch in p.
 
 The root searches are generators (_newton_complex, the one set of Newton
 rules, and _seeded_root, _seed, _phase, _quartic_condition around it):
-each yields what it needs evaluated and is sent its value.  _drive runs
+each yields what it needs evaluated and is sent its value.  A search
+ends where the condition is flat on the scale of |z|: after _FLAT_STEPS
+steps in a row capped at half of |z|, or two capped steps in a row that
+each leave |f| within _STALL_RTOL of the iterate before.  _drive runs
 one search on one function, as every power-law solve and every single
 solve runs.  A quartic search yields the couplings whose action pass it
 needs, so _lockstep runs every mode of every coupling of a spectrum side
@@ -41,7 +46,7 @@ from functools import lru_cache, partial
 from .action import (action_scale, action_to_turning_points,
                      quartic_critical_a, action_between,
                      _quartic_end_actions, _quartic_end_actions_batch)
-from .geometry import ModelSpec
+from .geometry import ModelSpec, TraceError
 from .special import principal_power, recip_gamma
 
 __all__ = [
@@ -126,18 +131,19 @@ def wkb_eigenvalue(n: int, p: float) -> float:
 
 @lru_cache(maxsize=256)
 def _condition_parts(p: float):
-    """eps -> (X, Y, T2), the condition as 2i [exp(X) cos(Y) - T2], p's factors bound."""
+    """(x_num, y_num, t2) with p's factors bound: the condition is 2i
+    [exp(X) cos(Y) - T2] at X = x_num / eps, Y = y_num / eps, T2 = t2(eps)."""
     r, pi, clog, cexp = action_scale(p), math.pi, cmath.log, cmath.exp
-    x_num, y_num = 2.0 * r * math.cos(pi / p), 2.0 * r * math.sin(pi / p)
     rg, t2_den = recip_gamma(-p), 2.0 ** (p + 2.0)
-    # eps**p as principal_power takes it; eps = 0 fails first, in x_num / eps
-    return lambda eps: (x_num / eps, y_num / eps, pi * cexp(p * clog(eps)) * rg / t2_den)
+    # eps**p as principal_power takes it
+    return (2.0 * r * math.cos(pi / p), 2.0 * r * math.sin(pi / p),
+            lambda eps: pi * cexp(p * clog(eps)) * rg / t2_den)
 
 
 def wkb_condition(eps: complex, p: float) -> complex:
     """The classical two-exponential solvability condition (unscaled)."""
-    x, y, _ = _condition_parts(p)(eps)
-    return 2j * cmath.exp(x) * cmath.cos(y)
+    x_num, y_num, _ = _condition_parts(p)
+    return 2j * cmath.exp(x_num / eps) * cmath.cos(y_num / eps)
 
 
 def corrected_condition(eps: complex, p: float) -> complex:
@@ -145,24 +151,38 @@ def corrected_condition(eps: complex, p: float) -> complex:
 
     Identical to wkb_condition at integer p, where 1/Gamma(-p) = 0.
     """
-    x, y, t2 = _condition_parts(p)(eps)
-    return 2j * (cmath.exp(x) * cmath.cos(y) - t2)
+    x_num, y_num, t2 = _condition_parts(p)
+    x, y = x_num / eps, y_num / eps  # eps = 0 fails here, before t2
+    return 2j * (cmath.exp(x) * cmath.cos(y) - t2(eps))
 
 
 def _scaled_condition(p: float, condition: str):
-    """eps -> the condition divided by its dominant term magnitude;
-    overflow-safe.  Roots are unchanged; the value is O(1) near a root, so
-    the solver tolerance 1e-12 is meaningful for every (eps, p)."""
-    parts, wkb, cos, exp = _condition_parts(p), condition == "wkb", cmath.cos, cmath.exp
+    """eps -> (value, slope): the condition divided by its dominant term
+    magnitude, overflow-safe, and its derivative along real eps.  Roots are
+    unchanged; the value is O(1) near a root, so the solver tolerance 1e-12
+    is meaningful for every (eps, p).
+
+    The slope is closed-form, from dX/deps = -X/eps, dY/deps = -Y/eps and
+    d log T2/deps = p/eps.  Where the scale is |T2|, neither its log l2 =
+    Re log T2 nor the unit factor T2/|T2| is holomorphic: along real eps
+    they take the derivatives Re(p/eps) and i Im(p/eps) T2/|T2|.  The wkb
+    condition computes no T2 at all.
+    """
+    x_num, y_num, t2_of = _condition_parts(p)
+    wkb, cos, sin, exp = condition == "wkb", cmath.cos, cmath.sin, cmath.exp
 
     def scaled(eps):
-        x, y, t2 = parts(eps)
-        if wkb or t2 == 0:
-            return cos(y)
-        l2 = math.log(abs(t2))
+        x, y = x_num / eps, y_num / eps
+        t2 = 0 if wkb else t2_of(eps)
+        c, dc = cos(y), sin(y) * (y / eps)
+        if t2 == 0:
+            return c, dc
+        dl, l2 = p / eps, math.log(abs(t2))
         if x.real >= l2:
-            return cos(y) - t2 * exp(-x)
-        return cos(y) * exp(x - l2) - t2 / abs(t2)
+            e = t2 * exp(-x)
+            return c - e, dc - e * (dl + x / eps)
+        s, u = exp(x - l2), t2 / abs(t2)
+        return c * s - u, (dc - c * (x / eps + dl.real)) * s - 1j * dl.imag * u
 
     return scaled
 
@@ -173,16 +193,36 @@ _DESCENT_HALVINGS = 4
 
 #: Consecutive steps capped at half of |z| after which Newton gives up: the
 #: condition is flat on the scale of |z|.  Of 31,589 converging searches
-#: (the README bifurcation wkb,full and quartic sweeps, quartic 3.5:6 and
-#: 0:6 --emax 30, bifurcation 1.01:2.5 --step 0.01 --emax 40, and the
-#: perfbench conditions rounds of seeds 1-11) none took more than 9 capped
-#: steps in a row: 9 and 8 only in the step-0.01 sweep, at most 7 elsewhere
-#: (at the seeds of n = 3, p = 1.5 and n = 10, p = 1.6).  The 1,406 quartic
-#: searches among them, on the condition's own slope, take at most 4, as
-#: they did on central differences.  The off-axis searches that cannot
-#: converge cycle z <-> ~conj z with every step capped and |f| = 1 +- 2e-8;
-#: they used to run the whole budget.
+#: on central-difference slopes (the README bifurcation wkb,full and
+#: quartic sweeps, quartic 3.5:6 and 0:6 --emax 30, bifurcation 1.01:2.5
+#: --step 0.01 --emax 40, and the perfbench conditions rounds of seeds
+#: 1-11) none took more than 9 capped steps in a row: 9 and 8 only in the
+#: step-0.01 sweep, at most 7 elsewhere (at the seeds of n = 3, p = 1.5
+#: and n = 10, p = 1.6).  The 1,406 quartic searches among them, on the
+#: condition's own slope, take at most 4.  On the closed-form slope the
+#: converging searches of the step-0.01 sweep take at most 12 (real) and
+#: 9 (complex).  Beside the _STALL_RTOL rule this stop still pays: without
+#: it a warm perfbench conditions round (seed 1) spends 3,232 rather than
+#: 2,536 evaluations in failing searches, and 5 searches rather than 4 run
+#: all 100 iterations.
 _FLAT_STEPS = 15
+
+
+#: How little |f| may move, relative, in a capped Newton step for the step
+#: to count as stalled; two stalled steps in a row end the search, the
+#: condition being flat on the scale of |z|.  The off-axis searches that
+#: cannot converge cycle z <-> ~conj z with every step capped and |f| =
+#: 1 +- 2e-8; real searches cross stretches where |Re f| = 1 to rounding
+#: (exp(X) underflows against |T2|), which central differences read as a
+#: zero slope.  On the p = 1.01..2.49 step-0.01 grid (e_max 40, both
+#: conditions) with this rule off, of 8,943 searches no converging complex
+#: one (650) took a stalled step; 1,030 of the 1,165 failing ones did, 810
+#: of them 14 in a row until _FLAT_STEPS; 39 of the 5,313 converging real
+#: searches did (up to 9 in a row), escaping the flat stretch to whichever
+#: real root the capped steps reach.  With the rule the grid takes 41,458
+#: evaluations instead of 69,143, and 5,282 real searches converge (5,274
+#: on central differences).
+_STALL_RTOL = 1e-6
 
 
 def _newton_complex(z0: complex, descend: bool = False):
@@ -193,42 +233,47 @@ def _newton_complex(z0: complex, descend: bool = False):
     z (which a holomorphic f shares with every direction), or has the
     exception f(z) raised thrown in at that yield; it returns (root, |f|)
     or raises SolveError.  _drive runs it on one f, _lockstep runs the
-    searches of a quartic spectrum side by side (through _answered).  A
-    slope of None makes the step take the central difference (f(z + h) -
-    f(z - h)) / 2h, h = 1e-7 |z|: three points per step, where an f that
-    gives its slope from the work that gives its value costs one.
+    searches of a quartic spectrum side by side (through _answered).  One
+    evaluation per step: each condition gives its slope from the work that
+    gives its value.
 
     From a real z0 (a float) the search zeroes the real part of f, which it
     takes from each value sent; every step is capped at half of |z|, so
     every iterate stays on the positive real axis: the one search finds the
-    real and the complex roots.  _FLAT_STEPS capped steps in a row end the
-    search: the condition is flat on the scale of |z| there.  Steps are
-    taken as they come unless descend (real seeds only); then the search is
-    a descent on |f|, halving each step at most _DESCENT_HALVINGS times
-    until it lowers |f|, and raising SolveError where it cannot
-    (_seeded_root then restarts off the axis); a point of the descent where
-    f overflows or raises ValueError counts as |f| = inf.  Each way of
-    failing (f overflowing or raising ValueError at an iterate, zero slope,
-    flat condition, out of iterations, stalled descent) raises SolveError
-    with its own message; any other exception of f passes through.
+    real and the complex roots.  Two rules end a search where the condition
+    is flat on the scale of |z|: _FLAT_STEPS capped steps in a row, or two
+    capped steps in a row that each leave |f| within _STALL_RTOL of the
+    iterate before.  Steps are taken as they come unless descend (real
+    seeds only); then the search is a descent on |f|, halving each step at
+    most _DESCENT_HALVINGS times until it lowers |f|, and raising
+    SolveError where it cannot (_seeded_root then restarts off the axis); a
+    point of the descent where f overflows or raises ValueError or
+    TraceError counts as |f| = inf.  Each way of failing (f overflowing or
+    raising ValueError or TraceError at an iterate, zero slope, flat
+    condition, out of iterations, stalled descent) raises SolveError with
+    its own message; any other exception of f passes through.
     """
     real = isinstance(z0, float)
-    z, g, dg, capped = z0, None, None, 0
+    z, g, res, capped, stalled = z0, None, math.inf, 0, 0
     for _ in range(100):
         if g is None:
             try:
                 g, dg = yield z
             except (OverflowError, ValueError):
                 raise SolveError("condition overflowed during Newton")
+            except TraceError as exc:
+                raise SolveError(f"condition untraceable during Newton: {exc}")
             if real:
-                g, dg = g.real, None if dg is None else dg.real
-        z_res, res = z, abs(g)
+                g, dg = g.real, dg.real
+        z_res, res_before, res = z, res, abs(g)
         if res <= 1e-12:
             return z, res
-        if dg is None:
-            h = 1e-7 * max(abs(z), 1e-12)
-            up, down = (yield z + h)[0], (yield z - h)[0]
-            dg = ((up.real - down.real) if real else (up - down)) / (2.0 * h)
+        flat = capped and abs(res - res_before) <= _STALL_RTOL * res_before
+        stalled = stalled + 1 if flat else 0
+        if stalled == 2:
+            raise SolveError(f"condition flat on the scale of |z|: |f| = {res:.3g} moved by "
+                             f"under {_STALL_RTOL:g} relative in 2 capped Newton steps in a "
+                             f"row, at z = {z!r}")
         if dg == 0:
             raise SolveError(f"zero slope in Newton at z = {z!r}, |f| = {res:.3g}")
         if not cmath.isfinite(dg):
@@ -248,8 +293,8 @@ def _newton_complex(z0: complex, descend: bool = False):
                 if zt > 0 and math.isfinite(zt):
                     try:
                         gt, dgt = yield zt
-                        gt, dgt = gt.real, None if dgt is None else dgt.real
-                    except (OverflowError, ValueError):
+                        gt, dgt = gt.real, dgt.real
+                    except (OverflowError, ValueError, TraceError):
                         gt = math.inf
                     if abs(gt) < abs(g):
                         z, g, dg = zt, gt, dgt
@@ -418,12 +463,11 @@ def _solver(model: ModelSpec, condition: str = "full"):
     if model.family == "power":
         if not model.p > 1.0:
             raise ValueError(f"the power-law conditions need p > 1, got {model.p}")
-        refused = None
+        search, refused = _seeded_root, None
         try:
-            scaled = _scaled_condition(model.p, condition)
+            answer = _scaled_condition(model.p, condition)
         except OverflowError:  # 1/Gamma(-p) is no finite double: no root to seek
             refused = f"condition overflows at p = {model.p}"
-        search, answer = _seeded_root, (lambda e: (scaled(e), None))
     elif condition != "full":
         raise ValueError("the quartic has only the full condition")
     elif not model.pt_mirror or complex(model.a).real < 0:

@@ -5,13 +5,14 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from ptspec.action import (_quartic_end_actions, action_between, action_scale,
                            action_to_turning_points, quartic_action,
                            quartic_critical_a)
 from ptspec.asymptotic import (EigRecord, SolveError, _distinct, _drive, _listed,
-                               _mode_index, _newton_complex, _off_axis, _phase,
+                               _condition_parts, _mode_index, _newton_complex,
+                               _off_axis, _phase,
                                _quartic_condition, _same_root,
                                _scaled_condition, _seed, _solver, quartic_spectra,
                                condition_spectrum, corrected_condition,
@@ -157,17 +158,26 @@ def test_condition_spectrum_refuses_an_e_max_that_is_not_finite_and_positive(e_m
 
 def test_newton_budget_is_100_iterations():
     # (z - 2)^2 + 1 has no real root; from a real seed every iterate stays
-    # on the positive axis, and each iteration costs three evaluations
+    # on the positive axis, and each iteration costs one evaluation
     seen = []
 
     def f(z):
         seen.append(z)
-        return (z - 2.0) ** 2 + 1.0
+        return (z - 2.0) ** 2 + 1.0, 2.0 * (z - 2.0)
 
-    with pytest.raises(SolveError):
-        _newton(lambda z: (f(z), None), 1.0)
-    assert len(seen) <= 300
+    with pytest.raises(SolveError, match="100 iterations"):
+        _newton(f, 1.0)
+    assert len(seen) == 100
     assert all(complex(z).imag == 0.0 and z > 0 for z in seen)
+
+
+def _real_part(f):
+    """f's value and slope along the real axis, as the real search takes them."""
+    def real(z):
+        value, slope = f(z)
+        return value.real, slope.real
+
+    return real
 
 
 def _counting(f):
@@ -192,32 +202,56 @@ def _longest_capped_run(iterates):
 
 def test_flat_newton_search_stops_early():
     # The restart seed of p = 1.05, n = 1: off the axis the condition is
-    # flat, and Newton cycles z <-> ~conj z with every step capped.  It
-    # used to run all 100 iterations (300 evaluations).
+    # flat, and Newton cycles z <-> ~conj z with every step capped and |f|
+    # unmoved.  It used to run all 100 iterations (300 evaluations), then
+    # 15 capped steps (48 evaluations on central differences).
     f, seen = _counting(_scaled_condition(1.05, "full"))
     with pytest.raises(SolveError, match="flat on the scale of"):
-        _newton(lambda z: (f(z), None), 0.042744751223068006 * (1 + 0.05j))
-    assert len(seen) <= 48
+        _newton(f, 0.042744751223068006 * (1 + 0.05j))
+    assert len(seen) <= 3
 
 
 @pytest.mark.parametrize("n, p", [(3, 1.5), (10, 1.6)])
 def test_newton_converges_after_seven_capped_steps(n, p):
     # The longest run of capped steps measured on a converging search: the
     # stop rule must leave these roots in place.
-    f, seen = _counting(lambda e: _scaled_condition(p, "full")(e).real)
-    x, res = _newton(lambda z: (f(z), None), _seed_of(n, ModelSpec.power_law(p)))
-    assert res <= 1e-12 and abs(f(x)) <= 1e-12
-    assert _longest_capped_run(seen[::3]) == 7  # three evaluations per step
+    f, seen = _counting(_real_part(_scaled_condition(p, "full")))
+    x, res = _newton(f, _seed_of(n, ModelSpec.power_law(p)))
+    assert _longest_capped_run(seen) == 7
+    assert res <= 1e-12 and abs(f(x)[0]) <= 1e-12
+
+
+@pytest.mark.parametrize("p, seed", [(3.0, 0.27), (1.5, 0.12), (1.5, 0.09 + 0.004j)])
+def test_power_law_search_evaluates_once_per_newton_step(p, seed):
+    # Each point after the first is the Newton step, capped at half of |z|,
+    # from the value and slope at the point before: nothing is evaluated
+    # between steps (the central difference took two more points each).
+    f = _scaled_condition(p, "full")
+    if isinstance(seed, float):
+        f = _real_part(f)
+    values = []
+
+    def recorded(z):
+        values.append((z, *f(z)))
+        return values[-1][1:]
+
+    x, res = _newton(recorded, seed)
+    assert res <= 1e-12 and len(values) > 3
+    for (z, g, dg), (z_next, *_) in zip(values, values[1:]):
+        step = -g / dg
+        step *= min(1.0, 0.5 * abs(z) / abs(step))
+        assert abs(z_next - (z + step)) <= 1e-15 * abs(z)
+    assert x == values[-1][0]
 
 
 def test_each_way_newton_fails_has_its_own_message():
     messages = []
-    for f, z0 in [(lambda z: 1.0 + 0j, 1.0),  # zero slope
+    for f, z0 in [(lambda z: (1.0 + 0j, 0j), 1.0),  # zero slope
                   (_scaled_condition(1.05, "full"),
                    0.042744751223068006 * (1 + 0.05j)),
-                  (lambda z: (z - 2.0) ** 2 + 1.0, 1.0)]:  # no real root
+                  (lambda z: ((z - 2.0) ** 2 + 1.0, 2.0 * (z - 2.0)), 1.0)]:  # no real root
         with pytest.raises(SolveError) as err:
-            _newton(lambda z: (f(z), None), z0)
+            _newton(f, z0)
         messages.append(str(err.value))
     assert ["zero slope" in messages[0], "flat on the scale of |z|" in messages[1],
             "100 iterations" in messages[2]] == [True] * 3
@@ -227,10 +261,17 @@ def _overflowing(z):
     raise OverflowError("math range error")
 
 
+def _untraceable(z):
+    raise TraceError("two turning points meet near a = 1+1j")
+
+
 # (condition as (value, slope), seed) for each way _newton_complex fails
 # that the conditions themselves have not shown
 _NEWTON_FAILURES = {
     "condition overflowed during Newton": (_overflowing, 1.0),
+    # a quartic lane whose coupling walk meets a turning-point collision
+    "condition untraceable during Newton: two turning points meet near a = 1+1j":
+        (_untraceable, 1.0 + 0.1j),
     "slope not finite in Newton at z = 1.0": (lambda z: (1.0 + 0j, complex(math.inf)), 1.0),
     # the step, 1e308, is capped at half of |z|, which carries z past the
     # largest double
@@ -248,7 +289,9 @@ def test_newton_overflow_and_divergence_have_their_own_messages(failure):
 def test_condition_spectrum_work_is_bounded(monkeypatch):
     # Deterministic work count: before the stop rule this listing took
     # 6,454 condition evaluations, most in off-axis searches that cannot
-    # converge; it must still return the same single root.
+    # converge, and 1,300 on central-difference slopes; it must still
+    # return the same single root (the closed-form slope lands one ulp
+    # below the central difference's 0.5567693675470603).
     from ptspec import asymptotic
     calls = [0]
     plain = asymptotic._scaled_condition
@@ -264,8 +307,8 @@ def test_condition_spectrum_work_is_bounded(monkeypatch):
 
     monkeypatch.setattr(asymptotic, "_scaled_condition", counting)
     recs = condition_spectrum(ModelSpec.power_law(1.2), 30.0)
-    assert calls[0] <= 1300
-    assert [(r.n, r.eps) for r in recs] == [(0, 0.5567693675470603 + 0j)]
+    assert calls[0] <= 218
+    assert [(r.n, r.eps) for r in recs] == [(0, 0.5567693675470602 + 0j)]
 
 
 def test_duplicate_scan_work_is_linear_in_the_roots(monkeypatch):
@@ -374,7 +417,7 @@ def _outcome(f):
 def test_conditions_are_the_reference_formulas_bit_for_bit(p, x, t, condition):
     # Binding p's factors once per solve moves no bit and no error.
     eps = x if t is None else complex(x, x * t)
-    assert (_outcome(lambda: _scaled_condition(p, condition)(eps))
+    assert (_outcome(lambda: _scaled_condition(p, condition)(eps)[0])
             == _outcome(lambda: _scaled_condition_reference(eps, p, condition)))
     parts = lambda: _condition_parts_reference(eps, p)
     assert (_outcome(lambda: wkb_condition(eps, p))
@@ -382,6 +425,31 @@ def test_conditions_are_the_reference_formulas_bit_for_bit(p, x, t, condition):
     assert (_outcome(lambda: corrected_condition(eps, p))
             == _outcome(lambda: 2j * (cmath.exp(parts()[0]) * cmath.cos(parts()[1])
                                       - parts()[2])))
+
+
+def _branch(eps, p):
+    """Which scaling _scaled_condition takes at eps: 0 with no branch-point
+    term, 1 scaled by exp(X), 2 by |T2|."""
+    x_num, _, t2 = _condition_parts(p)
+    t2 = t2(eps)
+    return 0 if t2 == 0 else 1 if (x_num / eps).real >= math.log(abs(t2)) else 2
+
+
+@settings(deadline=None, max_examples=300)
+@given(p=st.one_of(st.floats(1.0, 6.0, exclude_min=True), st.sampled_from([2.0, 3.0, 6.0])),
+       x=st.floats(0.02, 2.0), t=st.floats(-0.3, 0.3), real=st.booleans(),
+       condition=st.sampled_from(["wkb", "full"]))
+def test_power_law_condition_slope_matches_the_central_difference(p, x, t, real, condition):
+    # The closed-form slope is the derivative along real eps that the
+    # central difference it replaces measured, in each scaling: to 1e-6
+    # relative, or to the difference's own rounding, about 1e-16 |f| / h
+    # (near p = 1 the slope is ~1e-30 and the difference reads 0).
+    eps = complex(x) if real else x * complex(1.0, t)
+    f, h = _scaled_condition(p, condition), 1e-7 * abs(eps)
+    assume(len({_branch(e, p) for e in (eps - h, eps, eps + h)}) == 1)
+    value, slope = f(eps)
+    central = (f(eps + h)[0] - f(eps - h)[0]) / (2 * h)
+    assert abs(slope - central) <= 1e-6 * abs(central) + 1e-15 * max(1.0, abs(value)) / h
 
 
 def test_condition_beyond_the_gamma_range_is_a_solve_error():
@@ -396,9 +464,9 @@ def test_newton_on_the_real_part_stays_on_the_axis():
     # lands on the root solve_condition reports
     for p in (1.5, 2.5, 3.0):
         for n in range(4):
-            f = lambda e: _scaled_condition(p, "full")(e).real
+            f = _real_part(_scaled_condition(p, "full"))
             seed = complex(_seed_of(n, ModelSpec.power_law(p)))
-            z, res = _newton(lambda z: (f(z), None), seed)
+            z, res = _newton(f, seed)
             assert z.imag == 0.0 and res <= 1e-12
             assert z == solve_condition(n, p).eps
 
@@ -458,7 +526,7 @@ def ladder_problems(recs, residual):
 def test_condition_spectrum_lists_each_root_once_with_its_conjugate(p, e_max):
     recs = condition_spectrum(ModelSpec.power_law(p), e_max)
     assert recs and all(r.E.real <= e_max * (1 + 1e-9) for r in recs)
-    assert ladder_problems(recs, lambda e: abs(_scaled_condition(p, "full")(e))) == []
+    assert ladder_problems(recs, lambda e: abs(_scaled_condition(p, "full")(e)[0])) == []
 
 
 def test_condition_spectrum_labels_a_root_from_several_seeds_by_its_mode():
@@ -481,7 +549,7 @@ def real_roots_by_real_newton(p, e_max):
         n_top += 1
     for n in range(n_top + 1):
         try:
-            x, _ = _newton(lambda e: (_scaled_condition(p, "full")(e).real, None),
+            x, _ = _newton(_real_part(_scaled_condition(p, "full")),
                            _seed_of(n, ModelSpec.power_law(p)))
         except SolveError:
             continue
@@ -752,6 +820,15 @@ def test_quartic_spectrum_takes_one_quadrature_pass_per_newton_step(monkeypatch)
     assert [r.n for r in recs] == [0, 1, 2, 3, 4]
 
 
+def test_quartic_spectrum_skips_a_search_whose_coupling_walk_fails():
+    # At A = 7.8 an off-axis restart walks its coupling a = A eps into the
+    # meeting of two turning points: that search fails alone, and the
+    # listing goes on (it used to raise the walk's TraceError).
+    recs = condition_spectrum(ModelSpec.quartic(7.8), 60.0)
+    assert recs
+    assert ladder_problems(recs, lambda e: abs(quartic_condition(e, 7.8))) == []
+
+
 @pytest.mark.parametrize("A", [-1 + 0j, 1 + 0.5j, np.complex128(-2)], ids=repr)
 def test_quartic_spectrum_refuses_a_coupling_before_its_first_seed(A, monkeypatch):
     passes = _counting_passes(monkeypatch)
@@ -807,20 +884,30 @@ def test_quartic_spectra_equal_condition_spectrum_record_for_record():
             assert got == list(map(_record_bits, _one_by_one(A, 30.0))), A
 
 
-def test_quartic_spectra_raise_where_condition_spectrum_raises():
-    # At A = 7.8, E_max = 60 an off-axis restart walks its coupling into
-    # the meeting of two turning points: condition_spectrum raises that
-    # TraceError, and the side-by-side entry raises the same text when it
-    # reaches that coupling, after the couplings before it.
-    with pytest.raises(TraceError) as alone:
+def test_quartic_spectra_raise_where_condition_spectrum_raises(monkeypatch):
+    # An action pass that raises what is no SolveError stops the listing:
+    # condition_spectrum raises it, and the side-by-side entry raises the
+    # same text when it reaches that coupling, after the couplings before
+    # it.  Planted at every complex coupling, which at E_max = 60 only the
+    # off-axis restarts of A = 7.8 reach, the first at the same a each way.
+    from ptspec import action, asymptotic
+    plain = action._quartic_end_actions_batch
+
+    def failing(couplings):
+        return [RuntimeError(f"planted at a = {a!r}") if complex(a).imag else ends
+                for a, ends in zip(couplings, plain(couplings))]
+
+    monkeypatch.setattr(action, "_quartic_end_actions_batch", failing)
+    monkeypatch.setattr(asymptotic, "_quartic_end_actions_batch", failing)
+    with pytest.raises(RuntimeError, match="planted") as alone:
         condition_spectrum(ModelSpec.quartic(7.8), 60.0)
     spectra = quartic_spectra([1.0, 7.8, 2.0], 60.0)
     first = next(spectra)
     assert list(map(_record_bits, first)) == list(map(_record_bits, _one_by_one(1.0, 60.0)))
-    with pytest.raises(TraceError) as batched:
+    with pytest.raises(RuntimeError) as batched:
         next(spectra)
     assert str(batched.value) == str(alone.value)
-    with pytest.raises(TraceError) as scalar:
+    with pytest.raises(RuntimeError) as scalar:
         _one_by_one(7.8, 60.0)
     assert str(scalar.value) == str(alone.value)
 

@@ -257,8 +257,9 @@ def test_total_failure_exit_2(tmp_path, monkeypatch, capsys):
              "shooting from the n = 0 seed converged to the n = 1 eigenvalue "
              "E = 4.187286222"),
             (["eigen", "--p", "1.0001", "--n", "0"],
-             "condition flat on the scale of |z|: 15 capped Newton steps in a row, "
-             "at z = (0.000266647476568562+6.008341459480822e-05j), |f| = 1")):
+             "condition flat on the scale of |z|: |f| = 1 moved by under 1e-06 "
+             "relative in 2 capped Newton steps in a row, "
+             "at z = (0.00026664747369181495+2.6077170458207527e-05j)")):
         assert main(argv) == 2
         assert capsys.readouterr() == ("", f"error: {err}\n")
 

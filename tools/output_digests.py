@@ -4,6 +4,7 @@
     python3 tools/output_digests.py --stokes-grid
     python3 tools/output_digests.py --conditions-grid [--rows]
     python3 tools/output_digests.py --errors [--rows]
+    python3 tools/output_digests.py --compare A B
 
 Runs each `ptspec ...` line of the README's "Command line" block (as
 `python -m ptspec ...`) and each `demos/*.py`, with PYTHONPATH pointing at
@@ -25,20 +26,46 @@ its stderr), each line indented by two spaces, so that the output of two
 checkouts can be diffed number by number.  The tool itself needs only the
 standard library; the in-process modes import ptspec (and, for the
 benchmark's argvs, perfbench/workloads.py) from this checkout.
+
+--compare A B reads two such --rows dumps and compares them value by value.
+Runs are matched by command, and must agree in exit code.  A CSV run's rows
+are matched by key: their cells in every column that TOLERANCES does not
+name, which must match exactly (with the row's rank among rows of that key,
+so a conjugate pair's two rows stay apart); each cell of a TOLERANCES column
+must lie within that column's tolerance.  Any other output (verify, stderr)
+must match line for line.  It prints each changed row, then per column how
+many cells moved and the largest change, and exits 1 if any row is outside
+tolerance, is missing, or is new.
 """
 
 import argparse
 import contextlib
 import hashlib
 import io
+import math
 import os
 import subprocess
 import sys
 import tempfile
+from collections import Counter
 from pathlib import Path
 from unittest import mock
 
 ROOT = Path(__file__).resolve().parent.parent
+
+#: The numeric CSV columns --compare lets move: column -> (tolerance, the
+#: columns whose magnitude, as a vector, scales the change; none for an
+#: absolute change).  An eigenvalue's parts are measured against |E|, since
+#: the imaginary part of a root near the axis is no more accurate than the
+#: root; the p1-scaling columns derived from E through exp(4/3 E^1.5)
+#: magnify its change about a hundredfold; a residual is |f| at a root,
+#: rounding noise below the solver's 1e-12.  Every other column is part of
+#: a row's key.
+TOLERANCES = {"re_E": (1e-14, ("re_E", "im_E")), "im_E": (1e-14, ("re_E", "im_E")),
+              "E": (1e-14, ("E",)), "delta_exp_scaled": (1e-12, ("delta_exp_scaled",)),
+              "predicted_delta": (1e-12, ("predicted_delta",)),
+              "predicted_loglog": (1e-12, ("predicted_loglog",)),
+              "predicted_scaled": (1e-12, ("predicted_scaled",)), "residual": (1e-12, ())}
 
 
 def readme_commands() -> list[str]:
@@ -85,8 +112,11 @@ def conditions_grid() -> list[str]:
     """The README bifurcation wkb,full sweep, bifurcation --range 1.01:2.5
     --step 0.01 --emax 40, quartic --range 0:6 --step 0.05 --emax 30,
     quartic --range 0:6 --step 0.1 --emax 60 (about 800 modes, so each
-    round of its side-by-side solve spans several quadrature passes), and
-    the `conditions` workload's argvs for benchmark seeds 1-4."""
+    round of its side-by-side solve spans several quadrature passes), its
+    continuation to --range 0:12 (where off-axis restarts walk their
+    couplings into turning-point meetings, at A = 7.8, 9.1, 10.3, 10.9 and
+    11.3 to 12), and the
+    `conditions` workload's argvs for benchmark seeds 1-4."""
     sys.path.insert(0, str(ROOT / "perfbench"))
     from workloads import Conditions
 
@@ -94,7 +124,8 @@ def conditions_grid() -> list[str]:
             if cmd.startswith("ptspec bifurcation") and "wkb,full" in cmd]
     cmds += ["ptspec bifurcation --range 1.01:2.5 --step 0.01 --emax 40 --method wkb,full",
              "ptspec quartic --range 0:6 --step 0.05 --emax 30",
-             "ptspec quartic --range 0:6 --step 0.1 --emax 60"]
+             "ptspec quartic --range 0:6 --step 0.1 --emax 60",
+             "ptspec quartic --range 0:12 --step 0.1 --emax 60"]
     cmds += [" ".join(["ptspec", *argv]) for seed in range(1, 5)
              for argv in Conditions(seed).argvs]
     return list(dict.fromkeys(cmds))
@@ -155,6 +186,97 @@ def run_in_process(label: str, argv: list[str], rows: bool = False,
                      if rows else [line])
 
 
+def read_rows_dump(path: str) -> dict[str, tuple[str, list[str]]]:
+    """A --rows dump as {command: (exit code, output lines)}."""
+    runs, rows = {}, None
+    for line in Path(path).read_text().splitlines():
+        if line.startswith("  "):
+            rows.append(line[2:])
+        else:
+            _, _, code, label = line.split(" ", 3)
+            runs[label] = (code, rows := [])
+    return runs
+
+
+def _keyed(lines: list[str]) -> tuple[list[str], dict]:
+    """A CSV output's header and {key: cells}, the key the cells outside
+    TOLERANCES and the row's rank among the rows with those cells."""
+    header, *rows = [line.split(",") for line in lines]
+    key_cols = [i for i, col in enumerate(header) if col not in TOLERANCES]
+    keyed, seen = {}, Counter()
+    for cells in rows:
+        key = tuple(cells[i] if i < len(cells) else "" for i in key_cols)
+        seen[key] += 1
+        keyed[key + (seen[key],)] = cells
+    return header, keyed
+
+
+def _change(col: str, a: dict, b: dict) -> float | None:
+    """How far column col moved from row a to row b (dicts by column), as
+    TOLERANCES measures it; None if a cell is no number."""
+    try:
+        x, y = float(a[col]), float(b[col])
+        scale = max(math.hypot(*(float(row[c]) for c in TOLERANCES[col][1]))
+                    for row in (a, b))
+    except ValueError:
+        return None
+    return abs(x - y) / scale if scale else abs(x - y)
+
+
+def compare(path_a: str, path_b: str) -> int:
+    """Print how the --rows dump path_b differs from path_a; 1 if any row
+    is outside tolerance, missing or new, else 0."""
+    runs_a, runs_b = read_rows_dump(path_a), read_rows_dump(path_b)
+    bad, compared, kept, moved, largest, largest_kept = 0, 0, 0, Counter(), Counter(), Counter()
+    for label in [*runs_a, *(lab for lab in runs_b if lab not in runs_a)]:
+        if label not in runs_a or label not in runs_b:
+            print(f"only in {'A' if label in runs_a else 'B'}: {label}")
+            bad += 1
+            continue
+        (code_a, lines_a), (code_b, lines_b) = runs_a[label], runs_b[label]
+        if code_a != code_b:
+            print(f"exit code {code_a} -> {code_b}: {label}")
+            bad += 1
+        if not (lines_a and lines_b and "," in lines_a[0] and lines_a[0] == lines_b[0]):
+            compared += max(len(lines_a), len(lines_b))
+            if lines_a != lines_b:
+                print(f"changed output: {label}")
+                bad += 1
+            continue
+        header, rows_a = _keyed(lines_a)
+        rows_b = _keyed(lines_b)[1]
+        for key in [*rows_a, *(k for k in rows_b if k not in rows_a)]:
+            compared += 1
+            if key not in rows_a or key not in rows_b:
+                row = rows_a.get(key) or rows_b[key]
+                print(f"only in {'A' if key in rows_a else 'B'}: {label}: {','.join(row)}")
+                bad += 1
+                continue
+            a, b = dict(zip(header, rows_a[key])), dict(zip(header, rows_b[key]))
+            changes = {col: _change(col, a, b) for col in header
+                       if col in TOLERANCES and a[col] != b[col]}
+            for col, change in changes.items():
+                moved[col] += 1
+                largest[col] = max(largest[col], change or 0.0)
+            if len(rows_a[key]) != len(rows_b[key]) or any(
+                    change is None or change > TOLERANCES[col][0]
+                    for col, change in changes.items()):
+                print(f"changed: {label}: {','.join(rows_a[key])} -> {','.join(rows_b[key])}")
+                bad += 1
+            elif changes:
+                kept += 1
+                for col, change in changes.items():
+                    largest_kept[col] = max(largest_kept[col], change)
+    for col, (tol, scale) in TOLERANCES.items():
+        if moved[col]:
+            print(f"column {col}: {moved[col]} cells moved, largest {largest[col]:.3g}, "
+                  f"{largest_kept[col]:.3g} within tolerance "
+                  f"({'relative' if scale else 'absolute'}, tolerance {tol:g})")
+    print(f"{compared} rows compared, {kept} moved within tolerance, "
+          f"{bad} outside tolerance, missing or new")
+    return 1 if bad else 0
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--stokes-grid", action="store_true",
@@ -166,7 +288,11 @@ def main() -> int:
     parser.add_argument("--rows", action="store_true",
                         help="print each in-process run's stdout (with --errors, "
                              "stderr) after its digest")
+    parser.add_argument("--compare", nargs=2, metavar=("A", "B"),
+                        help="compare two --rows dumps value by value instead")
     args = parser.parse_args()
+    if args.compare:
+        return compare(*args.compare)
     if args.errors:
         sys.path.insert(0, str(ROOT / "src"))
         for cmd, stub, error in error_runs():
