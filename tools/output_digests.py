@@ -115,8 +115,8 @@ def conditions_grid() -> list[str]:
     round of its side-by-side solve spans several quadrature passes), its
     continuation to --range 0:12 (where off-axis restarts walk their
     couplings into turning-point meetings, at A = 7.8, 9.1, 10.3, 10.9 and
-    11.3 to 12), and the
-    `conditions` workload's argvs for benchmark seeds 1-4."""
+    11.3 to 12), and the `conditions` workload's argvs for benchmark seeds
+    1-4."""
     sys.path.insert(0, str(ROOT / "perfbench"))
     from workloads import Conditions
 
@@ -213,10 +213,10 @@ def _keyed(lines: list[str]) -> tuple[list[str], dict]:
 
 def _change(col: str, a: dict, b: dict) -> float | None:
     """How far column col moved from row a to row b (dicts by column), as
-    TOLERANCES measures it; None if a cell is no number."""
+    TOLERANCES measures it; None if a cell is missing or no number."""
     try:
-        x, y = float(a[col]), float(b[col])
-        scale = max(math.hypot(*(float(row[c]) for c in TOLERANCES[col][1]))
+        x, y = float(a.get(col, "")), float(b.get(col, ""))
+        scale = max(math.hypot(*(float(row.get(c, "")) for c in TOLERANCES[col][1]))
                     for row in (a, b))
     except ValueError:
         return None
@@ -254,7 +254,7 @@ def compare(path_a: str, path_b: str) -> int:
                 continue
             a, b = dict(zip(header, rows_a[key])), dict(zip(header, rows_b[key]))
             changes = {col: _change(col, a, b) for col in header
-                       if col in TOLERANCES and a[col] != b[col]}
+                       if col in TOLERANCES and a.get(col) != b.get(col)}
             for col, change in changes.items():
                 moved[col] += 1
                 largest[col] = max(largest[col], change or 0.0)
