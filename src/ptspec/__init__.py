@@ -10,7 +10,7 @@ lines that decide which exponentially small terms switch on.
 
 from .action import (action_between, action_scale, action_to_turning_points,
                      quartic_action, quartic_critical_a, singulant)
-from .asymptotic import (EigRecord, SolveError, condition_spectrum,
+from .asymptotic import (EigRecord, SolveError, condition_spectra, condition_spectrum,
                          corrected_condition, delta_estimate, E_to_eps,
                          eps_to_E, lowest_branch_path, quartic_closeoff,
                          quartic_condition, quartic_spectra, solve_condition,

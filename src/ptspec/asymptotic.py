@@ -20,20 +20,23 @@ from its quadrature pass, as does the seed rule (_phase) that its seeds
 solve by Newton (_seed).
 condition_spectrum lists each root below an energy once, real roots and
 the conjugate pairs merged branches leave in the complex plane alike;
-quartic_spectra lists those of many couplings; lowest_branch_path
-continues a real branch in p.
+condition_spectra (quartic_spectra for couplings) lists those of many
+models; lowest_branch_path continues a real branch in p.
 
 The root searches are generators (_newton_complex, the one set of Newton
-rules, and _seeded_root, _seed, _phase, _quartic_condition around it):
-each yields what it needs evaluated and is sent its value.  A search
+rules, and _seeded_root, _seed, _phase around it) that yield only the
+couplings whose action pass they need.  A search answers each of its
+points in place: a power law's by its scaled condition, which yields
+nothing, a quartic's by yielding from _quartic_condition.  A search
 ends where the condition is flat on the scale of |z|: after _FLAT_STEPS
 steps in a row capped at half of |z|, or two capped steps in a row that
-each leave |f| within _STALL_RTOL of the iterate before.  _drive runs
-one search on one function, as every power-law solve and every single
-solve runs.  A quartic search yields the couplings whose action pass it
-needs, so _lockstep runs every mode of every coupling of a spectrum side
-by side: one pass per round for all of them (_quartic_end_actions_batch),
-each mode with the bits it has alone.
+each leave |f| within _STALL_RTOL of the iterate before.  One driver,
+_lockstep, runs them all: the seeds, then the searches, of every mode of
+every model of a listing side by side, one quadrature pass per round for
+all the couplings they ask for (_quartic_end_actions_batch), and a
+single solve as a lane of its own (_alone).  Each lane evaluates the
+points it would alone, in the same order, so it has the bits it has
+alone.
 """
 
 import cmath
@@ -42,6 +45,7 @@ import operator
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, replace
 from functools import lru_cache, partial
+from types import GeneratorType
 
 from .action import (action_scale, action_to_turning_points,
                      quartic_critical_a, action_between,
@@ -63,6 +67,7 @@ __all__ = [
     "solve_condition",
     "solve_quartic",
     "switched_terms",
+    "condition_spectra",
     "condition_spectrum",
     "wkb_condition",
     "wkb_eigenvalue",
@@ -225,17 +230,17 @@ _FLAT_STEPS = 15
 _STALL_RTOL = 1e-6
 
 
-def _newton_complex(z0: complex, descend: bool = False):
+def _newton_complex(z0: complex, f, descend: bool = False):
     """Newton to |f| <= 1e-12 in at most 100 iterations, as a generator.
 
-    The search yields each point z where it needs the condition f and is
-    sent f(z) = (value, slope), the slope being the derivative along real
-    z (which a holomorphic f shares with every direction), or has the
-    exception f(z) raised thrown in at that yield; it returns (root, |f|)
-    or raises SolveError.  _drive runs it on one f, _lockstep runs the
-    searches of a quartic spectrum side by side (through _answered).  One
-    evaluation per step: each condition gives its slope from the work that
-    gives its value.
+    The search answers each point z where it needs the condition by f(z) =
+    (value, slope), the slope being the derivative along real z (which a
+    holomorphic f shares with every direction): in place, or, where f(z)
+    is a generator (_quartic_condition), by yielding from it, so that the
+    search yields what f yields; it returns (root, |f|) or raises
+    SolveError.  _lockstep runs it, alone or beside the searches of every
+    other mode.  One evaluation per step: each condition gives its slope
+    from the work that gives its value.
 
     From a real z0 (a float) the search zeroes the real part of f, which it
     takes from each value sent; every step is capped at half of |z|, so
@@ -258,7 +263,8 @@ def _newton_complex(z0: complex, descend: bool = False):
     for _ in range(100):
         if g is None:
             try:
-                g, dg = yield z
+                g = f(z)
+                g, dg = (yield from g) if isinstance(g, GeneratorType) else g
             except (OverflowError, ValueError):
                 raise SolveError("condition overflowed during Newton")
             except TraceError as exc:
@@ -292,7 +298,8 @@ def _newton_complex(z0: complex, descend: bool = False):
                 zt = z + step
                 if zt > 0 and math.isfinite(zt):
                     try:
-                        gt, dgt = yield zt
+                        gt = f(zt)
+                        gt, dgt = (yield from gt) if isinstance(gt, GeneratorType) else gt
                         gt, dgt = gt.real, dgt.real
                     except (OverflowError, ValueError, TraceError):
                         gt = math.inf
@@ -309,48 +316,15 @@ def _newton_complex(z0: complex, descend: bool = False):
     raise SolveError(f"Newton out of its 100 iterations, |f| = {res:.3g} at z = {z_res!r}")
 
 
-def _drive(search, answer):
-    """Run the generator search alone to its return value, sending it
-    answer(x) for each x it yields; an exception of answer is thrown into
-    the search at that yield."""
-    try:
-        x = next(search)
-        while True:
-            try:
-                value = answer(x)
-            except Exception as exc:
-                x = search.throw(exc)
-            else:
-                x = search.send(value)
-    except StopIteration as stop:
-        return stop.value
-
-
-def _answered(search, answer):
-    """search with each point it yields answered by the generator answer(z),
-    whose own yields pass out (_drive for generators: a quartic search
-    answered by _quartic_condition, so that its lane yields couplings)."""
-    try:
-        z = next(search)
-        while True:
-            try:
-                value = yield from answer(z)
-            except Exception as exc:
-                z = search.throw(exc)
-            else:
-                z = search.send(value)
-    except StopIteration as stop:
-        return stop.value
-
-
 def _lockstep(lanes) -> list:
-    """Run quartic lanes side by side; each lane's return value or exception.
+    """Run lanes side by side; each lane's return value or exception.
 
     A lane is a generator that yields a coupling a and is sent
-    _quartic_end_actions(a), or has its exception thrown in.  Each round
+    _quartic_end_actions(a), or has its exception thrown in; one that
+    needs no action pass (a power law's) ends when started.  Each round
     takes the couplings that every unfinished lane asks for through one
     _quartic_end_actions_batch, whose values carry the bits of single
-    calls, so each lane ends as _drive(lane, _quartic_end_actions) would.
+    calls, so each lane ends as it would alone.
     """
     outcomes, asked = [None] * len(lanes), {}
 
@@ -373,9 +347,17 @@ def _lockstep(lanes) -> list:
     return outcomes
 
 
-def _seeded_root(seed: complex, descend: bool = False):
-    """Root of the scaled condition near seed, and |f| there: a generator of
-    the points where it needs f, as _newton_complex.
+def _alone(lane):
+    """lane's return value as a one-lane _lockstep; its exception raised."""
+    out, = _lockstep([lane])
+    if isinstance(out, Exception):
+        raise out
+    return out
+
+
+def _seeded_root(seed: complex, f, descend: bool = False):
+    """Root of the scaled condition f near seed, and |f| there: a generator
+    that yields what f yields, as _newton_complex.
 
     A complex seed goes straight to Newton on f.  A real seed first runs
     the same Newton on the real part of f, which stays on the real axis (a
@@ -384,12 +366,12 @@ def _seeded_root(seed: complex, descend: bool = False):
     """
     seed = complex(seed)
     if abs(seed.imag) >= 1e-14:
-        return (yield from _newton_complex(seed))
+        return (yield from _newton_complex(seed, f))
     try:
-        x, res = yield from _newton_complex(seed.real, descend)
+        x, res = yield from _newton_complex(seed.real, f, descend)
         return complex(x), res
     except SolveError:
-        return (yield from _newton_complex(seed * (1.0 + 0.05j)))
+        return (yield from _newton_complex(seed * (1.0 + 0.05j), f))
 
 
 def _phase(model: ModelSpec, eps: complex):
@@ -399,7 +381,7 @@ def _phase(model: ModelSpec, eps: complex):
     A generator: a quartic at a > 0 yields a and is sent
     _quartic_end_actions(a); a constant phase (_constant_phase) yields
     nothing."""
-    a = 0.0 if model.family == "power" else min(abs(model.at(eps).a), 4.0)
+    a = min(abs(model.at(eps).a), 4.0) if model.a else 0.0
     if not a:
         return _constant_phase(model)
     w, dw = (yield a)[0]
@@ -424,8 +406,7 @@ def _seed(n: int, model: ModelSpec):
     """eps of the seed rule (n + 1/2) pi eps = _phase(model, eps): the root
     _phase(model, 0) / ((n + 1/2) pi) of a constant phase, else Newton from
     there to a step of <= 1e-14 relative (at most 8; 5 for A <= 8, n <=
-    11).  A generator, as _phase: _drive(_seed(n, model),
-    _quartic_end_actions) is the seed."""
+    11).  A generator, as _phase: _alone(_seed(n, model)) is the seed."""
     k = (n + 0.5) * math.pi
     seed = _constant_phase(model)[0] / k
     if model.a:  # a quartic's nonzero coupling; the power law has none
@@ -440,43 +421,44 @@ def _seed(n: int, model: ModelSpec):
 
 def _mode_index(eps: complex, model: ModelSpec) -> int:
     """Ladder index n: the seed rule solved for n at eps."""
-    phase = _drive(_phase(model, eps), _quartic_end_actions)[0]
+    phase = _alone(_phase(model, eps))[0]
     return max(0, round(phase / abs(eps) / math.pi - 0.5))
 
 
-def _solver(model: ModelSpec, condition: str = "full"):
+def _solver(model: ModelSpec, condition: str):
     """(solve, search, record) for model's condition.
 
     solve(n, seed) is the EigRecord of mode n's root, seeded by _seed if
-    seed is None.  search(seed) is that root search as a generator: for
-    the power law it yields the points where it needs the scaled
-    condition, for the quartic the couplings whose end actions it needs
-    (_quartic_end_actions), so that _lockstep can run many side by side;
-    it returns (eps, |f|), and record(n, root) makes mode n's EigRecord of
-    it.  The one place where a condition route asks the model: which
-    condition and slope, which real search (Newton; a descent for the
-    quartic, see solve_quartic) and what it refuses, by ValueError before
-    any seed.
+    seed is None, each run alone (_alone).  search(seed) is that root
+    search as a _lockstep lane (_seeded_root): the power law's answered in
+    place by its scaled condition, the quartic's yielding the couplings
+    whose end actions it needs; it returns (eps, |f|), and record(n, root)
+    makes mode n's EigRecord of it.  The one place where a condition route
+    asks the model: which condition and slope, which real search (Newton; a
+    descent for the quartic, see solve_quartic) and what it refuses, by
+    ValueError before any seed, or by SolveError at every search where
+    the condition overflows.
     """
     if condition not in ("wkb", "full"):
         raise ValueError("condition must be 'wkb' or 'full'")
     if model.family == "power":
         if not model.p > 1.0:
             raise ValueError(f"the power-law conditions need p > 1, got {model.p}")
-        search, refused = _seeded_root, None
+        descend = False
         try:
             answer = _scaled_condition(model.p, condition)
         except OverflowError:  # 1/Gamma(-p) is no finite double: no root to seek
-            refused = f"condition overflows at p = {model.p}"
+            def answer(eps):
+                raise SolveError(f"condition overflows at p = {model.p}")
     elif condition != "full":
         raise ValueError("the quartic has only the full condition")
     elif not model.pt_mirror or complex(model.a).real < 0:
         raise ValueError(f"the quartic condition needs a real coupling >= 0, got {model.a}")
     else:
-        refused, answer = None, _quartic_end_actions
+        descend, answer = True, partial(_quartic_condition, A=model.a)
 
-        def search(seed):
-            return _answered(_seeded_root(seed, True), lambda e: _quartic_condition(e, model.a))
+    def search(seed):
+        return _seeded_root(seed, answer, descend)
 
     def record(n: int, root: tuple[complex, float]) -> EigRecord:
         eps, res = root
@@ -485,11 +467,9 @@ def _solver(model: ModelSpec, condition: str = "full"):
 
     def solve(n: int, seed: complex | None) -> EigRecord:
         n = _mode(n)
-        if refused:
-            raise SolveError(refused)
         if seed is None:
-            seed = _drive(_seed(n, model), _quartic_end_actions)
-        return record(n, _drive(search(seed), answer))
+            seed = _alone(_seed(n, model))
+        return record(n, _alone(search(seed)))
 
     return solve, search, record
 
@@ -554,11 +534,6 @@ def _distinct(solved: list[EigRecord], model: ModelSpec) -> list[EigRecord]:
                                   for i in near(r.eps.conjugate()))]
 
 
-def _check_e_max(e_max: float) -> None:
-    if not (math.isfinite(e_max) and e_max > 0):
-        raise ValueError(f"e_max must be finite and > 0, got {e_max}")
-
-
 def _seeded(model: ModelSpec, e_max: float, seeds):
     """(n, seed) of each mode condition_spectrum solves, in order: n = 0,
     1, ... through the first whose own energy, eps_to_E of seeds(n), reaches
@@ -575,13 +550,13 @@ def _seeded(model: ModelSpec, e_max: float, seeds):
         n += 1
 
 
-def _listed(model: ModelSpec, e_max: float, seeds, solves) -> list[EigRecord]:
-    """condition_spectrum from seeds(n), the seed of mode n, and solves(n,
-    seed), its record: both are called in the order a scalar run takes,
-    seed n, then its solve, then seed n + 1, so the first exception that is
-    no SolveError is the one that run raises."""
+def _listed(model: ModelSpec, e_max: float, modes, solves) -> list[EigRecord]:
+    """condition_spectrum from modes, the (n, seed) of each mode to solve
+    (_seeded), and solves(n, seed), its record: both are taken in the
+    order a scalar run takes, seed n, then its solve, then seed n + 1, so
+    the first exception that is no SolveError is the one that run raises."""
     solved = []
-    for n, seed in _seeded(model, e_max, seeds):
+    for n, seed in modes:
         try:
             rec = solves(n, seed)
         except SolveError:
@@ -603,30 +578,30 @@ def condition_spectrum(model: ModelSpec, e_max: float,
     (_distinct).  Duplicates are found by sorting the roots on Re eps once
     and testing _same_root only inside each root's window of
     |Re eps - Re eps'| <= 2.1e-8 |eps| (bisected), so that scan grows as
-    n log n in the roots, not n^2.  A quartic's modes are solved side by
-    side (quartic_spectra of the one coupling), a power law's one by one.
-    A model or condition that _solver refuses, and an e_max that is not
-    finite and > 0, raise ValueError before the first seed.
+    n log n in the roots, not n^2.  The modes are solved side by side, as
+    condition_spectra of the one model.  A model or condition that
+    _solver refuses, and an e_max that is not finite and > 0, raise
+    ValueError before the first seed.
     """
-    _check_e_max(e_max)
-    solve = _solver(model, condition)[0]
-    if model.family == "quartic":
-        return next(_quartic_spectra([model], e_max))
-    return _listed(model, e_max, lambda n: _drive(_seed(n, model), _quartic_end_actions), solve)
+    return next(condition_spectra([model], e_max, condition))
+
+
+def condition_spectra(models, e_max: float, condition: str):
+    """condition_spectrum(model, e_max, condition) for each of models, in
+    order, as a generator; the whole list is solved in lockstep before the
+    first yield (_spectra).  Every model is checked first, as
+    condition_spectrum checks it (ValueError); an exception that would
+    stop condition_spectrum at a model is raised when the generator
+    reaches it."""
+    if not (math.isfinite(e_max) and e_max > 0):
+        raise ValueError(f"e_max must be finite and > 0, got {e_max}")
+    models = list(models)
+    return _spectra(models, [_solver(model, condition) for model in models], e_max)
 
 
 def quartic_spectra(couplings, e_max: float):
-    """condition_spectrum(ModelSpec.quartic(A), e_max) for each A of
-    couplings, in order, as a generator; the whole grid is solved in
-    lockstep before the first yield (_quartic_spectra).  Every coupling
-    is checked first, as condition_spectrum checks it (ValueError); an
-    exception that would stop condition_spectrum at a coupling is raised
-    when the generator reaches it."""
-    _check_e_max(e_max)
-    models = [ModelSpec.quartic(A) for A in couplings]
-    for model in models:
-        _solver(model)
-    return _quartic_spectra(models, e_max)
+    """condition_spectra of ModelSpec.quartic(A) for each A of couplings."""
+    return condition_spectra(map(ModelSpec.quartic, couplings), e_max, "full")
 
 
 class _Unseeded(Exception):
@@ -635,27 +610,33 @@ class _Unseeded(Exception):
 
 def _taken(table, key):
     """table[key], raised if it is an exception; _Unseeded if it is missing."""
-    if key not in table:
-        raise _Unseeded
-    out = table[key]
+    out = table[key] if key in table else _Unseeded()
     if isinstance(out, Exception):
         raise out
     return out
 
 
-def _quartic_spectra(models: list[ModelSpec], e_max: float):
-    """Yield condition_spectrum(model, e_max) of each checked quartic model.
+def _replayed(modes: list, failure: Exception | None):
+    """modes, then failure raised if there is one: a seeding as it ran."""
+    yield from modes
+    if failure:
+        raise failure
 
-    Every mode of every model runs its seed (_seed) side by side in one
-    _lockstep, for n up to the first whose constant-phase seed, an upper
-    bound on its own, reaches e_max (more modes follow while a model's
-    seeds fall short); then every mode that condition_spectrum would solve
-    runs its root search (_solver's solve) in a second _lockstep.  Each
-    model's list is _listed from those outcomes, in the order of a scalar
-    run, so its records and its first error are that run's.
+
+def _spectra(models: list[ModelSpec], solvers: list, e_max: float):
+    """Yield condition_spectrum(model, e_max) of each model, by its _solver.
+
+    Every mode of every model, of either family, runs its seed (_seed)
+    side by side in one _lockstep, for n up to the first whose
+    constant-phase seed, an upper bound on its own, reaches e_max (more
+    modes follow while a model's seeds fall short); then every mode that
+    condition_spectrum would solve runs its root search (_solver's
+    search) in a second _lockstep.  Each model's list is _listed from
+    those outcomes, in the order of a scalar run, so its records and its
+    first error are that run's.
     """
-    solvers = [_solver(model) for model in models]
     seeds = [{} for _ in models]
+    modes, failures = [[] for _ in models], [None] * len(models)
     wave = []
     for i, model in enumerate(models):
         phase = _constant_phase(model)[0]
@@ -664,23 +645,22 @@ def _quartic_spectra(models: list[ModelSpec], e_max: float):
     while wave:
         for (i, n), out in zip(wave, _lockstep([_seed(n, models[i]) for i, n in wave])):
             seeds[i][n] = out
-        wave, todo = [], []
-        for i, model in enumerate(models):
-            modes = []
+        short, wave = dict.fromkeys(i for i, _ in wave), []
+        for i in short:
+            modes[i] = []
             try:
-                modes.extend(_seeded(model, e_max, partial(_taken, seeds[i])))
+                modes[i].extend(_seeded(models[i], e_max, partial(_taken, seeds[i])))
             except _Unseeded:
                 wave += [(i, n) for n in range(len(seeds[i]), 2 * len(seeds[i]))]
-            except Exception:  # _listed raises it in its turn
-                pass
-            todo += [(i, n, seed) for n, seed in modes]
-    outcomes = _lockstep([solvers[i][1](seed) for i, _, seed in todo])
+            except Exception as exc:  # _listed raises it in its turn
+                failures[i] = exc
+    todo = [(i, n, seed) for i in range(len(models)) for n, seed in modes[i]]
     roots = [{} for _ in models]
-    for (i, n, _), out in zip(todo, outcomes):
+    for (i, n, _), out in zip(todo, _lockstep([solvers[i][1](seed) for i, _, seed in todo])):
         roots[i][n] = out
     for i, model in enumerate(models):
         record, table = solvers[i][2], roots[i]
-        yield _listed(model, e_max, partial(_taken, seeds[i]),
+        yield _listed(model, e_max, _replayed(modes[i], failures[i]),
                       lambda n, _: record(n, _taken(table, n)))
 
 
@@ -753,7 +733,7 @@ def quartic_condition(eps: complex, A: float) -> complex:
     exp(2V/eps) cos(2U/eps) + 1/2 rescaled for real eps.  Complex a
     continues both actions analytically.
     """
-    return _drive(_quartic_condition(eps, A), _quartic_end_actions)[0]
+    return _alone(_quartic_condition(eps, A))[0]
 
 
 def _quartic_condition(eps: complex, A: float):
@@ -796,7 +776,7 @@ def solve_quartic(n: int, A: float, seed: complex | None = None) -> EigRecord:
     condition does not reproduce (at A = -1 its ground state read 0.93505,
     not 1.16243).
     """
-    return _solver(ModelSpec.quartic(A))[0](n, seed)
+    return _solver(ModelSpec.quartic(A), "full")[0](n, seed)
 
 
 def quartic_closeoff(A: float) -> float:

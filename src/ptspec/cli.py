@@ -193,10 +193,8 @@ def _record_row(rec) -> dict:
                                      rec.E.imag + 0.0, rec.residual)))
 
 
-def _spectrum(model: ModelSpec, method: str, args, failed: str) -> list:
-    """model's records to --emax by method; a failed numeric scan warns "failed: error"."""
-    if method != "numeric":
-        return asymptotic.condition_spectrum(model, args.emax, method)
+def _scan(model: ModelSpec, args, failed: str) -> list:
+    """model's numeric records to --emax; a failed scan warns "failed: error"."""
     try:
         return shooting.scan_spectrum(model, args.emax, _shoot_config(args))
     except shooting.ShootingError as exc:
@@ -205,12 +203,17 @@ def _spectrum(model: ModelSpec, method: str, args, failed: str) -> list:
 
 
 def cmd_bifurcation(args) -> int:
-    rows = []
-    for p in _grid(*args.range, args.step):
-        model = ModelSpec.power_law(p)
-        for method in args.method:
-            rows.extend(map(_record_row, _spectrum(model, method, args,
-                                                   f"numeric scan failed at p={p}")))
+    rows, grid = [], _grid(*args.range, args.step)
+    models = [ModelSpec.power_law(p) for p in grid]
+    # each condition's spectra of the whole grid, solved side by side
+    spectra = [None if method == "numeric"
+               else asymptotic.condition_spectra(models, args.emax, method)
+               for method in args.method]
+    for p, model in zip(grid, models):
+        for listed in spectra:
+            recs = (next(listed) if listed
+                    else _scan(model, args, f"numeric scan failed at p={p}"))
+            rows.extend(map(_record_row, recs))
     if not rows:
         raise RuntimeError("no branch produced any root")
     rows.sort(key=lambda r: (r["param"], r["method"], r["n"], r["im_E"]))
@@ -316,11 +319,10 @@ def cmd_quartic(args) -> int:
     # the condition's spectra of the whole grid, solved side by side
     spectra = asymptotic.quartic_spectra(grid, args.emax)
     for a_phys in grid:
-        model = ModelSpec.quartic(a_phys)
         closeoff = asymptotic.quartic_closeoff(a_phys) if a_phys > 0 else 0.0
         for method in ("full", "numeric") if args.numeric else ("full",):
-            recs = (next(spectra) if method == "full"
-                    else _spectrum(model, method, args, f"scan failed at A={a_phys}"))
+            recs = (next(spectra) if method == "full" else
+                    _scan(ModelSpec.quartic(a_phys), args, f"scan failed at A={a_phys}"))
             # a folded pair leaves the axis; the modes above it stay real
             rows.extend(dict(_record_row(r), closeoff=closeoff) for r in recs
                         if not asymptotic._off_axis(r.eps))

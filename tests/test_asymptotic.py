@@ -10,12 +10,13 @@ from hypothesis import assume, given, settings, strategies as st
 from ptspec.action import (_quartic_end_actions, action_between, action_scale,
                            action_to_turning_points, quartic_action,
                            quartic_critical_a)
-from ptspec.asymptotic import (EigRecord, SolveError, _distinct, _drive, _listed,
+from ptspec.asymptotic import (EigRecord, SolveError, _alone, _distinct, _listed,
                                _condition_parts, _mode_index, _newton_complex,
                                _off_axis, _phase,
                                _quartic_condition, _same_root,
-                               _scaled_condition, _seed, _solver, quartic_spectra,
-                               condition_spectrum, corrected_condition,
+                               _scaled_condition, _seed, _seeded, _seeded_root, _solver,
+                               quartic_spectra,
+                               condition_spectra, condition_spectrum, corrected_condition,
                                delta_estimate, E_to_eps, eps_to_E,
                                lowest_branch_path, quartic_closeoff,
                                quartic_condition, solve_condition,
@@ -28,13 +29,13 @@ PI = math.pi
 
 
 def _seed_of(n, model):
-    """The seed rule's eps for mode n, its action passes taken one by one."""
-    return _drive(_seed(n, model), _quartic_end_actions)
+    """The seed rule's eps for mode n, run alone."""
+    return _alone(_seed(n, model))
 
 
 def _newton(f, z0):
     """_newton_complex from z0, run on f alone."""
-    return _drive(_newton_complex(z0), f)
+    return _alone(_newton_complex(z0, f))
 
 
 def test_wkb_eigenvalue_harmonic_ladder():
@@ -790,7 +791,7 @@ def test_quartic_condition_slope_matches_the_central_difference(A, x, t, real):
     # The slope comes from the quadrature pass that gives the value: the
     # derivative along real eps that Newton's central difference measures.
     eps = complex(x) if real else x * complex(1.0, t)
-    slope = _drive(_quartic_condition(eps, A), _quartic_end_actions)[1]
+    slope = _alone(_quartic_condition(eps, A))[1]
     h = 1e-7 * abs(eps)
     central = (quartic_condition(eps + h, A) - quartic_condition(eps - h, A)) / (2 * h)
     assert abs(slope - central) <= 1e-6 * abs(central)
@@ -846,7 +847,7 @@ def test_quartic_seed_meets_its_rule_in_at_most_five_passes(monkeypatch):
             eps = _seed_of(n, model)
             assert passes[0] <= 5, (A, n)
             k = (n + 0.5) * PI
-            phase = _drive(_phase(model, eps), _quartic_end_actions)[0]
+            phase = _alone(_phase(model, eps))[0]
             assert abs(k * eps - phase) <= 1e-15 * k * eps, (A, n)
 
 
@@ -863,11 +864,47 @@ def _record_bits(rec):
             rec.E.real.hex(), rec.E.imag.hex(), rec.residual.hex())
 
 
-def _one_by_one(A, e_max):
-    """condition_spectrum of the quartic at A with every seed and root search
-    run alone, one action pass at a time (_drive), not side by side."""
-    model = ModelSpec.quartic(A)
-    return _listed(model, e_max, lambda n: _seed_of(n, model), _solver(model)[0])
+def _scalar_run(search, answer):
+    """Run the generator search alone to its return value, sending it
+    answer(x) for each x it yields; an exception of answer is thrown into
+    the search at that yield."""
+    try:
+        x = next(search)
+        while True:
+            try:
+                value = answer(x)
+            except Exception as exc:
+                x = search.throw(exc)
+            else:
+                x = search.send(value)
+    except StopIteration as stop:
+        return stop.value
+
+
+def _asked(z):
+    """A condition that has its driver evaluate it at z: the value sent in."""
+    return (yield z)
+
+
+def _one_by_one(model, e_max, condition="full"):
+    """condition_spectrum of model with every seed and root search run
+    alone (_scalar_run), one condition evaluation or action pass at a time
+    in scalar order, not side by side in _lockstep: a power law's search
+    asks the driver for each value of its scaled condition, a quartic's
+    for each action pass."""
+    from ptspec import asymptotic  # its _scaled_condition as a test patches it
+    _, search, record = _solver(model, condition)
+
+    def solve(n, seed):
+        if model.family == "power":
+            return record(n, _scalar_run(_seeded_root(seed, _asked),
+                                         asymptotic._scaled_condition(model.p, condition)))
+        return record(n, _scalar_run(search(seed), _quartic_end_actions))
+
+    def seeds(n):
+        return _scalar_run(_seed(n, model), _quartic_end_actions)
+
+    return _listed(model, e_max, _seeded(model, e_max, seeds), solve)
 
 
 def test_quartic_spectra_equal_condition_spectrum_record_for_record():
@@ -881,7 +918,7 @@ def test_quartic_spectra_equal_condition_spectrum_record_for_record():
         got = list(map(_record_bits, recs))
         assert got == list(map(_record_bits, condition_spectrum(ModelSpec.quartic(A), 30.0))), A
         if A in grid[::12]:
-            assert got == list(map(_record_bits, _one_by_one(A, 30.0))), A
+            assert got == list(map(_record_bits, _one_by_one(ModelSpec.quartic(A), 30.0))), A
 
 
 def test_quartic_spectra_raise_where_condition_spectrum_raises(monkeypatch):
@@ -903,12 +940,13 @@ def test_quartic_spectra_raise_where_condition_spectrum_raises(monkeypatch):
         condition_spectrum(ModelSpec.quartic(7.8), 60.0)
     spectra = quartic_spectra([1.0, 7.8, 2.0], 60.0)
     first = next(spectra)
-    assert list(map(_record_bits, first)) == list(map(_record_bits, _one_by_one(1.0, 60.0)))
+    assert list(map(_record_bits, first)) == list(map(_record_bits,
+                                                      _one_by_one(ModelSpec.quartic(1.0), 60.0)))
     with pytest.raises(RuntimeError) as batched:
         next(spectra)
     assert str(batched.value) == str(alone.value)
     with pytest.raises(RuntimeError) as scalar:
-        _one_by_one(7.8, 60.0)
+        _one_by_one(ModelSpec.quartic(7.8), 60.0)
     assert str(scalar.value) == str(alone.value)
 
 
@@ -917,3 +955,61 @@ def test_quartic_spectra_check_every_coupling_first():
         quartic_spectra([1.0, -0.5], 10.0)
     with pytest.raises(ValueError, match="e_max"):
         quartic_spectra([1.0], math.inf)
+
+
+@pytest.mark.parametrize("condition", ["wkb", "full"])
+@pytest.mark.parametrize("grid, e_max", [([1.05 + 0.05 * k for k in range(80)], 30.0),
+                                         ([1.01 + 0.01 * k for k in range(150)], 40.0)],
+                         ids=["1.05:5", "1.01:2.5"])
+def test_condition_spectra_equal_condition_spectrum_record_for_record(grid, e_max, condition):
+    # The README bifurcation sweep and the step-0.01 sweep: every p of the
+    # grid solved side by side lists the bits of its modes solved one at a
+    # time, each search answered in place by the scaled condition.
+    models = [ModelSpec.power_law(p) for p in grid]
+    spectra = list(condition_spectra(models, e_max, condition))
+    assert len(spectra) == len(grid)
+    for model, recs in zip(models, spectra):
+        got = list(map(_record_bits, recs))
+        assert got == list(map(_record_bits, _one_by_one(model, e_max, condition))), model.p
+    assert sum(map(len, spectra)) > 4 * len(grid)
+
+
+def test_condition_spectra_raise_where_condition_spectrum_raises(monkeypatch):
+    # A condition that raises what is no SolveError stops the listing: at
+    # p = 1.5 it is planted at every off-axis point, which only the complex
+    # restarts reach.  condition_spectrum raises it, and the side-by-side
+    # entry raises the same text when it reaches that p, after the p
+    # before it, as does the scalar-order reference.
+    from ptspec import asymptotic
+    plain = asymptotic._scaled_condition
+
+    def planted(p, condition):
+        scaled = plain(p, condition)
+
+        def failing(eps):
+            if eps.imag:
+                raise RuntimeError(f"planted at eps = {eps!r}")
+            return scaled(eps)
+
+        return failing if p == 1.5 else scaled
+
+    monkeypatch.setattr(asymptotic, "_scaled_condition", planted)
+    models = [ModelSpec.power_law(p) for p in (3.0, 1.5, 1.2)]
+    with pytest.raises(RuntimeError, match="planted") as alone:
+        condition_spectrum(models[1], 30.0)
+    spectra = condition_spectra(models, 30.0, "full")
+    first = next(spectra)
+    assert list(map(_record_bits, first)) == list(map(_record_bits, _one_by_one(models[0], 30.0)))
+    with pytest.raises(RuntimeError) as batched:
+        next(spectra)
+    assert str(batched.value) == str(alone.value)
+    with pytest.raises(RuntimeError) as scalar:
+        _one_by_one(models[1], 30.0)
+    assert str(scalar.value) == str(alone.value)
+
+
+def test_condition_spectra_check_every_model_first():
+    with pytest.raises(ValueError, match="p > 1"):
+        condition_spectra([ModelSpec.power_law(2.0), ModelSpec.power_law(1.0)], 10.0, "full")
+    with pytest.raises(ValueError, match="only the full"):
+        condition_spectra([ModelSpec.power_law(2.0), ModelSpec.quartic(1.0)], 10.0, "wkb")

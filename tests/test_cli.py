@@ -424,7 +424,8 @@ def test_out_of_range_arguments_are_usage_errors(argv, monkeypatch, capsys):
     def computed(*args, **kwargs):
         raise AssertionError("a usage error ran a computation")
 
-    for module, name in ((asymptotic, "condition_spectrum"), (asymptotic, "solve_condition"),
+    for module, name in ((asymptotic, "condition_spectra"), (asymptotic, "quartic_spectra"),
+                         (asymptotic, "condition_spectrum"), (asymptotic, "solve_condition"),
                          (asymptotic, "lowest_branch_path"), (shooting, "find_eigen"),
                          (geometry, "seed_directions"), (verify, "turning_point_prefactor")):
         monkeypatch.setattr(module, name, computed)

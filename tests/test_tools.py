@@ -1,9 +1,17 @@
+import contextlib
+import io
+import os
 import re
 import subprocess
 import sys
 from pathlib import Path
 
-TOOLS = Path(__file__).resolve().parent.parent / "tools"
+import pytest
+
+from ptspec.cli import main
+
+ROOT = Path(__file__).resolve().parent.parent
+TOOLS = ROOT / "tools"
 
 
 def test_every_setting_is_set_by_some_call():
@@ -72,3 +80,27 @@ def test_compare_matches_rows_by_key_and_numbers_by_tolerance(tmp_path):
     same = _compare(a, a)
     assert (same.returncode, same.stdout) == (
         0, "5 rows compared, 0 moved within tolerance, 0 outside tolerance, missing or new\n")
+
+
+def test_quartic_sweep_holds_under_numpy_baseline_dispatch(tmp_path):
+    # numpy's SIMD loops (behind every quartic action pass) round by
+    # dispatch: the sweep run with every dispatched feature of this host
+    # disabled, on numpy's baseline loops, must match the sweep run here
+    # by --compare's rule (keys exact, numbers within TOLERANCES).
+    from numpy._core import _multiarray_umath as umath
+    features = [f for f in umath.__cpu_dispatch__ if umath.__cpu_features__.get(f)]
+    if not features:
+        pytest.skip("numpy dispatches no feature beyond its baseline on this host")
+    sweep = "ptspec quartic --range 0:3 --step 0.25 --emax 20"
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"),
+               NPY_DISABLE_CPU_FEATURES=" ".join(features))
+    baseline = subprocess.run([sys.executable, "-m", "ptspec", *sweep.split()[1:]], env=env,
+                              capture_output=True, text=True, check=True).stdout
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(sweep.split()[1:]) == 0
+    here, base = tmp_path / "dispatched.txt", tmp_path / "baseline.txt"
+    here.write_text(_rows_dump([(0, sweep, out.getvalue().splitlines())]))
+    base.write_text(_rows_dump([(0, sweep, baseline.splitlines())]))
+    proc = _compare(here, base)
+    assert proc.returncode == 0, proc.stdout

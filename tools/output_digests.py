@@ -116,18 +116,21 @@ def conditions_grid() -> list[str]:
     continuation to --range 0:12 (where off-axis restarts walk their
     couplings into turning-point meetings, at A = 7.8, 9.1, 10.3, 10.9 and
     11.3 to 12), and the `conditions` workload's argvs for benchmark seeds
-    1-4."""
+    1-4; then the README sweep and quartic --range 0:3 --step 0.25 --emax 20
+    again with --format json, so that their JSON meta is digested too."""
     sys.path.insert(0, str(ROOT / "perfbench"))
     from workloads import Conditions
 
-    cmds = [cmd for cmd in readme_commands()
-            if cmd.startswith("ptspec bifurcation") and "wkb,full" in cmd]
-    cmds += ["ptspec bifurcation --range 1.01:2.5 --step 0.01 --emax 40 --method wkb,full",
-             "ptspec quartic --range 0:6 --step 0.05 --emax 30",
-             "ptspec quartic --range 0:6 --step 0.1 --emax 60",
-             "ptspec quartic --range 0:12 --step 0.1 --emax 60"]
+    readme = [cmd for cmd in readme_commands()
+              if cmd.startswith("ptspec bifurcation") and "wkb,full" in cmd]
+    cmds = readme + ["ptspec bifurcation --range 1.01:2.5 --step 0.01 --emax 40 --method wkb,full",
+                     "ptspec quartic --range 0:6 --step 0.05 --emax 30",
+                     "ptspec quartic --range 0:6 --step 0.1 --emax 60",
+                     "ptspec quartic --range 0:12 --step 0.1 --emax 60"]
     cmds += [" ".join(["ptspec", *argv]) for seed in range(1, 5)
              for argv in Conditions(seed).argvs]
+    cmds += [f"{cmd} --format json"
+             for cmd in (*readme, "ptspec quartic --range 0:3 --step 0.25 --emax 20")]
     return list(dict.fromkeys(cmds))
 
 
