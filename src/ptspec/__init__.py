@@ -13,9 +13,8 @@ from .action import (action_between, action_scale, action_to_turning_points,
 from .asymptotic import (EigRecord, SolveError, condition_spectra, condition_spectrum,
                          corrected_condition, delta_estimate, E_to_eps,
                          eps_to_E, lowest_branch_path, quartic_closeoff,
-                         quartic_condition, quartic_spectra, solve_condition,
-                         solve_quartic, switched_terms, wkb_condition,
-                         wkb_eigenvalue)
+                         quartic_condition, solve_condition, solve_quartic,
+                         switched_terms, wkb_condition, wkb_eigenvalue)
 from .geometry import (ModelSpec, QuarticRoots, StokesTrace, TraceError,
                        path_crosses_cut, quartic_turning_points,
                        seed_directions, trace_matching_path, trace_stokes_line,

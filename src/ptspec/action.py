@@ -33,18 +33,17 @@ __all__ = [
 DEFAULT_ORDER = 40
 
 
-def action_between(z0: complex, z1: complex, model: ModelSpec,
-                   via=(), order: int = DEFAULT_ORDER) -> complex:
+def action_between(z0: complex, z1: complex, model: ModelSpec, via=()) -> complex:
     """phi(z1) - phi(z0): integral of sqrt(q) from z0 to z1 along a polyline.
 
     The polyline runs z0, then the interior nodes via (none: the straight
-    segment), then z1; order is the Gauss order per segment.  A polyline
-    that meets the branch cut raises ValueError.  The branch is the
-    principal square root at the first quadrature node, and +1 at the
-    branch point z = 0 of a fractional power, where a path ending there is
-    integrated from it and negated, and a path through it is split there,
-    so that no Gauss rule spans the kink of (i t)^p.  Endpoints where q
-    vanishes are detected and integrated through the square-root
+    segment), then z1, each segment integrated by the DEFAULT_ORDER Gauss
+    rule.  A polyline that meets the branch cut raises ValueError.  The
+    branch is the principal square root at the first quadrature node, and
+    +1 at the branch point z = 0 of a fractional power, where a path ending
+    there is integrated from it and negated, and a path through it is split
+    there, so that no Gauss rule spans the kink of (i t)^p.  Endpoints where
+    q vanishes are detected and integrated through the square-root
     substitution; interior nodes must stay clear of turning points.
     """
     z0, z1 = complex(z0), complex(z1)
@@ -55,11 +54,11 @@ def action_between(z0: complex, z1: complex, model: ModelSpec,
         raise ValueError("contour crosses the branch cut")
     if model.has_branch_cut and 0 in nodes[1:-1]:
         k = nodes.index(0, 1)
-        return (action_between(z0, 0, model, via=nodes[1:k], order=order)
-                + action_between(0, z1, model, via=nodes[k + 1:-1], order=order))
+        return (action_between(z0, 0, model, via=nodes[1:k])
+                + action_between(0, z1, model, via=nodes[k + 1:-1]))
     if model.has_branch_cut and z1 == 0:
-        return -action_between(z1, z0, model, via=nodes[-2:0:-1], order=order)
-    return _path_action(model, nodes, order)[0]
+        return -action_between(z1, z0, model, via=nodes[-2:0:-1])
+    return _path_action(model, nodes, DEFAULT_ORDER)[0]
 
 
 def action_scale(p: float) -> float:
@@ -83,17 +82,16 @@ def action_to_turning_points(p: float) -> tuple[complex, complex]:
     return phi_a, -phi_a.conjugate()
 
 
-def singulant(z: complex, z_star: complex, model: ModelSpec,
-              order: int = DEFAULT_ORDER) -> complex:
+def singulant(z: complex, z_star: complex, model: ModelSpec) -> complex:
     """chi(z) = 2i [phi(z) - phi(z_star)], zero at z_star by construction.
 
     The integral runs straight from z_star to z, on action_between's
-    branch; a segment that meets the branch cut raises ValueError.  The
+    branch and Gauss rule; a segment that meets the branch cut raises ValueError.  The
     square root is two-valued, so chi is defined up to overall sign: the
     Stokes-relevant branch has Re chi >= 0 along the line, and the tracer
     orients its own chi so (geometry.trace_stokes_line).
     """
-    return 2j * action_between(z_star, z, model, order=order)
+    return 2j * action_between(z_star, z, model)
 
 
 def _quartic_end_actions(a: complex) -> tuple[tuple[complex, complex], ...]:

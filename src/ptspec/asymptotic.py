@@ -20,8 +20,8 @@ from its quadrature pass, as does the seed rule (_phase) that its seeds
 solve by Newton (_seed).
 condition_spectrum lists each root below an energy once, real roots and
 the conjugate pairs merged branches leave in the complex plane alike;
-condition_spectra (quartic_spectra for couplings) lists those of many
-models; lowest_branch_path continues a real branch in p.
+condition_spectra lists those of many models, of either family;
+lowest_branch_path continues a real branch in p.
 
 The root searches are generators (_newton_complex, the one set of Newton
 rules, and _seeded_root, _seed, _phase around it) that yield only the
@@ -63,7 +63,6 @@ __all__ = [
     "lowest_branch_path",
     "quartic_closeoff",
     "quartic_condition",
-    "quartic_spectra",
     "solve_condition",
     "solve_quartic",
     "switched_terms",
@@ -383,23 +382,22 @@ def _phase(model: ModelSpec, eps: complex):
     nothing."""
     a = min(abs(model.at(eps).a), 4.0) if model.a else 0.0
     if not a:
-        return _constant_phase(model)
+        return _constant_phase(model), 0.0
     w, dw = (yield a)[0]
     return 2.0 * w.real, 2.0 * abs(model.a) * dw.real if a < 4.0 else 0.0
 
 
-def _constant_phase(model: ModelSpec) -> tuple[float, float]:
-    """_phase where it needs no pass: the power law's, and the quartic's at
-    a = 0, whose pass is cached."""
+def _constant_phase(model: ModelSpec) -> float:
+    """_phase where it needs no pass, without its slope: the power law's,
+    and the quartic's at a = 0, whose pass is cached."""
     if model.family == "power":
-        return 2.0 * action_scale(model.p) * math.sin(math.pi / model.p), 0.0
-    w, dw = _quartic_action_at_zero()
-    return 2.0 * w.real, 2.0 * abs(model.a) * dw.real
+        return 2.0 * action_scale(model.p) * math.sin(math.pi / model.p)
+    return 2.0 * _quartic_action_at_zero().real
 
 
 @lru_cache(maxsize=1)
-def _quartic_action_at_zero() -> tuple[complex, complex]:
-    return _quartic_end_actions(0.0)[0]
+def _quartic_action_at_zero() -> complex:
+    return _quartic_end_actions(0.0)[0][0]
 
 
 def _seed(n: int, model: ModelSpec):
@@ -408,7 +406,7 @@ def _seed(n: int, model: ModelSpec):
     there to a step of <= 1e-14 relative (at most 8; 5 for A <= 8, n <=
     11).  A generator, as _phase: _alone(_seed(n, model)) is the seed."""
     k = (n + 0.5) * math.pi
-    seed = _constant_phase(model)[0] / k
+    seed = _constant_phase(model) / k
     if model.a:  # a quartic's nonzero coupling; the power law has none
         for _ in range(8):
             phase, slope = yield from _phase(model, seed)
@@ -537,16 +535,12 @@ def _distinct(solved: list[EigRecord], model: ModelSpec) -> list[EigRecord]:
 def _seeded(model: ModelSpec, e_max: float, seeds):
     """(n, seed) of each mode condition_spectrum solves, in order: n = 0,
     1, ... through the first whose own energy, eps_to_E of seeds(n), reaches
-    e_max; a seed that raises SolveError is skipped."""
+    e_max."""
     n, seed_e = 0, 0.0
     while seed_e < e_max:
-        try:
-            seed = seeds(n)
-            seed_e = eps_to_E(seed, model.degree).real
-        except SolveError:
-            pass
-        else:
-            yield n, seed
+        seed = seeds(n)
+        seed_e = eps_to_E(seed, model.degree).real
+        yield n, seed
         n += 1
 
 
@@ -566,51 +560,41 @@ def _listed(model: ModelSpec, e_max: float, modes, solves) -> list[EigRecord]:
     return sorted(_distinct(solved, model), key=lambda r: (r.n, r.E.imag))
 
 
-def condition_spectrum(model: ModelSpec, e_max: float,
-                       condition: str = "full") -> list[EigRecord]:
-    """Roots of the condition with Re E <= e_max, each once, ordered by n, Im E.
+def condition_spectrum(model: ModelSpec, e_max: float) -> list[EigRecord]:
+    """Roots of the full condition with Re E <= e_max, each once, ordered
+    by n, Im E.
 
-    Solves seeds n = 0, 1, ... (skipping a SolveError) through the first
-    whose own energy, eps_to_E of the seed (model.a is the quartic's
-    physical coupling), reaches e_max.  A root reached from
-    several seeds takes the seed nearest its _mode_index (the lower on a
-    tie), any other its own; each complex root comes with its conjugate
-    (_distinct).  Duplicates are found by sorting the roots on Re eps once
-    and testing _same_root only inside each root's window of
+    Solves seeds n = 0, 1, ... (skipping a root search that raises
+    SolveError) through the first whose own energy, eps_to_E of the seed
+    (model.a is the quartic's physical coupling), reaches e_max.  A root
+    reached from several seeds takes the seed nearest its _mode_index (the
+    lower on a tie), any other its own; each complex root comes with its
+    conjugate (_distinct).  Duplicates are found by sorting the roots on
+    Re eps once and testing _same_root only inside each root's window of
     |Re eps - Re eps'| <= 2.1e-8 |eps| (bisected), so that scan grows as
     n log n in the roots, not n^2.  The modes are solved side by side, as
-    condition_spectra of the one model.  A model or condition that
-    _solver refuses, and an e_max that is not finite and > 0, raise
-    ValueError before the first seed.
+    condition_spectra of the one model.  A model that _solver refuses, and
+    an e_max that is not finite and > 0, raise ValueError before the first
+    seed.
     """
-    return next(condition_spectra([model], e_max, condition))
+    return next(condition_spectra([model], e_max, "full"))
 
 
 def condition_spectra(models, e_max: float, condition: str):
-    """condition_spectrum(model, e_max, condition) for each of models, in
-    order, as a generator; the whole list is solved in lockstep before the
-    first yield (_spectra).  Every model is checked first, as
-    condition_spectrum checks it (ValueError); an exception that would
-    stop condition_spectrum at a model is raised when the generator
-    reaches it."""
+    """condition_spectrum(model, e_max) of the given condition for each of
+    models, in order, as a generator; the whole list is solved in lockstep
+    before the first yield (_spectra).  Every model is checked first by
+    _solver (ValueError); an exception that would stop the listing of one
+    model is raised when the generator reaches it."""
     if not (math.isfinite(e_max) and e_max > 0):
         raise ValueError(f"e_max must be finite and > 0, got {e_max}")
     models = list(models)
     return _spectra(models, [_solver(model, condition) for model in models], e_max)
 
 
-def quartic_spectra(couplings, e_max: float):
-    """condition_spectra of ModelSpec.quartic(A) for each A of couplings."""
-    return condition_spectra(map(ModelSpec.quartic, couplings), e_max, "full")
-
-
-class _Unseeded(Exception):
-    """A mode whose seed is not computed yet."""
-
-
 def _taken(table, key):
-    """table[key], raised if it is an exception; _Unseeded if it is missing."""
-    out = table[key] if key in table else _Unseeded()
+    """table[key], raised if it is an exception."""
+    out = table[key]
     if isinstance(out, Exception):
         raise out
     return out
@@ -624,36 +608,33 @@ def _replayed(modes: list, failure: Exception | None):
 
 
 def _spectra(models: list[ModelSpec], solvers: list, e_max: float):
-    """Yield condition_spectrum(model, e_max) of each model, by its _solver.
+    """Yield the listing of each model up to e_max, by its _solver.
 
     Every mode of every model, of either family, runs its seed (_seed)
     side by side in one _lockstep, for n up to the first whose
-    constant-phase seed, an upper bound on its own, reaches e_max (more
-    modes follow while a model's seeds fall short); then every mode that
-    condition_spectrum would solve runs its root search (_solver's
+    constant-phase seed, an upper bound on its own, reaches e_max; a mode
+    past that table (a model whose seeds fall short of its bound, by one
+    mode where it was measured) is seeded alone, with the bits of a lane.
+    Then every mode that the listing solves runs its root search (_solver's
     search) in a second _lockstep.  Each model's list is _listed from
     those outcomes, in the order of a scalar run, so its records and its
     first error are that run's.
     """
-    seeds = [{} for _ in models]
-    modes, failures = [[] for _ in models], [None] * len(models)
     wave = []
     for i, model in enumerate(models):
-        phase = _constant_phase(model)[0]
-        top = math.ceil(phase / (math.pi * E_to_eps(e_max, model.degree).real) - 0.5)
+        top = math.ceil(_constant_phase(model)
+                        / (math.pi * E_to_eps(e_max, model.degree).real) - 0.5)
         wave += [(i, n) for n in range(max(top, 0) + 1)]
-    while wave:
-        for (i, n), out in zip(wave, _lockstep([_seed(n, models[i]) for i, n in wave])):
-            seeds[i][n] = out
-        short, wave = dict.fromkeys(i for i, _ in wave), []
-        for i in short:
-            modes[i] = []
-            try:
-                modes[i].extend(_seeded(models[i], e_max, partial(_taken, seeds[i])))
-            except _Unseeded:
-                wave += [(i, n) for n in range(len(seeds[i]), 2 * len(seeds[i]))]
-            except Exception as exc:  # _listed raises it in its turn
-                failures[i] = exc
+    seeds = [{} for _ in models]
+    for (i, n), out in zip(wave, _lockstep([_seed(n, models[i]) for i, n in wave])):
+        seeds[i][n] = out
+    modes, failures = [[] for _ in models], [None] * len(models)
+    for i, (model, table) in enumerate(zip(models, seeds)):
+        try:
+            modes[i].extend(_seeded(model, e_max, lambda n: (
+                _taken(table, n) if n in table else _alone(_seed(n, model)))))
+        except Exception as exc:  # _listed raises it in its turn
+            failures[i] = exc
     todo = [(i, n, seed) for i in range(len(models)) for n, seed in modes[i]]
     roots = [{} for _ in models]
     for (i, n, _), out in zip(todo, _lockstep([solvers[i][1](seed) for i, _, seed in todo])):
@@ -762,10 +743,10 @@ def _quartic_condition(eps: complex, A: float):
     return value, sum(t * (d - dm) for t, d in zip(terms, dx)) / 2
 
 
-def solve_quartic(n: int, A: float, seed: complex | None = None) -> EigRecord:
+def solve_quartic(n: int, A: float) -> EigRecord:
     """Root of the quartic condition for mode n at physical coupling A.
 
-    Seeds from _seed unless given.  The real search is a descent on
+    Seeds from _seed.  The real search is a descent on
     |f|, so at a fold it stalls between the two merged roots rather than
     jump to another mode's root, and restarts off the axis from the seed
     (see _seeded_root); the record holds one member of the pair.  A model
@@ -776,7 +757,7 @@ def solve_quartic(n: int, A: float, seed: complex | None = None) -> EigRecord:
     condition does not reproduce (at A = -1 its ground state read 0.93505,
     not 1.16243).
     """
-    return _solver(ModelSpec.quartic(A), "full")[0](n, seed)
+    return _solver(ModelSpec.quartic(A), "full")[0](n, None)
 
 
 def quartic_closeoff(A: float) -> float:

@@ -171,7 +171,10 @@ _tolerance = _bounded(float, "tolerance", 0, strict=False)
 
 
 def _grid(lo: float, hi: float, step: float) -> list[float]:
-    n = int(round((hi - lo) / step))
+    """lo, lo + step, ... up to hi, then hi itself unless the last value
+    is within 1e-12 of it.  The count of steps is floored, with a slack of
+    1e-9 steps for rounding, so that no value passes hi."""
+    n = math.floor((hi - lo) / step + 1e-9)
     vals = [lo + k * step for k in range(n + 1)]
     if vals[-1] < hi - 1e-12:
         vals.append(hi)
@@ -316,13 +319,14 @@ def cmd_p1_scaling(args) -> int:
 
 def cmd_quartic(args) -> int:
     rows, grid = [], _grid(*args.range, args.step)
+    models = [ModelSpec.quartic(a) for a in grid]
     # the condition's spectra of the whole grid, solved side by side
-    spectra = asymptotic.quartic_spectra(grid, args.emax)
-    for a_phys in grid:
+    spectra = asymptotic.condition_spectra(models, args.emax, "full")
+    for a_phys, model in zip(grid, models):
         closeoff = asymptotic.quartic_closeoff(a_phys) if a_phys > 0 else 0.0
         for method in ("full", "numeric") if args.numeric else ("full",):
             recs = (next(spectra) if method == "full" else
-                    _scan(ModelSpec.quartic(a_phys), args, f"scan failed at A={a_phys}"))
+                    _scan(model, args, f"scan failed at A={a_phys}"))
             # a folded pair leaves the axis; the modes above it stay real
             rows.extend(dict(_record_row(r), closeoff=closeoff) for r in recs
                         if not asymptotic._off_axis(r.eps))
@@ -337,7 +341,7 @@ def cmd_quartic(args) -> int:
 
 def cmd_verify(args) -> int:
     checks = []
-    rep = verify.turning_point_prefactor(60)
+    rep = verify.turning_point_prefactor()
     checks.append(("turning-point prefactor = 1/(2 pi)",
                    max(abs(e - rep.limit) for e in rep.estimates), 1e-11))
     for p in (1.3, 1.5, 1.7, 2.5, 3.5):
@@ -346,7 +350,7 @@ def cmd_verify(args) -> int:
     for p in (2.5, 3.0, 5.0):
         dev = verify.quantization_equivalence(p)
         checks.append((f"quantisation equivalence, p = {p}", dev, 1e-9))
-    rep = verify.turning_point_matching_ratio(400)
+    rep = verify.turning_point_matching_ratio()
     checks.append(("matching-ratio limit 1/(2 pi)",
                    abs(rep.estimates[-1] / rep.limit - 1.0), 1e-3))
     all_ok = True

@@ -70,8 +70,8 @@ class ModelSpec:
 
     family "power" is the eigenproblem -eps^2 f'' - (i z)^p f = f with finite
     real exponent p >= 1; family "quartic" is -eps^2 f'' + (z^4 + i a z) f = f
-    with finite coupling a.  The branch cut of (i z)^p is fixed on the
-    positive imaginary axis.
+    with finite coupling a.  Each takes only its own parameter (ValueError).
+    The branch cut of (i z)^p is fixed on the positive imaginary axis.
 
     Each per-family law is stated once, here: degree (with
     asymptotic.E_to_eps / eps_to_E, the one E <-> eps scaling), at (the
@@ -91,9 +91,13 @@ class ModelSpec:
         if self.family == "power":
             if self.p is None or not math.isfinite(self.p) or self.p < 1.0:
                 raise ValueError("power-law family needs finite real p >= 1")
+            if self.a is not None:
+                raise ValueError("power-law family takes no coupling a")
         elif self.family == "quartic":
             if self.a is None or not cmath.isfinite(self.a):
                 raise ValueError("quartic family needs a finite coupling")
+            if self.p is not None:
+                raise ValueError("quartic family takes no exponent p")
         else:
             raise ValueError(f"unknown family {self.family!r}")
 

@@ -154,33 +154,35 @@ def _gamma_ratio(n_max: int, offsets: tuple[float, float, float]) -> Convergence
     return ConvergenceReport.from_estimates(ns, ests, 1.0 / _TWO_PI)
 
 
-def turning_point_prefactor(n_max: int = 60) -> ConvergenceReport:
-    """Lambda at a turning point: the regularised Gamma ratio, exactly 1/(2 pi).
+def turning_point_prefactor() -> ConvergenceReport:
+    """Lambda at a turning point: the regularised Gamma ratio, exactly
+    1/(2 pi), for n = 1..60.
 
     Gamma(3n+1/2) = 3^{3n} Gamma(n+1/6) Gamma(n+1/2) Gamma(n+5/6) / (2 pi)
     by triplication, so every term of the sequence equals the limit.
     """
-    return _gamma_ratio(n_max, (1.0 / 6.0, 0.5, 5.0 / 6.0))
+    return _gamma_ratio(60, (1.0 / 6.0, 0.5, 5.0 / 6.0))
 
 
-def turning_point_matching_ratio(n_max: int = 60) -> ConvergenceReport:
+def turning_point_matching_ratio() -> ConvergenceReport:
     """The raw term-matching ratio Gamma(3n+1/2)/(27^n Gamma(n) Gamma(n+1)
-    Gamma(n+1/2)).
+    Gamma(n+1/2)), for n = 1..400.
 
     Approaches 1/(2 pi) like 1 - 5/(36 n): this is the sequence the
     inner-to-outer matching actually produces, constant only in the limit.
     """
-    return _gamma_ratio(n_max, (0.0, 1.0, 0.5))
+    return _gamma_ratio(400, (0.0, 1.0, 0.5))
 
 
-def quantization_equivalence(p: float, n_range=range(5, 16)) -> float:
+def quantization_equivalence(p: float) -> float:
     """Worst relative gap between WKB-condition roots and the closed form.
 
     The two derivations (turning-point matching vs Stokes switching) must
-    give the same ladder; returns max over n of the relative deviation.
+    give the same ladder; returns max over n = 5..15 of the relative
+    deviation.
     """
     worst = 0.0
-    for n in n_range:
+    for n in range(5, 16):
         root = solve_condition(n, p, "wkb")
         closed = wkb_eigenvalue(n, p)
         worst = max(worst, abs(root.E.real - closed) / closed)

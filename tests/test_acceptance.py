@@ -84,7 +84,7 @@ def test_criterion_04_quartic_constants():
 
 def test_criterion_05_matching_constants():
     t0 = time.time()
-    rep = turning_point_prefactor(60)
+    rep = turning_point_prefactor()
     dev_tp = max(abs(e - rep.limit) for e in rep.estimates)
     dev_bp = 0.0
     for p in (1.3, 1.5, 1.7, 2.5, 3.5):

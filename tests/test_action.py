@@ -83,8 +83,8 @@ def test_quadrature_order_convergence():
     for p in (1.3, 2.0, 3.0):
         model = ModelSpec.power_law(p)
         za, _ = turning_points(p)
-        v40 = action_between(0, za, model, order=40)
-        v80 = action_between(0, za, model, order=80)
+        v40 = geometry._path_action(model, [0, za], 40)[0]
+        v80 = geometry._path_action(model, [0, za], 80)[0]
         assert abs(v80 - v40) < 1e-11
 
 

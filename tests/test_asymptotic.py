@@ -15,7 +15,6 @@ from ptspec.asymptotic import (EigRecord, SolveError, _alone, _distinct, _listed
                                _off_axis, _phase,
                                _quartic_condition, _same_root,
                                _scaled_condition, _seed, _seeded, _seeded_root, _solver,
-                               quartic_spectra,
                                condition_spectra, condition_spectrum, corrected_condition,
                                delta_estimate, E_to_eps, eps_to_E,
                                lowest_branch_path, quartic_closeoff,
@@ -537,8 +536,6 @@ def test_condition_spectrum_labels_a_root_from_several_seeds_by_its_mode():
     hits = [r for r in recs if abs(r.E - 7.6954) < 1e-3]
     assert [r.n for r in hits] == [2] == [_mode_index(hits[0].eps, model)]
     assert ladder_problems(recs, lambda e: abs(quartic_condition(e, 3.5))) == []
-    with pytest.raises(ValueError):
-        condition_spectrum(model, 20.0, "wkb")
 
 
 def real_roots_by_real_newton(p, e_max):
@@ -696,7 +693,7 @@ def test_quartic_branch_closes_for_large_coupling():
     folded_at = None
     while a <= 3.6:
         try:
-            rec = solve_quartic(0, a, seed=seed)
+            rec = _solver(ModelSpec.quartic(a), "full")[0](0, seed)
         except SolveError:
             folded_at = a
             break
@@ -716,7 +713,8 @@ def test_quartic_unseeded_ground_root_below_first_mode():
     # at A = 2 it is the root the seeded walk up from A = 0.5 reaches
     seed = None
     for k in range(16):
-        seed = solve_quartic(0, round(0.5 + 0.1 * k, 10), seed=seed).eps.real
+        model = ModelSpec.quartic(round(0.5 + 0.1 * k, 10))
+        seed = _solver(model, "full")[0](0, seed).eps.real
     assert abs(solve_quartic(0, 2.0).eps.real - seed) < 1e-9
 
 
@@ -892,7 +890,7 @@ def _one_by_one(model, e_max, condition="full"):
     in scalar order, not side by side in _lockstep: a power law's search
     asks the driver for each value of its scaled condition, a quartic's
     for each action pass."""
-    from ptspec import asymptotic  # its _scaled_condition as a test patches it
+    from ptspec import asymptotic  # its _scaled_condition and _seed as a test patches them
     _, search, record = _solver(model, condition)
 
     def solve(n, seed):
@@ -902,7 +900,7 @@ def _one_by_one(model, e_max, condition="full"):
         return record(n, _scalar_run(search(seed), _quartic_end_actions))
 
     def seeds(n):
-        return _scalar_run(_seed(n, model), _quartic_end_actions)
+        return _scalar_run(asymptotic._seed(n, model), _quartic_end_actions)
 
     return _listed(model, e_max, _seeded(model, e_max, seeds), solve)
 
@@ -912,7 +910,7 @@ def test_quartic_spectra_equal_condition_spectrum_record_for_record():
     # whole grid solved side by side lists, coupling by coupling, the bits
     # of condition_spectrum, and of modes solved one at a time.
     grid = [0.05 * k for k in range(121)]
-    spectra = list(quartic_spectra(grid, 30.0))
+    spectra = list(condition_spectra(map(ModelSpec.quartic, grid), 30.0, "full"))
     assert len(spectra) == len(grid)
     for A, recs in zip(grid, spectra):
         got = list(map(_record_bits, recs))
@@ -938,7 +936,7 @@ def test_quartic_spectra_raise_where_condition_spectrum_raises(monkeypatch):
     monkeypatch.setattr(asymptotic, "_quartic_end_actions_batch", failing)
     with pytest.raises(RuntimeError, match="planted") as alone:
         condition_spectrum(ModelSpec.quartic(7.8), 60.0)
-    spectra = quartic_spectra([1.0, 7.8, 2.0], 60.0)
+    spectra = condition_spectra(map(ModelSpec.quartic, [1.0, 7.8, 2.0]), 60.0, "full")
     first = next(spectra)
     assert list(map(_record_bits, first)) == list(map(_record_bits,
                                                       _one_by_one(ModelSpec.quartic(1.0), 60.0)))
@@ -952,9 +950,9 @@ def test_quartic_spectra_raise_where_condition_spectrum_raises(monkeypatch):
 
 def test_quartic_spectra_check_every_coupling_first():
     with pytest.raises(ValueError, match=">= 0"):
-        quartic_spectra([1.0, -0.5], 10.0)
+        condition_spectra(map(ModelSpec.quartic, [1.0, -0.5]), 10.0, "full")
     with pytest.raises(ValueError, match="e_max"):
-        quartic_spectra([1.0], math.inf)
+        condition_spectra([ModelSpec.quartic(1.0)], math.inf, "full")
 
 
 @pytest.mark.parametrize("condition", ["wkb", "full"])
@@ -1013,3 +1011,69 @@ def test_condition_spectra_check_every_model_first():
         condition_spectra([ModelSpec.power_law(2.0), ModelSpec.power_law(1.0)], 10.0, "full")
     with pytest.raises(ValueError, match="only the full"):
         condition_spectra([ModelSpec.power_law(2.0), ModelSpec.quartic(1.0)], 10.0, "wkb")
+
+
+def test_condition_spectrum_seeds_a_mode_past_its_seed_table_alone(monkeypatch):
+    # At p = 2 the seeds sit on the ladder E = 2n + 1, and the table of
+    # seeds ends at the mode whose constant-phase seed reaches e_max.  For
+    # odd e_max that top seed can round just below e_max, so the listing
+    # seeds one more mode, alone: the mode whose seed reaches e_max, with
+    # its bits, and its records are still those of every mode solved one
+    # at a time.
+    from ptspec import asymptotic
+    plain, seeded_alone = asymptotic._alone, []
+
+    def alone(lane):
+        n = lane.gi_frame.f_locals["n"] if lane.__name__ == "_seed" else None
+        out = plain(lane)
+        if n is not None:
+            seeded_alone.append((n, out))
+        return out
+
+    monkeypatch.setattr(asymptotic, "_alone", alone)
+    model, past = ModelSpec.power_law(2.0), []
+    for e_max in range(1, 40, 2):
+        seeded_alone.clear()
+        recs = condition_spectrum(model, float(e_max))
+        for n, seed in seeded_alone:
+            past.append(e_max)
+            assert seed.hex() == plain(_seed(n, model)).hex(), (e_max, n)
+            below = eps_to_E(plain(_seed(n - 1, model)), 2.0).real
+            assert below < e_max <= eps_to_E(seed, 2.0).real, (e_max, n)
+        assert list(map(_record_bits, recs)) == list(map(_record_bits,
+                                                         _one_by_one(model, e_max))), e_max
+    assert 5 in past
+    assert [r.E for r in condition_spectrum(model, 5.0)] == pytest.approx([1.0, 3.0, 5.0])
+
+
+@pytest.mark.parametrize("ps, e_max, planted", [((3.0, 1.5, 1.2), 30.0, (1.5, 4)),
+                                                ((3.0, 2.0, 1.2), 5.0, (2.0, 3))],
+                         ids=["in the seed table", "past the seed table"])
+def test_condition_spectra_raise_where_a_seed_raises(ps, e_max, planted, monkeypatch):
+    # A seed that raises stops the listing of its model where a scalar run
+    # stops: condition_spectrum raises it, and the side-by-side entry
+    # raises the same text when it reaches that model, after the model
+    # before it, as does the scalar-order reference.  Mode 3 of p = 2 at
+    # e_max 5 lies past the seed table and is seeded alone.
+    from ptspec import asymptotic
+    plain = asymptotic._seed
+
+    def planted_seed(n, model):
+        if (model.p, n) == planted:
+            raise RuntimeError(f"planted at n = {n}, p = {model.p}")
+        return (yield from plain(n, model))
+
+    monkeypatch.setattr(asymptotic, "_seed", planted_seed)
+    models = [ModelSpec.power_law(p) for p in ps]
+    with pytest.raises(RuntimeError, match="planted") as alone:
+        condition_spectrum(models[1], e_max)
+    spectra = condition_spectra(models, e_max, "full")
+    first = next(spectra)
+    assert first and list(map(_record_bits, first)) == list(map(_record_bits,
+                                                                _one_by_one(models[0], e_max)))
+    with pytest.raises(RuntimeError) as batched:
+        next(spectra)
+    assert str(batched.value) == str(alone.value)
+    with pytest.raises(RuntimeError) as scalar:
+        _one_by_one(models[1], e_max)
+    assert str(scalar.value) == str(alone.value)

@@ -424,10 +424,10 @@ def test_out_of_range_arguments_are_usage_errors(argv, monkeypatch, capsys):
     def computed(*args, **kwargs):
         raise AssertionError("a usage error ran a computation")
 
-    for module, name in ((asymptotic, "condition_spectra"), (asymptotic, "quartic_spectra"),
-                         (asymptotic, "condition_spectrum"), (asymptotic, "solve_condition"),
-                         (asymptotic, "lowest_branch_path"), (shooting, "find_eigen"),
-                         (geometry, "seed_directions"), (verify, "turning_point_prefactor")):
+    for module, name in ((asymptotic, "condition_spectra"), (asymptotic, "condition_spectrum"),
+                         (asymptotic, "solve_condition"), (asymptotic, "lowest_branch_path"),
+                         (shooting, "find_eigen"), (geometry, "seed_directions"),
+                         (verify, "turning_point_prefactor")):
         monkeypatch.setattr(module, name, computed)
     with pytest.raises(SystemExit) as exit_:
         main(argv)
@@ -734,6 +734,21 @@ def test_grid_ends_at_the_upper_end_of_its_range():
     assert cli._grid(0.0, 1.0, 0.3) == pytest.approx([0.0, 0.3, 0.6, 0.9, 1.0])
     assert cli._grid(0.0, 1.0, 0.3)[-1] == 1.0
     assert cli._grid(1.0, 2.0, 0.25) == [1.0, 1.25, 1.5, 1.75, 2.0]
+    # a rounded step count ran past hi: quartic --range 0:1 --step 0.35
+    # listed A = 1.05, bifurcation --range 1.2:2.0 --step 0.3 p = 2.1
+    assert cli._grid(0.0, 1.0, 0.35) == [0.0, 0.35, 0.7, 1.0]
+    assert cli._grid(1.2, 2.0, 0.3)[-1] == 2.0
+
+
+@settings(deadline=None, max_examples=300)
+@given(lo=st.floats(0.0, 10.0), width=st.floats(1e-3, 10.0), step=st.floats(1e-3, 5.0))
+def test_grid_never_runs_past_the_upper_end(lo, width, step):
+    hi = lo + width
+    vals = cli._grid(lo, hi, step)
+    rounding = 1e-9 * step + 1e-12
+    assert vals[0] == lo and max(vals) <= hi + rounding
+    assert abs(vals[-1] - hi) <= rounding
+    assert all(b > a for a, b in zip(vals, vals[1:]))
 
 
 @pytest.mark.parametrize("argv", [["--p", "1.3"], ["--p", "2"], ["--p", "12"],

@@ -152,6 +152,20 @@ def test_model_spec_rejects_non_finite_parameters(make):
         make()
 
 
+def test_model_spec_rejects_the_other_familys_parameter():
+    # ModelSpec("power", 3.0, 1.0) was built, and the seed rule, which
+    # tests model.a, seeded the power law with the quartic's phase: its
+    # listing to E = 30 held 7 of the 8 roots of p = 3
+    with pytest.raises(ValueError, match="no coupling"):
+        ModelSpec("power", 3.0, 1.0)
+    with pytest.raises(ValueError, match="no coupling"):
+        ModelSpec("power", 1.5, 0.0)
+    with pytest.raises(ValueError, match="no exponent"):
+        ModelSpec("quartic", 2.0, 1.0)
+    with pytest.raises(ValueError, match="no exponent"):
+        ModelSpec(family="quartic", p=4.0, a=0.5)
+
+
 def test_path_crosses_cut_basics():
     model = ModelSpec.power_law(1.5)
     assert not path_crosses_cut([-2 - 0.1j, 2 - 0.1j], model)
@@ -229,12 +243,18 @@ def test_seed_directions_sit_on_the_held_line():
     (ModelSpec.quartic(1.0), quartic_turning_points(1.0).z_a),
 ])
 def test_tracer_starts_on_the_singulant(model, origin):
-    # The tracer's first chi and singulant come from the one path integral
-    # of sqrt(q), so they agree bit for bit, up to the orientation of chi.
+    # The tracer's first chi is 2i times the one path integral of sqrt(q)
+    # from its origin, at the tracer's start order, bit for bit up to the
+    # orientation of chi; singulant, the same integral at its own Gauss
+    # order, agrees to rounding.
     for d in seed_directions(origin, model):
         trace = trace_stokes_line(origin, model, d, max_arclen=0.01)
-        chi = singulant(trace.points[0], origin, model, order=24)
+        chi = 2j * geometry._path_action(model, [origin, trace.points[0]],
+                                         geometry._START_ORDER)[0]
         assert trace.chi[0] in (chi, -chi), (d, trace.chi[0], chi)
+        full = singulant(trace.points[0], origin, model)
+        assert min(abs(trace.chi[0] - full), abs(trace.chi[0] + full)) <= 1e-13 * abs(full), (
+            d, trace.chi[0], full)
 
 
 def test_integer_p_origin_line_has_zero_weight():

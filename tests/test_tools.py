@@ -24,9 +24,14 @@ def test_every_setting_is_set_by_some_call():
     assert match, count
     total, used, examples_only, passed, unused = map(int, match.groups())
     assert unused == 0 and total == used + passed, count
-    # the knobs that only tests and demos turn are listed one by one
+    # the knobs that only tests and demos turn are listed one by one, and
+    # are only these: the demo's tight polish and the shooting error bar
+    # (the change between two tolerances) need ShootConfig(atol) and
+    # find_eigen(tol), and find_eigen hands mismatch its config
     listed = re.findall(r"`([^`]+)`", examples.removeprefix("Set only in tests/ and demos/: "))
     assert len(listed) == examples_only <= used, (examples, count)
+    assert listed == ["shooting.ShootConfig(atol)", "shooting.mismatch(cfg)",
+                      "shooting.find_eigen(tol)"], examples
 
 
 def test_every_error_run_fails_as_a_usage_error_or_a_computation_failure():
@@ -83,24 +88,27 @@ def test_compare_matches_rows_by_key_and_numbers_by_tolerance(tmp_path):
 
 
 def test_quartic_sweep_holds_under_numpy_baseline_dispatch(tmp_path):
-    # numpy's SIMD loops (behind every quartic action pass) round by
-    # dispatch: the sweep run with every dispatched feature of this host
-    # disabled, on numpy's baseline loops, must match the sweep run here
-    # by --compare's rule (keys exact, numbers within TOLERANCES).
+    # numpy's SIMD loops (behind every quartic action pass and the quartic
+    # Stokes tracer) round by dispatch: the sweep and the quartic Stokes
+    # lines run with every dispatched feature of this host disabled, on
+    # numpy's baseline loops, must match those run here by --compare's
+    # rule (keys exact, numbers within TOLERANCES).
     from numpy._core import _multiarray_umath as umath
     features = [f for f in umath.__cpu_dispatch__ if umath.__cpu_features__.get(f)]
     if not features:
         pytest.skip("numpy dispatches no feature beyond its baseline on this host")
-    sweep = "ptspec quartic --range 0:3 --step 0.25 --emax 20"
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"),
                NPY_DISABLE_CPU_FEATURES=" ".join(features))
-    baseline = subprocess.run([sys.executable, "-m", "ptspec", *sweep.split()[1:]], env=env,
-                              capture_output=True, text=True, check=True).stdout
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out):
-        assert main(sweep.split()[1:]) == 0
-    here, base = tmp_path / "dispatched.txt", tmp_path / "baseline.txt"
-    here.write_text(_rows_dump([(0, sweep, out.getvalue().splitlines())]))
-    base.write_text(_rows_dump([(0, sweep, baseline.splitlines())]))
-    proc = _compare(here, base)
+    here, base = [], []
+    for cmd in ("ptspec quartic --range 0:3 --step 0.25 --emax 20", "ptspec stokes --A 1.0"):
+        baseline = subprocess.run([sys.executable, "-m", "ptspec", *cmd.split()[1:]], env=env,
+                                  capture_output=True, text=True, check=True).stdout
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert main(cmd.split()[1:]) == 0
+        here.append((0, cmd, out.getvalue().splitlines()))
+        base.append((0, cmd, baseline.splitlines()))
+    (tmp_path / "dispatched.txt").write_text(_rows_dump(here))
+    (tmp_path / "baseline.txt").write_text(_rows_dump(base))
+    proc = _compare(tmp_path / "dispatched.txt", tmp_path / "baseline.txt")
     assert proc.returncode == 0, proc.stdout

@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+from ptspec.asymptotic import solve_condition, wkb_eigenvalue
 from ptspec.special import recip_gamma
 from ptspec.verify import (branch_point_prefactor, h_sequence,
                            quantization_equivalence,
@@ -62,14 +63,14 @@ def test_branch_point_prefactor_vanishes_toward_integer():
 
 
 def test_turning_point_prefactor_exact():
-    rep = turning_point_prefactor(60)
+    rep = turning_point_prefactor()
     assert abs(rep.limit - 1.0 / TWO_PI) < 1e-16
     assert max(abs(e - rep.limit) for e in rep.estimates) <= 1e-11
     assert rep.n_values[0] == 1 and rep.n_values[-1] == 60
 
 
 def test_turning_point_matching_ratio_converges():
-    rep = turning_point_matching_ratio(400)
+    rep = turning_point_matching_ratio()
     # raw matching sequence: first term 5/36, approaches 1/(2 pi) like
     # 1 - 5/(36 n)
     assert abs(rep.estimates[0] - 5.0 / 36.0) < 1e-14
@@ -84,10 +85,13 @@ def test_all_constants_jointly():
     for p in (1.3, 1.5, 1.7, 2.5, 3.5):
         rep = branch_point_prefactor(p)
         assert rep.max_dev_tail <= 1e-9
-    assert turning_point_prefactor(60).max_dev_tail <= 1e-11
+    assert turning_point_prefactor().max_dev_tail <= 1e-11
 
 
 def test_quantization_equivalence():
-    assert quantization_equivalence(3.0, range(5, 16)) <= 1e-9
-    assert quantization_equivalence(5.0, (10,)) <= 1e-9
-    assert quantization_equivalence(2.0, range(0, 8)) <= 1e-12
+    assert quantization_equivalence(3.0) <= 1e-9
+    assert quantization_equivalence(5.0) <= 1e-9
+    # the harmonic ladder, from the ground state up
+    for n in range(8):
+        closed = wkb_eigenvalue(n, 2.0)
+        assert abs(solve_condition(n, 2.0, "wkb").E.real - closed) <= 1e-12 * closed

@@ -59,13 +59,18 @@ ROOT = Path(__file__).resolve().parent.parent
 #: the imaginary part of a root near the axis is no more accurate than the
 #: root; the p1-scaling columns derived from E through exp(4/3 E^1.5)
 #: magnify its change about a hundredfold; a residual is |f| at a root,
-#: rounding noise below the solver's 1e-12.  Every other column is part of
-#: a row's key.
+#: rounding noise below the solver's 1e-12.  A Stokes line's points are
+#: measured against |z| and its singulant's parts against |chi|: with
+#: numpy held to its baseline loops, the points of stokes --A 1.0 moved by
+#: at most 4.3e-16 |z| and chi by 1.19e-14 |chi|.  Every other column is
+#: part of a row's key.
 TOLERANCES = {"re_E": (1e-14, ("re_E", "im_E")), "im_E": (1e-14, ("re_E", "im_E")),
               "E": (1e-14, ("E",)), "delta_exp_scaled": (1e-12, ("delta_exp_scaled",)),
               "predicted_delta": (1e-12, ("predicted_delta",)),
               "predicted_loglog": (1e-12, ("predicted_loglog",)),
-              "predicted_scaled": (1e-12, ("predicted_scaled",)), "residual": (1e-12, ())}
+              "predicted_scaled": (1e-12, ("predicted_scaled",)), "residual": (1e-12, ()),
+              "z_re": (1e-12, ("z_re", "z_im")), "z_im": (1e-12, ("z_re", "z_im")),
+              "rechi": (1e-12, ("rechi", "imchi")), "imchi": (1e-12, ("rechi", "imchi"))}
 
 
 def readme_commands() -> list[str]:
